@@ -19,7 +19,11 @@
 // Reads are windowed-parallel: a bounded number of chunk Gets race over
 // the pooled transport ahead of the consumer (see reader.go), each
 // integrity-checked against the manifest digest, with the KV's replica
-// fallback underneath handling owner crashes.
+// fallback underneath handling owner crashes. The manifest also names
+// the node that acknowledged each chunk's Put; chunk reads and the
+// garbage collection of a replaced generation go straight there,
+// skipping the O(d) route, and fall back to routing when that owner
+// hint has gone stale.
 package blob
 
 import (
@@ -103,6 +107,7 @@ type metrics struct {
 	reads        *telemetry.Counter
 	writes       *telemetry.Counter
 	chunkFetches *telemetry.Counter
+	hintMisses   *telemetry.Counter
 	integrity    *telemetry.Counter
 	rebuffers    *telemetry.Counter
 	prefetch     *telemetry.Gauge
@@ -114,6 +119,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		reads:        reg.Counter("blob_reads_total", "Blob read sessions opened."),
 		writes:       reg.Counter("blob_writes_total", "Blob writes committed (manifest Put acknowledged)."),
 		chunkFetches: reg.Counter("blob_chunk_fetches_total", "Chunk Gets issued by blob readers."),
+		hintMisses:   reg.Counter("blob_hint_misses_total", "Chunk exchanges whose manifest owner hint failed and fell back to a routed lookup."),
 		integrity:    reg.Counter("blob_integrity_failures_total", "Chunks failing the manifest digest check after re-fetch."),
 		rebuffers:    reg.Counter("blob_rebuffers_total", "Streaming playout stalls: chunks that missed their deadline."),
 		prefetch:     reg.Gauge("blob_prefetch_depth", "Chunk fetches currently in flight ahead of consumers."),
@@ -226,9 +232,17 @@ func (s *Store) Put(ctx context.Context, name string, data []byte) error {
 	for seq := 0; seq < count; seq++ {
 		m.Sums[seq] = sha256.Sum256(s.chunkData(data, seq))
 	}
+	if count > 0 {
+		m.Hints = make([]string, count)
+	}
 
+	// Each chunk Put records the node that acknowledged it: the owner
+	// hint readers and the next rewrite's garbage collection go to
+	// directly. Goroutines write disjoint entries.
 	if err := s.forEachChunk(ctx, count, func(cctx context.Context, seq int) error {
-		return s.node.PutContext(cctx, chunkKey(name, gen, seq), s.chunkData(data, seq))
+		r, err := s.node.PutAt(cctx, "", chunkKey(name, gen, seq), s.chunkData(data, seq))
+		m.Hints[seq] = r.Addr
+		return err
 	}); err != nil {
 		return fmt.Errorf("blob: put %q: %w", name, err)
 	}
@@ -239,11 +253,17 @@ func (s *Store) Put(ctx context.Context, name string, data []byte) error {
 
 	// The replaced generation is unreachable from the new manifest;
 	// reclaim its payload bytes by overwriting each old chunk key with
-	// an empty tombstone. Best-effort: a failure leaves garbage, never
-	// an inconsistent blob.
+	// an empty tombstone, sent straight to the owner the old manifest
+	// names. Best-effort: a failure leaves garbage, never an
+	// inconsistent blob.
 	if oldCount > 0 {
 		_ = s.forEachChunk(ctx, oldCount, func(cctx context.Context, seq int) error {
-			return s.node.PutContext(cctx, chunkKey(name, old.Gen, seq), nil)
+			hint := old.hint(seq)
+			r, err := s.node.PutAt(cctx, hint, chunkKey(name, old.Gen, seq), nil)
+			if hint != "" && !r.Hinted {
+				s.tel.hintMisses.Inc()
+			}
+			return err
 		})
 	}
 	return nil

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,6 +25,35 @@ type clusterOpt struct {
 	replicas    int
 	maxInflight int
 	latency     time.Duration // applied to every pair, both directions
+	dials       *dialCounter  // when set, counts every node's dials
+}
+
+// dialCounter counts dials per target address, fleet-wide.
+type dialCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *dialCounter) to(addr string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[addr]
+}
+
+// countingTransport is a p2p.Transport that reports its dials.
+type countingTransport struct {
+	p2p.Transport
+	c *dialCounter
+}
+
+func (t countingTransport) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	t.c.mu.Lock()
+	if t.c.n == nil {
+		t.c.n = make(map[string]int)
+	}
+	t.c.n[addr]++
+	t.c.mu.Unlock()
+	return t.Transport.Dial(addr, timeout)
 }
 
 // cluster boots n joined, stabilized nodes on a seeded in-memory
@@ -44,11 +76,15 @@ func cluster(t *testing.T, n int, seed int64, opt clusterOpt) ([]*p2p.Node, *mem
 		taken[v] = true
 		id := space.FromLinear(v)
 		name := fmt.Sprintf("n%d", len(nodes))
+		var tr p2p.Transport = nw.Host(name)
+		if opt.dials != nil {
+			tr = countingTransport{Transport: tr, c: opt.dials}
+		}
 		nd, err := p2p.Start(p2p.Config{
 			Dim:             6,
 			ID:              &id,
 			DialTimeout:     2 * time.Second,
-			Transport:       nw.Host(name),
+			Transport:       tr,
 			PooledTransport: true,
 			Replicas:        opt.replicas,
 			MaxInflight:     opt.maxInflight,
@@ -430,6 +466,169 @@ func TestBlobReaderShutdownLeavesNothingInFlight(t *testing.T) {
 		rd.Close()
 		waitDrained(t)
 	})
+}
+
+// fleetCounter sums one counter over the live nodes.
+func fleetCounter(nodes []*p2p.Node, name string) uint64 {
+	var sum uint64
+	for _, nd := range nodes {
+		sum += nd.Telemetry().CounterValue(name)
+	}
+	return sum
+}
+
+// TestBlobStaleHints covers the three ways a manifest owner hint goes
+// stale — its node crashed, left, or never held the chunk. In each the
+// read returns the exact bytes through the routed fallback, counting
+// hint misses but no lookup timeout; a hint found dead is suspected
+// and not dialed again; and a rewrite still lands every tombstone of
+// the replaced generation, the stale-hinted ones via the fallback.
+func TestBlobStaleHints(t *testing.T) {
+	const (
+		chunk   = 128
+		name    = "stale"
+		timeout = "cycloid_lookup_timeouts_total"
+		misses  = "cycloid_blob_hint_misses_total"
+	)
+	for _, tc := range []struct {
+		name string
+		// stale makes some hints of m stale and returns the node they
+		// now name, plus whether that node is gone.
+		stale func(t *testing.T, nodes []*p2p.Node, m *blob.Manifest) (*p2p.Node, bool)
+	}{
+		{"crashed", func(t *testing.T, nodes []*p2p.Node, m *blob.Manifest) (*p2p.Node, bool) {
+			victim := hintedNode(t, nodes, m)
+			victim.Close()
+			return victim, true
+		}},
+		{"left", func(t *testing.T, nodes []*p2p.Node, m *blob.Manifest) (*p2p.Node, bool) {
+			victim := hintedNode(t, nodes, m)
+			if err := victim.Leave(); err != nil {
+				t.Fatal(err)
+			}
+			return victim, true
+		}},
+		{"no-copy", func(t *testing.T, nodes []*p2p.Node, m *blob.Manifest) (*p2p.Node, bool) {
+			// Re-commit the manifest with every hint at a live node that
+			// holds none of the blob's chunks.
+			for _, nd := range nodes[2:] {
+				held := false
+				for _, k := range nd.Keys() {
+					held = held || strings.HasPrefix(k, "blob:c:")
+				}
+				if !held {
+					for i := range m.Hints {
+						m.Hints[i] = nd.Addr()
+					}
+					if err := nodes[0].Put("blob:m:"+name, m.Encode()); err != nil {
+						t.Fatal(err)
+					}
+					return nd, false
+				}
+			}
+			t.Fatal("every node holds a chunk")
+			return nil, false
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dials := &dialCounter{}
+			nodes, _ := cluster(t, 10, 4, clusterOpt{replicas: 3, dials: dials})
+			ctx := context.Background()
+			w, err := blob.New(nodes[0], blob.Options{ChunkSize: chunk, Window: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := blob.New(nodes[1], blob.Options{ChunkSize: chunk, Window: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1 := payload(11, chunk*2+5)
+			if err := w.Put(ctx, name, v1); err != nil {
+				t.Fatal(err)
+			}
+			m, err := w.Manifest(ctx, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale, gone := tc.stale(t, nodes, m)
+			var live []*p2p.Node
+			for _, nd := range nodes {
+				if nd != stale || !gone {
+					live = append(live, nd)
+				}
+			}
+			if gone {
+				for i := 0; i < 3; i++ {
+					for _, nd := range live {
+						nd.Stabilize()
+					}
+				}
+			}
+			staleHints := 0
+			for _, h := range m.Hints {
+				if h == stale.Addr() {
+					staleHints++
+				}
+			}
+
+			timeouts := fleetCounter(live, timeout)
+			missed := fleetCounter(live, misses)
+			got, err := r.Get(ctx, name)
+			if err != nil || !bytes.Equal(got, v1) {
+				t.Fatalf("read through stale hints: %v (equal=%v)", err, bytes.Equal(got, v1))
+			}
+			if d := fleetCounter(live, misses) - missed; d < uint64(staleHints) {
+				t.Fatalf("%d stale hints counted %d misses", staleHints, d)
+			}
+
+			// A hint found dead is suspected: the next read skips it.
+			before := dials.to(stale.Addr())
+			if got, err = r.Get(ctx, name); err != nil || !bytes.Equal(got, v1) {
+				t.Fatalf("second read: %v", err)
+			}
+			if d := dials.to(stale.Addr()) - before; gone && d != 0 {
+				t.Fatalf("the dead hint %s was dialed %d more times", stale.Addr(), d)
+			}
+
+			// Rewrite: every tombstone of generation 1 lands, so a
+			// straggler reading it sees ErrStale on every chunk.
+			old, err := r.Open(ctx, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer old.Close()
+			v2 := payload(12, chunk*3)
+			if err := w.Put(ctx, name, v2); err != nil {
+				t.Fatal(err)
+			}
+			for seq := 0; seq < old.Manifest().Count(); seq++ {
+				if _, err := old.ReadAt(make([]byte, 1), int64(seq*chunk)); !errors.Is(err, blob.ErrStale) {
+					t.Fatalf("generation-1 chunk %d after rewrite: err = %v, want ErrStale", seq, err)
+				}
+			}
+			if got, err = r.Get(ctx, name); err != nil || !bytes.Equal(got, v2) {
+				t.Fatalf("read after rewrite: %v", err)
+			}
+			if d := fleetCounter(live, timeout) - timeouts; d != 0 {
+				t.Fatalf("stale hints advanced %s by %d", timeout, d)
+			}
+		})
+	}
+}
+
+// hintedNode returns a node, other than the writer and reader (nodes 0
+// and 1), that the manifest names as some chunk's owner.
+func hintedNode(t *testing.T, nodes []*p2p.Node, m *blob.Manifest) *p2p.Node {
+	t.Helper()
+	for _, h := range m.Hints {
+		for _, nd := range nodes[2:] {
+			if nd.Addr() == h {
+				return nd
+			}
+		}
+	}
+	t.Fatalf("no chunk hinted at a node other than writer and reader: %v", m.Hints)
+	return nil
 }
 
 // Interface sanity: PoolStats carries the in-flight count the teardown

@@ -12,8 +12,8 @@
 // opening bytes (see the Preamble* constants): servers auto-detect, and
 // clients in Auto mode try binary first and remember, per peer, when the
 // other side turned out to speak only v1. The package also carries the
-// supporting machinery both codecs' hot paths share — a sync.Pool of
-// encode/decode buffers (Buffer) and a bounded string interner that
+// supporting machinery both codecs' hot paths share — size-classed
+// pools of encode/decode buffers (Buffer) and a bounded string interner that
 // makes repeated wire strings (peer addresses, hot keys) decode without
 // allocating.
 package codec
@@ -21,7 +21,6 @@ package codec
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // Codec identifies one of the two wire encodings.
@@ -85,73 +84,96 @@ const (
 // field lengths were satisfied.
 var ErrTruncated = errors.New("codec: truncated binary payload")
 
-// Buffer retention policy. A hard ceiling (maxPooledBuf) keeps a
-// pathological frame from ever pinning itself behind the free list,
-// but a fixed cap alone gets the common case wrong in both directions:
-// too low and a chunked-blob streaming workload (64 KiB payloads)
-// reallocates every frame; too high and one streaming burst leaves the
-// pool full of megabyte buffers long after traffic went back to 200-byte
-// envelopes. So retention adapts: an EWMA of returned capacities tracks
-// the workload's common case, and a buffer more than retainFactor (4×)
-// above it is dropped for the collector. During a burst the EWMA rises
-// within a few returns and large buffers recycle; afterwards it decays
-// and the oversized stragglers are shed on their next return.
+// Buffer size classes, one shared sync.Pool each. Every pooled buffer
+// covers its class's size (small ones: at least smallBufNew), so a
+// 64 KiB blob chunk and a 178-byte routing step never compete for — or
+// evict — each other's buffers, and retention is bounded by frames in
+// flight (sync.Pool drops idle buffers across garbage collections)
+// rather than by connection count.
+//
+//   - small (≤ SmallBuf): envelopes, routing steps, manifests; new
+//     buffers start at smallBufNew and may grow up to SmallBuf;
+//   - chunk: one default-size blob chunk (64 KiB) plus its envelope,
+//     with room to coalesce a few small frames beside it;
+//   - batch: a few chunk frames coalesced into one write;
+//   - max: one frame at the default 1 MiB cap plus its framing.
+//
+// A buffer grown past a class boundary by append is returned to the
+// largest class it fully covers; one that covers no class above small
+// (16–68 KiB), or exceeds the largest, is left to the collector.
 const (
-	maxPooledBuf  = 1 << 20 // hard ceiling, matching the default frame cap
-	retainFactor  = 4       // drop buffers > retainFactor × the common case
-	typicalBufMin = 4096    // EWMA floor: the pool's new-buffer capacity
+	SmallBuf     = 16 << 10
+	smallBufNew  = 4 << 10
+	maxPooledBuf = 1<<20 + 64<<10
 )
 
-// typicalBuf is the EWMA (α = 1/8) of capacities seen by PutBuffer.
-// Concurrent updates may lose an increment; the policy is statistical,
-// not an exact bound, so a cheap racy load/store is fine.
-var typicalBuf atomic.Int64
+var bufClasses = [...]int{SmallBuf, 68 << 10, 272 << 10, maxPooledBuf}
 
-// noteBufSize folds one returned capacity into the EWMA and returns the
-// updated common-case estimate.
-func noteBufSize(c int) int64 {
-	t := typicalBuf.Load()
-	if t < typicalBufMin {
-		t = typicalBufMin
-	}
-	t += (int64(c) - t) / 8
-	if t < typicalBufMin {
-		t = typicalBufMin
-	}
-	typicalBuf.Store(t)
-	return t
-}
+var bufPools [len(bufClasses)]sync.Pool
 
-// retainBuf decides whether a buffer of capacity c goes back to the
-// pool, updating the common-case estimate as a side effect.
-func retainBuf(c int) bool {
-	t := noteBufSize(c)
-	return c <= maxPooledBuf && int64(c) <= retainFactor*t
+// classFor returns the smallest class holding n bytes, or -1 when n
+// exceeds every class.
+func classFor(n int) int {
+	for i, c := range bufClasses {
+		if n <= c {
+			return i
+		}
+	}
+	return -1
 }
 
 // Buffer is a reusable encode/decode byte buffer. Get one with
-// GetBuffer, use B (appending or resizing freely), and return it with
-// PutBuffer once no decoded value aliases it. The indirection through a
-// struct keeps checkout and return allocation-free.
+// GetBuffer (or GetBufferSize when the frame size is known), use B
+// (appending or resizing freely), and return it with PutBuffer once no
+// decoded value aliases it. Pools store *Buffer, so checkout and
+// return are allocation-free.
 type Buffer struct{ B []byte }
 
-var bufPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, typicalBufMin)} }}
+// GetBuffer checks a small-class buffer out of the shared pools,
+// length 0.
+func GetBuffer() *Buffer { return GetBufferSize(0) }
 
-// GetBuffer checks a buffer out of the shared pool, length 0.
-func GetBuffer() *Buffer {
-	b := bufPool.Get().(*Buffer)
+// GetBufferSize checks out a buffer of length 0 and capacity at least
+// n from the smallest class that holds n. A size beyond every class is
+// served by a one-off allocation that PutBuffer will not retain.
+func GetBufferSize(n int) *Buffer {
+	c := classFor(n)
+	if c < 0 {
+		return &Buffer{B: make([]byte, 0, n)}
+	}
+	b, _ := bufPools[c].Get().(*Buffer)
+	if b == nil {
+		b = &Buffer{}
+	}
+	// Pooled buffers cover their class, except small ones, which hold
+	// anything from smallBufNew up to SmallBuf.
+	size := bufClasses[c]
+	if c == 0 {
+		size = max(n, smallBufNew)
+	}
+	if cap(b.B) < size {
+		b.B = make([]byte, 0, size)
+	}
 	b.B = b.B[:0]
 	return b
 }
 
-// PutBuffer returns a buffer to the shared pool. Buffers grown well past
-// the workload's common case are dropped for the garbage collector
-// instead (see the retention policy above).
+// PutBuffer returns a buffer to the largest class its capacity fully
+// covers. Buffers that cover no class (below a new small buffer,
+// between small and chunk, or beyond the largest) are dropped for the
+// garbage collector.
 func PutBuffer(b *Buffer) {
-	if b == nil || !retainBuf(cap(b.B)) {
+	if b == nil || cap(b.B) < smallBufNew || cap(b.B) > maxPooledBuf {
 		return
 	}
-	bufPool.Put(b)
+	c := len(bufClasses) - 1
+	for c > 0 && cap(b.B) < bufClasses[c] {
+		c--
+	}
+	if c == 0 && cap(b.B) > SmallBuf {
+		return // grown past small, short of chunk
+	}
+	bufPools[c].Put(b)
 }
 
 // intern is a bounded global string cache. Wire strings with small

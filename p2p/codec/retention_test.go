@@ -5,102 +5,104 @@ import (
 	"testing"
 )
 
-// resetTypical pins the retention EWMA to a known state and restores it
-// afterwards — the EWMA is process-global, shared with every other test
-// exercising the buffer pool.
-func resetTypical(t *testing.T) {
-	t.Helper()
-	was := typicalBuf.Load()
-	typicalBuf.Store(0)
-	t.Cleanup(func() { typicalBuf.Store(was) })
+// TestBufferClassFor pins the class boundaries: every size lands in the
+// smallest class holding it, and nothing past the largest class is
+// pooled.
+func TestBufferClassFor(t *testing.T) {
+	for _, tc := range []struct{ n, class int }{
+		{0, 0},
+		{178, 0},
+		{SmallBuf, 0},
+		{SmallBuf + 1, 1},
+		{64<<10 + 600, 1}, // a 64 KiB chunk frame with its envelope
+		{68 << 10, 1},
+		{68<<10 + 1, 2},
+		{1 << 20, 3},
+		{maxPooledBuf, 3},
+		{maxPooledBuf + 1, -1},
+	} {
+		if got := classFor(tc.n); got != tc.class {
+			t.Errorf("classFor(%d) = %d, want %d", tc.n, got, tc.class)
+		}
+		b := GetBufferSize(tc.n)
+		if cap(b.B) < tc.n || len(b.B) != 0 {
+			t.Errorf("GetBufferSize(%d): len %d cap %d", tc.n, len(b.B), cap(b.B))
+		}
+		PutBuffer(b)
+	}
 }
 
-// TestBufferRetentionAdaptive pins the pool's footprint policy: the
-// EWMA of returned capacities tracks the workload's common case, a
-// buffer more than retainFactor above it is dropped, and a sustained
-// shift in the workload moves the threshold instead of pinning the old
-// one forever.
-func TestBufferRetentionAdaptive(t *testing.T) {
-	resetTypical(t)
+// TestBufferClassesNoCollapse is the regression test for the EWMA
+// policy this replaced: 64 KiB frames interleaved with 178-byte frames
+// dragged a shared "typical size" estimate between the two until
+// neither size was retained and every large frame reallocated. With
+// one pool per class, both sizes recycle: the mixed stream runs
+// allocation-free once warm.
+func TestBufferClassesNoCollapse(t *testing.T) {
+	const chunkFrame = 64<<10 + 200
+	var sink atomic.Int64
+	i := 0
+	allocs := testing.AllocsPerRun(400, func() {
+		n := 178
+		if i++; i%4 == 0 {
+			n = chunkFrame
+		}
+		b := GetBufferSize(n)
+		b.B = b.B[:n]
+		sink.Add(int64(len(b.B)))
+		PutBuffer(b)
+	})
+	if allocs > 0 {
+		t.Errorf("interleaved 64 KiB / 178 B frames allocate %.1f/frame, want 0", allocs)
+	}
+}
 
-	// A steady diet of small frames: everything near the common case is
-	// retained.
+// TestBufferRetentionFloor pins that a run of tiny (or zero-capacity)
+// returns cannot make the pool under-deliver: such buffers are dropped,
+// GetBufferSize always hands out at least the requested capacity, and
+// GetBuffer at least the small class's new-buffer size.
+func TestBufferRetentionFloor(t *testing.T) {
 	for i := 0; i < 64; i++ {
-		if !retainBuf(8 << 10) {
-			t.Fatalf("iteration %d: an 8 KiB buffer was dropped under an 8 KiB workload", i)
+		PutBuffer(&Buffer{})
+	}
+	for i := 0; i < 64; i++ {
+		b := GetBufferSize(SmallBuf)
+		if cap(b.B) < SmallBuf {
+			t.Fatalf("GetBufferSize(%d) returned cap %d", SmallBuf, cap(b.B))
+		}
+		PutBuffer(b)
+		if b := GetBuffer(); cap(b.B) < smallBufNew {
+			t.Fatalf("GetBuffer returned cap %d, below the %d new-buffer size", cap(b.B), smallBufNew)
 		}
 	}
-
-	// One blob-sized outlier against the small-frame baseline is dropped
-	// — this is the leak the policy exists to close: before it, a single
-	// 1 MiB frame pinned a 1 MiB buffer in the pool for good.
-	if retainBuf(512 << 10) {
-		t.Fatal("a 512 KiB buffer was retained under an 8 KiB workload")
-	}
-
-	// A sustained shift to large frames raises the EWMA until those same
-	// buffers are the common case and are retained again.
-	retained := false
-	for i := 0; i < 64 && !retained; i++ {
-		retained = retainBuf(512 << 10)
-	}
-	if !retained {
-		t.Fatal("retention never adapted to a sustained 512 KiB workload")
-	}
-
-	// The hard ceiling is absolute: no workload makes the pool retain a
-	// buffer beyond the frame cap.
-	for i := 0; i < 256; i++ {
-		noteBufSize(maxPooledBuf * 2)
-	}
-	if retainBuf(maxPooledBuf + 1) {
-		t.Fatal("a buffer beyond maxPooledBuf was retained")
-	}
 }
 
-// TestBufferRetentionFloor pins the EWMA floor: a run of tiny (or
-// zero-cap) returns cannot drag the threshold below the pool's own
-// new-buffer capacity, which would make the pool drop the buffers it
-// just allocated.
-func TestBufferRetentionFloor(t *testing.T) {
-	resetTypical(t)
-	for i := 0; i < 256; i++ {
-		noteBufSize(0)
-	}
-	if got := typicalBuf.Load(); got < typicalBufMin {
-		t.Fatalf("EWMA sank to %d, below the %d floor", got, typicalBufMin)
-	}
-	if !retainBuf(typicalBufMin) {
-		t.Fatal("a new-buffer-sized capacity was dropped at the floor")
-	}
-}
-
-// TestPutBufferDropsOutliers is the footprint regression test at the
-// API surface: after an outlier is returned, the pool hands out fresh
-// small buffers rather than the retained giant. sync.Pool gives no
-// direct view of its contents, so the test drains it via GC-independent
-// means: it checks PutBuffer's accept/drop decision through the
-// capacity of what GetBuffer returns next on a single-P run.
+// TestPutBufferDropsOutliers is the footprint check at the API surface:
+// a buffer that covers no class — grown just past small, or past the
+// largest class — is never handed back out, and a large buffer never
+// comes back from the small class.
 func TestPutBufferDropsOutliers(t *testing.T) {
-	resetTypical(t)
-	for i := 0; i < 64; i++ {
-		noteBufSize(4 << 10) // establish a small-frame baseline
+	for _, c := range []int{SmallBuf + 1, 40 << 10, maxPooledBuf + 1} {
+		outlier := &Buffer{B: make([]byte, 0, c)}
+		PutBuffer(outlier)
+		for i := 0; i < 4; i++ {
+			if GetBufferSize(c) == outlier || GetBuffer() == outlier {
+				t.Fatalf("a %d-byte outlier was pooled", c)
+			}
+		}
 	}
-	outlier := GetBuffer()
-	outlier.B = append(outlier.B[:0], make([]byte, 256<<10)...)
-	PutBuffer(outlier)
+	PutBuffer(&Buffer{B: make([]byte, 0, 256<<10)})
 	got := GetBuffer()
 	defer PutBuffer(got)
-	if cap(got.B) >= 256<<10 {
-		t.Fatalf("GetBuffer returned the %d-byte outlier; PutBuffer should have dropped it", cap(got.B))
+	if cap(got.B) > SmallBuf {
+		t.Fatalf("GetBuffer returned a %d-byte buffer from the small class", cap(got.B))
 	}
 }
 
-// TestBufferRetentionAllocSteadyState pins that the adaptive policy
-// keeps the zero-alloc round trip for common-case buffers — the EWMA
-// bookkeeping must not introduce per-op allocations.
+// TestBufferRetentionAllocSteadyState pins the zero-alloc round trip
+// for small buffers: class selection must not introduce per-op
+// allocations.
 func TestBufferRetentionAllocSteadyState(t *testing.T) {
-	resetTypical(t)
 	var sink atomic.Int64
 	allocs := testing.AllocsPerRun(200, func() {
 		b := GetBuffer()
@@ -109,6 +111,6 @@ func TestBufferRetentionAllocSteadyState(t *testing.T) {
 		PutBuffer(b)
 	})
 	if allocs > 0 {
-		t.Errorf("retention bookkeeping allocates %.1f/op, want 0", allocs)
+		t.Errorf("small buffer round trip allocates %.1f/op, want 0", allocs)
 	}
 }

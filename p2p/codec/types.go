@@ -117,3 +117,17 @@ type Response struct {
 	Busy         bool   `json:"busy,omitempty"`
 	RetryAfterMs uint32 `json:"retryAfterMs,omitempty"`
 }
+
+// frameSlack is SizeHint's allowance for a message's fixed-width fields
+// and short strings — everything but its bulk payload.
+const frameSlack = 512
+
+// SizeHint returns a buffer capacity that holds the request's binary
+// encoding: its bulk payload (key and value) plus a fixed allowance for
+// the rest. Encoders size buffers by it so a chunk-carrying frame comes
+// from the right size class up front instead of growing into it.
+func (r *Request) SizeHint() int { return len(r.Key) + len(r.Value) + frameSlack }
+
+// SizeHint is Request.SizeHint for a reply: a fetched value plus a
+// fixed allowance for the rest.
+func (r *Response) SizeHint() int { return len(r.Value) + frameSlack }

@@ -3,6 +3,7 @@ package p2p
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -19,6 +20,10 @@ type Route struct {
 	Hops     int
 	Timeouts int            // unreachable candidates skipped
 	Phases   map[string]int // hops per routing phase
+	// Hinted reports that the caller's start address (PutAt, GetAt)
+	// served the operation without a route: Addr is that address, and
+	// Terminal, Hops and Phases are unset.
+	Hinted bool
 	// TraceID is the operation's 32-hex-character distributed trace ID
 	// when it was sampled (Config.TraceSample or anomaly-forced), ""
 	// otherwise. Load harnesses attach it to SLO outliers so a p99
@@ -51,44 +56,99 @@ func (n *Node) Put(key string, value []byte) error {
 }
 
 // PutContext is Put with dials capped by the context's deadline.
-func (n *Node) PutContext(ctx context.Context, key string, value []byte) (err error) {
+func (n *Node) PutContext(ctx context.Context, key string, value []byte) error {
+	_, err := n.PutAt(ctx, "", key, value)
+	return err
+}
+
+// PutAt is PutContext with an optional start address: the node the
+// caller believes owns key, typically the Route.Addr an earlier PutAt
+// returned for it. A usable hint (see hintUsable) takes the store
+// directly, skipping the O(d) route, through the same redirect chain a
+// routed store follows; a hint that cannot be reached, sheds, or
+// rejects the key falls back to the routed Put. A miss never counts as
+// a route timeout; an unreachable hint is suspected, so no later hint
+// dials it again. The returned Route's Addr is the node that
+// acknowledged the write.
+func (n *Node) PutAt(ctx context.Context, hint, key string, value []byte) (r Route, err error) {
 	ot := n.beginOp("put", key)
 	defer func() { n.endOp(ot, err) }()
-	r, err := n.routeCtx(ctx, n.keyPoint(key), ot)
+	kp := n.keyPoint(key)
+	if n.hintUsable(hint) {
+		if hint == n.Addr() {
+			if n.mayHold(kp) {
+				_, err = n.putOwner(ctx, key, value, ot)
+				return Route{Target: kp, Addr: hint, Hinted: true}, err
+			}
+		} else {
+			addr, herr := n.storeChain(ctx, hint, key, value, ot)
+			if herr == nil {
+				return Route{Target: kp, Addr: addr, Hinted: true}, nil
+			}
+			n.hintMissed(ctx, addr, herr)
+		}
+	}
+	r, err = n.routeCtx(ctx, kp, ot)
 	if err != nil {
-		return err
+		return r, err
 	}
 	if r.Terminal == n.id {
-		_, err := n.putOwner(ctx, key, value, ot)
-		return err
+		_, err = n.putOwner(ctx, key, value, ot)
+		return r, err
 	}
-	// A racing join can make the routed terminal disown the key by the
-	// time the store arrives; it rejects with a redirect entry pointing
-	// at the node it believes responsible. Follow a short redirect chain
-	// rather than stranding the value.
-	addr := r.Addr
+	r.Addr, err = n.storeChain(ctx, r.Addr, key, value, ot)
+	return r, err
+}
+
+// storeChain sends a store to addr and follows its redirects. A racing
+// join can make the receiver disown the key by the time the store
+// arrives; it rejects with a redirect entry pointing at the node it
+// believes responsible, and a short chain of those is followed rather
+// than stranding the value. It returns the address that acknowledged
+// the store, or on failure the last address contacted.
+func (n *Node) storeChain(ctx context.Context, addr, key string, value []byte, ot *opTrace) (string, error) {
 	for hop := 0; hop < 3; hop++ {
 		resp, err := n.callRetry(ctx, addr, request{Op: "store", Key: key, Value: value}, ot)
 		if err == nil {
 			n.tel.redirectDepth.Observe(int64(hop))
-			return nil
+			return addr, nil
 		}
 		if resp.Redirect == nil {
-			return err
+			return addr, err
 		}
 		n.tel.putRedirects.Inc()
 		n.log.Debug("store redirected", "key", key, "from", addr, "to", resp.Redirect.Addr)
 		red := toEntry(*resp.Redirect)
 		if red.ID == n.id {
 			if _, perr := n.putOwner(ctx, key, value, ot); perr != nil {
-				return perr
+				return n.Addr(), perr
 			}
 			n.tel.redirectDepth.Observe(int64(hop + 1))
-			return nil
+			return n.Addr(), nil
 		}
 		addr = red.Addr
 	}
-	return fmt.Errorf("p2p: put %q: no node accepted ownership", key)
+	return addr, fmt.Errorf("p2p: put %q: no node accepted ownership", key)
+}
+
+// hintUsable reports whether a caller's start address is worth one
+// exchange: given, not suspected, not inside an overload window, and
+// this node still running (a stopped node answers through the routed
+// path's ErrStopped).
+func (n *Node) hintUsable(addr string) bool {
+	return addr != "" && !n.isStopped() && n.strikesOf(addr) == 0 && !n.isOverloaded(addr)
+}
+
+// hintMissed accounts one failed hinted exchange. A hint is advisory,
+// so a miss is never a route timeout; only an unreachable peer is
+// suspected — one that answered (a rejection, a busy reply) is alive,
+// and a caller that gave up proves nothing about the peer.
+func (n *Node) hintMissed(ctx context.Context, addr string, err error) {
+	var pe peerError
+	if err == nil || IsBusy(err) || errors.As(err, &pe) || ctx.Err() != nil {
+		return
+	}
+	n.suspect(addr)
 }
 
 // Get fetches the value stored under key, routing from this node. When
@@ -102,7 +162,18 @@ func (n *Node) Get(key string) ([]byte, Route, error) {
 }
 
 // GetContext is Get with dials capped by the context's deadline.
-func (n *Node) GetContext(ctx context.Context, key string) (val []byte, r Route, err error) {
+func (n *Node) GetContext(ctx context.Context, key string) ([]byte, Route, error) {
+	return n.GetAt(ctx, "", key)
+}
+
+// GetAt is GetContext with an optional start address: the node the
+// caller believes holds key, typically the Route.Addr a PutAt of it
+// returned. A usable hint (see hintUsable) gets one fetch; when it
+// answers with a copy the read is done without a route. A hint that
+// cannot be reached, sheds, or holds no copy falls back to the routed
+// Get, replica fallback included. As with PutAt, a miss is never a
+// route timeout, and an unreachable hint is suspected.
+func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route, err error) {
 	ot := n.beginOp("get", key)
 	defer func() {
 		if id := n.endOp(ot, err); id != "" {
@@ -110,6 +181,22 @@ func (n *Node) GetContext(ctx context.Context, key string) (val []byte, r Route,
 		}
 	}()
 	kp := n.keyPoint(key)
+	if n.hintUsable(hint) {
+		if hint == n.Addr() {
+			if v, ok := n.localFetch(key); ok {
+				return v, Route{Target: kp, Addr: hint, Hinted: true}, nil
+			}
+		} else {
+			req := request{Op: "fetch", Key: key}
+			sid, t0 := ot.startCall(&req)
+			resp, ferr := n.callCtx(ctx, hint, req)
+			ot.endCall(sid, t0, "fetch", hint, ferr)
+			if ferr == nil && resp.Found {
+				return resp.Value, Route{Target: kp, Addr: hint, Hinted: true}, nil
+			}
+			n.hintMissed(ctx, hint, ferr)
+		}
+	}
 	r, err = n.routeCtx(ctx, kp, ot)
 	if err != nil {
 		return nil, r, err

@@ -90,6 +90,10 @@ var ErrPeerSaturated = errors.New("pool: peer connections saturated")
 // binEnvelopeLen is the fixed id+status header inside every v2 frame.
 const binEnvelopeLen = 9
 
+// jsonEnvelopeLen bounds the v1 framing around a payload:
+// {"id":<u64>,"p":<payload>}\n.
+const jsonEnvelopeLen = 36
+
 // Envelope is one multiplexed v1 frame: a correlation ID plus either a
 // payload or a peer-side error for that ID.
 type Envelope struct {
@@ -545,7 +549,7 @@ func (p *Pool) exchange(ctx context.Context, c *conn, addr string, enc EncodeFun
 func (c *conn) writeRequest(id uint64, enc EncodeFunc) error {
 	max := c.p.cfg.MaxFrame
 	if c.bin {
-		return c.w.Frame(func(buf []byte) ([]byte, error) {
+		return c.w.Frame(0, func(buf []byte) ([]byte, error) {
 			start := len(buf)
 			buf = append(buf, 0, 0, 0, 0) // length, backfilled below
 			buf = binary.LittleEndian.AppendUint64(buf, id)
@@ -574,7 +578,7 @@ func (c *conn) writeRequest(id uint64, enc EncodeFunc) error {
 		codec.PutBuffer(fb)
 		return &encodeError{err}
 	}
-	werr := c.w.Frame(func(buf []byte) ([]byte, error) {
+	werr := c.w.Frame(len(payload)+jsonEnvelopeLen, func(buf []byte) ([]byte, error) {
 		buf = append(buf, `{"id":`...)
 		buf = strconv.AppendUint(buf, id, 10)
 		if len(payload) > 0 {
@@ -598,7 +602,7 @@ func (c *conn) writeBytes(id uint64, payload []byte) error {
 		if l > max {
 			return &encodeError{ErrFrameTooLarge}
 		}
-		return c.w.Frame(func(buf []byte) ([]byte, error) {
+		return c.w.Frame(4+l, func(buf []byte) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
 			buf = binary.LittleEndian.AppendUint64(buf, id)
 			buf = append(buf, 0) // status: request payload
@@ -608,7 +612,7 @@ func (c *conn) writeBytes(id uint64, payload []byte) error {
 	if len(payload)+1 > max {
 		return &encodeError{ErrFrameTooLarge}
 	}
-	return c.w.Frame(func(buf []byte) ([]byte, error) {
+	return c.w.Frame(len(payload)+jsonEnvelopeLen, func(buf []byte) ([]byte, error) {
 		buf = append(buf, `{"id":`...)
 		buf = strconv.AppendUint(buf, id, 10)
 		if len(payload) > 0 {
@@ -937,12 +941,8 @@ func (c *conn) readLoopBin(br *bufio.Reader) {
 			c.teardown(fmt.Errorf("pool: read %s: %w", c.addr, ErrFrameTooLarge))
 			return
 		}
-		fb := codec.GetBuffer()
-		if cap(fb.B) < l {
-			fb.B = make([]byte, l)
-		} else {
-			fb.B = fb.B[:l]
-		}
+		fb := codec.GetBufferSize(l)
+		fb.B = fb.B[:l]
 		if _, err := io.ReadFull(br, fb.B); err != nil {
 			codec.PutBuffer(fb)
 			c.teardown(fmt.Errorf("pool: read %s: %w", c.addr, err))

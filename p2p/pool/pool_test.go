@@ -531,7 +531,7 @@ func TestWriterBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := w.Frame(func(buf []byte) ([]byte, error) {
+			err := w.Frame(0, func(buf []byte) ([]byte, error) {
 				return append(buf, fmt.Sprintf("frame-%d;", i)...), nil
 			})
 			if err != nil {
@@ -568,7 +568,7 @@ func TestWriterFillErrorRollsBack(t *testing.T) {
 	boom := errors.New("encode failed")
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- w.Frame(func(buf []byte) ([]byte, error) {
+		errCh <- w.Frame(0, func(buf []byte) ([]byte, error) {
 			return append(buf, "partial garbage"...), boom
 		})
 	}()
@@ -577,7 +577,7 @@ func TestWriterFillErrorRollsBack(t *testing.T) {
 	}
 
 	go func() {
-		errCh <- w.Frame(func(buf []byte) ([]byte, error) {
+		errCh <- w.Frame(0, func(buf []byte) ([]byte, error) {
 			return append(buf, "clean frame"...), nil
 		})
 	}()

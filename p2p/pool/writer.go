@@ -4,6 +4,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"cycloid/p2p/codec"
 )
 
 // Writer coalesces concurrent frame writes on one connection into as
@@ -23,42 +25,58 @@ type Writer struct {
 	onErr   func(error)   // invoked (without the lock) on write failure
 
 	mu       sync.Mutex
-	buf      []byte // frames queued for the next Write
-	spare    []byte // double buffer, swapped with buf around each Write
-	typical  int64  // EWMA of flushed batch sizes, for buffer retention
+	buf      []byte        // frames queued for the next Write
+	box      *codec.Buffer // shared-pool buffer backing buf while it holds a large batch
+	own      []byte        // the connection's buffer box displaced, restored after box's Write
+	spare    []byte        // the connection's other buffer, swapped with buf around each Write
 	flushing bool
 	err      error // sticky: first write failure poisons the writer
 }
 
-// Batch-buffer retention. The double buffer grows to the largest batch
-// ever flushed and, uncapped, stays that big for the life of the
-// connection — one 1 MiB blob chunk would pin two megabyte buffers per
-// conn forever. Like codec's shared buffer pool, retention follows the
-// workload: an EWMA of flushed batch sizes tracks the common case and a
-// buffer more than writerRetainFactor above it is dropped for the
-// collector (the next batch reallocates at its natural size).
-const (
-	writerRetainMin    = 4096
-	writerRetainFactor = 4
-)
+// Batch-buffer retention. A connection owns at most two batch buffers
+// of at most codec.SmallBuf each, grown by append to the size its
+// envelopes and routing steps need — the steady state costs no
+// allocation and almost no memory per connection. A frame that would
+// push the batch past the small class moves it into a buffer of the
+// right size class from codec's shared pools (box), which returns there
+// as soon as its Write completes, and the connection's buffer it
+// displaced (own) takes its place again. Large-frame memory then scales
+// with frames in flight, not with the number of connections that ever
+// carried one.
 
-// trimLocked folds one flushed batch size into the EWMA and returns the
-// buffer to retain: out truncated for reuse, or nil when its capacity
-// has outgrown the workload's common case. Caller holds w.mu.
-func (w *Writer) trimLocked(out []byte) []byte {
-	t := w.typical
-	if t < writerRetainMin {
-		t = writerRetainMin
+// reserveLocked makes room for n more bytes in the batch buffer. Small
+// batches are left to grow by append; a batch that would outgrow the
+// small class moves into a shared-pool buffer of the class that fits
+// it, at least doubling so a burst of queued frames grows
+// geometrically. Caller holds w.mu.
+func (w *Writer) reserveLocked(n int) {
+	need := len(w.buf) + n
+	if need <= cap(w.buf) || need <= codec.SmallBuf {
+		return
 	}
-	t += (int64(len(out)) - t) / 8
-	if t < writerRetainMin {
-		t = writerRetainMin
+	nb := codec.GetBufferSize(max(need, 2*cap(w.buf)))
+	nb.B = append(nb.B, w.buf...)
+	if w.box != nil {
+		w.box.B = w.buf[:0]
+		codec.PutBuffer(w.box)
+	} else {
+		w.own = w.buf[:0]
 	}
-	w.typical = t
-	if int64(cap(out)) > writerRetainFactor*t {
-		return nil
+	w.buf, w.box = nb.B, nb
+}
+
+// retireLocked takes back a written batch buffer: a shared-pool buffer
+// returns to its pool, a small buffer of the connection's own becomes
+// the spare if there is none, and one an unsized frame grew past the
+// small class is left to the collector. Caller holds w.mu.
+func (w *Writer) retireLocked(b []byte, box *codec.Buffer) {
+	switch {
+	case box != nil:
+		box.B = b[:0] // b may have outgrown the box's own array
+		codec.PutBuffer(box)
+	case w.spare == nil && cap(b) <= codec.SmallBuf:
+		w.spare = b[:0]
 	}
-	return out[:0]
 }
 
 // NewWriter wraps nc. timeout bounds each underlying Write; window, when
@@ -71,33 +89,28 @@ func NewWriter(nc net.Conn, timeout, window time.Duration, onErr func(error)) *W
 }
 
 // Frame appends one frame via fill, which must append exactly one
-// complete frame to the given buffer and return the extended slice. A
-// fill error rolls the buffer back and is returned with the connection
-// still healthy; a nil return means the frame was queued or written. If
-// a previous Write failed, Frame fails fast with that sticky error
-// (onErr has already run).
-func (w *Writer) Frame(fill func([]byte) ([]byte, error)) error {
+// complete frame to the given buffer and return the extended slice.
+// size is the frame's expected length when the caller knows it (a
+// pre-encoded request, a fetch reply), 0 otherwise: the batch buffer is
+// grown to hold it from the right size class before fill runs, so a
+// large frame is not reallocated by append. A fill error rolls the
+// buffer back and is returned with the connection still healthy; a nil
+// return means the frame was queued or written. If a previous Write
+// failed, Frame fails fast with that sticky error (onErr has already
+// run).
+func (w *Writer) Frame(size int, fill func([]byte) ([]byte, error)) error {
 	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
+	if err := w.appendLocked(size, fill); err != nil {
 		w.mu.Unlock()
 		return err
 	}
-	pre := len(w.buf)
-	b, err := fill(w.buf)
-	if err != nil {
-		w.buf = w.buf[:pre]
-		w.mu.Unlock()
-		return err
-	}
-	w.buf = b
 	if w.flushing {
 		// An active flusher will pick these bytes up on its next swap.
 		w.mu.Unlock()
 		return nil
 	}
 	w.flushLocked()
-	err = w.err
+	err := w.err
 	w.mu.Unlock()
 	return err
 }
@@ -107,22 +120,27 @@ func (w *Writer) Frame(fill func([]byte) ([]byte, error)) error {
 // for a later Frame or Flush call. Callers that know more frames are
 // imminent (a server draining a burst of pipelined requests) use it to
 // put many responses into one Write.
-func (w *Writer) Queue(fill func([]byte) ([]byte, error)) error {
+func (w *Writer) Queue(size int, fill func([]byte) ([]byte, error)) error {
 	w.mu.Lock()
+	err := w.appendLocked(size, fill)
+	w.mu.Unlock()
+	return err
+}
+
+// appendLocked runs fill on the batch buffer after reserving size
+// bytes, rolling back on a fill error. Caller holds w.mu.
+func (w *Writer) appendLocked(size int, fill func([]byte) ([]byte, error)) error {
 	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
+		return w.err
 	}
+	w.reserveLocked(size)
 	pre := len(w.buf)
 	b, err := fill(w.buf)
 	if err != nil {
 		w.buf = w.buf[:pre]
-		w.mu.Unlock()
 		return err
 	}
 	w.buf = b
-	w.mu.Unlock()
 	return nil
 }
 
@@ -150,14 +168,17 @@ func (w *Writer) flushLocked() {
 			time.Sleep(w.window)
 			w.mu.Lock()
 		}
-		out := w.buf
-		w.buf = w.spare[:0:cap(w.spare)]
-		w.spare = nil
+		out, box := w.buf, w.box
+		if box != nil {
+			w.buf, w.box, w.own = w.own, nil, nil
+		} else {
+			w.buf, w.spare = w.spare, nil
+		}
 		w.mu.Unlock()
 		_ = w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
 		_, err := w.nc.Write(out)
 		w.mu.Lock()
-		w.spare = w.trimLocked(out)
+		w.retireLocked(out, box)
 		if err != nil {
 			w.err = err
 			failed = err

@@ -1,65 +1,32 @@
 package pool
 
 import (
+	"encoding/binary"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"cycloid/p2p/codec"
 )
 
-// TestWriterTrimRetention pins the batch double-buffer's footprint
-// policy, driving trimLocked directly: buffers near the EWMA of flushed
-// batch sizes are retained (truncated for reuse), a buffer whose
-// capacity outgrew the workload's common case is dropped, and a
-// sustained shift to large batches adapts the threshold.
-func TestWriterTrimRetention(t *testing.T) {
-	w := &Writer{}
+// discard is a net.Conn sink whose writes and deadlines cost nothing,
+// so allocation counts measure the writer alone (net.Pipe allocates a
+// timer per deadline).
+type discard struct{ net.Conn }
 
-	// Common-case batches are retained with their capacity intact.
-	small := make([]byte, 2048, 4096)
-	for i := 0; i < 64; i++ {
-		got := w.trimLocked(small)
-		if got == nil || cap(got) != 4096 || len(got) != 0 {
-			t.Fatalf("iteration %d: small batch buffer not retained: %v", i, got)
-		}
-	}
+func (discard) Write(b []byte) (int, error)      { return len(b), nil }
+func (discard) SetWriteDeadline(time.Time) error { return nil }
 
-	// One blob-sized batch against that baseline: the grown buffer is
-	// dropped rather than pinned for the connection's lifetime.
-	if got := w.trimLocked(make([]byte, 1<<20)); got != nil {
-		t.Fatalf("a 1 MiB batch buffer was retained against a 2 KiB baseline (cap %d)", cap(got))
-	}
-
-	// Sustained large batches move the EWMA until they are retained.
-	retained := false
-	for i := 0; i < 64 && !retained; i++ {
-		retained = w.trimLocked(make([]byte, 1<<20)) != nil
-	}
-	if !retained {
-		t.Fatal("writer retention never adapted to sustained 1 MiB batches")
-	}
-
-	// Tiny flushes cannot drag the floor below writerRetainMin.
-	w2 := &Writer{}
-	for i := 0; i < 256; i++ {
-		w2.trimLocked(nil)
-	}
-	if got := w2.trimLocked(make([]byte, 0, writerRetainMin)); got == nil {
-		t.Fatal("a minimum-sized buffer was dropped at the floor")
-	}
-}
-
-// TestWriterSpareShrinksAfterBurst is the end-to-end footprint check: a
-// writer that flushed one giant frame must not keep a giant spare
-// buffer once traffic returns to small frames. The spare is observable
-// indirectly — after the giant flush trimLocked drops it, so the next
-// batch starts from a nil (reallocated-small) buffer.
-func TestWriterSpareShrinksAfterBurst(t *testing.T) {
+// drainPipe returns a writer over one end of a net.Pipe whose other end
+// is swallowed; both ends close via t.Cleanup.
+func drainPipe(t *testing.T) *Writer {
+	t.Helper()
 	client, server := net.Pipe()
-	defer client.Close()
 	var drain sync.WaitGroup
 	drain.Add(1)
-	go func() { // swallow everything the writer sends
+	go func() {
 		defer drain.Done()
 		buf := make([]byte, 64<<10)
 		for {
@@ -68,31 +35,195 @@ func TestWriterSpareShrinksAfterBurst(t *testing.T) {
 			}
 		}
 	}()
-	w := NewWriter(client, time.Second, 0, nil)
+	t.Cleanup(func() {
+		client.Close()
+		drain.Wait()
+	})
+	return NewWriter(client, time.Second, 0, nil)
+}
 
-	frame := func(n int) func([]byte) ([]byte, error) {
-		return func(b []byte) ([]byte, error) { return append(b, make([]byte, n)...), nil }
+// sized returns a fill appending n zero bytes.
+func sized(n int) func([]byte) ([]byte, error) {
+	return func(b []byte) ([]byte, error) {
+		for i := 0; i < n; i++ {
+			b = append(b, 0)
+		}
+		return b, nil
 	}
+}
+
+// TestWriterBatchRetention pins the per-connection retention policy,
+// driving retireLocked directly: a small batch buffer of the
+// connection's own stays as its spare, a shared-pool buffer goes back
+// to the shared pool, and a buffer an unsized frame grew past the small
+// class is dropped — none of the latter two stays with the connection.
+func TestWriterBatchRetention(t *testing.T) {
+	w := &Writer{}
+	small := make([]byte, 200, 256)
+	w.retireLocked(small, nil)
+	if cap(w.spare) != 256 || len(w.spare) != 0 {
+		t.Fatalf("small batch buffer not kept as the spare: len %d cap %d", len(w.spare), cap(w.spare))
+	}
+
+	box := codec.GetBufferSize(64 << 10)
+	w.retireLocked(box.B[:100], box)
+	if cap(w.spare) != 256 {
+		t.Fatal("a chunk-class buffer displaced the connection's small spare")
+	}
+	if len(box.B) != 0 {
+		t.Fatalf("pooled box returned with length %d", len(box.B))
+	}
+
+	for _, c := range []int{codec.SmallBuf + 1, 1 << 20} {
+		w2 := &Writer{}
+		w2.retireLocked(make([]byte, 0, c), nil)
+		if w2.spare != nil {
+			t.Fatalf("a %d-byte batch buffer was kept by the connection", c)
+		}
+	}
+}
+
+// TestWriterSpareShrinksAfterBurst is the end-to-end footprint check: a
+// writer that flushed a 1 MiB frame keeps no buffer above the small
+// class once the burst is written.
+func TestWriterSpareShrinksAfterBurst(t *testing.T) {
+	w := drainPipe(t)
 	for i := 0; i < 16; i++ {
-		if err := w.Frame(frame(1024)); err != nil {
+		if err := w.Frame(1024, sized(1024)); err != nil {
 			t.Fatalf("small frame %d: %v", i, err)
 		}
 	}
-	if err := w.Frame(frame(1 << 20)); err != nil {
+	if err := w.Frame(1<<20, sized(1<<20)); err != nil {
 		t.Fatalf("giant frame: %v", err)
+	}
+	// An unsized giant frame (append growth) must not stick either.
+	if err := w.Frame(0, sized(1<<20)); err != nil {
+		t.Fatalf("unsized giant frame: %v", err)
 	}
 
 	w.mu.Lock()
-	spare, buf := cap(w.spare), cap(w.buf)
-	w.mu.Unlock()
-	if spare >= 1<<20 || buf >= 1<<20 {
-		t.Fatalf("writer retained a megabyte buffer after the burst: spare=%d buf=%d", spare, buf)
+	if w.box != nil || cap(w.buf) > codec.SmallBuf || cap(w.spare) > codec.SmallBuf {
+		t.Errorf("writer holds buf=%d spare=%d (box %v) after the burst; small class is %d",
+			cap(w.buf), cap(w.spare), w.box != nil, codec.SmallBuf)
 	}
+	w.mu.Unlock()
 
-	// The writer keeps working after the drop.
-	if err := w.Frame(frame(1024)); err != nil {
+	// The writer keeps working after the burst.
+	if err := w.Frame(0, sized(1024)); err != nil {
 		t.Fatalf("frame after burst: %v", err)
 	}
-	client.Close()
-	drain.Wait()
+}
+
+// TestWriterSmallFramesZeroAlloc pins the steady state of the lookup
+// path: small frames through a warm writer cost no allocation.
+func TestWriterSmallFramesZeroAlloc(t *testing.T) {
+	w := NewWriter(discard{}, time.Second, 0, nil)
+	frame := sized(178)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := w.Frame(178, frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("small frames allocate %.1f/op in steady state, want 0", allocs)
+	}
+}
+
+// TestWriterMixedFramesReuse is the writer-side regression for the
+// EWMA collapse: 64 KiB frames interleaved with 178-byte frames used to
+// average the retention threshold down until every large batch buffer
+// was dropped and reallocated. Sized frames now draw their batch
+// buffer from the chunk class and return it there, so the mixed stream
+// allocates nothing once warm.
+func TestWriterMixedFramesReuse(t *testing.T) {
+	w := NewWriter(discard{}, time.Second, 0, nil)
+	const chunkFrame = 64<<10 + 200
+	big, small := sized(chunkFrame), sized(178)
+	i := 0
+	allocs := testing.AllocsPerRun(400, func() {
+		var err error
+		if i++; i%4 == 0 {
+			err = w.Frame(chunkFrame, big)
+		} else {
+			err = w.Frame(178, small)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("interleaved 64 KiB / 178 B frames allocate %.1f/frame, want 0", allocs)
+	}
+}
+
+// TestWriterConcurrentMixedFrames races writers of small and chunk-sized
+// frames on one connection, so batches keep moving between the
+// connection's own buffers and shared-pool ones mid-flush: every frame
+// must arrive whole and uninterleaved.
+func TestWriterConcurrentMixedFrames(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	w := NewWriter(client, 5*time.Second, 0, nil)
+	const writers, perWriter = 4, 40
+	got := make(chan map[byte]int, 1)
+	go func() {
+		seen := make(map[byte]int)
+		defer func() { got <- seen }()
+		var hdr [4]byte
+		for {
+			if _, err := io.ReadFull(server, hdr[:]); err != nil {
+				return
+			}
+			body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+			if _, err := io.ReadFull(server, body); err != nil {
+				return
+			}
+			for _, b := range body {
+				if b != body[0] {
+					t.Errorf("frame of %d bytes mixes tags %d and %d", len(body), body[0], b)
+					return
+				}
+			}
+			if seen[body[0]]++; len(seen) == writers && total(seen) == writers*perWriter {
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(tag byte) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				n := 178
+				if i%3 == 0 {
+					n = 64<<10 + 200
+				}
+				err := w.Frame(4+n, func(b []byte) ([]byte, error) {
+					b = binary.LittleEndian.AppendUint32(b, uint32(n))
+					for j := 0; j < n; j++ {
+						b = append(b, tag)
+					}
+					return b, nil
+				})
+				if err != nil {
+					t.Errorf("writer %d frame %d: %v", tag, i, err)
+					return
+				}
+			}
+		}(byte(g + 1))
+	}
+	wg.Wait()
+	seen := <-got
+	if total(seen) != writers*perWriter {
+		t.Fatalf("received %d of %d frames: %v", total(seen), writers*perWriter, seen)
+	}
+}
+
+func total(m map[byte]int) int {
+	n := 0
+	for _, c := range m {
+		n += c
+	}
+	return n
 }

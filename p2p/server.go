@@ -143,12 +143,8 @@ func (n *Node) handleBinOneShot(conn net.Conn, br *bufio.Reader) {
 		n.writeBinOneShot(conn, &response{Err: "request exceeds frame limit"})
 		return
 	}
-	fb := codec.GetBuffer()
-	if cap(fb.B) < l {
-		fb.B = make([]byte, l)
-	} else {
-		fb.B = fb.B[:l]
-	}
+	fb := codec.GetBufferSize(l)
+	fb.B = fb.B[:l]
 	if _, err := io.ReadFull(br, fb.B); err != nil {
 		codec.PutBuffer(fb)
 		return
@@ -169,7 +165,7 @@ func (n *Node) handleBinOneShot(conn net.Conn, br *bufio.Reader) {
 // writeBinOneShot sends one length-prefixed binary response from a
 // pooled buffer.
 func (n *Node) writeBinOneShot(conn net.Conn, resp *response) {
-	fb := codec.GetBuffer()
+	fb := codec.GetBufferSize(4 + resp.SizeHint())
 	fb.B = append(fb.B, 0, 0, 0, 0) // frame length, backfilled below
 	encStart := time.Now()
 	out, err := codec.AppendResponse(fb.B, resp)
@@ -217,7 +213,7 @@ func (n *Node) serveMuxBin(conn net.Conn, br *bufio.Reader) {
 		_ = conn.Close()
 	})
 	writeErr := func(id uint64, msg string) {
-		_ = w.Frame(func(buf []byte) ([]byte, error) {
+		_ = w.Frame(13+len(msg), func(buf []byte) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(9+len(msg)))
 			buf = binary.LittleEndian.AppendUint64(buf, id)
 			buf = append(buf, 1)
@@ -247,11 +243,14 @@ func (n *Node) serveMuxBin(conn net.Conn, br *bufio.Reader) {
 			binary.LittleEndian.PutUint32(out[start:], uint32(l))
 			return out, nil
 		}
+		// The reply size is known (a fetch carries its value), so its
+		// size class is reserved before encoding.
+		size := 13 + resp.SizeHint()
 		var err error
 		if deferFlush {
-			err = w.Queue(fill)
+			err = w.Queue(size, fill)
 		} else {
-			err = w.Frame(fill)
+			err = w.Frame(size, fill)
 		}
 		if err != nil {
 			// The frame was rolled back, so the stream is still framed;
@@ -290,12 +289,8 @@ func (n *Node) serveMuxBin(conn net.Conn, br *bufio.Reader) {
 			writeErr(0, "frame exceeds size limit")
 			return
 		}
-		fb := codec.GetBuffer()
-		if cap(fb.B) < l {
-			fb.B = make([]byte, l)
-		} else {
-			fb.B = fb.B[:l]
-		}
+		fb := codec.GetBufferSize(l)
+		fb.B = fb.B[:l]
 		if _, err := io.ReadFull(br, fb.B); err != nil {
 			codec.PutBuffer(fb)
 			return
@@ -381,7 +376,7 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		_ = w.Frame(func(buf []byte) ([]byte, error) {
+		_ = w.Frame(len(frame)+1, func(buf []byte) ([]byte, error) {
 			buf = append(buf, frame...)
 			return append(buf, '\n'), nil
 		})

@@ -197,7 +197,7 @@ func (n *Node) callBinary(addr string, req request, timeout time.Duration) (resp
 		n.tel.dialFailures.Inc()
 		return response{}, err
 	}
-	fb := codec.GetBuffer()
+	fb := codec.GetBufferSize(len(codec.PreambleBinV2) + 4 + req.SizeHint())
 	fb.B = append(fb.B, codec.PreambleBinV2...)
 	fb.B = append(fb.B, 0, 0, 0, 0) // frame length, backfilled below
 	start := len(fb.B)
@@ -236,12 +236,8 @@ func (n *Node) callBinary(addr string, req request, timeout time.Duration) (resp
 		n.tel.dialFailures.Inc()
 		return response{}, fmt.Errorf("p2p: receive from %s: %w", addr, pool.ErrFrameTooLarge)
 	}
-	rb := codec.GetBuffer()
-	if cap(rb.B) < rl {
-		rb.B = make([]byte, rl)
-	} else {
-		rb.B = rb.B[:rl]
-	}
+	rb := codec.GetBufferSize(rl)
+	rb.B = rb.B[:rl]
 	if _, err := io.ReadFull(conn, rb.B); err != nil {
 		codec.PutBuffer(rb)
 		n.tel.dialFailures.Inc()
@@ -288,8 +284,14 @@ func (n *Node) wireError(addr string, resp *response) error {
 		n.softDemote(addr, ra)
 		return &BusyError{Addr: addr, RetryAfter: ra}
 	}
-	return fmt.Errorf("p2p: %s: %s", addr, resp.Err)
+	return fmt.Errorf("p2p: %s: %w", addr, peerError(resp.Err))
 }
+
+// peerError is a failure the peer itself reported: it answered, so
+// unlike a dial or transport failure it says nothing about liveness.
+type peerError string
+
+func (e peerError) Error() string { return string(e) }
 
 // callPooled performs the exchange over the connection pool, encoding
 // the request in whichever codec the pooled connection negotiated.
@@ -306,7 +308,7 @@ func (n *Node) callPooled(ctx context.Context, addr string, req request, timeout
 	// is returned before anything is written, so re-encoding and
 	// retrying once is safe.
 	bin := n.pool.CodecFor(addr) == codec.Binary
-	fb := codec.GetBuffer()
+	fb := codec.GetBufferSize(req.SizeHint())
 	var rep pool.Reply
 	for attempt := 0; ; attempt++ {
 		var err error

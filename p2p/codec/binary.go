@@ -487,7 +487,9 @@ func (d *reader) state() (*State, error) {
 // encoded entry is at least K (1) + A (4) + empty Addr (4) bytes.
 const minEntrySize = 9
 
-func (d *reader) entries() ([]Entry, error) {
+// entries decodes a counted entry list into dst's backing array when
+// it has room for all of them, and into a fresh slice otherwise.
+func (d *reader) entries(dst []Entry) ([]Entry, error) {
 	n, err := d.u32()
 	if err != nil {
 		return nil, err
@@ -498,7 +500,12 @@ func (d *reader) entries() ([]Entry, error) {
 	if max := uint32((len(d.b) - d.off) / minEntrySize); n > max {
 		return nil, ErrTruncated
 	}
-	out := make([]Entry, n)
+	var out []Entry
+	if int(n) <= cap(dst) {
+		out = dst[:n]
+	} else {
+		out = make([]Entry, n)
+	}
 	for i := range out {
 		if err := d.entry(&out[i]); err != nil {
 			return nil, err
@@ -622,7 +629,10 @@ func DecodeRequest(data []byte, r *Request) error {
 }
 
 // DecodeResponse decodes one v2 binary response payload into r. Like
-// DecodeRequest, the result shares no memory with data.
+// DecodeRequest, the result shares no memory with data. The candidates
+// decode into r.Candidates' backing array when it has room for them, so
+// a caller that owns a candidate buffer decodes a step reply without
+// allocating.
 func DecodeResponse(data []byte, r *Response) error {
 	d := reader{b: data}
 	flags, err := d.u8()
@@ -639,7 +649,7 @@ func DecodeResponse(data []byte, r *Response) error {
 	if r.Phase, err = d.enum(phaseNames[:]); err != nil {
 		return err
 	}
-	if r.Candidates, err = d.entries(); err != nil {
+	if r.Candidates, err = d.entries(r.Candidates); err != nil {
 		return err
 	}
 	if flags&respHasState != 0 {
@@ -658,7 +668,7 @@ func DecodeResponse(data []byte, r *Response) error {
 			return err
 		}
 	}
-	if r.Replicas, err = d.entries(); err != nil {
+	if r.Replicas, err = d.entries(nil); err != nil {
 		return err
 	}
 	r.RetryAfterMs, err = d.u32()

@@ -322,6 +322,52 @@ func TestCodecAllocBounds(t *testing.T) {
 	if decAllocs > 4 {
 		t.Errorf("step exchange decode allocates %.1f/op, want <= 4", decAllocs)
 	}
+
+	// Into a candidate list the caller owns (a route's step buffers) the
+	// step reply decodes without allocating.
+	cands := make([]Entry, 0, 7)
+	ownedAllocs := testing.AllocsPerRun(200, func() {
+		p := Response{Candidates: cands}
+		if err := DecodeResponse(respEnc, &p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ownedAllocs > 0 {
+		t.Errorf("step reply decode into a caller's candidate list allocates %.1f/op, want 0", ownedAllocs)
+	}
+}
+
+// TestDecodeIntoCallerStorage pins the candidate-buffer contract: a
+// preset r.Candidates changes where the decoded candidates live, never
+// what they are. They fill the caller's backing array when it is large
+// enough and a fresh slice otherwise.
+func TestDecodeIntoCallerStorage(t *testing.T) {
+	for i, r := range sampleResponses() {
+		enc, err := AppendResponse(nil, &r)
+		if err != nil {
+			t.Fatalf("response %d: encode: %v", i, err)
+		}
+		var fresh Response
+		if err := DecodeResponse(enc, &fresh); err != nil {
+			t.Fatalf("response %d: decode: %v", i, err)
+		}
+		for _, size := range []int{0, 1, 7} {
+			buf := make([]Entry, size)
+			for j := range buf {
+				buf[j] = Entry{K: 9, A: 9, Addr: "stale"}
+			}
+			got := Response{Candidates: buf[:0]}
+			if err := DecodeResponse(enc, &got); err != nil {
+				t.Fatalf("response %d: decode into %d-entry buffer: %v", i, size, err)
+			}
+			if !reflect.DeepEqual(got, fresh) {
+				t.Errorf("response %d: decode into %d-entry buffer diverged\n fresh: %+v\n  into: %+v", i, size, fresh, got)
+			}
+			if n := len(got.Candidates); n > 0 && n <= size && &got.Candidates[0] != &buf[0] {
+				t.Errorf("response %d: %d candidates fit the %d-entry buffer but went elsewhere", i, n, size)
+			}
+		}
+	}
 }
 
 // TestBufferPool pins the zero-alloc checkout/return contract.

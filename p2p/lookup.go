@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"cycloid/internal/ids"
@@ -421,13 +422,18 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 		}
 	}()
 
+	sb := stepBufsPool.Get().(*stepBufs)
+	defer stepBufsPool.Put(sb)
+	sb.target = WireEntry{K: t.K, A: t.A}
+
 	cur := start
 	best := start.ID
 	sinceImprove := 0
-	step, err := n.stepAt(ctx, cur, t, greedyOnly, ot)
+	step, err := n.stepAt(ctx, cur, t, greedyOnly, ot, sb)
 	if err != nil {
 		return r, fmt.Errorf("p2p: route: first hop: %w", err)
 	}
+	sb.flip()
 	for !step.Done {
 		if cerr := ctx.Err(); cerr != nil {
 			return r, fmt.Errorf("p2p: route to %v: %w", t, cerr)
@@ -456,7 +462,7 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 					n.tel.demotions.Inc()
 					continue
 				}
-				next, serr := n.stepAt(ctx, cand, t, greedyOnly, ot)
+				next, serr := n.stepAt(ctx, cand, t, greedyOnly, ot, sb)
 				if serr != nil {
 					if IsBusy(serr) {
 						// Shedding, not dead: step around it this round
@@ -495,6 +501,7 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 					})
 				}
 				cur, step = cand, next
+				sb.flip()
 				moved = true
 				break
 			}
@@ -509,17 +516,19 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 			greedyOnly = true
 			n.tel.greedyFallbacks.Inc()
 			ot.force("greedy-fallback")
-			if step, err = n.stepAt(ctx, cur, t, true, ot); err != nil {
+			if step, err = n.stepAt(ctx, cur, t, true, ot, sb); err != nil {
 				return r, err
 			}
+			sb.flip()
 		}
 		if r.Hops >= budget && !greedyOnly {
 			greedyOnly = true
 			n.tel.greedyFallbacks.Inc()
 			ot.force("greedy-fallback")
-			if step, err = n.stepAt(ctx, cur, t, true, ot); err != nil {
+			if step, err = n.stepAt(ctx, cur, t, true, ot, sb); err != nil {
 				return r, err
 			}
+			sb.flip()
 		}
 		if r.Hops >= 2*budget {
 			return r, fmt.Errorf("p2p: route to %v did not converge", t)
@@ -537,18 +546,45 @@ type stepResult struct {
 	Done       bool
 }
 
+// maxStepCands bounds a live step's candidate list: the decision ranks
+// the node's seven routing entries, deduplicated.
+const maxStepCands = 7
+
+// stepBufs is one route's step storage, pooled across routes so a hop
+// allocates none of it: the Target every step request of the route
+// points at, and two candidate lists. The route walks the candidates of
+// its current step out of one list while the step it probes next fills
+// the other, so a failed probe — its reply perhaps half decoded — never
+// overwrites the candidates the route falls back on.
+type stepBufs struct {
+	target WireEntry
+	cands  [2][maxStepCands]WireEntry
+	cur    int // the list backing the route's current step
+}
+
+var stepBufsPool = sync.Pool{New: func() any { return new(stepBufs) }}
+
+// spare is the list the next step decodes into.
+func (b *stepBufs) spare() []WireEntry { return b.cands[1-b.cur][:0] }
+
+// flip makes the spare list current: the route adopted the step last
+// decoded into it.
+func (b *stepBufs) flip() { b.cur = 1 - b.cur }
+
 // stepAt obtains the routing decision of the given node — locally when it
-// is this node, over the wire otherwise. A wire failure means the node is
-// unreachable (dead), which the caller accounts as a timeout. Each wire
-// exchange is recorded as one call span under the operation's scope.
-func (n *Node) stepAt(ctx context.Context, at entry, t ids.CycloidID, greedyOnly bool, ot *opTrace) (stepResult, error) {
+// is this node, over the wire otherwise — with its candidates in sb's
+// spare list; the caller flips sb when it adopts the step. A wire failure
+// means the node is unreachable (dead), which the caller accounts as a
+// timeout. Each wire exchange is recorded as one call span under the
+// operation's scope.
+func (n *Node) stepAt(ctx context.Context, at entry, t ids.CycloidID, greedyOnly bool, ot *opTrace, sb *stepBufs) (stepResult, error) {
 	if at.ID == n.id && !n.isStopped() {
-		return n.localStep(t, greedyOnly), nil
+		return n.localStep(t, greedyOnly, sb.spare()), nil
 	}
-	tw := WireEntry{K: t.K, A: t.A}
-	req := request{Op: "step", Target: &tw, GreedyOnly: greedyOnly}
+	req := request{Op: "step", Target: &sb.target, GreedyOnly: greedyOnly}
+	resp := response{Candidates: sb.spare()}
 	sid, t0 := ot.startCall(&req)
-	resp, err := n.callCtx(ctx, at.Addr, req)
+	err := n.callInto(ctx, at.Addr, req, &resp)
 	ot.endCall(sid, t0, "step", at.Addr, err)
 	if err != nil {
 		return stepResult{}, err

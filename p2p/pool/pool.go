@@ -150,11 +150,6 @@ type Config struct {
 	// to v1 JSON per peer; codec.JSON forces v1; codec.Binary forces v2
 	// and treats a v1-only peer as a dial failure.
 	Codec codec.Codec
-	// FlushWindow, when positive, holds each outbound write batch open
-	// that long to coalesce more frames per syscall, at the cost of that
-	// much added latency. The default 0 batches adaptively: frames
-	// queued while a write is in progress ride the next one.
-	FlushWindow time.Duration
 	// MaxPerPeer caps the connections kept per peer address. Default 2.
 	MaxPerPeer int
 	// MaxInflight is the per-connection in-flight call count above which
@@ -716,7 +711,7 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 		_ = nc.SetWriteDeadline(time.Time{})
 	}
 	c := &conn{p: p, addr: addr, nc: nc, bin: bin, pending: make(map[uint64]chan result), lastUse: time.Now()}
-	c.w = NewWriter(nc, timeout, p.cfg.FlushWindow, func(err error) {
+	c.w = NewWriter(nc, timeout, func(err error) {
 		c.teardown(fmt.Errorf("pool: write %s: %w", addr, err))
 	})
 

@@ -509,7 +509,7 @@ func TestWriterBatches(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	w := NewWriter(c1, time.Second, 0, nil)
+	w := NewWriter(c1, time.Second, nil)
 
 	reads := make(chan []byte, 16)
 	go func() {
@@ -563,7 +563,7 @@ func TestWriterFillErrorRollsBack(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	w := NewWriter(c1, time.Second, 0, nil)
+	w := NewWriter(c1, time.Second, nil)
 
 	boom := errors.New("encode failed")
 	errCh := make(chan error, 1)

@@ -14,15 +14,24 @@ import (
 // writing until the batch buffer is drained, while later appenders just
 // queue their bytes and return. Under concurrent load many frames ride
 // one syscall; with a single caller every frame is written immediately,
-// so batching never adds latency to an idle connection. The flush
-// window is therefore adaptive by default — it stays open exactly as
-// long as the in-progress Write keeps the flusher busy — and a fixed
-// window can be layered on top for syscall-starved fabrics.
+// so batching never adds latency to an idle connection: the batch stays
+// open exactly as long as the in-progress Write keeps the flusher busy.
+//
+// Write deadlines are amortised. Re-arming a deadline before every
+// Write costs a timer operation per frame (on net.Pipe, a fresh
+// time.AfterFunc and a Stop), so the writer keeps the deadline it last
+// set and moves it to now+timeout only when less than timeout/2 of it
+// remains. The check runs before every Write, the first after an idle
+// gap included, so a stalled Write fails between timeout/2 and timeout
+// after it starts.
 type Writer struct {
 	nc      net.Conn
-	timeout time.Duration // per-Write deadline
-	window  time.Duration // fixed extra gathering delay, usually 0
+	timeout time.Duration // bound on one stalled Write
 	onErr   func(error)   // invoked (without the lock) on write failure
+
+	// deadline is the write deadline last set on nc. Only the active
+	// flusher touches it, and flushers hand over through mu.
+	deadline time.Time
 
 	mu       sync.Mutex
 	buf      []byte        // frames queued for the next Write
@@ -79,13 +88,12 @@ func (w *Writer) retireLocked(b []byte, box *codec.Buffer) {
 	}
 }
 
-// NewWriter wraps nc. timeout bounds each underlying Write; window, when
-// positive, holds every batch open that long before writing (trading
-// latency for fewer syscalls — leave it 0 for adaptive batching); onErr,
-// when non-nil, is called once with the first write failure so the owner
-// can tear the connection down.
-func NewWriter(nc net.Conn, timeout, window time.Duration, onErr func(error)) *Writer {
-	return &Writer{nc: nc, timeout: timeout, window: window, onErr: onErr}
+// NewWriter wraps nc. timeout bounds each underlying Write: one that
+// stalls fails between timeout/2 and timeout after it starts. onErr,
+// when non-nil, is called once with the first write failure so the
+// owner can tear the connection down.
+func NewWriter(nc net.Conn, timeout time.Duration, onErr func(error)) *Writer {
+	return &Writer{nc: nc, timeout: timeout, onErr: onErr}
 }
 
 // Frame appends one frame via fill, which must append exactly one
@@ -157,17 +165,12 @@ func (w *Writer) Flush() error {
 }
 
 // flushLocked drains the batch buffer, releasing the lock around each
-// Write (and around the optional fixed window) so concurrent Frame
-// calls keep appending into the other buffer of the double-buffer pair.
+// Write so concurrent Frame calls keep appending into the other buffer
+// of the double-buffer pair.
 func (w *Writer) flushLocked() {
 	w.flushing = true
 	var failed error
 	for len(w.buf) > 0 && w.err == nil {
-		if w.window > 0 {
-			w.mu.Unlock()
-			time.Sleep(w.window)
-			w.mu.Lock()
-		}
 		out, box := w.buf, w.box
 		if box != nil {
 			w.buf, w.box, w.own = w.own, nil, nil
@@ -175,7 +178,7 @@ func (w *Writer) flushLocked() {
 			w.buf, w.spare = w.spare, nil
 		}
 		w.mu.Unlock()
-		_ = w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
+		w.armDeadline()
 		_, err := w.nc.Write(out)
 		w.mu.Lock()
 		w.retireLocked(out, box)
@@ -190,4 +193,17 @@ func (w *Writer) flushLocked() {
 		w.onErr(failed)
 		w.mu.Lock()
 	}
+}
+
+// armDeadline moves the write deadline to now+timeout when less than
+// timeout/2 of the current one remains, so the Write about to start has
+// between timeout/2 and timeout to complete. Called by the active
+// flusher, without the lock.
+func (w *Writer) armDeadline() {
+	now := time.Now()
+	if w.deadline.Sub(now) >= w.timeout/2 {
+		return
+	}
+	w.deadline = now.Add(w.timeout)
+	_ = w.nc.SetWriteDeadline(w.deadline)
 }

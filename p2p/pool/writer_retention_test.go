@@ -12,16 +12,17 @@ import (
 )
 
 // discard is a net.Conn sink whose writes and deadlines cost nothing,
-// so allocation counts measure the writer alone (net.Pipe allocates a
-// timer per deadline).
+// so allocation counts measure the writer's buffers alone.
 type discard struct{ net.Conn }
 
 func (discard) Write(b []byte) (int, error)      { return len(b), nil }
 func (discard) SetWriteDeadline(time.Time) error { return nil }
 
-// drainPipe returns a writer over one end of a net.Pipe whose other end
-// is swallowed; both ends close via t.Cleanup.
-func drainPipe(t *testing.T) *Writer {
+// drainPipe returns a writer with the given write timeout over one end
+// of a net.Pipe whose other end is swallowed; both ends close via
+// t.Cleanup. Unlike discard, a deadline set on it costs what it costs
+// on a real conn: net.Pipe arms a fresh time.AfterFunc per deadline.
+func drainPipe(t *testing.T, timeout time.Duration) *Writer {
 	t.Helper()
 	client, server := net.Pipe()
 	var drain sync.WaitGroup
@@ -39,7 +40,7 @@ func drainPipe(t *testing.T) *Writer {
 		client.Close()
 		drain.Wait()
 	})
-	return NewWriter(client, time.Second, 0, nil)
+	return NewWriter(client, timeout, nil)
 }
 
 // sized returns a fill appending n zero bytes.
@@ -87,7 +88,7 @@ func TestWriterBatchRetention(t *testing.T) {
 // writer that flushed a 1 MiB frame keeps no buffer above the small
 // class once the burst is written.
 func TestWriterSpareShrinksAfterBurst(t *testing.T) {
-	w := drainPipe(t)
+	w := drainPipe(t, time.Second)
 	for i := 0; i < 16; i++ {
 		if err := w.Frame(1024, sized(1024)); err != nil {
 			t.Fatalf("small frame %d: %v", i, err)
@@ -115,17 +116,28 @@ func TestWriterSpareShrinksAfterBurst(t *testing.T) {
 }
 
 // TestWriterSmallFramesZeroAlloc pins the steady state of the lookup
-// path: small frames through a warm writer cost no allocation.
+// path: small frames through a warm writer cost no allocation — over a
+// net.Pipe too, where re-arming the write deadline per frame used to
+// cost a timer and its closure on every Write.
 func TestWriterSmallFramesZeroAlloc(t *testing.T) {
-	w := NewWriter(discard{}, time.Second, 0, nil)
-	frame := sized(178)
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := w.Frame(178, frame); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("small frames allocate %.1f/op in steady state, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		w    *Writer
+	}{
+		{"discard", NewWriter(discard{}, time.Second, nil)},
+		{"pipe", drainPipe(t, time.Second)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frame := sized(178)
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := tc.w.Frame(178, frame); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("small frames allocate %.1f/op in steady state, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -136,7 +148,7 @@ func TestWriterSmallFramesZeroAlloc(t *testing.T) {
 // buffer from the chunk class and return it there, so the mixed stream
 // allocates nothing once warm.
 func TestWriterMixedFramesReuse(t *testing.T) {
-	w := NewWriter(discard{}, time.Second, 0, nil)
+	w := NewWriter(discard{}, time.Second, nil)
 	const chunkFrame = 64<<10 + 200
 	big, small := sized(chunkFrame), sized(178)
 	i := 0
@@ -163,7 +175,7 @@ func TestWriterMixedFramesReuse(t *testing.T) {
 func TestWriterConcurrentMixedFrames(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
-	w := NewWriter(client, 5*time.Second, 0, nil)
+	w := NewWriter(client, 5*time.Second, nil)
 	const writers, perWriter = 4, 40
 	got := make(chan map[byte]int, 1)
 	go func() {

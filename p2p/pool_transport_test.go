@@ -24,8 +24,9 @@ func pooledMemConfig(nw *memnet.Network, name string, dim int, id ids.CycloidID)
 	return cfg
 }
 
-// pooledMemCluster boots n pooled-transport nodes on one fabric.
-func pooledMemCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64) []*Node {
+// pooledMemCluster boots n pooled-transport nodes on one fabric; each
+// mut, if any, adjusts every node's config before it starts.
+func pooledMemCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64, mut ...func(*Config)) []*Node {
 	t.Helper()
 	space := ids.NewSpace(dim)
 	rng := rand.New(rand.NewSource(seed))
@@ -37,7 +38,11 @@ func pooledMemCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64) 
 			continue
 		}
 		taken[v] = true
-		nd, err := Start(pooledMemConfig(nw, fmt.Sprintf("p%d", len(nodes)), dim, space.FromLinear(v)))
+		cfg := pooledMemConfig(nw, fmt.Sprintf("p%d", len(nodes)), dim, space.FromLinear(v))
+		for _, m := range mut {
+			m(&cfg)
+		}
+		nd, err := Start(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

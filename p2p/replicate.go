@@ -189,7 +189,7 @@ func (n *Node) inScope(kp ids.CycloidID, extra ...ids.CycloidID) bool {
 // — tight enough to reject stores that a racing join routed to a node
 // that was never near the key.
 func (n *Node) mayHold(kp ids.CycloidID) bool {
-	return n.localStep(kp, false).Done || n.inScope(kp)
+	return n.localStep(kp, false, nil).Done || n.inScope(kp)
 }
 
 // handleReplicate applies one pushed copy. A receiver outside the key's
@@ -201,9 +201,9 @@ func (n *Node) handleReplicate(req request, st *opTrace) response {
 	kp := n.keyPoint(req.Key)
 	// The sender (normally the key's owner) counts toward the scope
 	// ranking even when this node's leaf set has not adopted it yet.
-	if !n.localStep(kp, false).Done && !n.inScope(kp, toEntry(req.From).ID) {
+	if !n.localStep(kp, false, nil).Done && !n.inScope(kp, toEntry(req.From).ID) {
 		resp := response{Err: "not owner or replica for key"}
-		if s := n.localStep(kp, false); len(s.Candidates) > 0 {
+		if s := n.localStep(kp, false, nil); len(s.Candidates) > 0 {
 			resp.Redirect = &s.Candidates[0]
 		}
 		return resp
@@ -253,7 +253,7 @@ func (n *Node) syncReplicas() {
 			continue
 		}
 		kp := n.keyPoint(k)
-		if n.localStep(kp, false).Done {
+		if n.localStep(kp, false, nil).Done {
 			// Owning a copy some other node wrote means this node inherited
 			// the key — the crash-successor promotion the replication design
 			// relies on. Count it once per copy. The mark is memory-only:

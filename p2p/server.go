@@ -207,7 +207,7 @@ func (n *Node) serveMuxBin(conn net.Conn, br *bufio.Reader) {
 		return
 	}
 
-	w := pool.NewWriter(conn, n.cfg.DialTimeout, 0, func(error) {
+	w := pool.NewWriter(conn, n.cfg.DialTimeout, func(error) {
 		// A failed write poisons the stream; closing the connection
 		// unblocks the read loop, which ends the handler.
 		_ = conn.Close()
@@ -366,7 +366,7 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
 		return
 	}
 
-	w := pool.NewWriter(conn, n.cfg.DialTimeout, 0, func(error) {
+	w := pool.NewWriter(conn, n.cfg.DialTimeout, func(error) {
 		// A failed write poisons the stream; closing the connection
 		// unblocks the read loop, which ends the handler.
 		_ = conn.Close()
@@ -491,15 +491,13 @@ func (n *Node) handleStep(req request) response {
 	if !n.space.Contains(t) {
 		return response{Err: "target outside ID space"}
 	}
-	s := n.localStep(t, req.GreedyOnly)
+	s := n.localStep(t, req.GreedyOnly, nil)
 	return response{Phase: s.Phase, Candidates: s.Candidates, Done: s.Done}
 }
 
-// localStep runs the shared routing decision on this node's own state
-// and resolves each candidate ID to the address this node knows for it.
 // stepScratch bundles the reusable buffers of one local routing
 // decision — the snapshot backing and the decision working set — so the
-// per-request cost of a step is the candidate slice and nothing else.
+// per-request cost of a step is at most the candidate slice.
 type stepScratch struct {
 	ids [7]ids.CycloidID
 	sc  cycloid.Scratch
@@ -507,7 +505,12 @@ type stepScratch struct {
 
 var stepScratchPool = sync.Pool{New: func() any { return new(stepScratch) }}
 
-func (n *Node) localStep(t ids.CycloidID, greedyOnly bool) stepResult {
+// localStep runs the shared routing decision on this node's own state
+// and resolves each candidate ID to the address this node knows for it.
+// The candidates are built in dst's backing array, so a route that owns
+// its step buffers pays no allocation; a nil or short dst allocates a
+// fresh list.
+func (n *Node) localStep(t ids.CycloidID, greedyOnly bool, dst []WireEntry) stepResult {
 	ss := stepScratchPool.Get().(*stepScratch)
 	n.mu.RLock()
 	st := n.snapshotLockedInto(&ss.ids)
@@ -516,7 +519,10 @@ func (n *Node) localStep(t ids.CycloidID, greedyOnly bool) stepResult {
 	if len(step.Candidates) > 0 {
 		// Resolved under the same lock as the snapshot, so the addresses
 		// are consistent with the state the decision was made on.
-		out.Candidates = make([]WireEntry, 0, len(step.Candidates))
+		out.Candidates = dst[:0]
+		if cap(dst) < len(step.Candidates) {
+			out.Candidates = make([]WireEntry, 0, len(step.Candidates))
+		}
 		for _, id := range step.Candidates {
 			if addr, ok := n.addrOfLocked(id); ok {
 				out.Candidates = append(out.Candidates, WireEntry{K: id.K, A: id.A, Addr: addr})
@@ -538,7 +544,7 @@ func (n *Node) handleStore(req request, st *opTrace) response {
 	kp := n.keyPoint(req.Key)
 	if !n.mayHold(kp) {
 		resp := response{Err: "not owner or replica for key"}
-		if s := n.localStep(kp, false); len(s.Candidates) > 0 {
+		if s := n.localStep(kp, false, nil); len(s.Candidates) > 0 {
 			resp.Redirect = &s.Candidates[0]
 		}
 		return resp

@@ -85,6 +85,17 @@ func (n *Node) call(addr string, req request) (response, error) {
 // on ctx), so one blackholed peer cannot stall a whole operation for
 // the full dial-timeout ladder.
 func (n *Node) callCtx(ctx context.Context, addr string, req request) (response, error) {
+	var resp response
+	err := n.callInto(ctx, addr, req, &resp)
+	return resp, err
+}
+
+// callInto is callCtx decoding the reply into *resp, which must be
+// zero apart from an optional candidate buffer: a binary reply's
+// candidates land in resp.Candidates' backing array when it has room
+// (see codec.DecodeResponse), so a route that owns its step buffers
+// pays no allocation for them.
+func (n *Node) callInto(ctx context.Context, addr string, req request, resp *response) error {
 	timeout := n.cfg.DialTimeout
 	if d, ok := ctx.Deadline(); ok {
 		rem := time.Until(d)
@@ -93,7 +104,7 @@ func (n *Node) callCtx(ctx context.Context, addr string, req request) (response,
 			if err == nil {
 				err = context.DeadlineExceeded
 			}
-			return response{}, fmt.Errorf("p2p: dial %s: %w", addr, err)
+			return fmt.Errorf("p2p: dial %s: %w", addr, err)
 		}
 		if rem < timeout {
 			timeout = rem
@@ -112,7 +123,7 @@ func (n *Node) callCtx(ctx context.Context, addr string, req request) (response,
 		req.DeadlineMs = uint32(ms)
 	}
 	if n.pool != nil {
-		return n.callPooled(ctx, addr, req, timeout)
+		return n.callPooled(ctx, addr, req, timeout, resp)
 	}
 	mode := n.wireCodec
 	if mode == codec.Auto {
@@ -123,14 +134,14 @@ func (n *Node) callCtx(ctx context.Context, addr string, req request) (response,
 		}
 	}
 	if mode == codec.Binary {
-		resp, err := n.callBinary(addr, req, timeout)
+		err := n.callBinary(addr, req, timeout, resp)
 		if !errors.Is(err, errPeerSpeaksV1) {
-			return resp, err
+			return err
 		}
 		if n.wireCodec == codec.Binary {
 			// Binary forced: a v1-only peer is unusable.
 			n.tel.dialFailures.Inc()
-			return response{}, fmt.Errorf("p2p: call %s: %w", addr, err)
+			return fmt.Errorf("p2p: call %s: %w", addr, err)
 		}
 		// The binary probe was answered by a clean close, so the peer
 		// never dispatched anything: retrying the same request in v1 is
@@ -139,63 +150,65 @@ func (n *Node) callCtx(ctx context.Context, addr string, req request) (response,
 		n.peerCodec.Store(addr, codec.JSON)
 		n.tel.codecFallbacks.Inc()
 	}
-	return n.callJSON(addr, req, timeout)
+	return n.callJSON(addr, req, timeout, resp)
 }
 
 // callJSON is the v1 dial-per-request exchange: one newline-delimited
 // JSON request, one JSON response.
-func (n *Node) callJSON(addr string, req request, timeout time.Duration) (response, error) {
+func (n *Node) callJSON(addr string, req request, timeout time.Duration, resp *response) error {
 	began := time.Now()
 	conn, err := n.cfg.Transport.Dial(addr, timeout)
 	if err != nil {
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: dial %s: %w", addr, err)
+		return fmt.Errorf("p2p: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
 	if err := conn.SetDeadline(deadline(timeout)); err != nil {
 		n.tel.dialFailures.Inc()
-		return response{}, err
+		return err
 	}
 	encStart := time.Now()
 	payload, err := json.Marshal(&req)
 	n.tel.codecEncodeJSON.Observe(time.Since(encStart).Nanoseconds())
 	if err != nil {
-		return response{}, fmt.Errorf("p2p: encode for %s: %w", addr, err)
+		return fmt.Errorf("p2p: encode for %s: %w", addr, err)
 	}
 	payload = append(payload, '\n')
 	if _, err := conn.Write(payload); err != nil {
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: send to %s: %w", addr, err)
+		return fmt.Errorf("p2p: send to %s: %w", addr, err)
 	}
-	var resp response
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
+	// Decoded into a local so resp does not escape to the JSON decoder.
+	var jr response
+	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&jr); err != nil {
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: receive from %s: %w", addr, err)
+		return fmt.Errorf("p2p: receive from %s: %w", addr, err)
 	}
+	*resp = jr
 	n.tel.dialLatency.Observe(time.Since(began).Microseconds())
 	// A completed exchange proves the peer is alive, whatever it said.
 	n.exchangeDone(addr)
 	if !resp.OK {
-		return resp, n.wireError(addr, &resp)
+		return n.wireError(addr, resp)
 	}
-	return resp, nil
+	return nil
 }
 
 // callBinary is the v2 dial-per-request exchange: the CYCLOID-BIN/2
 // preamble followed by one length-prefixed binary frame each way, with
 // pooled encode/decode buffers. A zero-byte close instead of a response
 // returns errPeerSpeaksV1 (see callCtx).
-func (n *Node) callBinary(addr string, req request, timeout time.Duration) (response, error) {
+func (n *Node) callBinary(addr string, req request, timeout time.Duration, resp *response) error {
 	began := time.Now()
 	conn, err := n.cfg.Transport.Dial(addr, timeout)
 	if err != nil {
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: dial %s: %w", addr, err)
+		return fmt.Errorf("p2p: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
 	if err := conn.SetDeadline(deadline(timeout)); err != nil {
 		n.tel.dialFailures.Inc()
-		return response{}, err
+		return err
 	}
 	fb := codec.GetBufferSize(len(codec.PreambleBinV2) + 4 + req.SizeHint())
 	fb.B = append(fb.B, codec.PreambleBinV2...)
@@ -206,12 +219,12 @@ func (n *Node) callBinary(addr string, req request, timeout time.Duration) (resp
 	n.tel.codecEncodeBin.Observe(time.Since(encStart).Nanoseconds())
 	if err != nil {
 		codec.PutBuffer(fb)
-		return response{}, fmt.Errorf("p2p: encode for %s: %w", addr, err)
+		return fmt.Errorf("p2p: encode for %s: %w", addr, err)
 	}
 	fb.B = out
 	if l := len(out) - start; l > n.cfg.MaxFrame {
 		codec.PutBuffer(fb)
-		return response{}, fmt.Errorf("p2p: request to %s: %w", addr, pool.ErrFrameTooLarge)
+		return fmt.Errorf("p2p: request to %s: %w", addr, pool.ErrFrameTooLarge)
 	} else {
 		binary.LittleEndian.PutUint32(out[start-4:], uint32(l))
 	}
@@ -219,45 +232,45 @@ func (n *Node) callBinary(addr string, req request, timeout time.Duration) (resp
 	codec.PutBuffer(fb)
 	if werr != nil {
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: send to %s: %w", addr, werr)
+		return fmt.Errorf("p2p: send to %s: %w", addr, werr)
 	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			// Clean close before any response byte: a v1-only server
 			// failed to parse the preamble as JSON and hung up.
-			return response{}, errPeerSpeaksV1
+			return errPeerSpeaksV1
 		}
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: receive from %s: %w", addr, err)
+		return fmt.Errorf("p2p: receive from %s: %w", addr, err)
 	}
 	rl := int(binary.LittleEndian.Uint32(hdr[:]))
 	if rl <= 0 || rl > n.cfg.MaxFrame {
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: receive from %s: %w", addr, pool.ErrFrameTooLarge)
+		return fmt.Errorf("p2p: receive from %s: %w", addr, pool.ErrFrameTooLarge)
 	}
 	rb := codec.GetBufferSize(rl)
 	rb.B = rb.B[:rl]
 	if _, err := io.ReadFull(conn, rb.B); err != nil {
 		codec.PutBuffer(rb)
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: receive from %s: %w", addr, err)
+		return fmt.Errorf("p2p: receive from %s: %w", addr, err)
 	}
-	var resp response
 	decStart := time.Now()
-	derr := codec.DecodeResponse(rb.B, &resp)
+	derr := codec.DecodeResponse(rb.B, resp)
 	n.tel.codecDecodeBin.Observe(time.Since(decStart).Nanoseconds())
 	codec.PutBuffer(rb)
 	if derr != nil {
+		*resp = response{} // a torn reply must not read as an answer
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: receive from %s: %w", addr, derr)
+		return fmt.Errorf("p2p: receive from %s: %w", addr, derr)
 	}
 	n.tel.dialLatency.Observe(time.Since(began).Microseconds())
 	n.exchangeDone(addr)
 	if !resp.OK {
-		return resp, n.wireError(addr, &resp)
+		return n.wireError(addr, resp)
 	}
-	return resp, nil
+	return nil
 }
 
 // exchangeDone records a completed request/response exchange, whatever
@@ -299,7 +312,7 @@ func (e peerError) Error() string { return string(e) }
 // exactly: any pool failure (dial, write, peer teardown, per-call
 // timeout) counts as a dial failure, and a completed exchange clears
 // the peer's suspicion.
-func (n *Node) callPooled(ctx context.Context, addr string, req request, timeout time.Duration) (response, error) {
+func (n *Node) callPooled(ctx context.Context, addr string, req request, timeout time.Duration, resp *response) error {
 	began := time.Now()
 	// Encode before entering the pool, in the codec the pool expects to
 	// speak to this peer: the exchange then carries plain bytes, with no
@@ -329,7 +342,7 @@ func (n *Node) callPooled(ctx context.Context, addr string, req request, timeout
 		}
 		if err != nil {
 			codec.PutBuffer(fb)
-			return response{}, fmt.Errorf("p2p: encode for %s: %w", addr, err)
+			return fmt.Errorf("p2p: encode for %s: %w", addr, err)
 		}
 		rep, err = n.pool.DoBytes(ctx, addr, fb.B, bin, timeout)
 		if err == nil {
@@ -346,19 +359,21 @@ func (n *Node) callPooled(ctx context.Context, addr string, req request, timeout
 			// contacted, so neither the dial-failure counter nor the
 			// suspicion list may move. Route around it like a busy reply.
 			n.softDemote(addr, defaultRetryAfter)
-			return response{}, &BusyError{Addr: addr, RetryAfter: defaultRetryAfter}
+			return &BusyError{Addr: addr, RetryAfter: defaultRetryAfter}
 		}
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: call %s: %w", addr, err)
+		return fmt.Errorf("p2p: call %s: %w", addr, err)
 	}
 	codec.PutBuffer(fb)
-	var resp response
 	var err error
 	decStart := time.Now()
 	if rep.Binary {
-		err = codec.DecodeResponse(rep.Payload, &resp)
+		err = codec.DecodeResponse(rep.Payload, resp)
 	} else {
-		err = json.Unmarshal(rep.Payload, &resp)
+		// Decoded into a local so resp does not escape to encoding/json.
+		var jr response
+		err = json.Unmarshal(rep.Payload, &jr)
+		*resp = jr
 	}
 	// One clock read closes both the decode and the whole-call window.
 	end := time.Now()
@@ -369,13 +384,14 @@ func (n *Node) callPooled(ctx context.Context, addr string, req request, timeout
 	}
 	rep.Release()
 	if err != nil {
+		*resp = response{} // a torn reply must not read as an answer
 		n.tel.dialFailures.Inc()
-		return response{}, fmt.Errorf("p2p: receive from %s: %w", addr, err)
+		return fmt.Errorf("p2p: receive from %s: %w", addr, err)
 	}
 	n.tel.dialLatency.Observe(end.Sub(began).Microseconds())
 	n.exchangeDone(addr)
 	if !resp.OK {
-		return resp, n.wireError(addr, &resp)
+		return n.wireError(addr, resp)
 	}
-	return resp, nil
+	return nil
 }

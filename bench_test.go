@@ -33,19 +33,6 @@ func BenchmarkLookup(b *testing.B)                { bench.Run(b, "Lookup") }
 func BenchmarkLookupInstrumented(b *testing.B)    { bench.Run(b, "LookupInstrumented") }
 func BenchmarkPutGet(b *testing.B)                { bench.Run(b, "PutGet") }
 func BenchmarkJoinLeave(b *testing.B)             { bench.Run(b, "JoinLeave") }
-func BenchmarkReplicatedPut(b *testing.B)         { bench.Run(b, "ReplicatedPut") }
-func BenchmarkPutDurable(b *testing.B)            { bench.Run(b, "PutDurable") }
-func BenchmarkPutDurableNoSync(b *testing.B)      { bench.Run(b, "PutDurableNoSync") }
-func BenchmarkGetWithOwnerDown(b *testing.B)      { bench.Run(b, "GetWithOwnerDown") }
-func BenchmarkPooledLookup(b *testing.B)          { bench.Run(b, "PooledLookup") }
-func BenchmarkPooledLookupJSON(b *testing.B)      { bench.Run(b, "PooledLookupJSON") }
-func BenchmarkLookupDialPerRequest(b *testing.B)  { bench.Run(b, "LookupDialPerRequest") }
-func BenchmarkLookupUnderShedding(b *testing.B)   { bench.Run(b, "LookupUnderShedding") }
-func BenchmarkLookupTraced(b *testing.B)          { bench.Run(b, "LookupTraced") }
-func BenchmarkLookupTracedUnsampled(b *testing.B) { bench.Run(b, "LookupTracedUnsampled") }
-func BenchmarkBlobRead(b *testing.B)              { bench.Run(b, "BlobRead") }
-func BenchmarkBlobReadPrefetch(b *testing.B)      { bench.Run(b, "BlobReadPrefetch") }
-func BenchmarkBlobWrite(b *testing.B)             { bench.Run(b, "BlobWrite") }
 
 // TestBenchWrappersCoverRegistry keeps the wrapper list above in sync
 // with the internal/bench registry.
@@ -58,12 +45,7 @@ func TestBenchWrappersCoverRegistry(t *testing.T) {
 		"AblationLeafSet": true, "AblationStabilization": true,
 		"UngracefulFailures": true, "Lookup": true,
 		"LookupInstrumented": true, "PutGet": true,
-		"JoinLeave": true, "ReplicatedPut": true, "PutDurable": true,
-		"PutDurableNoSync": true, "GetWithOwnerDown": true,
-		"PooledLookup": true, "PooledLookupJSON": true, "LookupDialPerRequest": true,
-		"LookupUnderShedding": true,
-		"LookupTraced":        true, "LookupTracedUnsampled": true,
-		"BlobRead": true, "BlobReadPrefetch": true, "BlobWrite": true,
+		"JoinLeave": true,
 	}
 	cases := bench.Cases()
 	if len(cases) != len(want) {

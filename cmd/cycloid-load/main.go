@@ -11,12 +11,12 @@
 // or Zipf (-zipf s, s > 1).
 //
 // By default the overlay runs on the deterministic in-memory fabric
-// (p2p/memnet) with pooled wire connections, so a fixed -seed yields an
-// identical operation schedule and query-load table across runs:
+// (p2p/memnet), so a fixed -seed yields an identical operation schedule
+// and query-load table across runs:
 //
 //	cycloid-load -nodes 16 -ops 2000 -mix 1:4:5 -zipf 1.2
 //	cycloid-load -nodes 16 -rate 500 -ops 1000 -json
-//	cycloid-load -transport tcp -nodes 8 -pooled=false   # loopback TCP, dial-per-request
+//	cycloid-load -transport tcp -nodes 8                 # loopback TCP
 package main
 
 import (
@@ -40,8 +40,6 @@ func main() {
 		dim         = flag.Int("dim", 6, "Cycloid dimension d")
 		seed        = flag.Int64("seed", 42, "seed for fabric, membership and workload")
 		transport   = flag.String("transport", "memnet", "transport fabric: memnet (deterministic) or tcp (loopback)")
-		pooled      = flag.Bool("pooled", true, "use pooled, multiplexed wire connections")
-		wireCodec   = flag.String("wire-codec", "auto", "outbound wire codec: auto, json (v1), binary (v2), or mixed (alternate json/binary per node)")
 		replicas    = flag.Int("replicas", 1, "replication factor R")
 		mix         = flag.String("mix", "0:0:1", "put:get:lookup weights, or \"streaming\" for the chunked-blob viewer mix")
 		keys        = flag.Int("keys", 64, "distinct key population")
@@ -65,7 +63,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cluster, cleanup, err := boot(*transport, *nodes, *dim, *seed, *pooled, *wireCodec, *replicas, *dialTimeout, *traceSample)
+	cluster, cleanup, err := boot(*transport, *nodes, *dim, *seed, *replicas, *dialTimeout, *traceSample)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cycloid-load:", err)
 		os.Exit(1)
@@ -127,7 +125,7 @@ func main() {
 
 // boot brings up an n-node overlay on the chosen fabric, joined and
 // stabilized, with seeded distinct IDs.
-func boot(transport string, n, dim int, seed int64, pooled bool, wireCodec string, replicas int, dialTimeout time.Duration, traceSample float64) ([]*p2p.Node, func(), error) {
+func boot(transport string, n, dim int, seed int64, replicas int, dialTimeout time.Duration, traceSample float64) ([]*p2p.Node, func(), error) {
 	var nw *memnet.Network
 	switch transport {
 	case "memnet":
@@ -152,22 +150,12 @@ func boot(transport string, n, dim int, seed int64, pooled bool, wireCodec strin
 		}
 		taken[v] = true
 		id := space.FromLinear(v)
-		wc := wireCodec
-		if wc == "mixed" {
-			if len(nodes)%2 == 0 {
-				wc = "json"
-			} else {
-				wc = "binary"
-			}
-		}
 		cfg := p2p.Config{
-			Dim:             dim,
-			ID:              &id,
-			DialTimeout:     dialTimeout,
-			PooledTransport: pooled,
-			WireCodec:       wc,
-			Replicas:        replicas,
-			TraceSample:     traceSample,
+			Dim:         dim,
+			ID:          &id,
+			DialTimeout: dialTimeout,
+			Replicas:    replicas,
+			TraceSample: traceSample,
 		}
 		if traceSample > 0 {
 			cfg.SpanBuffer = 1 << 14

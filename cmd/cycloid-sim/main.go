@@ -52,7 +52,7 @@ commands:
                    (-nodes, -dim, -seed apply; -chaos-trace dumps state;
                    -restarts runs the kill/restart durability tier;
                    -overload runs the admission-control overload tier)
-  trace [id]       boot a live mixed-codec overlay with distributed
+  trace [id]       boot a live overlay with distributed
                    tracing on (-trace-sample), drive load-during-churn
                    through a shedding victim, reconstruct every sampled
                    trace into a causal span tree, assert the trace-
@@ -75,8 +75,6 @@ func main() {
 		hopTrace = flag.Bool("trace", false, "route: print the phase-annotated hop trace in the live node's /debug/traces layout")
 		replicas = flag.Int("replicas", 1, "chaos: replication factor R (keys survive f < R simultaneous crashes)")
 		crashes  = flag.Int("crashes", 1, "chaos: max simultaneous crashes per crash event")
-		pooled   = flag.Bool("pooled", false, "chaos: run members on pooled, multiplexed wire connections")
-		wcodec   = flag.String("wire-codec", "auto", "chaos: members' outbound wire codec: auto, json, binary, or mixed (alternate json/binary per member)")
 		loaders  = flag.Int("load-clients", 0, "chaos: load-during-churn workers (0 = off)")
 		restarts = flag.Bool("restarts", false, "chaos: upgrade crashes to kill/restart cycles on durable disk-backed stores (temp data dirs; asserts the durability invariants)")
 		overload = flag.Bool("overload", false, "chaos: run the overload-protection tier instead of the fault schedule (Zipf hot keys hammer a victim with a tiny admission cap; asserts shedding, conservation, acked-Put durability and bounded control p99)")
@@ -91,7 +89,7 @@ func main() {
 	}
 
 	if flag.Arg(0) == "chaos" {
-		runChaos(*nodes, *dim, *seed, *trace, *replicas, *crashes, *pooled, *wcodec, *loaders, *restarts, *overload)
+		runChaos(*nodes, *dim, *seed, *trace, *replicas, *crashes, *loaders, *restarts, *overload)
 		return
 	}
 	if flag.Arg(0) == "metrics" {
@@ -99,7 +97,7 @@ func main() {
 		return
 	}
 	if flag.Arg(0) == "trace" {
-		runTrace(*nodes, *dim, *seed, *replicas, *sample, *wcodec, flag.Arg(1), *traceOut)
+		runTrace(*nodes, *dim, *seed, *replicas, *sample, flag.Arg(1), *traceOut)
 		return
 	}
 
@@ -210,7 +208,7 @@ func main() {
 // then reports the per-round timeout counts and invariant violations.
 // The defaults for -nodes (500) and -dim (8) suit the simulator; chaos
 // runs live nodes, so clamp to the harness's scale when unchanged.
-func runChaos(nodes, dim int, seed int64, trace bool, replicas, crashes int, pooled bool, wireCodec string, loaders int, restarts, overload bool) {
+func runChaos(nodes, dim int, seed int64, trace bool, replicas, crashes int, loaders int, restarts, overload bool) {
 	rounds := 8
 	if flag.NArg() >= 2 {
 		if _, err := fmt.Sscanf(flag.Arg(1), "%d", &rounds); err != nil {
@@ -226,14 +224,14 @@ func runChaos(nodes, dim int, seed int64, trace bool, replicas, crashes int, poo
 	cfg := chaosrunner.Config{
 		Seed: seed, Dim: dim, Nodes: nodes, Rounds: rounds,
 		Replicas: replicas, MultiCrash: crashes,
-		Pooled: pooled, WireCodec: wireCodec, LoadClients: loaders,
+		LoadClients: loaders,
 		KillRestart: restarts, Overload: overload,
 	}
 	if trace {
 		cfg.Trace = os.Stderr
 	}
-	fmt.Printf("chaos: seed %d, %d nodes, dim %d, %d rounds, R=%d, <=%d crashes/event, pooled=%v, wire-codec=%s, load-clients=%d, kill-restart=%v, overload=%v\n",
-		seed, nodes, dim, rounds, replicas, crashes, pooled, wireCodec, loaders, restarts, overload)
+	fmt.Printf("chaos: seed %d, %d nodes, dim %d, %d rounds, R=%d, <=%d crashes/event, load-clients=%d, kill-restart=%v, overload=%v\n",
+		seed, nodes, dim, rounds, replicas, crashes, loaders, restarts, overload)
 	if !overload {
 		// The overload tier replaces the fault schedule with load phases;
 		// the crash/partition schedule only applies to the regular tiers.
@@ -440,8 +438,8 @@ func runMetrics(nodes, dim int, seed int64, replicas int) {
 	fmt.Println("metrics smoke check passed")
 }
 
-// runTrace is the distributed-tracing smoke check: a live mixed-codec
-// memnet overlay with per-request trace context on the wire, driven
+// runTrace is the distributed-tracing smoke check: a live memnet
+// overlay with per-request trace context on the wire, driven
 // through load-during-churn with one member shedding under a tiny
 // admission cap, then every member's span buffer merged — the
 // in-process equivalent of scraping each /debug/spans — and each trace
@@ -449,7 +447,7 @@ func runMetrics(nodes, dim int, seed int64, replicas int) {
 // reconstructed trace satisfies the completeness invariant (single
 // root, call counts match, no detached spans: nothing crashed, so
 // nothing may be missing).
-func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wcodec, wantID, outPath string) {
+func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wantID, outPath string) {
 	if nodes == 500 {
 		nodes = 8
 	}
@@ -483,16 +481,6 @@ func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wcodec, 
 			Replicas:    replicas,
 			TraceSample: sample,
 			SpanBuffer:  1 << 15,
-		}
-		switch wcodec {
-		case "mixed":
-			if ord%2 == 0 {
-				cfg.WireCodec = "json"
-			} else {
-				cfg.WireCodec = "binary"
-			}
-		default:
-			cfg.WireCodec = wcodec
 		}
 		if ord == 0 {
 			// The victim: a tiny admission cap plus simulated service
@@ -567,8 +555,8 @@ func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wcodec, 
 		forced += nd.Telemetry().CounterValue("cycloid_traces_forced_total")
 	}
 	trees := telemetry.BuildTrees(spans)
-	fmt.Printf("trace: %d members (dim %d, R=%d, codec %s, sample %g): %d spans, %d traces (%d sampled, %d forced)\n",
-		len(cluster), dim, replicas, wcodec, sample, len(spans), len(trees), sampled, forced)
+	fmt.Printf("trace: %d members (dim %d, R=%d, sample %g): %d spans, %d traces (%d sampled, %d forced)\n",
+		len(cluster), dim, replicas, sample, len(spans), len(trees), sampled, forced)
 	if len(trees) == 0 {
 		fail(fmt.Errorf("no traces collected; sheds alone should have forced some"))
 	}

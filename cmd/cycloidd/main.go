@@ -44,8 +44,6 @@ func main() {
 		dim       = flag.Int("dim", 8, "Cycloid dimension d (all overlay members must agree)")
 		stabilize = flag.Duration("stabilize", 30*time.Second, "periodic stabilization interval")
 		replicas  = flag.Int("replicas", 1, "replication factor R: keys survive f < R simultaneous crashes (all overlay members must agree)")
-		pooled    = flag.Bool("pooled", false, "use pooled, multiplexed wire connections for outbound requests (interoperates with dial-per-request members)")
-		wireCodec = flag.String("wire-codec", "auto", "outbound wire codec: auto (negotiate binary, fall back to json per peer), json (v1), or binary (v2 only); inbound always auto-detects")
 		dataDir   = flag.String("data-dir", "", "durable store directory: WAL + snapshots live here, a restart replays them and rejoins (empty = in-memory store)")
 		fsync     = flag.Bool("fsync", true, "with -data-dir, fsync the WAL before acknowledging a Put; -fsync=false trades crash durability for latency")
 
@@ -65,19 +63,17 @@ func main() {
 
 	reg := telemetry.NewRegistry("cycloid")
 	node, err := p2p.Start(p2p.Config{
-		Dim:             *dim,
-		ListenAddr:      *listen,
-		StabilizeEvery:  *stabilize,
-		Replicas:        *replicas,
-		PooledTransport: *pooled,
-		WireCodec:       *wireCodec,
-		DataDir:         *dataDir,
-		NoFsync:         !*fsync,
-		Telemetry:       reg,
-		Logger:          logger,
-		TraceBuffer:     *traceBuf,
-		TraceSample:     *traceSample,
-		SpanBuffer:      *spanBuf,
+		Dim:            *dim,
+		ListenAddr:     *listen,
+		StabilizeEvery: *stabilize,
+		Replicas:       *replicas,
+		DataDir:        *dataDir,
+		NoFsync:        !*fsync,
+		Telemetry:      reg,
+		Logger:         logger,
+		TraceBuffer:    *traceBuf,
+		TraceSample:    *traceSample,
+		SpanBuffer:     *spanBuf,
 	})
 	if err != nil {
 		fail(err)

@@ -45,19 +45,6 @@ func Cases() []Case {
 		{"LookupInstrumented", benchLookupInstrumented},
 		{"PutGet", benchPutGet},
 		{"JoinLeave", benchJoinLeave},
-		{"ReplicatedPut", benchReplicatedPut},
-		{"PutDurable", benchPutDurable},
-		{"PutDurableNoSync", benchPutDurableNoSync},
-		{"GetWithOwnerDown", benchGetWithOwnerDown},
-		{"PooledLookup", benchPooledLookup},
-		{"PooledLookupJSON", benchPooledLookupJSON},
-		{"LookupDialPerRequest", benchLookupDialPerRequest},
-		{"LookupUnderShedding", benchLookupUnderShedding},
-		{"LookupTraced", benchLookupTraced},
-		{"LookupTracedUnsampled", benchLookupTracedUnsampled},
-		{"BlobRead", benchBlobRead},
-		{"BlobReadPrefetch", benchBlobReadPrefetch},
-		{"BlobWrite", benchBlobWrite},
 	}
 }
 

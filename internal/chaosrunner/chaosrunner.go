@@ -82,18 +82,6 @@ type Config struct {
 	// therefore every existing seeded schedule — byte-identical.
 	MultiCrash int
 
-	// Pooled runs every member on pooled, multiplexed wire connections
-	// (p2p.Config.PooledTransport) instead of dial-per-request. The
-	// schedule and every invariant are transport-independent, so the
-	// same seeds must pass in both modes.
-	Pooled bool
-	// WireCodec pins the members' outbound wire codec: "" or "auto"
-	// (negotiate), "json" (v1), "binary" (v2), or "mixed", which
-	// alternates json/binary by member ordinal so every membership
-	// event and probe keeps crossing a codec boundary. Servers always
-	// auto-detect, so mixed overlays must satisfy the same invariants
-	// as homogeneous ones.
-	WireCodec string
 	// LoadClients > 0 enables load-during-churn: that many workers
 	// drive Gets on tracked keys and fresh lookups concurrently with
 	// the round's membership events and stabilization sweeps — the
@@ -653,16 +641,6 @@ func assignIDs(seed int64, space ids.Space, n int) map[int]ids.CycloidID {
 	return out
 }
 
-func (r *runner) memberCodec(ord int) string {
-	if r.cfg.WireCodec == "mixed" {
-		if ord%2 == 0 {
-			return "json"
-		}
-		return "binary"
-	}
-	return r.cfg.WireCodec
-}
-
 func (r *runner) startMember(ord int) error {
 	name := fmt.Sprintf("n%03d", ord)
 	id := r.idFor[ord]
@@ -676,16 +654,14 @@ func (r *runner) startMember(ord int) error {
 		m.dataDir = filepath.Join(r.dataRoot, name)
 	}
 	pcfg := p2p.Config{
-		Dim:             r.cfg.Dim,
-		ID:              &id,
-		DialTimeout:     r.cfg.DialTimeout,
-		Transport:       r.nw.Host(name),
-		Replicas:        r.cfg.Replicas,
-		PooledTransport: r.cfg.Pooled,
-		WireCodec:       r.memberCodec(ord),
-		Telemetry:       m.reg,
-		DataDir:         m.dataDir,
-		TraceSample:     r.cfg.TraceSample,
+		Dim:         r.cfg.Dim,
+		ID:          &id,
+		DialTimeout: r.cfg.DialTimeout,
+		Transport:   r.nw.Host(name),
+		Replicas:    r.cfg.Replicas,
+		Telemetry:   m.reg,
+		DataDir:     m.dataDir,
+		TraceSample: r.cfg.TraceSample,
 	}
 	if r.cfg.TraceSample > 0 {
 		pcfg.SpanBuffer = 1 << 15
@@ -734,17 +710,15 @@ func (r *runner) startMember(ord int) error {
 // the overlay.
 func (r *runner) restartMember(m *member) ([]string, error) {
 	pcfg := p2p.Config{
-		Dim:             r.cfg.Dim,
-		ID:              &m.id,
-		ListenAddr:      m.addr,
-		DialTimeout:     r.cfg.DialTimeout,
-		Transport:       r.nw.Host(m.name),
-		Replicas:        r.cfg.Replicas,
-		PooledTransport: r.cfg.Pooled,
-		WireCodec:       r.memberCodec(m.ord),
-		Telemetry:       m.reg,
-		DataDir:         m.dataDir,
-		TraceSample:     r.cfg.TraceSample,
+		Dim:         r.cfg.Dim,
+		ID:          &m.id,
+		ListenAddr:  m.addr,
+		DialTimeout: r.cfg.DialTimeout,
+		Transport:   r.nw.Host(m.name),
+		Replicas:    r.cfg.Replicas,
+		Telemetry:   m.reg,
+		DataDir:     m.dataDir,
+		TraceSample: r.cfg.TraceSample,
 	}
 	if r.cfg.TraceSample > 0 {
 		pcfg.SpanBuffer = 1 << 15

@@ -14,10 +14,10 @@ import (
 	"cycloid/p2p/memnet"
 )
 
-// cluster boots n pooled-transport nodes on a fresh seeded memnet
+// cluster boots n nodes on a fresh seeded memnet
 // fabric — the deterministic stack the load generator's determinism
 // contract is stated against.
-func cluster(t *testing.T, fabricSeed int64, dim, n int, pooled bool) []*p2p.Node {
+func cluster(t *testing.T, fabricSeed int64, dim, n int) []*p2p.Node {
 	t.Helper()
 	nw := memnet.New(fabricSeed)
 	space := ids.NewSpace(dim)
@@ -32,11 +32,10 @@ func cluster(t *testing.T, fabricSeed int64, dim, n int, pooled bool) []*p2p.Nod
 		taken[v] = true
 		id := space.FromLinear(v)
 		nd, err := p2p.Start(p2p.Config{
-			Dim:             dim,
-			ID:              &id,
-			DialTimeout:     time.Second,
-			Transport:       nw.Host(fmt.Sprintf("n%d", len(nodes))),
-			PooledTransport: pooled,
+			Dim:         dim,
+			ID:          &id,
+			DialTimeout: time.Second,
+			Transport:   nw.Host(fmt.Sprintf("n%d", len(nodes))),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -62,7 +61,7 @@ func cluster(t *testing.T, fabricSeed int64, dim, n int, pooled bool) []*p2p.Nod
 }
 
 func TestClosedLoopRunsCleanOnMemnet(t *testing.T) {
-	nodes := cluster(t, 42, 6, 12, true)
+	nodes := cluster(t, 42, 6, 12)
 	rep, err := Run(Config{
 		Nodes:       nodes,
 		Mix:         Mix{Put: 1, Get: 2, Lookup: 2},
@@ -102,7 +101,7 @@ func TestClosedLoopRunsCleanOnMemnet(t *testing.T) {
 }
 
 func TestOpenLoopRuns(t *testing.T) {
-	nodes := cluster(t, 5, 5, 6, true)
+	nodes := cluster(t, 5, 5, 6)
 	rep, err := Run(Config{
 		Nodes: nodes,
 		Mix:   Mix{Lookup: 1},
@@ -139,7 +138,7 @@ func TestDeterministicReportOnMemnet(t *testing.T) {
 		return &c
 	}
 	run := func() *Report {
-		nodes := cluster(t, 99, 6, 10, true)
+		nodes := cluster(t, 99, 6, 10)
 		rep, err := Run(Config{
 			Nodes:       nodes,
 			Mix:         Mix{Put: 1, Get: 1, Lookup: 3},
@@ -161,7 +160,7 @@ func TestDeterministicReportOnMemnet(t *testing.T) {
 }
 
 func TestZipfSkewsLoadTowardHotKeys(t *testing.T) {
-	nodes := cluster(t, 17, 6, 10, true)
+	nodes := cluster(t, 17, 6, 10)
 	uni, err := Run(Config{Nodes: nodes, Mix: Mix{Get: 1}, Keys: 64, Seed: 5, Ops: 400, Concurrency: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -194,14 +193,14 @@ func TestInvalidConfigRejected(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	nodes := cluster(t, 1, 5, 3, false)
+	nodes := cluster(t, 1, 5, 3)
 	if _, err := Run(Config{Nodes: nodes, Zipf: 0.5}); err == nil || !strings.Contains(err.Error(), "zipf") {
 		t.Errorf("zipf in (0,1] accepted: %v", err)
 	}
 }
 
 func TestReportFormat(t *testing.T) {
-	nodes := cluster(t, 23, 5, 4, true)
+	nodes := cluster(t, 23, 5, 4)
 	rep, err := Run(Config{Nodes: nodes, Mix: Mix{Put: 1, Lookup: 1}, Keys: 8, Seed: 2, Ops: 50, Concurrency: 2})
 	if err != nil {
 		t.Fatal(err)

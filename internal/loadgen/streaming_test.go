@@ -8,7 +8,7 @@ import (
 )
 
 func TestStreamingMixRunsCleanOnMemnet(t *testing.T) {
-	nodes := cluster(t, 42, 6, 10, true)
+	nodes := cluster(t, 42, 6, 10)
 	rep, err := Run(Config{
 		Nodes:       nodes,
 		Seed:        7,
@@ -85,7 +85,7 @@ func TestStreamingReportDeterministic(t *testing.T) {
 		return &c
 	}
 	run := func() *Report {
-		nodes := cluster(t, 99, 6, 8, true)
+		nodes := cluster(t, 99, 6, 8)
 		rep, err := Run(Config{
 			Nodes:       nodes,
 			Seed:        11,
@@ -105,7 +105,7 @@ func TestStreamingReportDeterministic(t *testing.T) {
 }
 
 func TestStreamingReportFormat(t *testing.T) {
-	nodes := cluster(t, 23, 5, 4, true)
+	nodes := cluster(t, 23, 5, 4)
 	rep, err := Run(Config{
 		Nodes:       nodes,
 		Seed:        2,

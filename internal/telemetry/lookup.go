@@ -19,8 +19,8 @@ var (
 	// follows at most 3 redirects).
 	RedirectBuckets = []int64{0, 1, 2, 3}
 	// CodecLatencyBucketsNS covers wire codec encode/decode times in
-	// nanoseconds: sub-microsecond for the fixed-width binary codec,
-	// one to tens of microseconds for encoding/json envelopes.
+	// nanoseconds: sub-microsecond for routing-step frames, up to tens
+	// of microseconds for chunk-sized values.
 	CodecLatencyBucketsNS = []int64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000, 1000000}
 	// WALBatchBuckets covers group-commit batch sizes: how many records
 	// one durable-store fsync made durable, from the uncontended single

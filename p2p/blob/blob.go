@@ -40,15 +40,14 @@ import (
 )
 
 // Default geometry. DefaultChunkSize comfortably fits the default 1 MiB
-// wire frame even under the v1 JSON codec's 4/3 base64 expansion;
-// DefaultWindow keeps enough chunk Gets in flight to hide per-hop
+// wire frame; DefaultWindow keeps enough chunk Gets in flight to hide per-hop
 // latency without monopolizing the pool's per-peer budget.
 const (
 	DefaultChunkSize = 64 << 10
 	DefaultWindow    = 8
 
 	// envelopeOverhead is the worst-case wire framing around one chunk
-	// payload: envelope fields, the chunk key, JSON syntax. Deliberately
+	// payload: frame header, envelope fields, the chunk key. Deliberately
 	// generous — it prices the frame-fit validation, not the encoding.
 	envelopeOverhead = 1024
 
@@ -61,8 +60,7 @@ const (
 type Options struct {
 	// ChunkSize is the fixed chunk payload size. Default 64 KiB. It is
 	// validated against the node's wire-frame cap at construction: a
-	// chunk, plus envelope overhead, plus the v1 codec's base64
-	// expansion must fit one frame.
+	// chunk plus envelope overhead must fit one frame.
 	ChunkSize int
 	// Window bounds the chunk Gets a reader keeps in flight ahead of
 	// the consumer (and the chunk Puts a writer keeps in flight).
@@ -153,11 +151,9 @@ func New(node *p2p.Node, opt Options) (*Store, error) {
 	if opt.Window < 1 {
 		return nil, fmt.Errorf("blob: window %d out of range", opt.Window)
 	}
-	// Worst case on the wire is the v1 JSON codec base64-expanding the
-	// payload 4/3; the chunk must still fit one frame beside its
-	// envelope. Solved for the payload: 3/4 of what remains after
-	// overhead.
-	maxChunk := (node.MaxFrame() - envelopeOverhead) / 4 * 3
+	// The binary codec carries the payload verbatim, so a chunk fits
+	// one frame beside its envelope.
+	maxChunk := node.MaxFrame() - envelopeOverhead
 	if opt.ChunkSize > maxChunk {
 		return nil, &ChunkSizeError{ChunkSize: opt.ChunkSize, MaxFrame: node.MaxFrame(), MaxChunk: maxChunk}
 	}

@@ -81,13 +81,12 @@ func cluster(t *testing.T, n int, seed int64, opt clusterOpt) ([]*p2p.Node, *mem
 			tr = countingTransport{Transport: tr, c: opt.dials}
 		}
 		nd, err := p2p.Start(p2p.Config{
-			Dim:             6,
-			ID:              &id,
-			DialTimeout:     2 * time.Second,
-			Transport:       tr,
-			PooledTransport: true,
-			Replicas:        opt.replicas,
-			MaxInflight:     opt.maxInflight,
+			Dim:         6,
+			ID:          &id,
+			DialTimeout: 2 * time.Second,
+			Transport:   tr,
+			Replicas:    opt.replicas,
+			MaxInflight: opt.maxInflight,
 		})
 		if err != nil {
 			t.Fatalf("start %s: %v", name, err)
@@ -307,8 +306,9 @@ func TestBlobOverwriteAndGC(t *testing.T) {
 
 // TestBlobChunkSizeValidation is the construction-time frame-fit check:
 // a chunk size the node's wire-frame cap cannot carry (after envelope
-// overhead and worst-case codec expansion) fails fast with the typed
-// error, instead of surfacing as a wire error on the first Put.
+// overhead) fails fast with the typed error, instead of surfacing as a
+// wire error on the first Put, and a chunk at the reported ceiling
+// really does cross the wire.
 func TestBlobChunkSizeValidation(t *testing.T) {
 	nodes, _ := cluster(t, 4, 1, clusterOpt{})
 	nd := nodes[0]
@@ -320,9 +320,23 @@ func TestBlobChunkSizeValidation(t *testing.T) {
 	if cse.MaxFrame != nd.MaxFrame() || cse.MaxChunk <= 0 || cse.MaxChunk >= nd.MaxFrame() {
 		t.Fatalf("ChunkSizeError fields: %+v", cse)
 	}
-	// The reported ceiling is tight: exactly MaxChunk constructs.
-	if _, err := blob.New(nd, blob.Options{ChunkSize: cse.MaxChunk}); err != nil {
+	// The reported ceiling is tight: exactly MaxChunk constructs, and a
+	// full chunk of that size is stored and read back through the
+	// other node.
+	s, err := blob.New(nd, blob.Options{ChunkSize: cse.MaxChunk})
+	if err != nil {
 		t.Fatalf("chunk size at the reported ceiling rejected: %v", err)
+	}
+	want := bytes.Repeat([]byte{0xa5}, cse.MaxChunk)
+	if err := s.Put(context.Background(), "ceiling", want); err != nil {
+		t.Fatalf("Put of one ceiling-sized chunk: %v", err)
+	}
+	other, err := blob.New(nodes[1], blob.Options{ChunkSize: cse.MaxChunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := other.Get(context.Background(), "ceiling"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get of one ceiling-sized chunk: %d bytes, %v", len(got), err)
 	}
 	if _, err := blob.New(nd, blob.Options{ChunkSize: cse.MaxChunk + 1}); err == nil {
 		t.Fatal("chunk size just past the reported ceiling accepted")
@@ -409,7 +423,7 @@ func TestBlobReaderShutdownLeavesNothingInFlight(t *testing.T) {
 			if v := gaugeValue(nd, "admission_inflight"); v != 0 {
 				return fmt.Errorf("n%d: admission_inflight = %d", i, v)
 			}
-			if st, ok := nd.PoolStats(); ok && st.Inflight != 0 {
+			if st := nd.PoolStats(); st.Inflight != 0 {
 				return fmt.Errorf("n%d: pool inflight = %d", i, st.Inflight)
 			}
 		}

@@ -78,6 +78,35 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
+// TestChaosDeterminismPooled pins that the pooled transport preserves
+// the harness's determinism contract on a schedule that crashes
+// members, so pooled connections to dead peers are torn down and
+// redialled mid-run: same seed, same run, byte for byte (load disabled
+// — racing traffic is exempt by design).
+func TestChaosDeterminismPooled(t *testing.T) {
+	cfg := chaosrunner.Config{Seed: 5}
+	crashes := 0
+	for _, e := range chaosrunner.GenerateSchedule(cfg) {
+		if e.Kind == chaosrunner.EvCrash {
+			crashes++
+		}
+	}
+	if crashes == 0 {
+		t.Fatal("seed 5 schedules no crash; pick a seed that does")
+	}
+	a, err := chaosrunner.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := chaosrunner.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("pooled chaos results differ across identically seeded runs:\n%+v\n%+v", a, b)
+	}
+}
+
 // TestChaosScheduleIsPure checks schedule generation alone is a pure
 // function of the seed and differs across seeds.
 func TestChaosScheduleIsPure(t *testing.T) {
@@ -149,9 +178,9 @@ func TestChaosDeterminismReplicated(t *testing.T) {
 	}
 }
 
-// TestChaosPooledLoadDuringChurn is the transport-upgrade stress run:
-// every member uses pooled, multiplexed wire connections, replication
-// keeps crashes below R, and load workers drive gets and lookups
+// TestChaosPooledLoadDuringChurn is the transport stress run: every
+// member's pooled, multiplexed connections carry load while replication
+// keeps crashes below R and load workers drive gets and lookups
 // concurrently with every membership event and stabilization sweep.
 // Required: every invariant holds (no lost keys — invariant 1b checks
 // each tracked key from every live node — and a bounded error rate on
@@ -165,7 +194,6 @@ func TestChaosPooledLoadDuringChurn(t *testing.T) {
 				Seed:        seed,
 				Rounds:      6,
 				Replicas:    3,
-				Pooled:      true,
 				LoadClients: 4,
 			}
 			res, err := chaosrunner.Run(cfg)
@@ -192,63 +220,6 @@ func TestChaosPooledLoadDuringChurn(t *testing.T) {
 	}
 }
 
-// TestChaosMixedCodecLoadDuringChurn is the wire-codec interop chaos
-// gate: half the members speak v1 JSON outbound, half v2 binary, on
-// pooled connections, with load racing the churn. Key retention and
-// the load-error bound must hold exactly as in a homogeneous overlay —
-// a codec-negotiation bug under membership change surfaces here.
-func TestChaosMixedCodecLoadDuringChurn(t *testing.T) {
-	for s := 0; s < *chaosSeeds; s++ {
-		seed := int64(301 + s)
-		t.Run(string(rune('A'+s)), func(t *testing.T) {
-			t.Parallel()
-			cfg := chaosrunner.Config{
-				Seed:        seed,
-				Rounds:      6,
-				Replicas:    3,
-				Pooled:      true,
-				WireCodec:   "mixed",
-				LoadClients: 4,
-			}
-			res, err := chaosrunner.Run(cfg)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("seed %d: %s", seed, v)
-			}
-			loadOps := 0
-			for _, rep := range res.Rounds {
-				loadOps += rep.LoadOps
-			}
-			if want := 6 * 4 * 8; loadOps != want {
-				t.Errorf("seed %d: %d load ops ran, want %d", seed, loadOps, want)
-			}
-			if want := 16 + 6*4*3; res.FinalKeys != want {
-				t.Errorf("seed %d: %d keys tracked at the end, want %d", seed, res.FinalKeys, want)
-			}
-		})
-	}
-}
-
-// TestChaosDeterminismPooled pins that the pooled transport preserves
-// the harness's determinism contract: same seed, same run, byte for
-// byte (load disabled — racing traffic is exempt by design).
-func TestChaosDeterminismPooled(t *testing.T) {
-	cfg := chaosrunner.Config{Seed: 3, Pooled: true}
-	a, err := chaosrunner.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := chaosrunner.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("pooled chaos results differ across identically seeded runs:\n%+v\n%+v", a, b)
-	}
-}
-
 // TestChaosDefaultScheduleUnchanged pins that the replication and
 // durability knobs do not perturb default schedules: a config that
 // leaves Replicas, MultiCrash, DataDir and DowntimeRounds at their
@@ -271,7 +242,7 @@ func TestChaosDefaultScheduleUnchanged(t *testing.T) {
 }
 
 // TestChaosTracedLoadDuringChurn is the tracing chaos gate: every
-// operation is trace-sampled on a mixed-codec pooled overlay with load
+// operation is trace-sampled on an overlay with load
 // racing the churn, and the post-run trace-completeness invariant
 // (every reconstructed span tree rooted and structurally consistent,
 // detached spans only when the schedule crashed someone) must hold
@@ -285,8 +256,6 @@ func TestChaosTracedLoadDuringChurn(t *testing.T) {
 				Seed:        seed,
 				Rounds:      6,
 				Replicas:    3,
-				Pooled:      true,
-				WireCodec:   "mixed",
 				LoadClients: 4,
 				TraceSample: 1,
 			}
@@ -443,7 +412,7 @@ func TestChaosDeterminismKillRestart(t *testing.T) {
 }
 
 // TestChaosOverloadTier drives the overload-protection tier on a
-// pinned seed and both wire codecs: Zipf hot-key traffic hammers keys
+// pinned seed: Zipf hot-key traffic hammers keys
 // owned by a victim node whose admission cap is tiny, while control
 // traffic measures the rest of the cluster. The runner itself asserts
 // the invariants — admission conservation, no acked Put lost, bounded
@@ -452,50 +421,43 @@ func TestChaosDeterminismKillRestart(t *testing.T) {
 // the scenario actually bit: the victim shed, retries flowed, and
 // Puts were acked while it was shedding.
 func TestChaosOverloadTier(t *testing.T) {
-	for _, codec := range []string{"json", "binary"} {
-		t.Run(codec, func(t *testing.T) {
-			// Deliberately not parallel: the tier asserts a latency bound
-			// (control p99 vs an unloaded baseline), and two saturating
-			// runs sharing the CPU would fail it for reasons that have
-			// nothing to do with admission control.
-			res, err := chaosrunner.Run(chaosrunner.Config{
-				Seed:      7,
-				Overload:  true,
-				WireCodec: codec,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("%s: %s", codec, v)
-			}
-			o := res.Overload
-			if o == nil {
-				t.Fatal("overload run returned no OverloadReport")
-			}
-			if o.Shed == 0 {
-				t.Error("victim shed nothing — the tier exercised no overload")
-			}
-			if o.Offered != o.Admitted+o.Shed+o.QueueTimeouts {
-				t.Errorf("victim conservation broken: offered %d != admitted %d + shed %d + queue-timeout %d",
-					o.Offered, o.Admitted, o.Shed, o.QueueTimeouts)
-			}
-			if o.AckedPuts == 0 {
-				t.Error("no Put was acked during the overload window — durability unexercised")
-			}
-			if o.HotErrors == 0 {
-				t.Error("hot traffic saw no errors at all — the victim cap never pushed back to clients")
-			}
-			t.Logf("%s: victim offered=%d admitted=%d shed=%d qto=%d; p99 %dus->%dus; retries=%d acked=%d hot=%d/%d ctrl=%d/%d",
-				codec, o.Offered, o.Admitted, o.Shed, o.QueueTimeouts,
-				o.BaselineP99us, o.OverloadP99us, o.FleetRetries, o.AckedPuts,
-				o.HotErrors, o.HotOps, o.CtrlErrors, o.CtrlOps)
+	t.Run("binary", func(t *testing.T) {
+		res, err := chaosrunner.Run(chaosrunner.Config{
+			Seed:     7,
+			Overload: true,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.Violations {
+			t.Error(v)
+		}
+		o := res.Overload
+		if o == nil {
+			t.Fatal("overload run returned no OverloadReport")
+		}
+		if o.Shed == 0 {
+			t.Error("victim shed nothing — the tier exercised no overload")
+		}
+		if o.Offered != o.Admitted+o.Shed+o.QueueTimeouts {
+			t.Errorf("victim conservation broken: offered %d != admitted %d + shed %d + queue-timeout %d",
+				o.Offered, o.Admitted, o.Shed, o.QueueTimeouts)
+		}
+		if o.AckedPuts == 0 {
+			t.Error("no Put was acked during the overload window — durability unexercised")
+		}
+		if o.HotErrors == 0 {
+			t.Error("hot traffic saw no errors at all — the victim cap never pushed back to clients")
+		}
+		t.Logf("victim offered=%d admitted=%d shed=%d qto=%d; p99 %dus->%dus; retries=%d acked=%d hot=%d/%d ctrl=%d/%d",
+			o.Offered, o.Admitted, o.Shed, o.QueueTimeouts,
+			o.BaselineP99us, o.OverloadP99us, o.FleetRetries, o.AckedPuts,
+			o.HotErrors, o.HotOps, o.CtrlErrors, o.CtrlOps)
+	})
 }
 
 // TestChaosStreamingDuringChurn is the blob layer's chaos gate, on a
-// pinned seed and both wire codecs: streaming workers write chunked
+// pinned seed: streaming workers write chunked
 // blobs and play paced viewer sessions while the schedule's churn —
 // kill/restart cycles included, so surviving disks matter — runs
 // underneath. The runner itself asserts the tier's invariants after
@@ -506,49 +468,43 @@ func TestChaosOverloadTier(t *testing.T) {
 // happened, and the acknowledged-blob set grew past the seed
 // population and survived to the end.
 func TestChaosStreamingDuringChurn(t *testing.T) {
-	for _, codec := range []string{"json", "binary"} {
-		codec := codec
-		t.Run(codec, func(t *testing.T) {
-			t.Parallel()
-			cfg := chaosrunner.Config{
-				Seed:             438,
-				Rounds:           8,
-				Replicas:         3,
-				Pooled:           true,
-				WireCodec:        codec,
-				KillRestart:      true,
-				StreamingClients: 2,
-				// A session racing a kill legitimately fails until the
-				// stabilization window promotes a replica; the blob
-				// invariants themselves (integrity, acked readback) are
-				// gated separately, so this bound only catches wholesale
-				// breakage.
-				MaxStreamErrorRate: 0.4,
-			}
-			res, err := chaosrunner.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", codec, err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("%s: %s", codec, v)
-			}
-			if res.Kills < 3 || res.Restarts < 3 {
-				t.Errorf("%s: %d kills / %d restarts ran, want >= 3 each (re-pin the seed)",
-					codec, res.Kills, res.Restarts)
-			}
-			// Every scheduled attempt ran: per round, each worker writes
-			// one blob and plays StreamingSessions (default 2) sessions.
-			if want := 8 * 2 * (1 + 2); res.StreamOps != want {
-				t.Errorf("%s: %d streaming attempts ran, want %d", codec, res.StreamOps, want)
-			}
-			// Kills never forfeit acked blobs (their disks survive), so
-			// the verified set must exceed the 2 provisioned seeds by the
-			// round writes that succeeded — at least one round's worth.
-			if res.AckedBlobs < 2+2 {
-				t.Errorf("%s: only %d acked blobs tracked at the end", codec, res.AckedBlobs)
-			}
-			t.Logf("%s: streamOps=%d rebuffers=%d ackedBlobs=%d kills=%d restarts=%d",
-				codec, res.StreamOps, res.Rebuffers, res.AckedBlobs, res.Kills, res.Restarts)
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		cfg := chaosrunner.Config{
+			Seed:             438,
+			Rounds:           8,
+			Replicas:         3,
+			KillRestart:      true,
+			StreamingClients: 2,
+			// A session racing a kill legitimately fails until the
+			// stabilization window promotes a replica; the blob
+			// invariants themselves (integrity, acked readback) are
+			// gated separately, so this bound only catches wholesale
+			// breakage.
+			MaxStreamErrorRate: 0.4,
+		}
+		res, err := chaosrunner.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.Violations {
+			t.Error(v)
+		}
+		if res.Kills < 3 || res.Restarts < 3 {
+			t.Errorf("%d kills / %d restarts ran, want >= 3 each (re-pin the seed)",
+				res.Kills, res.Restarts)
+		}
+		// Every scheduled attempt ran: per round, each worker writes
+		// one blob and plays StreamingSessions (default 2) sessions.
+		if want := 8 * 2 * (1 + 2); res.StreamOps != want {
+			t.Errorf("%d streaming attempts ran, want %d", res.StreamOps, want)
+		}
+		// Kills never forfeit acked blobs (their disks survive), so
+		// the verified set must exceed the 2 provisioned seeds by the
+		// round writes that succeeded — at least one round's worth.
+		if res.AckedBlobs < 2+2 {
+			t.Errorf("only %d acked blobs tracked at the end", res.AckedBlobs)
+		}
+		t.Logf("streamOps=%d rebuffers=%d ackedBlobs=%d kills=%d restarts=%d",
+			res.StreamOps, res.Rebuffers, res.AckedBlobs, res.Kills, res.Restarts)
+	})
 }

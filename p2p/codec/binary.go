@@ -6,7 +6,7 @@ import (
 	"math"
 )
 
-// The v2 binary layout. Every integer is little-endian and fixed-width
+// The binary layout. Every integer is little-endian and fixed-width
 // (stdlib encoding/binary); there are no varints, so field offsets are
 // data-independent and the decoder does no byte-at-a-time work.
 //
@@ -39,15 +39,15 @@ import (
 //
 // The enumerated strings the protocol actually sends (op, event, phase)
 // are one-byte codes; code 255 escapes to a length-prefixed string so
-// any value representable in the JSON codec — however it got into the
-// struct — round-trips identically in both. Optional []byte fields
-// whose JSON tags say omitempty collapse empty to nil exactly like a
-// JSON round trip does; Item.V has no omitempty and uses the vblob form
-// to preserve the nil/empty distinction the same way JSON null/"" does.
+// any string value — however it got into the struct — round-trips.
+// Optional []byte fields whose JSON tags say omitempty collapse empty
+// to nil exactly like an encoding/json round trip does (the reference
+// FuzzCodecDifferential compares against); Item.V has no omitempty and
+// uses the vblob form to preserve the nil/empty distinction the same
+// way JSON null/"" does.
 //
 // The trace extension is a trailing fixed-width block appended only
-// when any trace-context field is nonzero, mirroring the JSON codec's
-// omitempty on the same fields. A decoder that stops at DeadlineMs
+// when any trace-context field is nonzero. A decoder that stops at DeadlineMs
 // (pre-tracing) ignores the tail; this decoder treats an exhausted
 // frame as "no context" (all-zero trace fields), so both directions of
 // the version skew interoperate and an absent context reads as

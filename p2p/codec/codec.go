@@ -1,21 +1,13 @@
-// Package codec defines the wire envelope types shared by every
-// connection of the p2p layer and the two encodings they travel in:
-//
-//   - v1, newline-delimited JSON — the seed protocol, kept verbatim for
-//     interoperability with older peers;
-//   - v2, a compact length-prefixed binary layout (binary.go) built on
-//     stdlib encoding/binary only, with fixed-width fields, presence
-//     bitmaps for optional pointers and small code tables for the
-//     protocol's enumerated strings.
-//
-// Which encoding a connection speaks is decided per connection by its
-// opening bytes (see the Preamble* constants): servers auto-detect, and
-// clients in Auto mode try binary first and remember, per peer, when the
-// other side turned out to speak only v1. The package also carries the
-// supporting machinery both codecs' hot paths share — size-classed
-// pools of encode/decode buffers (Buffer) and a bounded string interner that
-// makes repeated wire strings (peer addresses, hot keys) decode without
-// allocating.
+// Package codec defines the wire envelope types of the p2p layer and
+// their one encoding: a compact length-prefixed binary layout
+// (binary.go) built on stdlib encoding/binary only, with fixed-width
+// fields, presence bitmaps for optional pointers and small code tables
+// for the protocol's enumerated strings. Every connection opens with
+// PreambleMuxV2 and then carries these messages in CYCLOID-MUX/2
+// frames (see p2p/pool). The package also carries the machinery the
+// hot paths share — size-classed pools of encode/decode buffers
+// (Buffer) and a bounded string interner that makes repeated wire
+// strings (peer addresses, hot keys) decode without allocating.
 package codec
 
 import (
@@ -23,61 +15,26 @@ import (
 	"sync"
 )
 
-// Codec identifies one of the two wire encodings.
+// Codec names a wire encoding. Binary is the only one; Auto, the zero
+// value, means the same.
+//
+// Deprecated: kept so existing callers of pool.Config.Codec compile;
+// the pool ignores it.
 type Codec uint8
 
 const (
-	// Auto is not an encoding: it selects binary with per-peer fallback
-	// to JSON when the peer rejects the v2 preamble.
+	// Auto is the zero value and selects Binary.
 	Auto Codec = iota
-	// JSON is the v1 encoding: newline-delimited encoding/json.
-	JSON
-	// Binary is the v2 encoding: length-prefixed fixed-width binary.
+	// Binary is the length-prefixed fixed-width binary encoding.
 	Binary
 )
 
-// String returns the flag spelling of the codec selection.
-func (c Codec) String() string {
-	switch c {
-	case JSON:
-		return "json"
-	case Binary:
-		return "binary"
-	default:
-		return "auto"
-	}
-}
-
-// Parse maps a -wire-codec flag value onto a Codec selection.
-func Parse(s string) (Codec, error) {
-	switch s {
-	case "", "auto":
-		return Auto, nil
-	case "json":
-		return JSON, nil
-	case "binary":
-		return Binary, nil
-	}
-	return Auto, errors.New("codec: unknown wire codec " + s + " (want auto, json or binary)")
-}
-
-// Connection preambles. All three are exactly PreambleLen bytes so a
-// server classifies any connection with a single Peek: a v1 pooled
-// stream, a v2 pooled stream, a v2 one-shot request — anything else is
-// a legacy one-shot JSON request (which always starts with '{').
-//
-// Negotiation rides on the preamble alone: a v2 mux client waits for
-// the server to echo PreambleMuxV2 before sending frames. A v1-only
-// server instead tries to parse the preamble as a JSON request, fails,
-// and closes the connection without writing a byte — the client reads a
-// clean EOF and falls back to v1 for that peer. One-shot v2 requests
-// need no ack round trip: the binary response itself is the proof, and
-// the same clean-EOF signature triggers the same per-peer fallback.
+// Connection preamble. A pooled connection opens with PreambleMuxV2
+// and the server echoes it as the handshake ack before any frame
+// flows; a server closes a connection that opens with anything else.
 const (
-	PreambleMuxV1 = "CYCLOID-MUX/1\n" // v1 multiplexed stream (JSON envelopes)
-	PreambleMuxV2 = "CYCLOID-MUX/2\n" // v2 multiplexed stream (binary frames)
-	PreambleBinV2 = "CYCLOID-BIN/2\n" // v2 one-shot request (one binary frame each way)
-	PreambleLen   = len(PreambleMuxV1)
+	PreambleMuxV2 = "CYCLOID-MUX/2\n"
+	PreambleLen   = len(PreambleMuxV2)
 )
 
 // ErrTruncated reports a binary payload that ended before its declared

@@ -385,22 +385,3 @@ func TestBufferPool(t *testing.T) {
 	big.B = make([]byte, maxPooledBuf+1)
 	PutBuffer(big) // no way to observe directly; just must not panic
 }
-
-func TestParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Codec
-		ok   bool
-	}{
-		{"", Auto, true}, {"auto", Auto, true}, {"json", JSON, true},
-		{"binary", Binary, true}, {"protobuf", Auto, false},
-	} {
-		got, err := Parse(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("Parse(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if Auto.String() != "auto" || JSON.String() != "json" || Binary.String() != "binary" {
-		t.Error("Codec.String mismatch")
-	}
-}

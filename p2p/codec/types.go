@@ -1,11 +1,12 @@
 package codec
 
-// The wire envelope types. These are the single source of truth for
-// both codecs: the JSON codec (v1) marshals them with encoding/json
-// using the struct tags below, and the binary codec (v2) with the
-// hand-rolled fixed-width layout in binary.go. The p2p package aliases
-// them (WireEntry = codec.Entry, ...), so the overlay code constructs
-// and consumes the same structs whichever codec a connection speaks.
+// The wire envelope types, encoded with the hand-rolled fixed-width
+// layout in binary.go. The p2p package aliases them (WireEntry =
+// codec.Entry, ...), so the overlay code constructs and consumes the
+// wire structs directly. The JSON struct tags serve two readers:
+// FuzzCodecDifferential, which uses encoding/json as the reference
+// round trip, and the reclaim reply, whose item batch rides
+// JSON-encoded inside a Response's Value.
 
 // Entry is an overlay node reference on the wire.
 type Entry struct {
@@ -75,8 +76,7 @@ type Request struct {
 	// exchange, and TraceFlags packs the sampling bit (bit 0) with a
 	// 7-bit hop budget (bits 1-7) bounding cascade depth. All-zero
 	// means "no trace context": requests from pre-tracing peers decode
-	// to exactly that, so absent context reads as unsampled and the
-	// codecs interoperate with old nodes transparently.
+	// to exactly that, so absent context reads as unsampled.
 	TraceHi    uint64 `json:"traceHi,omitempty"`
 	TraceLo    uint64 `json:"traceLo,omitempty"`
 	ParentSpan uint64 `json:"parentSpan,omitempty"`

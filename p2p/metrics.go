@@ -69,15 +69,11 @@ type nodeMetrics struct {
 	retryExhausted   *telemetry.Counter
 	retryTokens      *telemetry.Gauge
 
-	// wire codecs (p2p/codec): per-message encode/decode latencies by
-	// codec, and v2→v1 downgrades decided by negotiation.
-	codecEncodeJSON *telemetry.Histogram
-	codecEncodeBin  *telemetry.Histogram
-	codecDecodeJSON *telemetry.Histogram
-	codecDecodeBin  *telemetry.Histogram
-	codecFallbacks  *telemetry.Counter
+	// wire codec (p2p/codec): per-message encode/decode latencies.
+	codecEncodeBin *telemetry.Histogram
+	codecDecodeBin *telemetry.Histogram
 
-	// connection pool (p2p/pool, pooled transport mode)
+	// connection pool (p2p/pool)
 	poolDials     *telemetry.Counter
 	poolReuses    *telemetry.Counter
 	poolEvictions *telemetry.Counter
@@ -171,14 +167,10 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Busy replies not retried because the token bucket was empty."),
 		retryTokens: reg.Gauge("retry_budget_tokens", "Tokens currently available to the busy-retry budget."),
 
-		codecEncodeJSON: reg.Histogram("codec_encode_ns", codecEncHelp, telemetry.CodecLatencyBucketsNS, telemetry.L("codec", "json")),
-		codecEncodeBin:  reg.Histogram("codec_encode_ns", codecEncHelp, telemetry.CodecLatencyBucketsNS, telemetry.L("codec", "binary")),
-		codecDecodeJSON: reg.Histogram("codec_decode_ns", codecDecHelp, telemetry.CodecLatencyBucketsNS, telemetry.L("codec", "json")),
-		codecDecodeBin:  reg.Histogram("codec_decode_ns", codecDecHelp, telemetry.CodecLatencyBucketsNS, telemetry.L("codec", "binary")),
-		codecFallbacks: reg.Counter("wire_codec_fallbacks_total",
-			"Peers downgraded from the v2 binary codec to v1 JSON after negotiation."),
+		codecEncodeBin: reg.Histogram("codec_encode_ns", codecEncHelp, telemetry.CodecLatencyBucketsNS, telemetry.L("codec", "binary")),
+		codecDecodeBin: reg.Histogram("codec_decode_ns", codecDecHelp, telemetry.CodecLatencyBucketsNS, telemetry.L("codec", "binary")),
 
-		poolDials:  reg.Counter("pool_dials_total", "Pooled connections opened (pooled transport mode)."),
+		poolDials:  reg.Counter("pool_dials_total", "Pooled connections opened."),
 		poolReuses: reg.Counter("pool_reuses_total", "Wire calls that rode an existing pooled connection."),
 		poolEvictions: reg.Counter("pool_evictions_total",
 			"Idle pooled connections evicted after the idle timeout."),
@@ -249,7 +241,7 @@ func (m *nodeMetrics) hopPhase(phase string) {
 	m.phaseOther.Inc()
 }
 
-// poolEvent counts one pool lifecycle event (pooled transport mode).
+// poolEvent counts one pool lifecycle event.
 func (m *nodeMetrics) poolEvent(e pool.Event) {
 	switch e {
 	case pool.EventDial:
@@ -260,8 +252,6 @@ func (m *nodeMetrics) poolEvent(e pool.Event) {
 		m.poolEvictions.Inc()
 	case pool.EventTeardown:
 		m.poolTeardowns.Inc()
-	case pool.EventCodecFallback:
-		m.codecFallbacks.Inc()
 	case pool.EventSaturated:
 		m.poolSaturated.Inc()
 	}

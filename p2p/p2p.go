@@ -1,12 +1,13 @@
 // Package p2p deploys Cycloid over a pluggable Transport: each Node is
 // one overlay participant listening on a transport address (TCP by
 // default, the deterministic in-memory fabric of p2p/memnet in tests),
-// exchanging newline-delimited JSON messages
-// with its seven neighbors. The routing algorithm is the exact code the
-// simulator runs (cycloid.DecideStep); this package adds what a deployed
-// system needs around it — a wire protocol, the join procedure of
-// Section 3.3.1 (route to the numerically closest node, derive leaf sets
-// from its neighborhood, local-remote search for the routing table,
+// exchanging binary messages over pooled, multiplexed connections
+// (CYCLOID-MUX/2, see wire.go) with its seven neighbors. The routing
+// algorithm is the exact code the simulator runs (cycloid.DecideStep);
+// this package adds what a deployed system needs around it — a wire
+// protocol, the join procedure of Section 3.3.1 (route to the
+// numerically closest node, derive leaf sets from its neighborhood,
+// local-remote search for the routing table,
 // notification fan-out), graceful departure with key hand-off, periodic
 // stabilization, and a key/value store with R-way leaf-set replication:
 // every key lives on its owner plus up to R-1 leaf-set neighbors, with
@@ -39,7 +40,6 @@ import (
 	"cycloid/internal/hashing"
 	"cycloid/internal/ids"
 	"cycloid/internal/telemetry"
-	"cycloid/p2p/codec"
 	"cycloid/p2p/pool"
 	"cycloid/p2p/store"
 )
@@ -66,25 +66,19 @@ type Config struct {
 	// p2p/memnet for deterministic in-memory fabrics with fault
 	// injection.
 	Transport Transport
-	// PooledTransport routes outbound wire calls through per-peer
-	// persistent connections with request multiplexing (p2p/pool)
-	// instead of one dial per request. Failure semantics are unchanged —
-	// a dead pooled peer surfaces as the same timeout a failed dial
-	// would — but the per-request connection cost is gone. Default false
-	// (dial-per-request, the original wire behavior). Servers accept
-	// both kinds of traffic regardless of this setting.
+	// PooledTransport is ignored: every node talks over per-peer
+	// pooled, multiplexed connections (p2p/pool).
+	//
+	// Deprecated: kept so existing callers compile; it has no effect.
 	PooledTransport bool
-	// WireCodec selects the encoding of outbound wire calls: "auto"
-	// (default, also "") speaks the v2 binary protocol and transparently
-	// falls back — once, remembered per peer — when a peer turns out to
-	// understand only v1 JSON; "json" forces the v1 protocol; "binary"
-	// forces v2 and treats a v1-only peer as a dial failure. Servers
-	// always auto-detect the codec per inbound connection, so nodes with
-	// different settings interoperate on one overlay.
+	// WireCodec must be "", "auto" or "binary", which all mean the one
+	// wire protocol, CYCLOID-MUX/2; any other value fails Start.
+	//
+	// Deprecated: kept so existing callers compile; leave it empty.
 	WireCodec string
-	// MaxFrame caps one wire frame (a request line or a multiplexed
-	// envelope, in either direction); oversized frames are rejected with
-	// a wire error instead of buffered unboundedly. Default 1 MiB.
+	// MaxFrame caps one wire frame in either direction; oversized
+	// frames are rejected with a wire error instead of buffered
+	// unboundedly. Default 1 MiB.
 	MaxFrame int
 	// Replicas is the replication factor R: every key is stored on its
 	// owner plus up to R-1 leaf-set neighbors, so any f < R simultaneous
@@ -260,18 +254,12 @@ type Node struct {
 	wg       sync.WaitGroup
 	rng      *rand.Rand
 
-	// pool is the outbound connection pool, nil in dial-per-request
-	// mode. muxConns tracks inbound multiplexed connections so Close can
-	// unblock their readers and drain in-flight requests.
+	// pool carries every outbound call. muxConns tracks inbound
+	// multiplexed connections so Close can unblock their readers and
+	// drain in-flight requests.
 	pool     *pool.Pool
 	muxMu    sync.Mutex
 	muxConns map[net.Conn]struct{}
-
-	// wireCodec is the parsed Config.WireCodec; peerCodec caches, per
-	// peer address, the codec learned by the unpooled auto-negotiation
-	// path (the pool keeps its own per-peer memory).
-	wireCodec codec.Codec
-	peerCodec sync.Map
 
 	tel    *nodeMetrics
 	log    *slog.Logger
@@ -307,9 +295,10 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.TraceSample < 0 || cfg.TraceSample > 1 {
 		return nil, fmt.Errorf("p2p: trace sample rate %v out of range [0,1]", cfg.TraceSample)
 	}
-	wireCodec, err := codec.Parse(cfg.WireCodec)
-	if err != nil {
-		return nil, fmt.Errorf("p2p: %w", err)
+	switch cfg.WireCodec {
+	case "", "auto", "binary":
+	default:
+		return nil, fmt.Errorf("p2p: unknown wire codec %q (the only protocol is binary)", cfg.WireCodec)
 	}
 	ln, err := cfg.Transport.Listen(cfg.ListenAddr)
 	if err != nil {
@@ -338,8 +327,6 @@ func Start(cfg Config) (*Node, error) {
 		tel:      newNodeMetrics(cfg.Telemetry),
 		traces:   telemetry.NewTraceRing(cfg.TraceBuffer),
 		muxConns: make(map[net.Conn]struct{}),
-
-		wireCodec: wireCodec,
 	}
 	n.budget = newRetryBudget(n.tel)
 	if cfg.SpanBuffer >= 0 && (cfg.SpanBuffer > 0 || cfg.TraceSample > 0) {
@@ -370,22 +357,19 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.MaxInflight > 0 {
 		n.adm = newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.DialTimeout, n.tel)
 	}
-	if cfg.PooledTransport {
-		pc := pool.Config{
-			Dial:     cfg.Transport.Dial,
-			Codec:    wireCodec,
-			MaxFrame: cfg.MaxFrame,
-			OnEvent:  n.tel.poolEvent,
-		}
-		if cfg.MaxInflight > 0 {
-			// A fleet running server-side caps also stops the client side
-			// from parking unbounded work on one saturated peer: past this
-			// bound the pool fails fast with ErrPeerSaturated, which feeds
-			// the retry budget rather than the suspicion list.
-			pc.MaxPerPeerInflight = 4 * cfg.MaxInflight
-		}
-		n.pool = pool.New(pc)
+	pc := pool.Config{
+		Dial:     cfg.Transport.Dial,
+		MaxFrame: cfg.MaxFrame,
+		OnEvent:  n.tel.poolEvent,
 	}
+	if cfg.MaxInflight > 0 {
+		// A fleet running server-side caps also stops the client side
+		// from parking unbounded work on one saturated peer: past this
+		// bound the pool fails fast with ErrPeerSaturated, which feeds
+		// the retry budget rather than the suspicion list.
+		pc.MaxPerPeerInflight = 4 * cfg.MaxInflight
+	}
+	n.pool = pool.New(pc)
 	n.log = cfg.Logger.With("node", id.String(), "addr", ln.Addr().String())
 	// The storage backend comes up after telemetry so the durable
 	// store's replay is already instrumented, and before serving so the
@@ -400,9 +384,7 @@ func Start(cfg Config) (*Node, error) {
 		})
 		if err != nil {
 			ln.Close()
-			if n.pool != nil {
-				n.pool.Close()
-			}
+			n.pool.Close()
 			return nil, fmt.Errorf("p2p: durable store: %w", err)
 		}
 		n.store = ds
@@ -441,15 +423,10 @@ func (n *Node) Dim() int { return n.space.Dim() }
 // frame.
 func (n *Node) MaxFrame() int { return n.cfg.MaxFrame }
 
-// PoolStats reports the outbound connection pool's activity snapshot;
-// ok is false in dial-per-request mode, where no pool exists. Harnesses
-// use it to assert that canceled work released its in-flight slots.
-func (n *Node) PoolStats() (pool.Stats, bool) {
-	if n.pool == nil {
-		return pool.Stats{}, false
-	}
-	return n.pool.Stats(), true
-}
+// PoolStats reports the outbound connection pool's activity snapshot.
+// Harnesses use it to assert that canceled work released its in-flight
+// slots.
+func (n *Node) PoolStats() pool.Stats { return n.pool.Stats() }
 
 // Close stops serving without running the departure protocol (an
 // ungraceful exit); use Leave for a graceful departure. In-flight
@@ -470,9 +447,7 @@ func (n *Node) Close() error {
 		n.muxMu.Unlock()
 	})
 	n.wg.Wait()
-	if n.pool != nil {
-		n.pool.Close()
-	}
+	n.pool.Close()
 	// The store closes last, after every handler drained: a durable
 	// backend flushes and fsyncs its tail here, so even writes that were
 	// applied but not yet individually acked survive a graceful Close.

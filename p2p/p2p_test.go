@@ -348,6 +348,51 @@ func TestStartValidation(t *testing.T) {
 	if _, err := Start(testConfig(5, bad)); err == nil {
 		t.Error("out-of-space ID should be rejected")
 	}
+	// The deprecated WireCodec field names the one protocol or fails.
+	for _, wc := range []string{"json", "mixed", "v1"} {
+		cfg := testConfig(5, ids.CycloidID{K: 1, A: 3})
+		cfg.WireCodec = wc
+		if nd, err := Start(cfg); err == nil {
+			nd.Close()
+			t.Errorf("WireCodec %q should be rejected", wc)
+		}
+	}
+	for _, wc := range []string{"", "auto", "binary"} {
+		cfg := testConfig(5, ids.CycloidID{K: 1, A: 3})
+		cfg.WireCodec = wc
+		nd, err := Start(cfg)
+		if err != nil {
+			t.Errorf("WireCodec %q rejected: %v", wc, err)
+			continue
+		}
+		nd.Close()
+	}
+}
+
+// TestPooledTransportIgnored: the deprecated PooledTransport field has
+// no effect — a node configured with it off still carries its calls
+// over one reused pooled connection.
+func TestPooledTransportIgnored(t *testing.T) {
+	a, err := Start(testConfig(5, ids.CycloidID{K: 1, A: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	cfg := testConfig(5, ids.CycloidID{K: 2, A: 9})
+	cfg.PooledTransport = false
+	b, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := 0; i < 5; i++ {
+		if _, err := b.call(a.Addr(), request{Op: "ping"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := b.PoolStats(); s.Dials != 1 || s.Reuses != 4 {
+		t.Fatalf("PooledTransport=false should still pool: dials=%d reuses=%d", s.Dials, s.Reuses)
+	}
 }
 
 func TestDerivedIDFromAddress(t *testing.T) {

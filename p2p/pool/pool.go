@@ -1,38 +1,25 @@
 // Package pool provides persistent, multiplexed wire connections for
-// the p2p layer: instead of one TCP dial per request (the seed wire
-// protocol), each peer gets a small set of long-lived connections over
-// which many concurrent request/response exchanges are in flight at
-// once, correlated by envelope IDs.
+// the p2p layer: each peer gets a small set of long-lived connections
+// over which many concurrent request/response exchanges are in flight
+// at once, correlated by envelope IDs.
 //
 // # Framing
 //
-// A pooled connection opens with a fixed preamble line, so a server can
-// tell a multiplexed stream from a legacy one-shot request by peeking
-// at the first bytes — and can tell which codec the stream speaks:
+// A pooled connection opens with the preamble line
+// codec.PreambleMuxV2 ("CYCLOID-MUX/2\n"). The server echoes it back
+// as the handshake ack; a peer that does not echo it is a dial failure.
+// After the handshake both directions carry length-prefixed binary
+// frames:
 //
-//   - v1 (Preamble, "CYCLOID-MUX/1\n"): both directions carry
-//     newline-delimited JSON envelopes, {"id":7,"p":{...payload...}}.
-//     An envelope with a non-empty "err" carries a peer-side failure
-//     for that ID; ID 0 is a connection-level protocol error.
+//	u32 length | u64 id | u8 status | body
 //
-//   - v2 (codec.PreambleMuxV2, "CYCLOID-MUX/2\n"): the server echoes
-//     the preamble back as the negotiation ack, then both directions
-//     carry length-prefixed binary frames:
-//
-//     u32 length | u64 id | u8 status | body
-//
-//     where length counts everything after itself, status 0 marks a
-//     payload body and status 1 an error-message body, and id 0 is a
-//     connection-level protocol error. A v1-only server cannot ack — it
-//     parses the preamble as JSON, fails, and closes without writing a
-//     byte — so a clean zero-byte EOF identifies it, and the pool
-//     remembers per peer to speak v1 from then on.
-//
-// The payload is the caller's business (the p2p layer's request and
-// response messages in the connection's codec); the pool only adds the
-// correlation ID. Every frame — in either direction — is capped at
-// MaxFrame bytes; an oversized frame is a protocol error, never an
-// unbounded buffer.
+// where length counts everything after itself, status 0 marks a
+// payload body and status 1 an error-message body, and id 0 is a
+// connection-level protocol error. The payload is the caller's
+// business (the p2p layer's binary request and response messages); the
+// pool only adds the correlation ID. Every frame — in either direction
+// — is capped at MaxFrame bytes; an oversized frame is a protocol
+// error, never an unbounded buffer.
 //
 // Writes on a connection go through a batching Writer (writer.go):
 // under concurrent load, frames from many callers coalesce into fewer
@@ -45,31 +32,23 @@
 // disuse, and torn down on any read, write, decode or per-call timeout
 // failure. A teardown fails every call pending on the connection, and
 // the caller's error handling (timeout accounting, the suspicion list)
-// sees exactly what a failed dial would have shown it — so the overlay's
-// failure semantics are unchanged, only the per-request dial cost is
-// gone.
+// sees exactly what a failed dial would have shown it.
 package pool
 
 import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cycloid/p2p/codec"
 )
-
-// Preamble is the v1 preamble line, kept under its seed name; the v2
-// preambles live in the codec package (codec.PreambleMuxV2).
-const Preamble = codec.PreambleMuxV1
 
 // DefaultMaxFrame caps a single envelope (either direction) at 1 MiB.
 const DefaultMaxFrame = 1 << 20
@@ -87,41 +66,8 @@ var ErrClosed = errors.New("pool: closed")
 // a dead peer.
 var ErrPeerSaturated = errors.New("pool: peer connections saturated")
 
-// binEnvelopeLen is the fixed id+status header inside every v2 frame.
+// binEnvelopeLen is the fixed id+status header inside every frame.
 const binEnvelopeLen = 9
-
-// jsonEnvelopeLen bounds the v1 framing around a payload:
-// {"id":<u64>,"p":<payload>}\n.
-const jsonEnvelopeLen = 36
-
-// Envelope is one multiplexed v1 frame: a correlation ID plus either a
-// payload or a peer-side error for that ID.
-type Envelope struct {
-	ID  uint64          `json:"id"`
-	P   json.RawMessage `json:"p,omitempty"`
-	Err string          `json:"err,omitempty"`
-}
-
-// ReadFrame reads one newline-delimited v1 frame of at most max bytes
-// from br. It returns ErrFrameTooLarge as soon as the accumulated line
-// exceeds max, without buffering the remainder.
-func ReadFrame(br *bufio.Reader, max int) ([]byte, error) {
-	var buf []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		if len(buf) > max {
-			return nil, ErrFrameTooLarge
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err != nil {
-			return buf, err
-		}
-		return buf, nil
-	}
-}
 
 // DialFunc opens a transport connection, failing after at most timeout
 // (the p2p Transport.Dial signature).
@@ -132,12 +78,11 @@ type Event int
 
 // Pool events, reported through Config.OnEvent.
 const (
-	EventDial          Event = iota // a new pooled connection was dialed
-	EventReuse                      // a call rode an existing connection
-	EventEviction                   // an idle connection was evicted
-	EventTeardown                   // a connection failed and was torn down
-	EventCodecFallback              // a peer rejected v2; the pool fell back to v1 for it
-	EventSaturated                  // a call was rejected at the per-peer in-flight cap
+	EventDial      Event = iota // a new pooled connection was dialed
+	EventReuse                  // a call rode an existing connection
+	EventEviction               // an idle connection was evicted
+	EventTeardown               // a connection failed and was torn down
+	EventSaturated              // a call was rejected at the per-peer in-flight cap
 )
 
 // Config parameterizes a Pool. Dial is required; everything else
@@ -145,10 +90,9 @@ const (
 type Config struct {
 	// Dial opens the underlying transport connections.
 	Dial DialFunc
-	// Codec selects the wire encoding for outbound connections:
-	// codec.Auto (the zero value) negotiates v2 binary and falls back
-	// to v1 JSON per peer; codec.JSON forces v1; codec.Binary forces v2
-	// and treats a v1-only peer as a dial failure.
+	// Codec is ignored: every connection speaks CYCLOID-MUX/2.
+	//
+	// Deprecated: kept so existing callers compile; it has no effect.
 	Codec codec.Codec
 	// MaxPerPeer caps the connections kept per peer address. Default 2.
 	MaxPerPeer int
@@ -171,7 +115,7 @@ type Config struct {
 	// Default 60s.
 	IdleTimeout time.Duration
 	// OnEvent, when non-nil, receives pool lifecycle events (dials,
-	// reuses, evictions, teardowns, codec fallbacks) for the owner's
+	// reuses, evictions, teardowns, saturation) for the owner's
 	// telemetry. Called synchronously; must not block.
 	OnEvent func(Event)
 }
@@ -197,7 +141,6 @@ type Stats struct {
 	Reuses    uint64 // calls that rode an existing connection
 	Evictions uint64 // idle connections evicted
 	Teardowns uint64 // connections torn down on failure
-	Fallbacks uint64 // peers downgraded from v2 to v1
 	Saturated uint64 // calls rejected at the per-peer in-flight cap
 	OpenConns int    // connections currently open
 	Inflight  int    // calls currently in flight across all connections
@@ -210,12 +153,11 @@ type Pool struct {
 
 	mu        sync.Mutex
 	peers     map[string][]*conn
-	peerCodec map[string]codec.Codec // learned per-peer codec (Auto mode)
 	closed    bool
 	lastSweep time.Time
 	sweepTick uint // acquires since the last sweep-interval check
 
-	dials, reuses, evictions, teardowns, fallbacks, saturated atomic.Uint64
+	dials, reuses, evictions, teardowns, saturated atomic.Uint64
 }
 
 // New creates a pool dialing through cfg.Dial.
@@ -227,7 +169,6 @@ func New(cfg Config) *Pool {
 	return &Pool{
 		cfg:       cfg,
 		peers:     make(map[string][]*conn),
-		peerCodec: make(map[string]codec.Codec),
 		lastSweep: time.Now(),
 	}
 }
@@ -242,8 +183,6 @@ func (p *Pool) event(e Event) {
 		p.evictions.Add(1)
 	case EventTeardown:
 		p.teardowns.Add(1)
-	case EventCodecFallback:
-		p.fallbacks.Add(1)
 	case EventSaturated:
 		p.saturated.Add(1)
 	}
@@ -270,25 +209,15 @@ func (p *Pool) Stats() Stats {
 		Reuses:    p.reuses.Load(),
 		Evictions: p.evictions.Load(),
 		Teardowns: p.teardowns.Load(),
-		Fallbacks: p.fallbacks.Load(),
 		Saturated: p.saturated.Load(),
 		OpenConns: open,
 		Inflight:  inflight,
 	}
 }
 
-// PeerCodec reports the codec the pool has learned (or decided) for
-// addr: Binary after a successful v2 negotiation, JSON after a
-// fallback, Auto while undecided.
-func (p *Pool) PeerCodec(addr string) codec.Codec {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peerCodec[addr]
-}
-
-// result is one call's outcome, delivered by the reader goroutine. For
-// v2 connections the payload aliases buf, which the caller releases via
-// Reply.Release once decoded.
+// result is one call's outcome, delivered by the reader goroutine. The
+// payload aliases buf, which the caller releases via Reply.Release once
+// decoded.
 type result struct {
 	payload []byte
 	buf     *codec.Buffer
@@ -300,7 +229,6 @@ type conn struct {
 	p    *Pool
 	addr string
 	nc   net.Conn
-	bin  bool // speaks the v2 binary framing
 	w    *Writer
 
 	mu       sync.Mutex
@@ -312,22 +240,14 @@ type conn struct {
 	closeErr error
 }
 
-// EncodeFunc appends one request payload to buf in the codec the
-// connection turned out to speak — bin true for v2 binary, false for
-// v1 JSON (in which case the appended bytes must form one JSON value).
-// It returns the extended slice.
-type EncodeFunc func(bin bool, buf []byte) ([]byte, error)
-
-// Reply is a completed exchange's response payload, in the codec
-// reported by Binary. For binary connections the payload lives in a
+// Reply is a completed exchange's response payload. It lives in a
 // pooled buffer: decode it, then call Release.
 type Reply struct {
 	Payload []byte
-	Binary  bool
 	buf     *codec.Buffer
 }
 
-// Release returns the reply's backing buffer (if any) to the shared
+// Release returns the reply's backing buffer to the shared
 // buffer pool. The payload must not be used afterwards.
 func (r *Reply) Release() {
 	if r.buf != nil {
@@ -336,14 +256,6 @@ func (r *Reply) Release() {
 		r.Payload = nil
 	}
 }
-
-// encodeError wraps failures produced inside a Frame fill (encode
-// errors, oversized requests): the connection is still healthy and must
-// not be torn down.
-type encodeError struct{ err error }
-
-func (e *encodeError) Error() string { return e.err.Error() }
-func (e *encodeError) Unwrap() error { return e.err }
 
 // chanPool recycles the per-call result channels. A channel is returned
 // to the pool only when its one pending send can no longer happen: either
@@ -360,7 +272,7 @@ func getChan() chan result {
 	return make(chan result, 1)
 }
 
-// timerPool recycles the per-call timeout timers on the Do hot path.
+// timerPool recycles the per-call timeout timers on the call hot path.
 var timerPool sync.Pool
 
 func getTimer(d time.Duration) *time.Timer {
@@ -376,72 +288,25 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// Do performs one request/response exchange with the peer at addr,
-// reusing a pooled connection or dialing (and codec-negotiating) one.
-// The request payload is produced by enc in the connection's codec. The
-// exchange fails after at most timeout, additionally capped by ctx's
-// deadline.
-func (p *Pool) Do(ctx context.Context, addr string, enc EncodeFunc, timeout time.Duration) (Reply, error) {
-	if d, ok := ctx.Deadline(); ok {
-		if rem := time.Until(d); rem < timeout {
-			timeout = rem
-		}
-	}
-	// A canceled or expired context means the caller is already gone:
-	// fail before dialing rather than do work nobody will consume.
-	if err := ctx.Err(); err != nil {
-		return Reply{}, fmt.Errorf("pool: call %s: %w", addr, err)
-	}
-	if timeout <= 0 {
-		return Reply{}, fmt.Errorf("pool: call %s: %w", addr, context.DeadlineExceeded)
-	}
-	c, err := p.acquire(addr, timeout)
-	if err != nil {
-		return Reply{}, err
-	}
-	return p.exchange(ctx, c, addr, enc, nil, timeout)
-}
-
-// CodecFor reports the codec the pool would speak on a new connection to
-// addr right now: the configured codec, narrowed by per-peer fallback
-// memory in Auto mode (binary until the peer proves to be a v1-only
-// build). Callers that pre-encode payloads for DoBytes use it to pick
-// the codec, and handle CodecMismatchError if a concurrent call learns
-// otherwise in between.
-func (p *Pool) CodecFor(addr string) codec.Codec {
-	want := p.cfg.Codec
-	if want == codec.Auto {
-		p.mu.Lock()
-		if learned, ok := p.peerCodec[addr]; ok {
-			want = learned
-		} else {
-			want = codec.Binary
-		}
-		p.mu.Unlock()
-	}
-	return want
-}
-
-// CodecMismatchError reports a DoBytes payload encoded in a different
-// codec than the connection speaks. Nothing was written; the caller
-// re-encodes in the codec indicated by Binary and retries.
-type CodecMismatchError struct{ Binary bool }
-
-func (e *CodecMismatchError) Error() string {
-	if e.Binary {
-		return "pool: connection speaks v2 binary, payload is v1 JSON"
-	}
-	return "pool: connection speaks v1 JSON, payload is v2 binary"
-}
-
-// DoBytes is Do for callers that already hold an encoded request payload
-// (bin says in which codec): the hot-path variant that moves the encode
-// out of the pool so no per-call closure or re-encode machinery rides
-// the exchange. If the pooled connection negotiated the other codec —
-// possible only in the window where a concurrent call just learned the
-// peer is v1-only — it fails with *CodecMismatchError before writing
-// anything, and the caller re-encodes and retries.
+// DoBytes performs one request/response exchange with the peer at
+// addr, reusing a pooled connection or dialing one. payload is one
+// encoded request; it is copied into the connection's write batch, so
+// the caller may reuse it once DoBytes returns. The exchange fails
+// after at most timeout, additionally capped by ctx's deadline.
+//
+// The bin argument is deprecated, a leftover of the retired JSON
+// protocol kept so existing callers compile: it must be true, and false
+// fails before anything is dialed or written.
 func (p *Pool) DoBytes(ctx context.Context, addr string, payload []byte, bin bool, timeout time.Duration) (Reply, error) {
+	if !bin {
+		return Reply{}, fmt.Errorf("pool: call %s: payload must be binary", addr)
+	}
+	l := binEnvelopeLen + len(payload)
+	if l > p.cfg.MaxFrame {
+		// Rejected before dialing: nothing is queued, and a connection
+		// to the peer stays healthy.
+		return Reply{}, fmt.Errorf("pool: request to %s: %w", addr, ErrFrameTooLarge)
+	}
 	if d, ok := ctx.Deadline(); ok {
 		if rem := time.Until(d); rem < timeout {
 			timeout = rem
@@ -459,16 +324,13 @@ func (p *Pool) DoBytes(ctx context.Context, addr string, payload []byte, bin boo
 	if err != nil {
 		return Reply{}, err
 	}
-	if c.bin != bin {
-		return Reply{}, &CodecMismatchError{Binary: c.bin}
-	}
-	return p.exchange(ctx, c, addr, nil, payload, timeout)
+	return p.exchange(ctx, c, addr, payload, l, timeout)
 }
 
-// exchange registers one call on c, writes the request (via enc when
-// non-nil, else the pre-encoded payload) and waits for the correlated
-// response, the timeout, or the context.
-func (p *Pool) exchange(ctx context.Context, c *conn, addr string, enc EncodeFunc, payload []byte, timeout time.Duration) (Reply, error) {
+// exchange registers one call on c, writes the request payload as one
+// frame of l bytes after the length prefix, and waits for the
+// correlated response, the timeout, or the context.
+func (p *Pool) exchange(ctx context.Context, c *conn, addr string, payload []byte, l int, timeout time.Duration) (Reply, error) {
 	// Last pre-enqueue check: the acquire may have burned the whole
 	// deadline dialing. Don't write a frame whose caller is gone — the
 	// peer would do the work and tear the connection down routing the
@@ -501,19 +363,15 @@ func (p *Pool) exchange(ctx context.Context, c *conn, addr string, enc EncodeFun
 		c.mu.Unlock()
 	}()
 
-	var werr error
-	if enc != nil {
-		werr = c.writeRequest(id, enc)
-	} else {
-		werr = c.writeBytes(id, payload)
-	}
+	// The payload is copied into the writer's batch buffer during the
+	// call, so the caller may reuse it as soon as Frame returns.
+	werr := c.w.Frame(4+l, func(buf []byte) ([]byte, error) {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
+		buf = binary.LittleEndian.AppendUint64(buf, id)
+		buf = append(buf, 0) // status: request payload
+		return append(buf, payload...), nil
+	})
 	if werr != nil {
-		var ee *encodeError
-		if errors.As(werr, &ee) {
-			// Local encode failure or oversized request: nothing was
-			// queued, the connection is fine.
-			return Reply{}, fmt.Errorf("pool: request to %s: %w", addr, ee.err)
-		}
 		c.teardown(fmt.Errorf("pool: write %s: %w", addr, werr))
 		return Reply{}, fmt.Errorf("pool: write %s: %w", addr, werr)
 	}
@@ -526,7 +384,7 @@ func (p *Pool) exchange(ctx context.Context, c *conn, addr string, enc EncodeFun
 		if res.err != nil {
 			return Reply{}, fmt.Errorf("pool: call %s: %w", addr, res.err)
 		}
-		return Reply{Payload: res.payload, Binary: c.bin, buf: res.buf}, nil
+		return Reply{Payload: res.payload, buf: res.buf}, nil
 	case <-ctx.Done():
 		// The response may still arrive, but the caller is gone; a
 		// connection carrying an abandoned exchange is suspect, and
@@ -537,85 +395,6 @@ func (p *Pool) exchange(ctx context.Context, c *conn, addr string, enc EncodeFun
 		c.teardown(fmt.Errorf("pool: call %s: timed out after %v", addr, timeout))
 		return Reply{}, timeoutError{fmt.Sprintf("pool: call %s: no response within %v", addr, timeout)}
 	}
-}
-
-// writeRequest frames one request in the connection's codec and hands
-// it to the batching writer.
-func (c *conn) writeRequest(id uint64, enc EncodeFunc) error {
-	max := c.p.cfg.MaxFrame
-	if c.bin {
-		return c.w.Frame(0, func(buf []byte) ([]byte, error) {
-			start := len(buf)
-			buf = append(buf, 0, 0, 0, 0) // length, backfilled below
-			buf = binary.LittleEndian.AppendUint64(buf, id)
-			buf = append(buf, 0) // status: request payload
-			out, err := enc(true, buf)
-			if err != nil {
-				return buf[:start], &encodeError{err}
-			}
-			l := len(out) - start - 4
-			if l > max {
-				return out[:start], &encodeError{ErrFrameTooLarge}
-			}
-			binary.LittleEndian.PutUint32(out[start:], uint32(l))
-			return out, nil
-		})
-	}
-	fb := codec.GetBuffer()
-	payload, err := enc(false, fb.B)
-	if payload != nil {
-		fb.B = payload
-	}
-	if err == nil && len(payload)+1 > max {
-		err = ErrFrameTooLarge
-	}
-	if err != nil {
-		codec.PutBuffer(fb)
-		return &encodeError{err}
-	}
-	werr := c.w.Frame(len(payload)+jsonEnvelopeLen, func(buf []byte) ([]byte, error) {
-		buf = append(buf, `{"id":`...)
-		buf = strconv.AppendUint(buf, id, 10)
-		if len(payload) > 0 {
-			buf = append(buf, `,"p":`...)
-			buf = append(buf, payload...)
-		}
-		return append(buf, "}\n"...), nil
-	})
-	codec.PutBuffer(fb)
-	return werr
-}
-
-// writeBytes frames one pre-encoded request payload in the connection's
-// codec and hands it to the batching writer. The payload is copied into
-// the writer's batch buffer during the call, so the caller may reuse it
-// as soon as writeBytes returns.
-func (c *conn) writeBytes(id uint64, payload []byte) error {
-	max := c.p.cfg.MaxFrame
-	if c.bin {
-		l := binEnvelopeLen + len(payload)
-		if l > max {
-			return &encodeError{ErrFrameTooLarge}
-		}
-		return c.w.Frame(4+l, func(buf []byte) ([]byte, error) {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
-			buf = binary.LittleEndian.AppendUint64(buf, id)
-			buf = append(buf, 0) // status: request payload
-			return append(buf, payload...), nil
-		})
-	}
-	if len(payload)+1 > max {
-		return &encodeError{ErrFrameTooLarge}
-	}
-	return c.w.Frame(len(payload)+jsonEnvelopeLen, func(buf []byte) ([]byte, error) {
-		buf = append(buf, `{"id":`...)
-		buf = strconv.AppendUint(buf, id, 10)
-		if len(payload) > 0 {
-			buf = append(buf, `,"p":`...)
-			buf = append(buf, payload...)
-		}
-		return append(buf, "}\n"...), nil
-	})
 }
 
 // timeoutError satisfies net.Error, matching what a dial timeout
@@ -655,14 +434,6 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 		p.event(EventSaturated)
 		return nil, fmt.Errorf("pool: call %s: %w", addr, ErrPeerSaturated)
 	}
-	want := p.cfg.Codec
-	if want == codec.Auto {
-		if learned, ok := p.peerCodec[addr]; ok {
-			want = learned
-		} else {
-			want = codec.Binary
-		}
-	}
 	if best != nil && (bestLoad < p.cfg.MaxInflight || len(p.peers[addr]) >= p.cfg.MaxPerPeer) {
 		p.mu.Unlock()
 		p.event(EventReuse)
@@ -674,43 +445,11 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pool: dial %s: %w", addr, err)
 	}
-	bin := want == codec.Binary
-	if bin {
-		ok, nerr := negotiateBin(nc, timeout)
-		if nerr != nil {
-			nc.Close()
-			return nil, fmt.Errorf("pool: negotiate %s: %w", addr, nerr)
-		}
-		if !ok {
-			// The peer speaks only v1: remember that, and either fail
-			// (codec forced) or redial in v1.
-			nc.Close()
-			p.mu.Lock()
-			p.peerCodec[addr] = codec.JSON
-			p.mu.Unlock()
-			p.event(EventCodecFallback)
-			if p.cfg.Codec == codec.Binary {
-				return nil, fmt.Errorf("pool: %s speaks only the v1 wire protocol", addr)
-			}
-			bin = false
-			if nc, err = p.cfg.Dial(addr, timeout); err != nil {
-				return nil, fmt.Errorf("pool: dial %s: %w", addr, err)
-			}
-		} else {
-			p.mu.Lock()
-			p.peerCodec[addr] = codec.Binary
-			p.mu.Unlock()
-		}
+	if err := handshake(nc, timeout); err != nil {
+		nc.Close()
+		return nil, fmt.Errorf("pool: handshake %s: %w", addr, err)
 	}
-	if !bin {
-		_ = nc.SetWriteDeadline(time.Now().Add(timeout))
-		if _, err := nc.Write([]byte(Preamble)); err != nil {
-			nc.Close()
-			return nil, fmt.Errorf("pool: preamble to %s: %w", addr, err)
-		}
-		_ = nc.SetWriteDeadline(time.Time{})
-	}
-	c := &conn{p: p, addr: addr, nc: nc, bin: bin, pending: make(map[uint64]chan result), lastUse: time.Now()}
+	c := &conn{p: p, addr: addr, nc: nc, pending: make(map[uint64]chan result), lastUse: time.Now()}
 	c.w = NewWriter(nc, timeout, func(err error) {
 		c.teardown(fmt.Errorf("pool: write %s: %w", addr, err))
 	})
@@ -748,29 +487,24 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 	return c, nil
 }
 
-// negotiateBin performs the v2 preamble exchange on a fresh connection:
-// write codec.PreambleMuxV2, wait for the echo. ok=false with a nil
-// error identifies a v1-only peer — it tried to parse our preamble as a
-// JSON request, failed, and closed without writing a byte, so the read
-// comes back as a clean zero-byte EOF.
-func negotiateBin(nc net.Conn, timeout time.Duration) (bool, error) {
+// handshake opens a fresh connection: write codec.PreambleMuxV2 and
+// wait for the server to echo it. Anything else — a close, other
+// bytes, silence past timeout — fails the dial.
+func handshake(nc net.Conn, timeout time.Duration) error {
 	_ = nc.SetDeadline(time.Now().Add(timeout))
 	if _, err := nc.Write([]byte(codec.PreambleMuxV2)); err != nil {
-		return false, err
+		return err
 	}
 	var ack [codec.PreambleLen]byte
-	n, err := io.ReadFull(nc, ack[:])
-	if err != nil {
-		if n == 0 && errors.Is(err, io.EOF) {
-			return false, nil
-		}
-		return false, err
+	if _, err := io.ReadFull(nc, ack[:]); err != nil {
+		// A build that predates CYCLOID-MUX/2 closes without a byte.
+		return fmt.Errorf("no handshake ack: %w", err)
 	}
 	if string(ack[:]) != codec.PreambleMuxV2 {
-		return false, fmt.Errorf("unexpected negotiation ack %q", ack[:])
+		return fmt.Errorf("unexpected handshake ack %q", ack[:])
 	}
 	_ = nc.SetDeadline(time.Time{})
-	return true, nil
+	return nil
 }
 
 // sweepLocked evicts idle connections; callers hold p.mu. The clock is
@@ -817,7 +551,7 @@ func (p *Pool) EvictIdle() {
 }
 
 // Close tears down every connection and fails all pending calls.
-// Subsequent Do calls return ErrClosed.
+// Subsequent calls return ErrClosed.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -883,48 +617,13 @@ func (c *conn) close(err error) {
 	}
 }
 
-// readLoop decodes response frames and routes them to pending calls.
-// Any failure — I/O error, malformed or oversized frame — tears the
-// connection down.
+// readLoop decodes response frames — u32 length, u64 id, u8 status,
+// body — and routes them to pending calls. Response bodies land in
+// pooled buffers that travel to the caller and come back via
+// Reply.Release. Any failure — I/O error, malformed or oversized frame
+// — tears the connection down.
 func (c *conn) readLoop() {
 	br := bufio.NewReader(c.nc)
-	if c.bin {
-		c.readLoopBin(br)
-		return
-	}
-	for {
-		line, err := ReadFrame(br, c.p.cfg.MaxFrame)
-		if err != nil {
-			c.teardown(fmt.Errorf("pool: read %s: %w", c.addr, err))
-			return
-		}
-		var env Envelope
-		if err := json.Unmarshal(line, &env); err != nil {
-			c.teardown(fmt.Errorf("pool: malformed frame from %s: %w", c.addr, err))
-			return
-		}
-		if env.ID == 0 {
-			// Connection-level error from the peer (oversized frame,
-			// protocol violation): nothing on this stream can be trusted.
-			msg := env.Err
-			if msg == "" {
-				msg = "protocol error"
-			}
-			c.teardown(fmt.Errorf("pool: %s: %s", c.addr, msg))
-			return
-		}
-		if env.Err != "" {
-			c.route(env.ID, result{err: errors.New(env.Err)})
-			continue
-		}
-		c.route(env.ID, result{payload: env.P})
-	}
-}
-
-// readLoopBin is the v2 framing read loop: u32 length, u64 id, u8
-// status, body. Response bodies land in pooled buffers that travel to
-// the caller and come back via Reply.Release.
-func (c *conn) readLoopBin(br *bufio.Reader) {
 	var hdr [4]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {

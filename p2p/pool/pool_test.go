@@ -2,9 +2,9 @@ package pool
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,15 +18,81 @@ import (
 	"cycloid/p2p/codec"
 )
 
-// startServer runs a minimal v1-only mux peer on a TCP loopback
-// listener: every accepted connection must open with the v1 preamble
-// (anything else — including a v2 negotiation attempt — is dropped
-// without a byte written, exactly like the legacy server's failed JSON
-// parse), then each inbound envelope is answered by handler (nil
-// return = stay silent, for timeout tests). Returns the address and a
-// stop func.
-func startServer(t *testing.T, handler func(env Envelope) *Envelope) (string, func()) {
+// frame is one decoded CYCLOID-MUX/2 frame: a correlation ID plus
+// either a payload (status 0) or a peer-side error message (status 1).
+type frame struct {
+	ID  uint64
+	P   []byte
+	Err string
+}
+
+// appendFrame encodes f onto buf in the wire layout.
+func appendFrame(buf []byte, f frame) []byte {
+	body, status := f.P, byte(0)
+	if f.Err != "" {
+		body, status = []byte(f.Err), 1
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(binEnvelopeLen+len(body)))
+	buf = binary.LittleEndian.AppendUint64(buf, f.ID)
+	buf = append(buf, status)
+	return append(buf, body...)
+}
+
+// startServer runs a minimal CYCLOID-MUX/2 peer on a TCP loopback
+// listener: every accepted connection must open with the preamble,
+// which the peer echoes, then each inbound frame is answered by handler
+// (nil return = stay silent, for timeout tests). Returns the address
+// and a stop func.
+func startServer(t *testing.T, handler func(f frame) *frame) (string, func()) {
 	t.Helper()
+	return serve(t, func(conn net.Conn) {
+		br := bufio.NewReader(conn)
+		pre := make([]byte, codec.PreambleLen)
+		if _, err := io.ReadFull(br, pre); err != nil || string(pre) != codec.PreambleMuxV2 {
+			return
+		}
+		if _, err := conn.Write(pre); err != nil {
+			return
+		}
+		var wmu sync.Mutex
+		for {
+			var hdr [4]byte
+			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+				return
+			}
+			l := int(binary.LittleEndian.Uint32(hdr[:]))
+			if l < binEnvelopeLen || l > DefaultMaxFrame {
+				return
+			}
+			body := make([]byte, l)
+			if _, err := io.ReadFull(br, body); err != nil {
+				return
+			}
+			in := frame{ID: binary.LittleEndian.Uint64(body), P: body[binEnvelopeLen:]}
+			go func() {
+				if out := handler(in); out != nil {
+					wmu.Lock()
+					conn.Write(appendFrame(nil, *out))
+					wmu.Unlock()
+				}
+			}()
+		}
+	})
+}
+
+// startV1Server runs a peer from before CYCLOID-MUX/2: it reads the
+// opening bytes as a JSON request, fails to parse them, and closes
+// without writing a byte.
+func startV1Server(t *testing.T) (string, func()) {
+	t.Helper()
+	return serve(t, func(conn net.Conn) {
+		_, _ = conn.Read(make([]byte, codec.PreambleLen))
+	})
+}
+
+// serve accepts TCP loopback connections and runs handle on each,
+// closing the connection when it returns.
+func serve(t *testing.T, handle func(net.Conn)) (string, func()) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -44,99 +110,17 @@ func startServer(t *testing.T, handler func(env Envelope) *Envelope) (string, fu
 			go func() {
 				defer wg.Done()
 				defer conn.Close()
-				br := bufio.NewReader(conn)
-				pre := make([]byte, len(Preamble))
-				if _, err := io.ReadFull(br, pre); err != nil || string(pre) != Preamble {
-					return
-				}
-				var wmu sync.Mutex
-				for {
-					line, err := ReadFrame(br, DefaultMaxFrame)
-					if err != nil {
-						return
-					}
-					var env Envelope
-					if err := json.Unmarshal(line, &env); err != nil {
-						return
-					}
-					go func() {
-						if out := handler(env); out != nil {
-							frame, _ := json.Marshal(out)
-							frame = append(frame, '\n')
-							wmu.Lock()
-							conn.Write(frame)
-							wmu.Unlock()
-						}
-					}()
-				}
+				handle(conn)
 			}()
 		}
 	}()
 	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
 }
 
-// startBinServer runs a minimal v2-only mux peer: it acks the v2
-// preamble and echoes every frame verbatim.
-func startBinServer(t *testing.T) (string, func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				pre := make([]byte, codec.PreambleLen)
-				if _, err := io.ReadFull(br, pre); err != nil || string(pre) != codec.PreambleMuxV2 {
-					return
-				}
-				if _, err := conn.Write([]byte(codec.PreambleMuxV2)); err != nil {
-					return
-				}
-				var wmu sync.Mutex
-				for {
-					var hdr [4]byte
-					if _, err := io.ReadFull(br, hdr[:]); err != nil {
-						return
-					}
-					l := int(binary.LittleEndian.Uint32(hdr[:]))
-					if l < binEnvelopeLen || l > DefaultMaxFrame {
-						return
-					}
-					frame := make([]byte, 4+l)
-					copy(frame, hdr[:])
-					if _, err := io.ReadFull(br, frame[4:]); err != nil {
-						return
-					}
-					go func() {
-						wmu.Lock()
-						conn.Write(frame)
-						wmu.Unlock()
-					}()
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
-}
-
-// do performs one exchange with a raw payload in whichever codec the
-// connection speaks, copying the reply out of its pooled buffer.
+// do performs one exchange with a raw payload, copying the reply out of
+// its pooled buffer.
 func do(p *Pool, ctx context.Context, addr string, payload []byte, timeout time.Duration) ([]byte, error) {
-	rep, err := p.Do(ctx, addr, func(bin bool, buf []byte) ([]byte, error) {
-		return append(buf, payload...), nil
-	}, timeout)
+	rep, err := p.DoBytes(ctx, addr, payload, true, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -145,8 +129,8 @@ func do(p *Pool, ctx context.Context, addr string, payload []byte, timeout time.
 	return out, nil
 }
 
-// echo answers every envelope with its own payload.
-func echo(env Envelope) *Envelope { return &Envelope{ID: env.ID, P: env.P} }
+// echo answers every frame with its own payload.
+func echo(f frame) *frame { return &frame{ID: f.ID, P: f.P} }
 
 func tcpDial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
@@ -178,52 +162,50 @@ func TestDoReusesConnection(t *testing.T) {
 	if s.OpenConns != 1 {
 		t.Fatalf("expected 1 open conn, got %d", s.OpenConns)
 	}
-	// The v1-only server also exercised the auto-negotiation fallback.
-	if s.Fallbacks != 1 {
-		t.Fatalf("expected 1 codec fallback against a v1-only peer, got %d", s.Fallbacks)
-	}
-	if c := p.PeerCodec(addr); c != codec.JSON {
-		t.Fatalf("peer codec after fallback = %v, want json", c)
-	}
 }
 
+// TestBinaryNegotiationAndEcho: the handshake completes on the first
+// dial and frames of every size class — empty, step-sized, one blob
+// chunk — round-trip intact.
 func TestBinaryNegotiationAndEcho(t *testing.T) {
-	addr, stop := startBinServer(t)
+	addr, stop := startServer(t, echo)
 	defer stop()
 	p := New(Config{Dial: tcpDial})
 	defer p.Close()
 
-	for i := 0; i < 10; i++ {
-		want := fmt.Sprintf("binary payload %d", i)
-		got, err := do(p, context.Background(), addr, []byte(want), time.Second)
+	for i, size := range []int{0, 1, 178, 64 << 10} {
+		want := make([]byte, size)
+		for j := range want {
+			want[j] = byte(i + j)
+		}
+		got, err := do(p, context.Background(), addr, want, time.Second)
 		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+			t.Fatalf("call %d (%d bytes): %v", i, size, err)
 		}
-		if string(got) != want {
-			t.Fatalf("call %d: got %q, want %q", i, got, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("call %d: %d-byte payload came back as %d bytes", i, size, len(got))
 		}
 	}
-	s := p.Stats()
-	if s.Dials != 1 || s.Fallbacks != 0 {
-		t.Fatalf("v2 peer should negotiate on the first dial: dials=%d fallbacks=%d", s.Dials, s.Fallbacks)
-	}
-	if c := p.PeerCodec(addr); c != codec.Binary {
-		t.Fatalf("peer codec after negotiation = %v, want binary", c)
+	if s := p.Stats(); s.Dials != 1 || s.Teardowns != 0 {
+		t.Fatalf("the handshake should hold on the first dial: dials=%d teardowns=%d", s.Dials, s.Teardowns)
 	}
 }
 
+// TestForcedBinaryAgainstV1PeerFails: a peer that closes instead of
+// echoing the preamble (a build from before CYCLOID-MUX/2) is a dial
+// failure, and no connection to it stays open.
 func TestForcedBinaryAgainstV1PeerFails(t *testing.T) {
-	addr, stop := startServer(t, echo)
+	addr, stop := startV1Server(t)
 	defer stop()
-	p := New(Config{Dial: tcpDial, Codec: codec.Binary})
+	p := New(Config{Dial: tcpDial})
 	defer p.Close()
 
 	_, err := do(p, context.Background(), addr, []byte(`{}`), time.Second)
-	if err == nil || !strings.Contains(err.Error(), "v1 wire protocol") {
-		t.Fatalf("forced binary against a v1-only peer should fail, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "handshake") {
+		t.Fatalf("a peer that does not echo the preamble should fail the dial, got %v", err)
 	}
-	if s := p.Stats(); s.Fallbacks != 1 || s.OpenConns != 0 {
-		t.Fatalf("fallbacks=%d open=%d after forced-binary refusal", s.Fallbacks, s.OpenConns)
+	if s := p.Stats(); s.Dials != 0 || s.OpenConns != 0 {
+		t.Fatalf("dials=%d open=%d after a refused handshake", s.Dials, s.OpenConns)
 	}
 }
 
@@ -264,10 +246,14 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 	}
 }
 
+// TestConcurrentCallsMultiplexBinary: the frames are length-prefixed,
+// so payloads are opaque bytes — NULs, newlines and every other byte
+// value, at sizes from empty to several KiB — and concurrent callers
+// sharing a single connection each get back exactly their own payload.
 func TestConcurrentCallsMultiplexBinary(t *testing.T) {
-	addr, stop := startBinServer(t)
+	addr, stop := startServer(t, echo)
 	defer stop()
-	p := New(Config{Dial: tcpDial, MaxPerPeer: 2})
+	p := New(Config{Dial: tcpDial, MaxPerPeer: 1})
 	defer p.Close()
 
 	const workers, calls = 8, 25
@@ -278,14 +264,17 @@ func TestConcurrentCallsMultiplexBinary(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
-				want := fmt.Sprintf("w=%d i=%d", w, i)
-				got, err := do(p, context.Background(), addr, []byte(want), 5*time.Second)
+				want := make([]byte, (w*calls+i)*37%5000)
+				for j := range want {
+					want[j] = byte(w*31 + i*7 + j)
+				}
+				got, err := do(p, context.Background(), addr, want, 5*time.Second)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if string(got) != want {
-					errs <- fmt.Errorf("got %s, want %s", got, want)
+				if !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("worker %d call %d: got %d bytes, want %d", w, i, len(got), len(want))
 					return
 				}
 			}
@@ -296,22 +285,22 @@ func TestConcurrentCallsMultiplexBinary(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if s := p.Stats(); s.Dials > 2 {
-		t.Fatalf("dials %d exceed MaxPerPeer 2", s.Dials)
+	if s := p.Stats(); s.Dials != 1 {
+		t.Fatalf("dials %d, want every call on one connection", s.Dials)
 	}
 }
 
 func TestTimeoutTearsDownAndRecovers(t *testing.T) {
 	var silent bool
 	var mu sync.Mutex
-	addr, stop := startServer(t, func(env Envelope) *Envelope {
+	addr, stop := startServer(t, func(f frame) *frame {
 		mu.Lock()
 		s := silent
 		mu.Unlock()
 		if s {
 			return nil
 		}
-		return echo(env)
+		return echo(f)
 	})
 	defer stop()
 	p := New(Config{Dial: tcpDial})
@@ -347,8 +336,8 @@ func TestTimeoutTearsDownAndRecovers(t *testing.T) {
 }
 
 func TestPeerErrorEnvelopeKeepsConnection(t *testing.T) {
-	addr, stop := startServer(t, func(env Envelope) *Envelope {
-		return &Envelope{ID: env.ID, Err: "no such op"}
+	addr, stop := startServer(t, func(f frame) *frame {
+		return &frame{ID: f.ID, Err: "no such op"}
 	})
 	defer stop()
 	p := New(Config{Dial: tcpDial})
@@ -369,8 +358,8 @@ func TestPeerErrorEnvelopeKeepsConnection(t *testing.T) {
 }
 
 func TestProtocolErrorTearsDown(t *testing.T) {
-	addr, stop := startServer(t, func(env Envelope) *Envelope {
-		return &Envelope{Err: "frame exceeds size limit"} // ID 0: connection-level
+	addr, stop := startServer(t, func(f frame) *frame {
+		return &frame{Err: "frame exceeds size limit"} // ID 0: connection-level
 	})
 	defer stop()
 	p := New(Config{Dial: tcpDial})
@@ -385,17 +374,17 @@ func TestProtocolErrorTearsDown(t *testing.T) {
 	}
 }
 
-// TestOversizedRequestRejectedLocally pins the outbound MaxFrame check
-// for both codecs: the request fails with ErrFrameTooLarge before any
-// bytes hit the wire, and the connection stays healthy.
+// TestOversizedRequestRejectedLocally pins the outbound MaxFrame
+// check: the request fails with ErrFrameTooLarge before any bytes hit
+// the wire, and the connection stays healthy.
 func TestOversizedRequestRejectedLocally(t *testing.T) {
 	big := []byte(`"` + strings.Repeat("x", 256) + `"`)
 	small := []byte(`"ok"`)
 
-	t.Run("json", func(t *testing.T) {
+	t.Run("binary", func(t *testing.T) {
 		addr, stop := startServer(t, echo)
 		defer stop()
-		p := New(Config{Dial: tcpDial, MaxFrame: 128, Codec: codec.JSON})
+		p := New(Config{Dial: tcpDial, MaxFrame: 128})
 		defer p.Close()
 		if _, err := do(p, context.Background(), addr, big, time.Second); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("expected ErrFrameTooLarge, got %v", err)
@@ -407,21 +396,37 @@ func TestOversizedRequestRejectedLocally(t *testing.T) {
 			t.Fatalf("oversized request must not tear down, got %d teardowns", s.Teardowns)
 		}
 	})
-	t.Run("binary", func(t *testing.T) {
-		addr, stop := startBinServer(t)
-		defer stop()
-		p := New(Config{Dial: tcpDial, MaxFrame: 128, Codec: codec.Binary})
-		defer p.Close()
-		if _, err := do(p, context.Background(), addr, big, time.Second); !errors.Is(err, ErrFrameTooLarge) {
-			t.Fatalf("expected ErrFrameTooLarge, got %v", err)
+}
+
+// TestOversizedReplyTearsDown pins the inbound MaxFrame check: a reply
+// whose length prefix overruns the cap fails the call with
+// ErrFrameTooLarge and tears the connection down, before any payload
+// buffer is sized.
+func TestOversizedReplyTearsDown(t *testing.T) {
+	const maxFrame = 128
+	addr, stop := serve(t, func(conn net.Conn) {
+		pre := make([]byte, codec.PreambleLen)
+		if _, err := io.ReadFull(conn, pre); err != nil {
+			return
 		}
-		if _, err := do(p, context.Background(), addr, small, time.Second); err != nil {
-			t.Fatalf("connection should survive a rejected oversized request: %v", err)
+		conn.Write(pre)
+		var hdr [4 + binEnvelopeLen]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			return
 		}
-		if s := p.Stats(); s.Teardowns != 0 {
-			t.Fatalf("oversized request must not tear down, got %d teardowns", s.Teardowns)
-		}
+		conn.Write(binary.LittleEndian.AppendUint32(nil, maxFrame+1))
+		io.Copy(io.Discard, conn)
 	})
+	defer stop()
+	p := New(Config{Dial: tcpDial, MaxFrame: maxFrame})
+	defer p.Close()
+
+	if _, err := do(p, context.Background(), addr, nil, time.Second); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("expected ErrFrameTooLarge, got %v", err)
+	}
+	if s := p.Stats(); s.Teardowns != 1 || s.OpenConns != 0 {
+		t.Fatalf("an overrun reply must tear the connection down: teardowns=%d open=%d", s.Teardowns, s.OpenConns)
+	}
 }
 
 func TestIdleEviction(t *testing.T) {
@@ -442,7 +447,7 @@ func TestIdleEviction(t *testing.T) {
 }
 
 func TestCloseFailsPendingAndFutureCalls(t *testing.T) {
-	addr, stop := startServer(t, func(Envelope) *Envelope { return nil })
+	addr, stop := startServer(t, func(frame) *frame { return nil })
 	defer stop()
 	p := New(Config{Dial: tcpDial})
 
@@ -468,12 +473,12 @@ func TestCloseFailsPendingAndFutureCalls(t *testing.T) {
 		t.Fatal("pending call not failed by Close")
 	}
 	if _, err := do(p, context.Background(), addr, []byte(`{}`), time.Second); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Do after Close should return ErrClosed, got %v", err)
+		t.Fatalf("call after Close should return ErrClosed, got %v", err)
 	}
 }
 
 func TestContextDeadlineCapsCall(t *testing.T) {
-	addr, stop := startServer(t, func(Envelope) *Envelope { return nil })
+	addr, stop := startServer(t, func(frame) *frame { return nil })
 	defer stop()
 	p := New(Config{Dial: tcpDial})
 	defer p.Close()
@@ -487,19 +492,6 @@ func TestContextDeadlineCapsCall(t *testing.T) {
 	}
 	if took := time.Since(began); took > 2*time.Second {
 		t.Fatalf("context deadline not honored: call took %v", took)
-	}
-}
-
-func TestReadFrameCapsLine(t *testing.T) {
-	long := strings.Repeat("x", 100) + "\n"
-	br := bufio.NewReaderSize(strings.NewReader(long), 16)
-	if _, err := ReadFrame(br, 32); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("expected ErrFrameTooLarge, got %v", err)
-	}
-	br = bufio.NewReaderSize(strings.NewReader(long), 16)
-	got, err := ReadFrame(br, 256)
-	if err != nil || string(got) != long {
-		t.Fatalf("frame under cap should pass: %q %v", got, err)
 	}
 }
 
@@ -601,11 +593,11 @@ func TestWriterFillErrorRollsBack(t *testing.T) {
 // peer — and the rejection is counted.
 func TestPerPeerInflightCapRejects(t *testing.T) {
 	received := make(chan struct{}, 16)
-	addr, stop := startServer(t, func(env Envelope) *Envelope {
+	addr, stop := startServer(t, func(f frame) *frame {
 		received <- struct{}{}
 		return nil // park the call in flight
 	})
-	p := New(Config{Dial: tcpDial, Codec: codec.JSON, MaxPerPeerInflight: 2})
+	p := New(Config{Dial: tcpDial, MaxPerPeerInflight: 2})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
@@ -652,7 +644,8 @@ func TestPerPeerInflightCapRejects(t *testing.T) {
 
 // TestDoCanceledContextSkipsDial pins the dead-work fix: a call whose
 // context is already canceled (or expired) returns ctx.Err() without
-// dialing the peer or enqueueing a frame.
+// dialing the peer or enqueueing a frame. So does a call whose payload
+// is declared non-binary.
 func TestDoCanceledContextSkipsDial(t *testing.T) {
 	var dials int32
 	countingDial := func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -664,18 +657,16 @@ func TestDoCanceledContextSkipsDial(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.Do(ctx, "peer:1", func(bin bool, buf []byte) ([]byte, error) {
-		return append(buf, "{}"...), nil
-	}, time.Second); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Do with canceled ctx = %v; want context.Canceled", err)
-	}
-	if _, err := p.DoBytes(ctx, "peer:1", []byte("{}"), false, time.Second); !errors.Is(err, context.Canceled) {
+	if _, err := p.DoBytes(ctx, "peer:1", []byte("{}"), true, time.Second); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DoBytes with canceled ctx = %v; want context.Canceled", err)
 	}
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if _, err := p.DoBytes(expired, "peer:1", []byte("{}"), false, time.Second); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := p.DoBytes(expired, "peer:1", []byte("{}"), true, time.Second); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("DoBytes with expired ctx = %v; want context.DeadlineExceeded", err)
+	}
+	if _, err := p.DoBytes(context.Background(), "peer:1", []byte("{}"), false, time.Second); err == nil {
+		t.Fatal("DoBytes with a non-binary payload succeeded")
 	}
 	if n := atomic.LoadInt32(&dials); n != 0 {
 		t.Fatalf("dead calls still dialed %d times", n)

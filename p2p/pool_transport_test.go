@@ -3,10 +3,10 @@ package p2p
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -14,60 +14,14 @@ import (
 	"cycloid/internal/ids"
 	"cycloid/p2p/codec"
 	"cycloid/p2p/memnet"
-	"cycloid/p2p/pool"
 )
 
-// pooledMemConfig is memConfig with the pooled transport switched on.
-func pooledMemConfig(nw *memnet.Network, name string, dim int, id ids.CycloidID) Config {
-	cfg := memConfig(nw, name, dim, id)
-	cfg.PooledTransport = true
-	return cfg
-}
-
-// pooledMemCluster boots n pooled-transport nodes on one fabric; each
-// mut, if any, adjusts every node's config before it starts.
-func pooledMemCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64, mut ...func(*Config)) []*Node {
-	t.Helper()
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	nodes := make([]*Node, 0, n)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		cfg := pooledMemConfig(nw, fmt.Sprintf("p%d", len(nodes)), dim, space.FromLinear(v))
-		for _, m := range mut {
-			m(&cfg)
-		}
-		nd, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) > 0 {
-			if err := nd.Join(nodes[rng.Intn(len(nodes))].Addr()); err != nil {
-				t.Fatalf("node %v join: %v", nd.ID(), err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	})
-	return nodes
-}
-
 // TestPooledTransportLookups runs the basic overlay workload — joins,
-// puts, exact lookups, gets — entirely over pooled connections, and
-// checks the pool is actually carrying the traffic (reuses recorded,
-// dials bounded) rather than silently falling back to dial-per-request.
+// puts, exact lookups, gets — and checks the pool carries the traffic
+// on long-lived connections: reuses recorded, dials bounded.
 func TestPooledTransportLookups(t *testing.T) {
 	nw := memnet.New(7)
-	nodes := pooledMemCluster(t, nw, 6, 10, 3)
+	nodes := memCluster(t, nw, 6, 10, 3)
 	stabilizeAll(nodes, 2)
 	space := nodes[0].space
 
@@ -102,21 +56,20 @@ func TestPooledTransportLookups(t *testing.T) {
 		dials += nd.Telemetry().CounterValue("cycloid_pool_dials_total")
 	}
 	if dials == 0 {
-		t.Fatal("pooled mode recorded no pool dials — pool not in the path")
+		t.Fatal("no pool dials recorded — pool not in the path")
 	}
 	if reuses < dials {
 		t.Fatalf("pool barely reused connections: %d reuses vs %d dials", reuses, dials)
 	}
 }
 
-// TestPooledTransportSurvivesCrash crashes a node under pooled
-// transport and requires the same failure semantics dial-per-request
-// has: the corpse surfaces as timeouts, gets suspected, and after
-// stabilization lookups converge on the live membership with no
-// timeouts left.
+// TestPooledTransportSurvivesCrash crashes a node with established
+// pooled connections and requires the paper's failure semantics: the
+// corpse surfaces as timeouts, gets suspected, and after stabilization
+// lookups converge on the live membership with no timeouts left.
 func TestPooledTransportSurvivesCrash(t *testing.T) {
 	nw := memnet.New(21)
-	nodes := pooledMemCluster(t, nw, 6, 8, 11)
+	nodes := memCluster(t, nw, 6, 8, 11)
 	stabilizeAll(nodes, 2)
 
 	// Warm the pools so the crash hits established connections, not
@@ -164,12 +117,12 @@ func TestPooledTransportSurvivesCrash(t *testing.T) {
 func TestPooledTransportPartitionBreaksConn(t *testing.T) {
 	nw := memnet.New(5)
 	space := ids.NewSpace(5)
-	a, err := Start(pooledMemConfig(nw, "a", 5, space.FromLinear(3)))
+	a, err := Start(memConfig(nw, "a", 5, space.FromLinear(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := Start(pooledMemConfig(nw, "b", 5, space.FromLinear(90)))
+	b, err := Start(memConfig(nw, "b", 5, space.FromLinear(90)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,45 +152,71 @@ func TestPooledTransportPartitionBreaksConn(t *testing.T) {
 	}
 }
 
-// dialMux opens a raw multiplexed stream to addr through the fabric,
-// for driving the server's mux path directly.
-func dialMux(t *testing.T, nw *memnet.Network, from, addr string) (conn interface {
-	Write([]byte) (int, error)
-	Close() error
-}, br *bufio.Reader) {
+// dialMux opens a raw CYCLOID-MUX/2 stream to addr through the fabric
+// and completes the handshake, for driving the server's mux path
+// directly.
+func dialMux(t *testing.T, nw *memnet.Network, from, addr string) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	c, err := nw.Host(from).Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write([]byte(pool.Preamble)); err != nil {
-		t.Fatal(err)
+	// The fabric's pipes are unbuffered, so the write runs alongside
+	// the read of the echo.
+	go func() { _, _ = c.Write([]byte(codec.PreambleMuxV2)) }()
+	br := bufio.NewReader(c)
+	ack := make([]byte, codec.PreambleLen)
+	if _, err := io.ReadFull(br, ack); err != nil || string(ack) != codec.PreambleMuxV2 {
+		t.Fatalf("handshake echo = %q, %v", ack, err)
 	}
-	return c, bufio.NewReader(c)
+	return c, br
 }
 
-func writeEnvT(t *testing.T, w interface{ Write([]byte) (int, error) }, env pool.Envelope) {
+// muxFrame encodes req as one request frame under correlation id.
+func muxFrame(t *testing.T, id uint64, req request) []byte {
 	t.Helper()
-	frame, err := json.Marshal(env)
+	out := make([]byte, 13, 13+req.SizeHint())
+	binary.LittleEndian.PutUint64(out[4:], id)
+	out, err := codec.AppendRequest(out, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write(append(frame, '\n')); err != nil {
-		t.Fatal(err)
-	}
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
+	return out
 }
 
-func readEnvT(t *testing.T, br *bufio.Reader) pool.Envelope {
+// readMux reads one response frame: its correlation ID, status (0 for a
+// response body, 1 for an error message) and body.
+func readMux(br *bufio.Reader) (id uint64, status byte, body []byte, err error) {
+	var hdr [4]byte
+	if _, err = io.ReadFull(br, hdr[:]); err != nil {
+		return
+	}
+	buf := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err = io.ReadFull(br, buf); err != nil {
+		return
+	}
+	if len(buf) < 9 {
+		return 0, 0, nil, fmt.Errorf("frame too short: %d bytes", len(buf))
+	}
+	return binary.LittleEndian.Uint64(buf), buf[8], buf[9:], nil
+}
+
+// readRespT reads one response frame and decodes its body, failing the
+// test on a transport error.
+func readRespT(t *testing.T, br *bufio.Reader) (uint64, response) {
 	t.Helper()
-	line, err := pool.ReadFrame(br, pool.DefaultMaxFrame)
+	id, status, body, err := readMux(br)
 	if err != nil {
-		t.Fatalf("read envelope: %v", err)
+		t.Fatalf("read frame: %v", err)
 	}
-	var env pool.Envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		t.Fatalf("decode envelope %q: %v", line, err)
+	var resp response
+	if status != 0 {
+		resp.Err = string(body)
+	} else if err := codec.DecodeResponse(body, &resp); err != nil {
+		t.Fatalf("decode response: %v", err)
 	}
-	return env
+	return id, resp
 }
 
 // TestCloseDrainsInflightMuxRequests is the graceful-shutdown
@@ -254,18 +233,17 @@ func TestCloseDrainsInflightMuxRequests(t *testing.T) {
 	defer conn.Close()
 
 	// Prove the mux stream works end to end first.
-	req := request{Op: "ping", From: WireEntry{K: 0, A: 0, Addr: "cli:0"}}
-	p, _ := json.Marshal(req)
-	writeEnvT(t, conn, pool.Envelope{ID: 1, P: p})
-	if env := readEnvT(t, br); env.ID != 1 || env.Err != "" {
-		t.Fatalf("mux ping failed: %+v", env)
+	ping := muxFrame(t, 1, request{Op: "ping", From: WireEntry{K: 0, A: 0, Addr: "cli:0"}})
+	go func() { _, _ = conn.Write(ping) }()
+	if id, resp := readRespT(t, br); id != 1 || !resp.OK {
+		t.Fatalf("mux ping failed: id=%d %+v", id, resp)
 	}
 
 	// Hold the node's state lock so a reclaim dispatch blocks mid-flight,
 	// then start Close underneath it.
 	nd.mu.Lock()
-	rp, _ := json.Marshal(request{Op: "reclaim", From: WireEntry{K: 2, A: 13, Addr: "cli:0"}})
-	writeEnvT(t, conn, pool.Envelope{ID: 2, P: rp})
+	reclaim := muxFrame(t, 2, request{Op: "reclaim", From: WireEntry{K: 2, A: 13, Addr: "cli:0"}})
+	go func() { _, _ = conn.Write(reclaim) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for nd.Telemetry().CounterValue(`cycloid_requests_total{op="reclaim"}`) == 0 {
 		if time.Now().After(deadline) {
@@ -289,12 +267,12 @@ func TestCloseDrainsInflightMuxRequests(t *testing.T) {
 	}
 	nd.mu.Unlock()
 
-	env := readEnvT(t, br)
-	if env.ID != 2 {
-		t.Fatalf("in-flight request answered out of order: %+v", env)
+	id, resp := readRespT(t, br)
+	if id != 2 {
+		t.Fatalf("in-flight request answered out of order: id=%d %+v", id, resp)
 	}
-	if env.Err != "" || env.P == nil {
-		t.Fatalf("in-flight request at shutdown dropped without a response: %+v", env)
+	if !resp.OK {
+		t.Fatalf("in-flight request at shutdown dropped without a response: %+v", resp)
 	}
 	select {
 	case <-closed:
@@ -305,7 +283,7 @@ func TestCloseDrainsInflightMuxRequests(t *testing.T) {
 
 // TestStoppedNodeAnswersMuxFramesWithError: frames that reach the
 // server after the stop began are not silently discarded — each gets an
-// explicit error envelope before the stream drops.
+// explicit error frame before the stream drops.
 func TestStoppedNodeAnswersMuxFramesWithError(t *testing.T) {
 	nw := memnet.New(32)
 	nd, err := Start(memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3}))
@@ -314,80 +292,135 @@ func TestStoppedNodeAnswersMuxFramesWithError(t *testing.T) {
 	}
 	conn, br := dialMux(t, nw, "cli", nd.Addr())
 	defer conn.Close()
-	p, _ := json.Marshal(request{Op: "ping", From: WireEntry{Addr: "cli:0"}})
-	writeEnvT(t, conn, pool.Envelope{ID: 1, P: p})
-	if env := readEnvT(t, br); env.ID != 1 {
-		t.Fatalf("mux ping failed: %+v", env)
+	ping := request{Op: "ping", From: WireEntry{Addr: "cli:0"}}
+	first, second := muxFrame(t, 1, ping), muxFrame(t, 2, ping)
+	go func() { _, _ = conn.Write(first) }()
+	if id, _ := readRespT(t, br); id != 1 {
+		t.Fatalf("mux ping failed: id=%d", id)
 	}
 
 	// Stop the node, then push a frame down the still-open stream. The
 	// reader may already have hit its shutdown deadline (stream torn
 	// down ⇒ write or read fails, the dial-failure analogue), but if the
-	// frame is read it must be answered with an error envelope.
+	// frame is read it must be answered with an error frame.
 	nd.Close()
-	if err := func() error {
-		frame, _ := json.Marshal(pool.Envelope{ID: 2, P: p})
-		if _, err := conn.Write(append(frame, '\n')); err != nil {
-			return err
-		}
-		line, err := pool.ReadFrame(br, pool.DefaultMaxFrame)
-		if err != nil {
-			return err
-		}
-		var env pool.Envelope
-		if err := json.Unmarshal(line, &env); err != nil {
-			return err
-		}
-		if env.Err == "" {
-			t.Fatalf("stopped node answered a frame without an error: %+v", env)
-		}
-		return nil
-	}(); err != nil {
+	go func() { _, _ = conn.Write(second) }()
+	if _, status, body, err := readMux(br); err != nil {
 		// Stream already torn down — acceptable: the caller sees a
 		// connection failure, never a silent drop.
 		t.Logf("stream closed at shutdown: %v", err)
+	} else if status != 1 {
+		t.Fatalf("stopped node answered a frame without an error: status=%d body=%q", status, body)
 	}
 }
 
-// TestOneShotFrameCap: an oversized one-shot request is answered with a
-// wire error instead of being buffered without bound.
-func TestOneShotFrameCap(t *testing.T) {
+// TestServerRefusesForeignOpenings: CYCLOID-MUX/2 is the only protocol
+// a node speaks. A connection that opens any other way — a JSON request
+// line (the retired v1 one-shot), the retired CYCLOID-MUX/1 and
+// CYCLOID-BIN/2 preambles with a well-formed request behind them, or
+// random bytes — is closed without a byte written and without
+// dispatching anything.
+func TestServerRefusesForeignOpenings(t *testing.T) {
 	nw := memnet.New(33)
+	nd, err := Start(memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	requests := func() (sum uint64) {
+		for name, v := range nd.Telemetry().CounterValues() {
+			if strings.HasPrefix(name, "cycloid_requests_total") {
+				sum += v
+			}
+		}
+		return sum
+	}
+
+	ping := request{Op: "ping", From: WireEntry{K: 0, A: 1, Addr: "cli:0"}}
+	body, err := codec.AppendRequest(nil, &ping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binOneShot := binary.LittleEndian.AppendUint32([]byte("CYCLOID-BIN/2\n"), uint32(len(body)))
+	binOneShot = append(binOneShot, body...)
+	random := make([]byte, 256)
+	rand.New(rand.NewSource(33)).Read(random)
+	openings := map[string][]byte{
+		"json":   []byte(`{"op":"ping","from":{"k":0,"a":1,"addr":"cli:0"}}` + "\n"),
+		"mux1":   []byte("CYCLOID-MUX/1\n" + `{"id":1,"p":{"op":"ping","from":{"k":0,"a":1,"addr":"cli:0"}}}` + "\n"),
+		"bin2":   binOneShot,
+		"random": random,
+	}
+	for name, opening := range openings {
+		t.Run(name, func(t *testing.T) {
+			before := requests()
+			conn, err := nw.Host("cli").Dial(nd.Addr(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// The write may stall on the unbuffered fabric once the
+			// server stops reading; the close unblocks it.
+			go func() { _, _ = conn.Write(opening) }()
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, err := io.ReadAll(conn)
+			if len(got) != 0 {
+				t.Fatalf("server wrote %q in reply to a foreign opening", got)
+			}
+			if err != nil {
+				t.Fatalf("server did not close the connection: %v", err)
+			}
+			if after := requests(); after != before {
+				t.Fatalf("a foreign opening was dispatched: cycloid_requests_total %d -> %d", before, after)
+			}
+		})
+	}
+
+	// The same server still answers its own protocol.
+	if _, err := nd.call(nd.Addr(), request{Op: "ping"}); err != nil {
+		t.Fatalf("ping after foreign openings: %v", err)
+	}
+}
+
+// TestMuxFrameCap: an oversized CYCLOID-MUX/2 frame draws a
+// connection-level error frame (ID 0, status 1) and the stream is
+// dropped — framing is unrecoverable once a frame overruns. The length
+// prefix is rejected before any payload allocation.
+func TestMuxFrameCap(t *testing.T) {
+	nw := memnet.New(36)
 	cfg := memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3})
-	cfg.MaxFrame = 4 << 10
+	cfg.MaxFrame = 1 << 10
 	nd, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nd.Close()
 
-	conn, err := nw.Host("cli").Dial(nd.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, br := dialMux(t, nw, "cli", nd.Addr())
 	defer conn.Close()
-	big := request{Op: "store", Key: "huge", Value: make([]byte, 32<<10), From: WireEntry{Addr: "cli:0"}}
-	// The fabric's pipes are unbuffered: the oversized write blocks until
-	// the server stops reading, so it must run alongside the read below.
-	go func() { _ = json.NewEncoder(conn).Encode(big) }()
-	var resp response
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		t.Fatalf("expected a wire error response, got %v", err)
+	go func() {
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], uint32(cfg.MaxFrame+1))
+		_, _ = conn.Write(hdr[:])
+	}()
+	id, status, body, err := readMux(br)
+	if err != nil {
+		t.Fatalf("expected a connection-level error frame, got %v", err)
 	}
-	if resp.OK || !strings.Contains(resp.Err, "frame limit") {
-		t.Fatalf("expected frame-limit rejection, got %+v", resp)
+	if id != 0 || status != 1 || !strings.Contains(string(body), "size limit") {
+		t.Fatalf("expected connection-level frame error, got id=%d status=%d msg=%q", id, status, body)
 	}
-
-	// A request under the cap still works on a fresh connection.
-	if _, err := nd.call(nd.Addr(), request{Op: "ping"}); err != nil {
-		t.Fatalf("normal request after oversized one: %v", err)
+	if _, _, _, err := readMux(br); err == nil {
+		t.Fatal("stream should be closed after a frame overrun")
 	}
 }
 
-// TestMuxFrameCap: an oversized mux frame draws a connection-level
-// error envelope (ID 0) and the stream is dropped — framing is
-// unrecoverable once a frame overruns.
-func TestMuxFrameCap(t *testing.T) {
+// TestMuxFrameCapBinary: a complete, well-formed CYCLOID-MUX/2 request
+// frame whose body overruns MaxFrame (a store carrying an 8 KiB value
+// against a 1 KiB cap) is refused the same way as a bare oversized
+// length prefix: one connection-level error frame, then the stream is
+// dropped and the request is never dispatched.
+func TestMuxFrameCapBinary(t *testing.T) {
 	nw := memnet.New(34)
 	cfg := memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3})
 	cfg.MaxFrame = 1 << 10
@@ -399,193 +432,21 @@ func TestMuxFrameCap(t *testing.T) {
 
 	conn, br := dialMux(t, nw, "cli", nd.Addr())
 	defer conn.Close()
-	p, _ := json.Marshal(request{Op: "store", Key: "huge", Value: make([]byte, 8<<10), From: WireEntry{Addr: "cli:0"}})
+	frame := muxFrame(t, 1, request{Op: "store", Key: "huge", Value: make([]byte, 8<<10), From: WireEntry{Addr: "cli:0"}})
 	// Unbuffered pipe: the oversized frame write blocks once the server
 	// stops reading, so it must run alongside the read below.
-	go func() {
-		frame, _ := json.Marshal(pool.Envelope{ID: 1, P: p})
-		_, _ = conn.Write(append(frame, '\n'))
-	}()
-	env := readEnvT(t, br)
-	if env.ID != 0 || !strings.Contains(env.Err, "size limit") {
-		t.Fatalf("expected connection-level frame error, got %+v", env)
-	}
-	if _, err := pool.ReadFrame(br, pool.DefaultMaxFrame); err == nil {
-		t.Fatal("stream should be closed after a frame overrun")
-	}
-}
-
-// TestOneShotFrameCapBinary: the CYCLOID-BIN/2 one-shot path enforces
-// MaxFrame from the length prefix alone — the server answers with a
-// wire error before a single payload byte arrives, so a hostile prefix
-// cannot force an allocation.
-func TestOneShotFrameCapBinary(t *testing.T) {
-	nw := memnet.New(35)
-	cfg := memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3})
-	cfg.MaxFrame = 4 << 10
-	nd, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
-
-	conn, err := nw.Host("cli").Dial(nd.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Preamble plus an oversized length claim; no payload follows.
-	var frame []byte
-	frame = append(frame, codec.PreambleBinV2...)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(cfg.MaxFrame+1))
-	// The fabric's pipes are unbuffered, so the write must run alongside
-	// the read below.
 	go func() { _, _ = conn.Write(frame) }()
-
-	br := bufio.NewReader(conn)
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		t.Fatalf("expected a binary wire error response, got %v", err)
-	}
-	body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(br, body); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := codec.DecodeResponse(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || !strings.Contains(resp.Err, "frame limit") {
-		t.Fatalf("expected frame-limit rejection, got %+v", resp)
-	}
-
-	// The same server still answers a well-formed request.
-	if _, err := nd.call(nd.Addr(), request{Op: "ping"}); err != nil {
-		t.Fatalf("normal request after oversized one: %v", err)
-	}
-}
-
-// TestMuxFrameCapBinary: an oversized CYCLOID-MUX/2 frame draws a
-// connection-level binary error frame (ID 0, status 1) and the stream
-// is dropped, mirroring the JSON mux behavior; the length prefix is
-// rejected before any payload allocation.
-func TestMuxFrameCapBinary(t *testing.T) {
-	nw := memnet.New(36)
-	cfg := memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3})
-	cfg.MaxFrame = 1 << 10
-	nd, err := Start(cfg)
+	id, status, body, err := readMux(br)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
-
-	conn, err := nw.Host("cli").Dial(nd.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	go func() { _, _ = conn.Write([]byte(codec.PreambleMuxV2)) }()
-	br := bufio.NewReader(conn)
-	ack := make([]byte, codec.PreambleLen)
-	if _, err := io.ReadFull(br, ack); err != nil || string(ack) != codec.PreambleMuxV2 {
-		t.Fatalf("negotiation echo = %q, %v", ack, err)
-	}
-	go func() {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(cfg.MaxFrame+1))
-		_, _ = conn.Write(hdr[:])
-	}()
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		t.Fatalf("expected a connection-level error frame, got %v", err)
 	}
-	body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(br, body); err != nil {
-		t.Fatal(err)
+	if id != 0 || status != 1 || !strings.Contains(string(body), "size limit") {
+		t.Fatalf("expected connection-level frame error, got id=%d status=%d msg=%q", id, status, body)
 	}
-	if len(body) < 9 {
-		t.Fatalf("error frame too short: %d bytes", len(body))
-	}
-	id, status, msg := binary.LittleEndian.Uint64(body), body[8], string(body[9:])
-	if id != 0 || status != 1 || !strings.Contains(msg, "size limit") {
-		t.Fatalf("expected connection-level frame error, got id=%d status=%d msg=%q", id, status, msg)
-	}
-	if _, err := io.ReadFull(br, hdr[:]); err == nil {
+	if _, _, _, err := readMux(br); err == nil {
 		t.Fatal("stream should be closed after a frame overrun")
 	}
-}
-
-// TestMixedCodecClusterInterop boots one pooled overlay whose members
-// are pinned to different wire codecs — v1 JSON, v2 binary, and
-// auto-negotiating — and drives joins, puts, gets and exact lookups
-// across every pairing. Servers auto-detect the codec per connection,
-// so the overlay must behave identically to a homogeneous one.
-func TestMixedCodecClusterInterop(t *testing.T) {
-	nw := memnet.New(37)
-	dim, n := 5, 9
-	codecs := []string{"json", "binary", "auto"}
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(44))
-	taken := make(map[uint64]bool)
-	nodes := make([]*Node, 0, n)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		cfg := pooledMemConfig(nw, fmt.Sprintf("m%d", len(nodes)), dim, space.FromLinear(v))
-		cfg.WireCodec = codecs[len(nodes)%len(codecs)]
-		nd, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) > 0 {
-			// Join through the previous node, so every join crosses a
-			// codec boundary (the codec list has no repeats mod 3).
-			if err := nd.Join(nodes[len(nodes)-1].Addr()); err != nil {
-				t.Fatalf("%s node join: %v", cfg.WireCodec, err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}()
-	for i := 0; i < 3; i++ {
-		for _, nd := range nodes {
-			nd.Stabilize()
-		}
-	}
-
-	for i := 0; i < 27; i++ {
-		key := fmt.Sprintf("mixed-%d", i)
-		if err := nodes[i%n].Put(key, []byte(key)); err != nil {
-			t.Fatalf("put via %s node: %v", codecs[i%n%len(codecs)], err)
-		}
-	}
-	for i := 0; i < 27; i++ {
-		key := fmt.Sprintf("mixed-%d", i)
-		reader := (i*7 + 1) % n
-		val, _, err := nodes[reader].Get(key)
-		if err != nil {
-			t.Fatalf("get %q via %s node: %v", key, codecs[reader%len(codecs)], err)
-		}
-		if string(val) != key {
-			t.Fatalf("get %q = %q", key, val)
-		}
-		want, err := nodes[0].Lookup(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := nodes[reader].Lookup(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Terminal != got.Terminal {
-			t.Fatalf("lookup %q disagrees across codecs: %v vs %v", key, want.Terminal, got.Terminal)
-		}
+	if keys := nd.Keys(); len(keys) != 0 {
+		t.Fatalf("an oversized store frame was dispatched: node holds %v", keys)
 	}
 }

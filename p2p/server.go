@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"io"
 	"net"
 	"sync"
@@ -57,139 +56,43 @@ func (n *Node) serve() {
 	}
 }
 
-// handle serves one inbound connection, auto-detecting its protocol
-// from the opening bytes so differently-configured nodes interoperate:
-//
-//	CYCLOID-MUX/1\n  v1 multiplexed stream, JSON envelopes (serveMux)
-//	CYCLOID-MUX/2\n  v2 multiplexed stream, binary frames (serveMuxBin)
-//	CYCLOID-BIN/2\n  v2 one-shot: one binary request, one response
-//	anything else    v1 one-shot: one JSON request, one response
-//
-// Either way a single inbound frame is capped at MaxFrame bytes — an
-// oversized request gets a wire error instead of an unbounded buffer,
-// and on the binary paths the length prefix is checked before any
-// payload allocation.
+// handle serves one inbound connection. The only protocol is
+// CYCLOID-MUX/2: a connection must open with codec.PreambleMuxV2, which
+// the server echoes as the handshake ack before serving frames
+// (serveMux). Any other opening — a JSON request line, a retired
+// preamble, stray bytes — is closed without writing a byte or
+// dispatching anything.
 func (n *Node) handle(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(deadline(n.cfg.DialTimeout))
 	br := bufio.NewReader(conn)
-	if pre, err := br.Peek(codec.PreambleLen); err == nil {
-		switch string(pre) {
-		case pool.Preamble:
-			_, _ = br.Discard(codec.PreambleLen)
-			n.serveMux(conn, br)
-			return
-		case codec.PreambleMuxV2:
-			_, _ = br.Discard(codec.PreambleLen)
-			// Echo the preamble as the negotiation ack — a v1-only
-			// server would have closed without writing a byte.
-			if _, err := conn.Write([]byte(codec.PreambleMuxV2)); err != nil {
-				return
-			}
-			n.serveMuxBin(conn, br)
-			return
-		case codec.PreambleBinV2:
-			_, _ = br.Discard(codec.PreambleLen)
-			n.handleBinOneShot(conn, br)
+	// Byte by byte, so a foreign opening is dropped at its first wrong
+	// byte instead of waiting for a full preamble's worth of input.
+	for i := 0; i < codec.PreambleLen; i++ {
+		if c, err := br.ReadByte(); err != nil || c != codec.PreambleMuxV2[i] {
 			return
 		}
 	}
-	var req request
-	if err := json.NewDecoder(&cappedReader{r: br, rem: n.cfg.MaxFrame}).Decode(&req); err != nil {
-		if errors.Is(err, pool.ErrFrameTooLarge) {
-			resp := response{Err: "request exceeds frame limit"}
-			_ = json.NewEncoder(conn).Encode(resp)
-		}
+	if _, err := conn.Write([]byte(codec.PreambleMuxV2)); err != nil {
 		return
 	}
-	resp := n.dispatchAdmitted(req)
-	resp.OK = resp.Err == ""
-	_ = json.NewEncoder(conn).Encode(resp)
+	n.serveMux(conn, br)
 }
 
-// cappedReader fails with pool.ErrFrameTooLarge once more than rem
-// bytes have been read through it, bounding what a single request may
-// make the decoder buffer.
-type cappedReader struct {
-	r   io.Reader
-	rem int
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.rem <= 0 {
-		return 0, pool.ErrFrameTooLarge
-	}
-	if len(p) > c.rem {
-		p = p[:c.rem]
-	}
-	nr, err := c.r.Read(p)
-	c.rem -= nr
-	return nr, err
-}
-
-// handleBinOneShot serves one CYCLOID-BIN/2 exchange: a u32
-// length-prefixed binary request, one binary response, close. The
-// length prefix is validated against MaxFrame before the payload buffer
-// is sized, so a hostile prefix cannot force an allocation; an
-// oversized claim is answered with the same wire error as the JSON
-// path. Malformed payloads close silently, mirroring the JSON one-shot.
-func (n *Node) handleBinOneShot(conn net.Conn, br *bufio.Reader) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return
-	}
-	l := int(binary.LittleEndian.Uint32(hdr[:]))
-	if l <= 0 || l > n.cfg.MaxFrame {
-		n.writeBinOneShot(conn, &response{Err: "request exceeds frame limit"})
-		return
-	}
-	fb := codec.GetBufferSize(l)
-	fb.B = fb.B[:l]
-	if _, err := io.ReadFull(br, fb.B); err != nil {
-		codec.PutBuffer(fb)
-		return
-	}
-	var req request
-	decStart := time.Now()
-	err := codec.DecodeRequest(fb.B, &req)
-	n.tel.codecDecodeBin.Observe(time.Since(decStart).Nanoseconds())
-	codec.PutBuffer(fb)
-	if err != nil {
-		return
-	}
-	resp := n.dispatchAdmitted(req)
-	resp.OK = resp.Err == ""
-	n.writeBinOneShot(conn, &resp)
-}
-
-// writeBinOneShot sends one length-prefixed binary response from a
-// pooled buffer.
-func (n *Node) writeBinOneShot(conn net.Conn, resp *response) {
-	fb := codec.GetBufferSize(4 + resp.SizeHint())
-	fb.B = append(fb.B, 0, 0, 0, 0) // frame length, backfilled below
-	encStart := time.Now()
-	out, err := codec.AppendResponse(fb.B, resp)
-	n.tel.codecEncodeBin.Observe(time.Since(encStart).Nanoseconds())
-	if err != nil {
-		codec.PutBuffer(fb)
-		return
-	}
-	binary.LittleEndian.PutUint32(out[:4], uint32(len(out)-4))
-	fb.B = out
-	_, _ = conn.Write(out)
-	codec.PutBuffer(fb)
-}
-
-// serveMuxBin serves one CYCLOID-MUX/2 connection: binary frames of
-// the form u32 len | u64 id | u8 status | body, each request
-// dispatched and answered under its correlation ID. Responses ride a
-// batching writer, so bursts of concurrent replies coalesce into
-// single writes. Read-only ops that complete under one short lock
-// (ping/state/step/fetch) are answered inline on the read loop; the
-// rest dispatch on goroutines, drained before the connection closes.
-// As on the one-shot path, a frame's length prefix is validated
-// against MaxFrame before any payload allocation.
-func (n *Node) serveMuxBin(conn net.Conn, br *bufio.Reader) {
+// serveMux serves one CYCLOID-MUX/2 connection: binary frames of the
+// form u32 len | u64 id | u8 status | body, each request dispatched and
+// answered under its correlation ID. Responses ride a batching writer,
+// so bursts of concurrent replies coalesce into single writes.
+// Read-only ops that complete under one short lock (ping/state/step/
+// fetch) are answered inline on the read loop; the rest dispatch on
+// goroutines, drained before the connection closes. A frame's length
+// prefix is validated against MaxFrame before any payload allocation.
+//
+// The stream lives until the peer closes it, a protocol error occurs,
+// or the node stops — and on stop, every request already read is
+// answered (in-flight dispatches complete, later frames get an explicit
+// error frame) before the connection drops.
+func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
 	n.muxMu.Lock()
 	n.muxConns[conn] = struct{}{}
 	n.muxMu.Unlock()
@@ -199,9 +102,10 @@ func (n *Node) serveMuxBin(conn net.Conn, br *bufio.Reader) {
 		n.muxMu.Unlock()
 	}()
 
-	// Same idle/stop handshake as serveMux: drop the per-request
-	// deadline, then re-check stopped in case Close swept the mux set
-	// concurrently with registration above.
+	// A mux stream idles between requests; replace the handshake
+	// deadline with none, then re-check stopped — Close may have swept
+	// the mux set concurrently with registration above, and its
+	// read-deadline nudge must not be erased silently.
 	_ = conn.SetDeadline(time.Time{})
 	if n.isStopped() {
 		return
@@ -338,88 +242,6 @@ func (n *Node) serveMuxBin(conn net.Conn, br *bufio.Reader) {
 			// let responses queued by the inline path wait on it.
 			_ = w.Flush()
 		}
-	}
-}
-
-// serveMux serves one multiplexed connection: newline-delimited pool
-// envelopes, each request dispatched concurrently and answered under
-// its correlation ID. The stream lives until the peer closes it, a
-// protocol error occurs, or the node stops — and on stop, every request
-// already read is answered (in-flight dispatches complete, later frames
-// get an explicit error envelope) before the connection drops.
-func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
-	n.muxMu.Lock()
-	n.muxConns[conn] = struct{}{}
-	n.muxMu.Unlock()
-	defer func() {
-		n.muxMu.Lock()
-		delete(n.muxConns, conn)
-		n.muxMu.Unlock()
-	}()
-
-	// A mux stream idles between requests; replace the per-request
-	// deadline with none, then re-check stopped — Close may have swept
-	// the mux set concurrently with registration above, and its
-	// read-deadline nudge must not be erased silently.
-	_ = conn.SetDeadline(time.Time{})
-	if n.isStopped() {
-		return
-	}
-
-	w := pool.NewWriter(conn, n.cfg.DialTimeout, func(error) {
-		// A failed write poisons the stream; closing the connection
-		// unblocks the read loop, which ends the handler.
-		_ = conn.Close()
-	})
-	writeEnv := func(env pool.Envelope) {
-		frame, err := json.Marshal(env)
-		if err != nil {
-			return
-		}
-		_ = w.Frame(len(frame)+1, func(buf []byte) ([]byte, error) {
-			buf = append(buf, frame...)
-			return append(buf, '\n'), nil
-		})
-	}
-
-	var inflight sync.WaitGroup
-	defer inflight.Wait() // drain dispatched handlers before closing
-	for {
-		line, err := pool.ReadFrame(br, n.cfg.MaxFrame)
-		if err != nil {
-			if errors.Is(err, pool.ErrFrameTooLarge) {
-				// ID 0 = connection-level error: framing is lost, so the
-				// peer must tear the stream down.
-				writeEnv(pool.Envelope{Err: "frame exceeds size limit"})
-			}
-			return
-		}
-		var env pool.Envelope
-		if err := json.Unmarshal(line, &env); err != nil || env.ID == 0 {
-			writeEnv(pool.Envelope{Err: "malformed envelope"})
-			return
-		}
-		if n.isStopped() {
-			writeEnv(pool.Envelope{ID: env.ID, Err: ErrStopped.Error()})
-			continue
-		}
-		var req request
-		if err := json.Unmarshal(env.P, &req); err != nil {
-			writeEnv(pool.Envelope{ID: env.ID, Err: "malformed request"})
-			continue
-		}
-		inflight.Add(1)
-		go func(id uint64, req request) {
-			defer inflight.Done()
-			resp := n.dispatchAdmitted(req)
-			resp.OK = resp.Err == ""
-			p, err := json.Marshal(resp)
-			if err != nil {
-				writeEnv(pool.Envelope{ID: id, Err: "encode response: " + err.Error()})
-				return
-			}
-			writeEnv(pool.Envelope{ID: id, P: p})
-		}(env.ID, req)
 	}
 }
 

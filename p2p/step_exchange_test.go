@@ -20,7 +20,7 @@ import (
 const maxAllocsPerHop = 4
 
 // TestLookupHopAllocBudget pins the per-hop allocation cost of a warm
-// pooled, binary memnet overlay, the configuration the repo benchmark's
+// memnet overlay, the configuration the repo benchmark's
 // lookup workload runs. Every connection is dialed and every buffer
 // pool primed before counting, so what remains is what each hop costs
 // forever after.
@@ -32,8 +32,7 @@ func TestLookupHopAllocBudget(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	nw := memnet.New(417)
-	nodes := pooledMemCluster(t, nw, 5, 24, 417, func(cfg *Config) {
-		cfg.WireCodec = "binary"
+	nodes := memCluster(t, nw, 5, 24, 417, func(cfg *Config) {
 		cfg.TraceBuffer = -1
 		cfg.SpanBuffer = -1
 	})
@@ -131,9 +130,7 @@ func poisonPeer(ln net.Listener) {
 // step being walked would send the second route to the bogus entries.
 func TestRouteFallbackKeepsCandidates(t *testing.T) {
 	nw := memnet.New(418)
-	nodes := pooledMemCluster(t, nw, 5, 16, 418, func(cfg *Config) {
-		cfg.WireCodec = "binary"
-	})
+	nodes := memCluster(t, nw, 5, 16, 418)
 	stabilizeAll(nodes, 3)
 	ln, err := nw.Host("poison").Listen(":0")
 	if err != nil {

@@ -13,14 +13,17 @@ import (
 
 	"cycloid/internal/ids"
 	"cycloid/internal/telemetry"
+	"cycloid/p2p/codec"
 	"cycloid/p2p/memnet"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// gateTransport wraps a Transport and, once armed, fails dials to one
-// address after a fixed number of further allowed dials — a node that
-// dies mid-operation, deterministically.
+// gateTransport wraps a Transport and, once armed, lets one address
+// carry a fixed number of further request writes, then fails every
+// write and dial to it — a node that dies mid-operation,
+// deterministically, whether the calls ride a pooled connection or a
+// fresh dial.
 type gateTransport struct {
 	inner Transport
 
@@ -32,23 +35,55 @@ type gateTransport struct {
 func (g *gateTransport) Listen(addr string) (net.Listener, error) { return g.inner.Listen(addr) }
 
 func (g *gateTransport) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	g.mu.Lock()
-	if g.blocked == addr {
-		if g.allow <= 0 {
-			g.mu.Unlock()
-			return nil, fmt.Errorf("gate: %s blocked", addr)
-		}
-		g.allow--
+	if !g.pass(addr, false) {
+		return nil, fmt.Errorf("gate: %s blocked", addr)
 	}
-	g.mu.Unlock()
-	return g.inner.Dial(addr, timeout)
+	c, err := g.inner.Dial(addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, g: g, addr: addr}, nil
 }
 
-// arm starts failing dials to addr after the next allow dials.
+// pass reports whether a dial (spend false) or a request write (spend
+// true) to addr may proceed, spending one allowance for a write.
+func (g *gateTransport) pass(addr string, spend bool) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.blocked != addr {
+		return true
+	}
+	if g.allow <= 0 {
+		return false
+	}
+	if spend {
+		g.allow--
+	}
+	return true
+}
+
+// arm starts failing traffic to addr after the next allow request
+// writes.
 func (g *gateTransport) arm(addr string, allow int) {
 	g.mu.Lock()
 	g.blocked, g.allow = addr, allow
 	g.mu.Unlock()
+}
+
+// gatedConn charges each request write to its gate. The handshake
+// preamble is free, so a redial does not spend a request's allowance.
+type gatedConn struct {
+	net.Conn
+	g    *gateTransport
+	addr string
+}
+
+func (c *gatedConn) Write(b []byte) (int, error) {
+	if !bytes.HasPrefix(b, []byte(codec.PreambleMuxV2)) && !c.g.pass(c.addr, true) {
+		c.Conn.Close()
+		return 0, fmt.Errorf("gate: %s blocked", c.addr)
+	}
+	return c.Conn.Write(b)
 }
 
 // TestGetTimeoutSingleCharge pins the Route.Timeouts accounting fix: an
@@ -109,8 +144,8 @@ func TestGetTimeoutSingleCharge(t *testing.T) {
 		t.Fatalf("reader already has %d strikes on the owner", got)
 	}
 
-	// Let the route's single step dial through, then kill the owner for
-	// the fetch and everything after it.
+	// Let the route's single step through, then kill the owner for the
+	// fetch and everything after it.
 	readerGate.arm(owner.Addr(), 1)
 
 	before := reader.Telemetry().CounterValue("cycloid_lookup_timeouts_total")

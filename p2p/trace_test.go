@@ -98,16 +98,19 @@ func victimKey(t *testing.T, nodes []*Node, victim *Node) string {
 	return ""
 }
 
-// hookTransport wraps a Transport, counts dials per address, and after
-// a fixed number of allowed dials to one address either runs a one-shot
-// hook immediately before the next dial proceeds (arm) or fails every
-// further dial (armBlock) — the deterministic levers for changing
-// cluster state between a route and its fetch.
+// hookTransport wraps a Transport, counts the requests sent to each
+// address, and after a fixed number of allowed sends to one address
+// either runs a one-shot hook immediately before the next request goes
+// out (arm) or fails every further send and dial (armBlock) — the
+// deterministic levers for changing cluster state between a route and
+// its fetch. A send is one Write on a pooled connection after its
+// handshake: the tests drive one request at a time, so no two frames
+// share a Write.
 type hookTransport struct {
 	inner Transport
 
 	mu      sync.Mutex
-	dials   map[string]int
+	sends   map[string]int
 	addr    string
 	allow   int
 	hook    func()
@@ -118,10 +121,25 @@ func (h *hookTransport) Listen(addr string) (net.Listener, error) { return h.inn
 
 func (h *hookTransport) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	h.mu.Lock()
-	if h.dials == nil {
-		h.dials = make(map[string]int)
+	fail := addr == h.addr && h.blocked && h.allow == 0
+	h.mu.Unlock()
+	if fail {
+		return nil, fmt.Errorf("hook: %s blocked", addr)
 	}
-	h.dials[addr]++
+	c, err := h.inner.Dial(addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &hookConn{Conn: c, h: h, addr: addr}, nil
+}
+
+// send counts one request to addr and applies the armed lever.
+func (h *hookTransport) send(addr string) error {
+	h.mu.Lock()
+	if h.sends == nil {
+		h.sends = make(map[string]int)
+	}
+	h.sends[addr]++
 	run := func() {}
 	fail := false
 	if addr == h.addr && (h.hook != nil || h.blocked) {
@@ -135,27 +153,47 @@ func (h *hookTransport) Dial(addr string, timeout time.Duration) (net.Conn, erro
 	}
 	h.mu.Unlock()
 	if fail {
-		return nil, fmt.Errorf("hook: %s blocked", addr)
+		return fmt.Errorf("hook: %s blocked", addr)
 	}
 	run()
-	return h.inner.Dial(addr, timeout)
+	return nil
 }
 
-func (h *hookTransport) dialsTo(addr string) int {
+// hookConn passes the handshake through and reports every later Write
+// to its transport as one request.
+type hookConn struct {
+	net.Conn
+	h      *hookTransport
+	addr   string
+	opened bool
+}
+
+func (c *hookConn) Write(p []byte) (int, error) {
+	if c.opened {
+		if err := c.h.send(c.addr); err != nil {
+			return 0, err
+		}
+	}
+	c.opened = true
+	return c.Conn.Write(p)
+}
+
+func (h *hookTransport) sendsTo(addr string) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.dials[addr]
+	return h.sends[addr]
 }
 
-// arm runs hook once, before the dial to addr that follows allow more
-// allowed dials.
+// arm runs hook once, before the request to addr that follows allow
+// more allowed sends.
 func (h *hookTransport) arm(addr string, allow int, hook func()) {
 	h.mu.Lock()
 	h.addr, h.allow, h.hook, h.blocked = addr, allow, hook, false
 	h.mu.Unlock()
 }
 
-// armBlock fails every dial to addr after allow more allowed dials.
+// armBlock fails every send and dial to addr after allow more allowed
+// sends.
 func (h *hookTransport) armBlock(addr string, allow int) {
 	h.mu.Lock()
 	h.addr, h.allow, h.hook, h.blocked = addr, allow, nil, true
@@ -185,8 +223,7 @@ func saturate(t *testing.T, nd *Node) func() {
 	}
 }
 
-// TestTraceSampledLookupTree: with TraceSample=1 on a mixed-codec
-// cluster, a cross-node Put and Get each reconstruct into one complete
+// TestTraceSampledLookupTree: with TraceSample=1, a cross-node Put and Get each reconstruct into one complete
 // rooted tree whose attribution telescopes to the root duration.
 func TestTraceSampledLookupTree(t *testing.T) {
 	nw := memnet.New(404)
@@ -194,11 +231,6 @@ func TestTraceSampledLookupTree(t *testing.T) {
 		cfg.Replicas = 3
 		cfg.TraceSample = 1
 		cfg.SpanBuffer = 1 << 14
-		if ord%2 == 0 {
-			cfg.WireCodec = "json"
-		} else {
-			cfg.WireCodec = "binary"
-		}
 	})
 	victim := nodes[0]
 	key := victimKey(t, nodes, victim)
@@ -308,14 +340,15 @@ func TestTraceForcedOnOwnerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Count the route's dials to the owner, then let exactly that many
-	// through on the real Get: the fetch that follows hits a corpse.
-	before := gate.dialsTo(victim.Addr())
+	// Count the route's requests to the owner, then let exactly that
+	// many through on the real Get: the fetch that follows hits a
+	// corpse.
+	before := gate.sendsTo(victim.Addr())
 	if _, err := reader.Lookup(key); err != nil {
 		t.Fatal(err)
 	}
-	routeDials := gate.dialsTo(victim.Addr()) - before
-	gate.armBlock(victim.Addr(), routeDials)
+	routeSends := gate.sendsTo(victim.Addr()) - before
+	gate.armBlock(victim.Addr(), routeSends)
 
 	v, r, err := reader.Get(key)
 	if err != nil || string(v) != "v" {
@@ -344,106 +377,103 @@ func TestTraceForcedOnOwnerCrash(t *testing.T) {
 // lookup across >=3 memnet nodes that experiences one shed-and-retry
 // and one replica fallback reconstructs into a single rooted span tree
 // whose per-hop attribution sums to within 5% of the client-observed
-// latency — on both codecs.
+// latency.
 func TestTraceAcceptance(t *testing.T) {
-	for _, wc := range []string{"json", "binary"} {
-		t.Run(wc, func(t *testing.T) {
-			nw := memnet.New(707)
-			var hook *hookTransport
-			const originOrd = 3
-			nodes := traceCluster(t, nw, 6, 8, 707, func(ord int, cfg *Config) {
-				cfg.Replicas = 3
-				cfg.TraceSample = 1
-				cfg.SpanBuffer = 1 << 14
-				cfg.WireCodec = wc
-				if ord == 0 {
-					cfg.MaxInflight = 1
-					cfg.QueueDepth = 1
-				}
-				if ord == originOrd {
-					hook = &hookTransport{inner: cfg.Transport}
-					cfg.Transport = hook
-				}
-			})
-			victim := nodes[0]
-			key := victimKey(t, nodes, victim)
-			origin := nodes[originOrd]
-			if err := origin.Put(key, []byte("v")); err != nil {
-				t.Fatal(err)
+	t.Run("binary", func(t *testing.T) {
+		nw := memnet.New(707)
+		var hook *hookTransport
+		const originOrd = 3
+		nodes := traceCluster(t, nw, 6, 8, 707, func(ord int, cfg *Config) {
+			cfg.Replicas = 3
+			cfg.TraceSample = 1
+			cfg.SpanBuffer = 1 << 14
+			if ord == 0 {
+				cfg.MaxInflight = 1
+				cfg.QueueDepth = 1
 			}
-
-			// Count the route's dials to the owner, then saturate its
-			// admission controller immediately before the dial after
-			// those — the Get's fetch. The fetch is shed and retried
-			// until the retries are shed too; the read then falls back
-			// through the replica set.
-			before := hook.dialsTo(victim.Addr())
-			if _, err := origin.Lookup(key); err != nil {
-				t.Fatal(err)
-			}
-			routeDials := hook.dialsTo(victim.Addr()) - before
-			var unsaturate func()
-			hook.arm(victim.Addr(), routeDials, func() { unsaturate = saturate(t, victim) })
-			defer func() {
-				if unsaturate != nil {
-					unsaturate()
-				}
-			}()
-
-			t0 := time.Now()
-			v, r, err := origin.GetContext(context.Background(), key)
-			observed := time.Since(t0)
-			if err != nil || string(v) != "v" {
-				t.Fatalf("Get = %q, %v", v, err)
-			}
-			if unsaturate == nil {
-				t.Fatal("saturation hook never fired; fetch was not shed")
-			}
-			if r.TraceID == "" {
-				t.Fatal("no trace ID on the route")
-			}
-			retries := origin.Telemetry().CounterValue("cycloid_retries_total")
-			if retries == 0 {
-				t.Fatal("fetch against the saturated owner was not retried")
-			}
-
-			tree := findTree(t, nodes, r.TraceID)
-			if tree.Root == nil {
-				t.Fatal("no root span")
-			}
-			if viol := tree.Check(false); len(viol) != 0 {
-				t.Fatalf("acceptance tree incomplete: %v", viol)
-			}
-			ann := rootAnnotations(tree)
-			if !ann["shed"] || !ann["replica-fallback"] {
-				t.Fatalf("root annotations = %v, want shed + replica-fallback", tree.Root.Span.Annotations)
-			}
-			// The tree must span at least 3 distinct nodes.
-			seen := map[string]bool{}
-			var walk func(n *telemetry.SpanNode)
-			walk = func(n *telemetry.SpanNode) {
-				seen[n.Span.Node] = true
-				for _, c := range n.Children {
-					walk(c)
-				}
-			}
-			walk(tree.Root)
-			if len(seen) < 3 {
-				t.Fatalf("trace touched %d nodes, want >= 3", len(seen))
-			}
-			// Per-hop attribution must sum to within 5% of the
-			// client-observed latency.
-			attr := tree.Attribution()
-			diff := observed - attr.Total()
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > observed/20 {
-				t.Fatalf("attribution %v (total %v) vs observed %v: off by %v (> 5%%)",
-					attr, attr.Total(), observed, diff)
+			if ord == originOrd {
+				hook = &hookTransport{inner: cfg.Transport}
+				cfg.Transport = hook
 			}
 		})
-	}
+		victim := nodes[0]
+		key := victimKey(t, nodes, victim)
+		origin := nodes[originOrd]
+		if err := origin.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+
+		// Count the route's requests to the owner, then saturate its
+		// admission controller immediately before the request after
+		// those — the Get's fetch. The fetch is shed and retried
+		// until the retries are shed too; the read then falls back
+		// through the replica set.
+		before := hook.sendsTo(victim.Addr())
+		if _, err := origin.Lookup(key); err != nil {
+			t.Fatal(err)
+		}
+		routeSends := hook.sendsTo(victim.Addr()) - before
+		var unsaturate func()
+		hook.arm(victim.Addr(), routeSends, func() { unsaturate = saturate(t, victim) })
+		defer func() {
+			if unsaturate != nil {
+				unsaturate()
+			}
+		}()
+
+		t0 := time.Now()
+		v, r, err := origin.GetContext(context.Background(), key)
+		observed := time.Since(t0)
+		if err != nil || string(v) != "v" {
+			t.Fatalf("Get = %q, %v", v, err)
+		}
+		if unsaturate == nil {
+			t.Fatal("saturation hook never fired; fetch was not shed")
+		}
+		if r.TraceID == "" {
+			t.Fatal("no trace ID on the route")
+		}
+		retries := origin.Telemetry().CounterValue("cycloid_retries_total")
+		if retries == 0 {
+			t.Fatal("fetch against the saturated owner was not retried")
+		}
+
+		tree := findTree(t, nodes, r.TraceID)
+		if tree.Root == nil {
+			t.Fatal("no root span")
+		}
+		if viol := tree.Check(false); len(viol) != 0 {
+			t.Fatalf("acceptance tree incomplete: %v", viol)
+		}
+		ann := rootAnnotations(tree)
+		if !ann["shed"] || !ann["replica-fallback"] {
+			t.Fatalf("root annotations = %v, want shed + replica-fallback", tree.Root.Span.Annotations)
+		}
+		// The tree must span at least 3 distinct nodes.
+		seen := map[string]bool{}
+		var walk func(n *telemetry.SpanNode)
+		walk = func(n *telemetry.SpanNode) {
+			seen[n.Span.Node] = true
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(tree.Root)
+		if len(seen) < 3 {
+			t.Fatalf("trace touched %d nodes, want >= 3", len(seen))
+		}
+		// Per-hop attribution must sum to within 5% of the
+		// client-observed latency.
+		attr := tree.Attribution()
+		diff := observed - attr.Total()
+		if diff < 0 {
+			diff = -diff
+		}
+		if diff > observed/20 {
+			t.Fatalf("attribution %v (total %v) vs observed %v: off by %v (> 5%%)",
+				attr, attr.Total(), observed, diff)
+		}
+	})
 }
 
 // TestTraceUnsampledAllocs pins the unsampled hot path at zero

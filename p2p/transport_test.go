@@ -22,8 +22,9 @@ func memConfig(nw *memnet.Network, name string, dim int, id ids.CycloidID) Confi
 	}
 }
 
-// memCluster boots n nodes on one fabric with distinct seeded IDs.
-func memCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64) []*Node {
+// memCluster boots n nodes on one fabric with distinct seeded IDs; each
+// mut, if any, adjusts every node's config before it starts.
+func memCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64, mut ...func(*Config)) []*Node {
 	t.Helper()
 	space := ids.NewSpace(dim)
 	rng := rand.New(rand.NewSource(seed))
@@ -35,7 +36,11 @@ func memCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64) []*Nod
 			continue
 		}
 		taken[v] = true
-		nd, err := Start(memConfig(nw, fmt.Sprintf("m%d", len(nodes)), dim, space.FromLinear(v)))
+		cfg := memConfig(nw, fmt.Sprintf("m%d", len(nodes)), dim, space.FromLinear(v))
+		for _, m := range mut {
+			m(&cfg)
+		}
+		nd, err := Start(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,14 +13,13 @@ import (
 // pooled lookup/put/get traffic and stabilization run concurrently over
 // the same multiplexed connections. Run under -race this pins the
 // locking discipline of the routing state against the new concurrent
-// server: with dial-per-request every inbound request had its own
-// connection and goroutine, but a mux stream dispatches many requests
-// from one reader loop, so update handlers and step handlers now race
-// on the same node in ways the one-shot server never produced. After
+// server: a mux stream dispatches many requests from one reader loop,
+// so update handlers and step handlers race on the same node in ways a
+// connection-per-request server never produced. After
 // the storm the overlay must still answer exact lookups.
 func TestUpdatesRaceWithPooledTraffic(t *testing.T) {
 	nw := memnet.New(13)
-	nodes := pooledMemCluster(t, nw, 6, 8, 19)
+	nodes := memCluster(t, nw, 6, 8, 19)
 	stabilizeAll(nodes, 2)
 	space := nodes[0].space
 

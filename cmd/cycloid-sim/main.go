@@ -88,16 +88,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	if flag.Arg(0) == "chaos" {
-		runChaos(*nodes, *dim, *seed, *trace, *replicas, *crashes, *loaders, *restarts, *overload)
+	// The live-node commands run at a smaller scale than the simulator,
+	// so they bring their own defaults for the flags left unset.
+	switch flag.Arg(0) {
+	case "chaos":
+		runChaos(flagOr("nodes", 12), flagOr("dim", 6), *seed, *trace, *replicas, *crashes, *loaders, *restarts, *overload)
 		return
-	}
-	if flag.Arg(0) == "metrics" {
-		runMetrics(*nodes, *dim, *seed, *replicas)
+	case "metrics":
+		runMetrics(flagOr("nodes", 8), flagOr("dim", 6), *seed, *replicas)
 		return
-	}
-	if flag.Arg(0) == "trace" {
-		runTrace(*nodes, *dim, *seed, *replicas, *sample, flag.Arg(1), *traceOut)
+	case "trace":
+		runTrace(flagOr("nodes", 8), flagOr("dim", 6), *seed, flagOr("replicas", 3), *sample, flag.Arg(1), *traceOut)
 		return
 	}
 
@@ -203,23 +204,27 @@ func main() {
 	}
 }
 
+// flagOr returns the named int flag's value when the command line set
+// it, and def otherwise.
+func flagOr(name string, def int) int {
+	v := def
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			v = f.Value.(flag.Getter).Get().(int)
+		}
+	})
+	return v
+}
+
 // runChaos drives live p2p nodes on the deterministic in-memory
 // transport through a seeded schedule of faults and membership churn,
 // then reports the per-round timeout counts and invariant violations.
-// The defaults for -nodes (500) and -dim (8) suit the simulator; chaos
-// runs live nodes, so clamp to the harness's scale when unchanged.
 func runChaos(nodes, dim int, seed int64, trace bool, replicas, crashes int, loaders int, restarts, overload bool) {
 	rounds := 8
 	if flag.NArg() >= 2 {
 		if _, err := fmt.Sscanf(flag.Arg(1), "%d", &rounds); err != nil {
 			fail(fmt.Errorf("cannot parse round count %q: %w", flag.Arg(1), err))
 		}
-	}
-	if nodes == 500 {
-		nodes = 12
-	}
-	if dim == 8 {
-		dim = 6
 	}
 	cfg := chaosrunner.Config{
 		Seed: seed, Dim: dim, Nodes: nodes, Rounds: rounds,
@@ -337,54 +342,11 @@ func runPhases(d *cycloid.DHT, count int, seed int64) {
 // registry in both directions, and prints the phase-annotated traces.
 // Any violation exits nonzero.
 func runMetrics(nodes, dim int, seed int64, replicas int) {
-	if nodes == 500 {
-		nodes = 8
-	}
-	if dim == 8 {
-		dim = 6
-	}
-	nw := memnet.New(seed)
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	cluster := make([]*p2p.Node, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		var v uint64
-		for {
-			v = uint64(rng.Int63n(int64(space.Size())))
-			if !taken[v] {
-				taken[v] = true
-				break
-			}
-		}
-		id := space.FromLinear(v)
-		nd, err := p2p.Start(p2p.Config{
-			Dim:         dim,
-			ID:          &id,
-			DialTimeout: 200 * time.Millisecond,
-			Transport:   nw.Host(fmt.Sprintf("m%d", i)),
-			Replicas:    replicas,
-		})
-		if err != nil {
-			fail(err)
-		}
-		if len(cluster) > 0 {
-			if err := nd.Join(cluster[0].Addr()); err != nil {
-				fail(err)
-			}
-		}
-		cluster = append(cluster, nd)
-	}
-	defer func() {
-		for _, nd := range cluster {
-			nd.Close()
-		}
-	}()
-	for r := 0; r < 3; r++ {
-		for _, nd := range cluster {
-			nd.Stabilize()
-		}
-	}
+	o := bootMem(seed, dim, nodes, func(int) p2p.Config {
+		return p2p.Config{Replicas: replicas}
+	})
+	defer o.close()
+	cluster := o.nodes
 	for i := 0; i < 24; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		if err := cluster[i%len(cluster)].Put(key, []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -448,36 +410,8 @@ func runMetrics(nodes, dim int, seed int64, replicas int) {
 // root, call counts match, no detached spans: nothing crashed, so
 // nothing may be missing).
 func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wantID, outPath string) {
-	if nodes == 500 {
-		nodes = 8
-	}
-	if dim == 8 {
-		dim = 6
-	}
-	if replicas == 1 {
-		replicas = 3
-	}
-	nw := memnet.New(seed)
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	freshID := func() ids.CycloidID {
-		for {
-			v := uint64(rng.Int63n(int64(space.Size())))
-			if !taken[v] {
-				taken[v] = true
-				return space.FromLinear(v)
-			}
-		}
-	}
-	var cluster []*p2p.Node
-	boot := func(ord int) *p2p.Node {
-		id := freshID()
+	o := bootMem(seed, dim, nodes, func(ord int) p2p.Config {
 		cfg := p2p.Config{
-			Dim:         dim,
-			ID:          &id,
-			DialTimeout: 200 * time.Millisecond,
-			Transport:   nw.Host(fmt.Sprintf("m%d", ord)),
 			Replicas:    replicas,
 			TraceSample: sample,
 			SpanBuffer:  1 << 15,
@@ -489,39 +423,15 @@ func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wantID, 
 			cfg.QueueDepth = 1
 			cfg.ServiceDelay = time.Millisecond
 		}
-		nd, err := p2p.Start(cfg)
-		if err != nil {
-			fail(err)
-		}
-		if len(cluster) > 0 {
-			// Bootstrap through a non-victim member: the victim sheds
-			// under load, and a shed join is a failed join.
-			boot := cluster[len(cluster)-1]
-			if err := nd.Join(boot.Addr()); err != nil {
-				fail(err)
-			}
-		}
-		cluster = append(cluster, nd)
-		return nd
-	}
-	for i := 0; i < nodes; i++ {
-		boot(i)
-	}
-	defer func() {
-		for _, nd := range cluster {
-			nd.Close()
-		}
-	}()
-	for r := 0; r < 3; r++ {
-		for _, nd := range cluster {
-			nd.Stabilize()
-		}
-	}
+		return cfg
+	})
+	defer o.close()
 
 	// Load-during-churn: concurrent writers and readers hammer keys (some
 	// owned by the shedding victim), while two extra members join
 	// mid-run.
 	const ops = 64
+	origins := o.nodes
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -529,7 +439,7 @@ func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wantID, 
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
 				key := fmt.Sprintf("key-%d", (w*ops+i)%24)
-				origin := cluster[(w+i)%nodes]
+				origin := origins[(w+i)%len(origins)]
 				if i%2 == 0 {
 					_ = origin.Put(key, []byte(fmt.Sprintf("v%d-%d", w, i)))
 				} else {
@@ -538,15 +448,12 @@ func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wantID, 
 			}
 		}(w)
 	}
-	boot(nodes)
-	boot(nodes + 1)
+	o.add()
+	o.add()
 	wg.Wait()
-	for r := 0; r < 2; r++ {
-		for _, nd := range cluster {
-			nd.Stabilize()
-		}
-	}
+	o.stabilize(2)
 
+	cluster := o.nodes
 	var spans []*telemetry.Span
 	var sampled, forced uint64
 	for _, nd := range cluster {
@@ -611,6 +518,80 @@ func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wantID, 
 		fail(fmt.Errorf("trace %s not found among %d traces", wantID, len(trees)))
 	}
 	show.Format(os.Stdout)
+}
+
+// memOverlay is the metrics and trace smoke checks' testbed: live nodes
+// on the deterministic in-memory fabric, named m0, m1, ... in start
+// order, with distinct IDs drawn from one seeded stream.
+type memOverlay struct {
+	nw     *memnet.Network
+	space  ids.Space
+	rng    *rand.Rand
+	taken  map[uint64]bool
+	config func(ord int) p2p.Config // per-member settings beyond ID, Dim, fabric and dial budget
+	nodes  []*p2p.Node
+}
+
+// bootMem starts n members and runs three stabilization sweeps. Any
+// failure ends the run.
+func bootMem(seed int64, dim, n int, config func(ord int) p2p.Config) *memOverlay {
+	o := &memOverlay{
+		nw:     memnet.New(seed),
+		space:  ids.NewSpace(dim),
+		rng:    rand.New(rand.NewSource(seed)),
+		taken:  make(map[uint64]bool),
+		config: config,
+	}
+	for i := 0; i < n; i++ {
+		o.add()
+	}
+	o.stabilize(3)
+	return o
+}
+
+// add starts the next member and joins it through the member started
+// before it — never through m0 once there are two, since a victim
+// configured at m0 may shed the join.
+func (o *memOverlay) add() {
+	var v uint64
+	for {
+		v = uint64(o.rng.Int63n(int64(o.space.Size())))
+		if !o.taken[v] {
+			o.taken[v] = true
+			break
+		}
+	}
+	id := o.space.FromLinear(v)
+	ord := len(o.nodes)
+	cfg := o.config(ord)
+	cfg.Dim = o.space.Dim()
+	cfg.ID = &id
+	cfg.DialTimeout = 200 * time.Millisecond
+	cfg.Transport = o.nw.Host(fmt.Sprintf("m%d", ord))
+	nd, err := p2p.Start(cfg)
+	if err != nil {
+		fail(err)
+	}
+	if ord > 0 {
+		if err := nd.Join(o.nodes[ord-1].Addr()); err != nil {
+			fail(err)
+		}
+	}
+	o.nodes = append(o.nodes, nd)
+}
+
+func (o *memOverlay) stabilize(sweeps int) {
+	for r := 0; r < sweeps; r++ {
+		for _, nd := range o.nodes {
+			nd.Stabilize()
+		}
+	}
+}
+
+func (o *memOverlay) close() {
+	for _, nd := range o.nodes {
+		nd.Close()
+	}
 }
 
 // fetch GETs a URL and returns the body, failing the run on any error.

@@ -24,9 +24,10 @@
 //     membership event (join, graceful leave, leave on a lossy fabric,
 //     or an ungraceful crash). With LoadClients > 0, load workers
 //     drive gets and lookups concurrently with this phase and the
-//     next, and their error rate must stay under MaxLoadErrorRate.
+//     next, and their error rate must stay under a bound the run
+//     derives: 0.2, or 0.4 under KillRestart.
 //     With KillRestart, crashes become kill/restart cycles: the killed
-//     node's data directory survives, and a later round reboots the
+//     node's data directory survives, and the next round reboots the
 //     node from it — the reboot must replay every key the node held at
 //     the kill before rejoining, no acked write may vanish, and no
 //     key's logical version may regress fleet-wide.
@@ -56,19 +57,15 @@ import (
 )
 
 // Config parameterizes one chaos run. The zero value of any field
-// selects a default suitable for a fast test.
+// selects a default suitable for a fast test. Everything else a run
+// needs — workload sizes, tier geometry, error bounds — is a constant
+// of the harness or derived from these fields.
 type Config struct {
-	Seed            int64
-	Dim             int           // Cycloid dimension (default 6)
-	Nodes           int           // initial overlay size (default 12)
-	Rounds          int           // chaos rounds (default 8)
-	Keys            int           // keys seeded before round 1 (default 16)
-	StabilizeRounds int           // sweeps per quiescent window (default 3)
-	DialTimeout     time.Duration // per-contact budget (default 1s)
-	Probes          int           // fault-phase lookups per round (default 8)
-	Clients         int           // concurrent clean-phase workers (default 4)
-	OpsPerClient    int           // put+get pairs per worker (default 3)
-	Trace           io.Writer     // optional: per-round routing-state dump
+	Seed   int64
+	Dim    int       // Cycloid dimension (default 6)
+	Nodes  int       // initial overlay size (default 12)
+	Rounds int       // chaos rounds (default 8)
+	Trace  io.Writer // optional: per-round routing-state dump
 
 	// Replicas is the members' replication factor R (default 1, no
 	// replication). With R > 1 the run asserts the upgraded durability
@@ -86,42 +83,27 @@ type Config struct {
 	// drive Gets on tracked keys and fresh lookups concurrently with
 	// the round's membership events and stabilization sweeps — the
 	// window in which routing state is in flux. The run then asserts a
-	// bounded error rate over that traffic; key durability is already
-	// covered by the per-round retrievability invariants. Default 0
-	// keeps the harness — and every seeded report — exactly as before.
+	// bounded error rate over that traffic (see errorBound); key
+	// durability is already covered by the per-round retrievability
+	// invariants. Default 0 keeps the harness — and every seeded report
+	// — exactly as before.
 	LoadClients int
-	// LoadOpsPerClient is the operations each load worker issues per
-	// round (default 8 when LoadClients > 0).
-	LoadOpsPerClient int
-	// MaxLoadErrorRate bounds errors/ops over the load-during-churn
-	// traffic (default 0.2 when LoadClients > 0). Membership changes
-	// mid-request make occasional failures legitimate; a rate above the
-	// bound means churn is breaking routing rather than racing it.
-	MaxLoadErrorRate float64
 
 	// KillRestart upgrades crash events into kill/restart cycles: the
 	// schedule emits EvKill instead of EvCrash, the killed node's data
-	// directory survives, and after DowntimeRounds rounds the runner
-	// reboots the node from it — same ID, same address, same telemetry
-	// registry. Every member runs on a durable disk-backed store (a
-	// temporary directory is created unless DataDir is set), and the
-	// run asserts the durability invariants: the reboot replays every
-	// key the node held at the kill before rejoining, and no key's
-	// owner-assigned version regresses fleet-wide. Kill/restart runs
-	// should use Replicas greater than the simultaneous kill count so
-	// reads stay available during the downtime; the runner keeps
-	// expecting a killed node's keys regardless, because its disk — and
-	// therefore its copy — survives.
+	// directory survives, and one round later the runner reboots the
+	// node from it — same ID, same address, same telemetry registry. A
+	// kill whose restart would land past the final round leaves the
+	// node down for good. Every member runs on a durable disk-backed
+	// store in a run-scoped temporary directory removed when Run
+	// returns, and the run asserts the durability invariants: the
+	// reboot replays every key the node held at the kill before
+	// rejoining, and no key's owner-assigned version regresses
+	// fleet-wide. Kill/restart runs should use Replicas greater than
+	// the simultaneous kill count so reads stay available during the
+	// downtime; the runner keeps expecting a killed node's keys
+	// regardless, because its disk — and therefore its copy — survives.
 	KillRestart bool
-	// DowntimeRounds is how many rounds a killed node stays down before
-	// its restart (default 1). A kill whose restart would land past the
-	// final round leaves the node down for good.
-	DowntimeRounds int
-	// DataDir, when set, roots every member's durable store at
-	// DataDir/<name>. Empty with KillRestart uses a run-scoped
-	// temporary directory removed when Run returns; empty without
-	// KillRestart keeps members on the in-memory store as before.
-	DataDir string
 
 	// TraceSample enables distributed tracing on every member
 	// (p2p.Config.TraceSample): each member samples that fraction of its
@@ -143,37 +125,13 @@ type Config struct {
 	// round's membership events and stabilization sweeps. The run then
 	// asserts the blob invariants after every round: zero chunk
 	// integrity failures fleet-wide, every acknowledged blob fully
-	// readable from a live node (zero lost acked blobs), and the
-	// rebuffer rate over the round's sessions bounded by
-	// MaxRebufferRate. The knob never touches the schedule RNG, so
-	// default schedules stay byte-identical. Streaming runs should use
-	// Replicas greater than the simultaneous crash count (or
-	// KillRestart, whose disks survive) so acked blobs stay readable
-	// through the churn.
+	// readable from a live node (zero lost acked blobs), and bounded
+	// error and rebuffer rates over the round's traffic. The knob never
+	// touches the schedule RNG, so default schedules stay
+	// byte-identical. Streaming runs should use Replicas greater than
+	// the simultaneous crash count (or KillRestart, whose disks
+	// survive) so acked blobs stay readable through the churn.
 	StreamingClients int
-	// StreamingSessions is the viewer sessions each streaming worker
-	// plays per round (default 2).
-	StreamingSessions int
-	// StreamingBlobChunks is the length of every written blob, in
-	// chunks (default 6).
-	StreamingBlobChunks int
-	// StreamingChunkSize is the blob layer's chunk payload size
-	// (default 2 KiB — small, so blobs span many keys without bloating
-	// the run).
-	StreamingChunkSize int
-	// StreamingWindow is the viewer's prefetch window (default 4).
-	StreamingWindow int
-	// StreamingBitrateKBps paces viewer playout for rebuffer
-	// accounting (default 512 KiB/s; 0 keeps the default — streaming
-	// chaos without deadlines would have nothing to bound).
-	StreamingBitrateKBps int
-	// MaxStreamErrorRate bounds failed sessions+writes over attempts
-	// (default 0.25): churn may race an individual session, but past
-	// the bound churn is breaking the blob layer, not racing it.
-	MaxStreamErrorRate float64
-	// MaxRebufferRate bounds rebuffers per completed session (default
-	// 2.0).
-	MaxRebufferRate float64
 
 	// Overload selects the overload-protection tier instead of the
 	// fault schedule: every member runs admission control, member
@@ -186,40 +144,32 @@ type Config struct {
 	// admitted control traffic, client retries within the token-bucket
 	// ceiling, and the victim still routable (never suspected) once
 	// the load stops. Replicas defaults to 2 in this mode so reads
-	// survive the victim's shedding via replica fallback.
+	// survive the victim's shedding via replica fallback. The tier
+	// runs no fault schedule, load or streaming workers and no
+	// tracing, so Run rejects it combined with KillRestart,
+	// LoadClients, StreamingClients, MultiCrash > 1 or TraceSample.
 	Overload bool
-	// OverloadVictimCap is the victim's MaxInflight (default 2). Other
-	// members get a generous cap so their admission counters move
-	// without ever shedding.
-	OverloadVictimCap int
-	// OverloadHotKeys is how many victim-owned keys the hot traffic
-	// hammers (default 4).
-	OverloadHotKeys int
-	// OverloadZipf is the hot traffic's key-popularity skew (default
-	// 1.3; must be > 1 per math/rand's Zipf).
-	OverloadZipf float64
-	// OverloadOps is the operation count per load phase (default 400).
-	OverloadOps int
 }
 
+// The harness's fixed workload.
+const (
+	seedKeys         = 16  // keys seeded before round 1
+	stabilizeRounds  = 3   // sweeps per quiescent window
+	probes           = 8   // fault-phase lookups per round
+	clients          = 4   // concurrent clean-phase workers
+	opsPerClient     = 3   // put+get pairs per clean-phase worker
+	loadOpsPerClient = 8   // operations per load worker per round
+	maxLoadErrorRate = 0.2 // load workers' error bound, see errorBound
+
+	// dialTimeout is every member's per-contact budget. The fabric
+	// never sleeps, so this costs no wall time; it is the real-clock
+	// budget each in-memory exchange gets before its pipe deadline
+	// fires, and a generous value keeps heavily loaded -race runs from
+	// recording spurious timeouts.
+	dialTimeout = time.Second
+)
+
 func (c *Config) defaults() {
-	if c.Overload {
-		if c.Replicas == 0 {
-			c.Replicas = 2
-		}
-		if c.OverloadVictimCap == 0 {
-			c.OverloadVictimCap = 2
-		}
-		if c.OverloadHotKeys == 0 {
-			c.OverloadHotKeys = 4
-		}
-		if c.OverloadZipf == 0 {
-			c.OverloadZipf = 1.3
-		}
-		if c.OverloadOps == 0 {
-			c.OverloadOps = 400
-		}
-	}
 	if c.Dim == 0 {
 		c.Dim = 6
 	}
@@ -229,68 +179,32 @@ func (c *Config) defaults() {
 	if c.Rounds == 0 {
 		c.Rounds = 8
 	}
-	if c.Keys == 0 {
-		c.Keys = 16
-	}
-	if c.StabilizeRounds == 0 {
-		c.StabilizeRounds = 3
-	}
-	if c.DialTimeout == 0 {
-		// The fabric never sleeps, so this costs no wall time; it is the
-		// real-clock budget each in-memory exchange gets before its pipe
-		// deadline fires, and a generous value keeps heavily loaded
-		// -race runs from recording spurious timeouts.
-		c.DialTimeout = time.Second
-	}
-	if c.Probes == 0 {
-		c.Probes = 8
-	}
-	if c.Clients == 0 {
-		c.Clients = 4
-	}
-	if c.OpsPerClient == 0 {
-		c.OpsPerClient = 3
-	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
+		if c.Overload {
+			c.Replicas = 2
+		}
 	}
 	if c.MultiCrash == 0 {
 		c.MultiCrash = 1
 	}
-	if c.LoadClients > 0 {
-		if c.LoadOpsPerClient == 0 {
-			c.LoadOpsPerClient = 8
-		}
-		if c.MaxLoadErrorRate == 0 {
-			c.MaxLoadErrorRate = 0.2
-		}
+}
+
+// errorBound is the highest error rate the traffic racing a round's
+// churn may show: base for the load workers (maxLoadErrorRate) or the
+// streaming workers (maxStreamErrorRate). Membership changes
+// mid-request make occasional failures legitimate; past the bound
+// churn is breaking routing or the blob layer rather than racing it. A
+// request racing a kill fails until the stabilization window promotes
+// a replica, and with a node down for the whole window the transient
+// rate runs higher than in crash-only runs, so kill/restart runs get
+// 0.4 on either tier. Durability itself is gated by the
+// post-stabilization invariants.
+func (c *Config) errorBound(base float64) float64 {
+	if c.KillRestart {
+		return 0.4
 	}
-	if c.KillRestart && c.DowntimeRounds == 0 {
-		c.DowntimeRounds = 1
-	}
-	if c.StreamingClients > 0 {
-		if c.StreamingSessions == 0 {
-			c.StreamingSessions = 2
-		}
-		if c.StreamingBlobChunks == 0 {
-			c.StreamingBlobChunks = 6
-		}
-		if c.StreamingChunkSize == 0 {
-			c.StreamingChunkSize = 2048
-		}
-		if c.StreamingWindow == 0 {
-			c.StreamingWindow = 4
-		}
-		if c.StreamingBitrateKBps == 0 {
-			c.StreamingBitrateKBps = 512
-		}
-		if c.MaxStreamErrorRate == 0 {
-			c.MaxStreamErrorRate = 0.25
-		}
-		if c.MaxRebufferRate == 0 {
-			c.MaxRebufferRate = 2
-		}
-	}
+	return base
 }
 
 // Event kinds. Fault events run in phase 1, membership events in
@@ -380,10 +294,10 @@ func GenerateSchedule(cfg Config) []Event {
 		}
 	}
 
-	// pendingRestart maps a round to the ordinals whose kill/restart
-	// downtime ends there. Restart events go at the head of their
-	// round's slice, so the runner reboots a node before processing that
-	// round's own membership events.
+	// pendingRestart maps a round to the ordinals whose one-round
+	// kill/restart downtime ends there. Restart events go at the head of
+	// their round's slice, so the runner reboots a node before
+	// processing that round's own membership events.
 	pendingRestart := make(map[int][]int)
 
 	for r := 0; r < cfg.Rounds; r++ {
@@ -436,12 +350,12 @@ func GenerateSchedule(cfg Config) []Event {
 				ord := pickLive()
 				if cfg.KillRestart {
 					// Kill instead of crash: the node's disk survives and
-					// a restart is queued after the downtime, unless it
+					// a restart is queued for the next round, unless it
 					// would land past the end of the run. No extra RNG
 					// draw, so kill schedules mirror the crash schedules
 					// of the same seed event for event.
 					sched = append(sched, Event{Round: r, Kind: EvKill, Node: ord})
-					if rr := r + cfg.DowntimeRounds; rr < cfg.Rounds {
+					if rr := r + 1; rr < cfg.Rounds {
 						pendingRestart[rr] = append(pendingRestart[rr], ord)
 					}
 				} else {
@@ -504,55 +418,39 @@ type runner struct {
 }
 
 // Run executes the seeded schedule and returns the full report. An
-// error is returned only for harness-level failures (the initial
-// overlay could not even be built); invariant violations are data, not
-// errors.
+// error is returned only for harness-level failures (a Config the run
+// cannot honour, or an initial overlay that could not even be built);
+// invariant violations are data, not errors.
 func Run(cfg Config) (*Result, error) {
-	cfg.defaults()
 	if cfg.Overload {
-		return runOverload(cfg)
-	}
-	sched := GenerateSchedule(cfg)
-	r := &runner{
-		cfg:      cfg,
-		space:    ids.NewSpace(cfg.Dim),
-		nw:       memnet.New(cfg.Seed),
-		expected: make(map[string][]byte),
-		dataRoot: cfg.DataDir,
-	}
-	if cfg.KillRestart && r.dataRoot == "" {
-		dir, err := os.MkdirTemp("", "cycloid-chaos-")
-		if err != nil {
-			return nil, fmt.Errorf("chaosrunner: data root: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		r.dataRoot = dir
-	}
-	defer func() {
-		for _, m := range r.members {
-			if m.live {
-				m.node.Close()
+		for _, f := range []struct {
+			set  bool
+			name string
+		}{
+			{cfg.KillRestart, "KillRestart"},
+			{cfg.LoadClients > 0, "LoadClients"},
+			{cfg.StreamingClients > 0, "StreamingClients"},
+			{cfg.MultiCrash > 1, "MultiCrash > 1"},
+			{cfg.TraceSample > 0, "TraceSample"},
+		} {
+			if f.set {
+				return nil, fmt.Errorf("chaosrunner: the overload tier would ignore %s", f.name)
 			}
 		}
-	}()
-
-	// Pre-assign distinct IDs for every ordinal the schedule can touch,
-	// from a seed-derived stream independent of the event stream.
-	joins := 0
-	for _, e := range sched {
-		if e.Kind == EvJoin {
-			joins++
-		}
 	}
-	r.idFor = assignIDs(cfg.Seed, r.space, cfg.Nodes+joins)
-
-	for i := 0; i < cfg.Nodes; i++ {
-		if err := r.startMember(i); err != nil {
-			return nil, err
-		}
+	cfg.defaults()
+	sched := GenerateSchedule(cfg)
+	r, err := start(cfg, sched)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	if cfg.Overload {
+		r.stabilizeAll(stabilizeRounds)
+		return r.runOverload()
 	}
 	r.stabilizeAll(2)
-	for i := 0; i < cfg.Keys; i++ {
+	for i := 0; i < seedKeys; i++ {
 		k := fmt.Sprintf("seed-k%d", i)
 		v := []byte(k)
 		if err := r.liveAt(i).node.Put(k, v); err != nil {
@@ -579,13 +477,11 @@ func Run(cfg Config) (*Result, error) {
 		rep := r.runRound(round, sched)
 		res.Rounds = append(res.Rounds, rep)
 		res.Violations = append(res.Violations, rep.Violations...)
-	}
-	res.FinalLive = len(r.liveMembers())
-	res.FinalKeys = len(r.expected)
-	for _, rep := range res.Rounds {
 		res.StreamOps += rep.StreamOps
 		res.Rebuffers += rep.Rebuffers
 	}
+	res.FinalLive = len(r.liveMembers())
+	res.FinalKeys = len(r.expected)
 	res.AckedBlobs = len(r.ackedBlobs)
 	if cfg.TraceSample > 0 {
 		r.checkTraces(res, sched)
@@ -641,23 +537,84 @@ func assignIDs(seed int64, space ids.Space, n int) map[int]ids.CycloidID {
 	return out
 }
 
+// start builds the runner and boots its first cfg.Nodes members. Under
+// KillRestart every member's durable store lives in a run-scoped
+// temporary directory, which close removes.
+func start(cfg Config, sched []Event) (*runner, error) {
+	r := &runner{
+		cfg:      cfg,
+		space:    ids.NewSpace(cfg.Dim),
+		nw:       memnet.New(cfg.Seed),
+		expected: make(map[string][]byte),
+	}
+	if cfg.KillRestart {
+		dir, err := os.MkdirTemp("", "cycloid-chaos-")
+		if err != nil {
+			return nil, fmt.Errorf("chaosrunner: data root: %w", err)
+		}
+		r.dataRoot = dir
+	}
+	// Pre-assign distinct IDs for every ordinal the schedule can touch,
+	// from a seed-derived stream independent of the event stream.
+	joins := 0
+	for _, e := range sched {
+		if e.Kind == EvJoin {
+			joins++
+		}
+	}
+	r.idFor = assignIDs(cfg.Seed, r.space, cfg.Nodes+joins)
+	for i := 0; i < cfg.Nodes; i++ {
+		if err := r.startMember(i); err != nil {
+			r.close()
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// close shuts down every live member and removes the run's data root.
+func (r *runner) close() {
+	for _, m := range r.liveMembers() {
+		m.node.Close()
+	}
+	if r.dataRoot != "" {
+		os.RemoveAll(r.dataRoot)
+	}
+}
+
+// startMember creates member ord and brings it up.
 func (r *runner) startMember(ord int) error {
-	name := fmt.Sprintf("n%03d", ord)
-	id := r.idFor[ord]
 	m := &member{
 		ord:  ord,
-		name: name,
-		id:   id,
+		name: fmt.Sprintf("n%03d", ord),
+		id:   r.idFor[ord],
 		reg:  telemetry.NewRegistry("cycloid"),
 	}
 	if r.dataRoot != "" {
-		m.dataDir = filepath.Join(r.dataRoot, name)
+		m.dataDir = filepath.Join(r.dataRoot, m.name)
 	}
+	if _, err := r.up(m); err != nil {
+		return err
+	}
+	r.members = append(r.members, m)
+	return nil
+}
+
+// up starts m's node and joins it to the overlay through the first live
+// member that admits it, trying them in turn from a position rotating
+// with the ordinal. A restart takes the same path: the ID, address,
+// data directory and telemetry registry pinned at the first start carry
+// over, and re-registration is a lookup, so counters keep their
+// pre-kill values. up returns the keys the node served from its own
+// store before joining — on a restart, its WAL replay, proof that
+// recovery did not depend on re-replication from scratch.
+func (r *runner) up(m *member) ([]string, error) {
 	pcfg := p2p.Config{
 		Dim:         r.cfg.Dim,
-		ID:          &id,
-		DialTimeout: r.cfg.DialTimeout,
-		Transport:   r.nw.Host(name),
+		ID:          &m.id,
+		ListenAddr:  m.addr,
+		DialTimeout: dialTimeout,
+		Transport:   r.nw.Host(m.name),
 		Replicas:    r.cfg.Replicas,
 		Telemetry:   m.reg,
 		DataDir:     m.dataDir,
@@ -673,75 +630,27 @@ func (r *runner) startMember(ord int) error {
 		// sleeps, so without it no handler would ever hold a slot long
 		// enough for genuine queue occupancy to build.
 		pcfg.MaxInflight = overloadOthersCap
-		if ord == overloadVictimOrd {
-			pcfg.MaxInflight = r.cfg.OverloadVictimCap
+		if m.ord == overloadVictimOrd {
+			pcfg.MaxInflight = overloadVictimCap
 			pcfg.ServiceDelay = overloadServiceDelay
 		}
 	}
 	nd, err := p2p.Start(pcfg)
 	if err != nil {
-		return fmt.Errorf("chaosrunner: start %s: %w", name, err)
+		return nil, fmt.Errorf("chaosrunner: start %s: %w", m.name, err)
 	}
-	m.node = nd
-	m.addr = nd.Addr()
-	m.live = true
-	if len(r.liveMembers()) > 0 {
-		boots := r.liveMembers()
+	replayed := nd.Keys()
+	if boots := r.liveMembers(); len(boots) > 0 {
 		joined := false
 		for attempt := 0; attempt < len(boots) && !joined; attempt++ {
-			boot := boots[(ord+attempt)%len(boots)]
-			joined = nd.Join(boot.node.Addr()) == nil
+			joined = nd.Join(boots[(m.ord+attempt)%len(boots)].node.Addr()) == nil
 		}
 		if !joined {
 			nd.Close()
-			return fmt.Errorf("chaosrunner: %s failed to join through any live node", name)
+			return nil, fmt.Errorf("chaosrunner: %s failed to join through any live node", m.name)
 		}
 	}
-	r.members = append(r.members, m)
-	return nil
-}
-
-// restartMember reboots a killed member from its surviving data
-// directory: same ID, same pinned address, same data dir, same
-// telemetry registry (re-registration is a lookup, so counters keep
-// their pre-kill values). It returns the keys the node served from its
-// local WAL replay before rejoining — proof recovery did not depend on
-// re-replication from scratch — with the node already joined back into
-// the overlay.
-func (r *runner) restartMember(m *member) ([]string, error) {
-	pcfg := p2p.Config{
-		Dim:         r.cfg.Dim,
-		ID:          &m.id,
-		ListenAddr:  m.addr,
-		DialTimeout: r.cfg.DialTimeout,
-		Transport:   r.nw.Host(m.name),
-		Replicas:    r.cfg.Replicas,
-		Telemetry:   m.reg,
-		DataDir:     m.dataDir,
-		TraceSample: r.cfg.TraceSample,
-	}
-	if r.cfg.TraceSample > 0 {
-		pcfg.SpanBuffer = 1 << 15
-	}
-	nd, err := p2p.Start(pcfg)
-	if err != nil {
-		return nil, fmt.Errorf("chaosrunner: restart %s: %w", m.name, err)
-	}
-	replayed := nd.Keys()
-	boots := r.liveMembers()
-	joined := false
-	for _, boot := range boots {
-		if nd.Join(boot.node.Addr()) == nil {
-			joined = true
-			break
-		}
-	}
-	if !joined {
-		nd.Close()
-		return nil, fmt.Errorf("chaosrunner: restarted %s failed to rejoin through any live node", m.name)
-	}
-	m.node = nd
-	m.live = true
+	m.node, m.addr, m.live = nd, nd.Addr(), true
 	return replayed, nil
 }
 
@@ -808,7 +717,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 			if m := r.byOrd(e.Node); m != nil && m.live {
 				for _, other := range r.liveMembers() {
 					if other != m {
-						r.nw.SetLatency(other.name, m.name, 4*r.cfg.DialTimeout)
+						r.nw.SetLatency(other.name, m.name, 4*dialTimeout)
 					}
 				}
 			}
@@ -848,7 +757,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 		timeoutsBefore += m.node.Telemetry().CounterValue(timeoutCounter)
 	}
 	probeTimeouts := 0
-	for i := 0; i < r.cfg.Probes; i++ {
+	for i := 0; i < probes; i++ {
 		from := origins[(i*7+round)%len(origins)]
 		route, err := from.node.Lookup(fmt.Sprintf("probe-%d-%d", round, i))
 		probeTimeouts += route.Timeouts
@@ -867,48 +776,47 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 
 	// Phase 2: heal the fabric, then apply the membership event. The
 	// round's simultaneous crash count decides whether replication is
-	// expected to save the crashed nodes' keys (f < R) or not.
-	crashes := 0
+	// expected to save the crashed nodes' keys (f < R) or not. The
+	// traffic racing this round's churn originates at members that
+	// survive the whole round, so every failure is the protocol's to
+	// explain; targets freely include the departing nodes.
+	r.nw.HealAll()
+	crashes, departing := 0, map[int]bool{}
 	for _, e := range events {
-		if e.Kind == EvCrash {
+		switch e.Kind {
+		case EvCrash:
 			crashes++
+			departing[e.Node] = true
+		case EvLeave, EvLossy, EvKill:
+			departing[e.Node] = true
 		}
 	}
-	r.nw.HealAll()
+	var survivors []*member
+	for _, m := range r.liveMembers() {
+		if !departing[m.ord] {
+			survivors = append(survivors, m)
+		}
+	}
 
 	// Load-during-churn: workers drive Gets on tracked keys and fresh
 	// lookups while the membership events below and the stabilization
 	// sweeps execute — the window in which routing tables are in flux.
-	// Origins are members that survive the whole round, so every failure
-	// is the protocol's to explain; targets freely include the departing
-	// nodes. The workers stop before the phase-4 invariant checks.
+	// The workers stop before the phase-4 invariant checks.
 	var loadWG sync.WaitGroup
 	var loadOps, loadErrs atomic.Int64
 	if r.cfg.LoadClients > 0 {
-		departing := map[int]bool{}
-		for _, e := range events {
-			if e.Kind == EvLeave || e.Kind == EvLossy || e.Kind == EvCrash || e.Kind == EvKill {
-				departing[e.Node] = true
-			}
-		}
-		var origins []*member
-		for _, m := range r.liveMembers() {
-			if !departing[m.ord] {
-				origins = append(origins, m)
-			}
-		}
 		keys := make([]string, 0, len(r.expected))
 		for k := range r.expected {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		if len(origins) > 0 {
+		if len(survivors) > 0 {
 			for g := 0; g < r.cfg.LoadClients; g++ {
 				loadWG.Add(1)
 				go func(g int) {
 					defer loadWG.Done()
-					for i := 0; i < r.cfg.LoadOpsPerClient; i++ {
-						from := origins[(g*13+i)%len(origins)].node
+					for i := 0; i < loadOpsPerClient; i++ {
+						from := survivors[(g*13+i)%len(survivors)].node
 						loadOps.Add(1)
 						if i%2 == 0 && len(keys) > 0 {
 							if _, _, err := from.Get(keys[(g*7+i)%len(keys)]); err != nil {
@@ -924,26 +832,12 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 	}
 
 	// Streaming-during-churn: blob writers and paced viewer sessions run
-	// through the same window as the load workers, on origins that
-	// survive the whole round. Stats land in sstats (atomics only);
-	// checkStreaming promotes them after the workers drain.
+	// through the same window as the load workers. Stats land in sstats
+	// (atomics only); checkStreaming promotes them after the workers
+	// drain.
 	var sstats streamStats
-	if r.cfg.StreamingClients > 0 {
-		departing := map[int]bool{}
-		for _, e := range events {
-			if e.Kind == EvLeave || e.Kind == EvLossy || e.Kind == EvCrash || e.Kind == EvKill {
-				departing[e.Node] = true
-			}
-		}
-		var origins []*member
-		for _, m := range r.liveMembers() {
-			if !departing[m.ord] {
-				origins = append(origins, m)
-			}
-		}
-		if len(origins) > 0 {
-			r.launchStreaming(round, &loadWG, origins, &sstats)
-		}
+	if r.cfg.StreamingClients > 0 && len(survivors) > 0 {
+		r.launchStreaming(round, &loadWG, survivors, &sstats)
 	}
 
 	blobsAtRisk := false
@@ -1019,7 +913,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 			if m == nil || m.live {
 				break
 			}
-			replayed, err := r.restartMember(m)
+			replayed, err := r.up(m)
 			if err != nil {
 				rep.Violations = append(rep.Violations, fmt.Sprintf("round %d: %v", round, err))
 				break
@@ -1067,7 +961,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 	}
 
 	// Phase 3: quiescent stabilization window.
-	r.stabilizeAll(r.cfg.StabilizeRounds)
+	r.stabilizeAll(stabilizeRounds)
 
 	var cleanTimeouts atomic.Int64
 	var vmu sync.Mutex
@@ -1079,7 +973,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 
 	// The load-during-churn invariant: the traffic that raced the
 	// membership events may fail occasionally, but its error rate stays
-	// under the configured bound.
+	// under the bound.
 	loadWG.Wait()
 	if blobsAtRisk {
 		r.dropAckedBlobs()
@@ -1087,9 +981,9 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 	rep.LoadOps = int(loadOps.Load())
 	rep.LoadErrors = int(loadErrs.Load())
 	if rep.LoadOps > 0 {
-		if rate := float64(rep.LoadErrors) / float64(rep.LoadOps); rate > r.cfg.MaxLoadErrorRate {
+		if rate, bound := float64(rep.LoadErrors)/float64(rep.LoadOps), r.cfg.errorBound(maxLoadErrorRate); rate > bound {
 			violation("load-during-churn error rate %.3f (%d/%d) exceeds %.3f",
-				rate, rep.LoadErrors, rep.LoadOps, r.cfg.MaxLoadErrorRate)
+				rate, rep.LoadErrors, rep.LoadOps, bound)
 		}
 	}
 
@@ -1099,12 +993,12 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 		k string
 		v []byte
 	}
-	puts := make(chan putKV, r.cfg.Clients*r.cfg.OpsPerClient)
-	for g := 0; g < r.cfg.Clients; g++ {
+	puts := make(chan putKV, clients*opsPerClient)
+	for g := 0; g < clients; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < r.cfg.OpsPerClient; i++ {
+			for i := 0; i < opsPerClient; i++ {
 				k := fmt.Sprintf("r%dc%dk%d", round, g, i)
 				v := []byte(k)
 				nd := r.liveAt(g*31 + i).node

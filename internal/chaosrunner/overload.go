@@ -30,16 +30,23 @@ import (
 	"cycloid/internal/ids"
 	"cycloid/internal/loadgen"
 	"cycloid/p2p"
-	"cycloid/p2p/memnet"
 )
 
 const (
-	// overloadVictimOrd is the member ordinal that gets the tiny cap.
+	// overloadVictimOrd is the member ordinal that gets the tiny cap,
+	// overloadVictimCap.
 	overloadVictimOrd = 0
+	overloadVictimCap = 2
 	// overloadOthersCap is the non-victim members' MaxInflight: high
 	// enough never to shed, so their admission counters exercise the
 	// conservation invariant on the admit path alone.
 	overloadOthersCap = 64
+	// overloadHotKeys victim-owned keys take the hot traffic, with
+	// key popularity skewed by overloadZipf (must be > 1 per
+	// math/rand's Zipf). Each load phase issues overloadOps operations.
+	overloadHotKeys = 4
+	overloadZipf    = 1.3
+	overloadOps     = 400
 	// overloadCtrlKeys sizes the control-key population (owned away
 	// from the victim).
 	overloadCtrlKeys = 16
@@ -131,33 +138,12 @@ func (r *runner) keysWithOwner(prefix string, owner ids.CycloidID, match bool, c
 	return out, nil
 }
 
-// runOverload executes the overload tier and returns its report.
-// Invariant violations are data on the Result, not errors, matching the
-// fault-schedule path.
-func runOverload(cfg Config) (*Result, error) {
-	r := &runner{
-		cfg:      cfg,
-		space:    ids.NewSpace(cfg.Dim),
-		nw:       memnet.New(cfg.Seed),
-		expected: make(map[string][]byte),
-	}
-	defer func() {
-		for _, m := range r.members {
-			if m.live {
-				m.node.Close()
-			}
-		}
-	}()
-	r.idFor = assignIDs(cfg.Seed, r.space, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		if err := r.startMember(i); err != nil {
-			return nil, err
-		}
-	}
-	r.stabilizeAll(3)
-
+// runOverload executes the overload tier on the booted, stabilized
+// overlay and returns its report. Invariant violations are data on the
+// Result, not errors, matching the fault-schedule path.
+func (r *runner) runOverload() (*Result, error) {
 	victim := r.byOrd(overloadVictimOrd)
-	hot, err := r.keysWithOwner("hot", victim.id, true, cfg.OverloadHotKeys)
+	hot, err := r.keysWithOwner("hot", victim.id, true, overloadHotKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -185,16 +171,20 @@ func runOverload(cfg Config) (*Result, error) {
 		rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
 	}
 
-	// Baseline: the control workload with the cluster otherwise idle.
-	base, err := loadgen.Run(loadgen.Config{
-		Nodes:       originNodes,
-		Mix:         loadgen.Mix{Get: 3, Lookup: 1},
-		KeyList:     ctrl,
-		Seed:        cfg.Seed,
-		Ops:         cfg.OverloadOps,
-		Concurrency: cfg.Clients,
-		OpTimeout:   cfg.DialTimeout,
-	})
+	// The control workload, run once with the cluster otherwise idle as
+	// the baseline and once during the loaded window.
+	control := func(seed int64) (*loadgen.Report, error) {
+		return loadgen.Run(loadgen.Config{
+			Nodes:       originNodes,
+			Mix:         loadgen.Mix{Get: 3, Lookup: 1},
+			KeyList:     ctrl,
+			Seed:        seed,
+			Ops:         overloadOps,
+			Concurrency: clients,
+			OpTimeout:   dialTimeout,
+		})
+	}
+	base, err := control(r.cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("chaosrunner: baseline load: %w", err)
 	}
@@ -227,30 +217,22 @@ func runOverload(cfg Config) (*Result, error) {
 			Nodes:       originNodes,
 			Mix:         loadgen.Mix{Put: 3, Get: 1},
 			KeyList:     hot,
-			Zipf:        cfg.OverloadZipf,
-			Seed:        cfg.Seed + 1,
-			Ops:         cfg.OverloadOps,
+			Zipf:        overloadZipf,
+			Seed:        r.cfg.Seed + 1,
+			Ops:         overloadOps,
 			Concurrency: overloadHotClients,
 			OpTimeout:   overloadHotTimeout,
 		})
 	}()
 	go func() {
 		defer wg.Done()
-		ctrlRep, ctrlErr = loadgen.Run(loadgen.Config{
-			Nodes:       originNodes,
-			Mix:         loadgen.Mix{Get: 3, Lookup: 1},
-			KeyList:     ctrl,
-			Seed:        cfg.Seed + 2,
-			Ops:         cfg.OverloadOps,
-			Concurrency: cfg.Clients,
-			OpTimeout:   cfg.DialTimeout,
-		})
+		ctrlRep, ctrlErr = control(r.cfg.Seed + 2)
 	}()
 	go func() {
 		defer wg.Done()
 		for i, k := range ackedKeys {
 			v := []byte(fmt.Sprintf("acked-v%d", i))
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.DialTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 			err := origins[i%len(origins)].node.PutContext(ctx, k, v)
 			cancel()
 			if err == nil {
@@ -287,7 +269,7 @@ func runOverload(cfg Config) (*Result, error) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	r.stabilizeAll(cfg.StabilizeRounds)
+	r.stabilizeAll(stabilizeRounds)
 
 	after := make(map[int]admSnap)
 	for _, m := range r.liveMembers() {
@@ -317,7 +299,7 @@ func runOverload(cfg Config) (*Result, error) {
 	// keys has to make it shed, or the tier measured nothing.
 	if orep.Shed == 0 {
 		violation("victim %s shed nothing under hot-key load (offered %d, cap %d)",
-			victim.name, orep.Offered, cfg.OverloadVictimCap)
+			victim.name, orep.Offered, overloadVictimCap)
 	}
 
 	// Graceful degradation: admitted control traffic stays fast while

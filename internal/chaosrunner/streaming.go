@@ -40,15 +40,21 @@ type streamStats struct {
 	integrity atomic.Int64 // typed integrity failures observed by viewers
 }
 
-// blobOpts is the tier's blob geometry.
-func (r *runner) blobOpts() blob.Options {
-	return blob.Options{ChunkSize: r.cfg.StreamingChunkSize, Window: r.cfg.StreamingWindow}
-}
+// The tier's fixed workload and bounds.
+const (
+	streamSessions  = 2 // viewer sessions each worker plays per round
+	streamChunkSize = 2048
+	// streamBlobSize is the byte length of every blob the tier writes:
+	// six small chunks, so blobs span many keys without bloating the run.
+	streamBlobSize     = 6 * streamChunkSize
+	streamBitrateKBps  = 512  // viewer playout pace for rebuffer accounting
+	maxStreamErrorRate = 0.25 // failed writes+sessions per attempt, see errorBound
+	maxRebufferRate    = 2.0  // rebuffers per completed session
+)
 
-// blobSize is the byte length of every blob the tier writes.
-func (r *runner) blobSize() int {
-	return r.cfg.StreamingBlobChunks * r.cfg.StreamingChunkSize
-}
+// blobOpts is the tier's blob geometry: small chunks and a viewer
+// prefetch window of four.
+var blobOpts = blob.Options{ChunkSize: streamChunkSize, Window: 4}
 
 // blobContent derives a blob's deterministic payload from its name: a
 // SHA-256 chain, so contents are incompressible-ish, name-unique, and
@@ -70,8 +76,8 @@ func (r *runner) provisionBlobs() error {
 	r.ackedBlobs = make(map[string][]byte)
 	for i := 0; i < r.cfg.StreamingClients; i++ {
 		name := fmt.Sprintf("blob-seed-%d", i)
-		content := blobContent(name, r.blobSize())
-		bs, err := blob.New(r.liveAt(i).node, r.blobOpts())
+		content := blobContent(name, streamBlobSize)
+		bs, err := blob.New(r.liveAt(i).node, blobOpts)
 		if err != nil {
 			return fmt.Errorf("chaosrunner: blob store: %w", err)
 		}
@@ -101,14 +107,14 @@ func (r *runner) launchStreaming(round int, wg *sync.WaitGroup, origins []*membe
 		go func(g int) {
 			defer wg.Done()
 			origin := origins[g%len(origins)]
-			bs, err := blob.New(origin.node, r.blobOpts())
+			bs, err := blob.New(origin.node, blobOpts)
 			if err != nil {
 				st.ops.Add(1)
 				st.errs.Add(1)
 				return
 			}
 			name := fmt.Sprintf("blob-r%d-g%d", round, g)
-			content := blobContent(name, r.blobSize())
+			content := blobContent(name, streamBlobSize)
 			st.ops.Add(1)
 			if err := bs.Put(context.Background(), name, content); err != nil {
 				st.errs.Add(1)
@@ -117,7 +123,7 @@ func (r *runner) launchStreaming(round int, wg *sync.WaitGroup, origins []*membe
 				r.ackedBlobs[name] = content
 				ackedMu.Unlock()
 			}
-			for s := 0; s < r.cfg.StreamingSessions && len(ackedNames) > 0; s++ {
+			for s := 0; s < streamSessions && len(ackedNames) > 0; s++ {
 				target := ackedNames[(g*5+s)%len(ackedNames)]
 				viewer := origins[(g+s+1)%len(origins)]
 				st.ops.Add(1)
@@ -132,7 +138,7 @@ func (r *runner) launchStreaming(round int, wg *sync.WaitGroup, origins []*membe
 // due one chunk-duration after chunk i-1's playout started; a late
 // chunk counts one rebuffer and rebases the playout clock.
 func (r *runner) playBlob(viewer *member, name string, st *streamStats) {
-	bs, err := blob.New(viewer.node, r.blobOpts())
+	bs, err := blob.New(viewer.node, blobOpts)
 	if err != nil {
 		st.errs.Add(1)
 		return
@@ -143,9 +149,9 @@ func (r *runner) playBlob(viewer *member, name string, st *streamStats) {
 		return
 	}
 	defer rd.Close()
-	chunkDur := time.Duration(float64(r.cfg.StreamingChunkSize) /
-		float64(r.cfg.StreamingBitrateKBps<<10) * float64(time.Second))
-	buf := make([]byte, r.cfg.StreamingChunkSize)
+	chunkDur := time.Duration(float64(streamChunkSize) /
+		float64(streamBitrateKBps<<10) * float64(time.Second))
+	buf := make([]byte, streamChunkSize)
 	var playStart time.Time
 	for seq := 0; ; seq++ {
 		if seq > 0 {
@@ -191,18 +197,18 @@ func (r *runner) checkStreaming(round int, rep *RoundReport, st *streamStats, li
 	rep.StreamErrors = int(st.errs.Load())
 	rep.Rebuffers = int(st.rebuffers.Load())
 	if rep.StreamOps > 0 {
-		if rate := float64(rep.StreamErrors) / float64(rep.StreamOps); rate > r.cfg.MaxStreamErrorRate {
+		if rate, bound := float64(rep.StreamErrors)/float64(rep.StreamOps), r.cfg.errorBound(maxStreamErrorRate); rate > bound {
 			violation("streaming-during-churn error rate %.3f (%d/%d) exceeds %.3f",
-				rate, rep.StreamErrors, rep.StreamOps, r.cfg.MaxStreamErrorRate)
+				rate, rep.StreamErrors, rep.StreamOps, bound)
 		}
 	}
 	if n := st.integrity.Load(); n > 0 {
 		violation("%d chunk integrity failures observed by viewers", n)
 	}
 	if s := st.sessions.Load(); s > 0 {
-		if rate := float64(rep.Rebuffers) / float64(s); rate > r.cfg.MaxRebufferRate {
+		if rate := float64(rep.Rebuffers) / float64(s); rate > maxRebufferRate {
 			violation("rebuffer rate %.2f/session (%d over %d sessions) exceeds %.2f",
-				rate, rep.Rebuffers, s, r.cfg.MaxRebufferRate)
+				rate, rep.Rebuffers, s, maxRebufferRate)
 		}
 	}
 
@@ -225,7 +231,7 @@ func (r *runner) checkStreaming(round int, rep *RoundReport, st *streamStats, li
 	sort.Strings(names)
 	for i, name := range names {
 		m := live[(i+round)%len(live)]
-		bs, err := blob.New(m.node, r.blobOpts())
+		bs, err := blob.New(m.node, blobOpts)
 		if err != nil {
 			violation("blob store on %s: %v", m.name, err)
 			continue

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	cycloid-sim -nodes 500 -dim 8 route "some key"
-//	cycloid-sim -nodes 500 -trace route "some key"
 //	cycloid-sim -nodes 200 table "(4,10110110)"
 //	cycloid-sim -nodes 200 owner movie.mkv
 //	cycloid-sim -nodes 300 churn 50
@@ -22,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,7 +46,8 @@ commands:
                    per-phase hop breakdown (the paper's Figure 7 view)
   metrics          boot a live 8-node in-memory overlay, drive traffic,
                    self-scrape its metrics endpoint, lint the exposition
-                   and print phase-annotated traces (the CI smoke check)
+                   and print node 0's span trees, whose step spans carry
+                   each hop's routing phase (the CI smoke check)
   chaos <rounds>   run live p2p nodes on the in-memory transport through
                    <rounds> of seeded faults and membership churn
                    (-nodes, -dim, -seed apply; -chaos-trace dumps state;
@@ -72,7 +73,6 @@ func main() {
 		leaf     = flag.Int("leaf", 1, "leaf-set half width (1 = 7-entry, 2 = 11-entry)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		trace    = flag.Bool("chaos-trace", false, "chaos: dump per-round routing state")
-		hopTrace = flag.Bool("trace", false, "route: print the phase-annotated hop trace in the live node's /debug/traces layout")
 		replicas = flag.Int("replicas", 1, "chaos: replication factor R (keys survive f < R simultaneous crashes)")
 		crashes  = flag.Int("crashes", 1, "chaos: max simultaneous crashes per crash event")
 		loaders  = flag.Int("load-clients", 0, "chaos: load-during-churn workers (0 = off)")
@@ -115,10 +115,6 @@ func main() {
 		r, err := d.Lookup(from, key)
 		if err != nil {
 			fail(err)
-		}
-		if *hopTrace {
-			routeTrace(d, key, r).Format(os.Stdout)
-			break
 		}
 		fmt.Printf("key %q hashes to owner %s\n", key, fmtID(d, r.Terminal))
 		fmt.Printf("route (%d hops, %d timeouts):\n", r.PathLength(), r.Timeouts)
@@ -279,27 +275,6 @@ func runChaos(nodes, dim int, seed int64, trace bool, replicas, crashes int, loa
 	fmt.Println("all invariants held")
 }
 
-// routeTrace converts a simulator route into the shared telemetry trace
-// shape so cycloid-sim -trace and the live node's /debug/traces endpoint
-// print byte-compatible layouts.
-func routeTrace(d *cycloid.DHT, key string, r cycloid.Route) telemetry.Trace {
-	tr := telemetry.Trace{
-		Kind:     "lookup",
-		Target:   key,
-		Source:   fmtID(d, r.Source),
-		Terminal: fmtID(d, r.Terminal),
-		Timeouts: r.Timeouts,
-	}
-	for _, h := range r.Hops {
-		tr.Hops = append(tr.Hops, telemetry.Hop{
-			Phase: string(h.Phase),
-			From:  fmtID(d, h.From),
-			To:    fmtID(d, h.To),
-		})
-	}
-	return tr
-}
-
 // runPhases drives count random lookups with telemetry enabled and
 // prints the per-phase hop breakdown the counters recorded — the
 // simulator-side view of the paper's Figure 7.
@@ -339,11 +314,17 @@ func runPhases(d *cycloid.DHT, count int, seed int64) {
 // serves one node's introspection endpoint on a loopback port,
 // self-scrapes it, lints the exposition (HELP/TYPE present and
 // consistent), cross-checks exposed metric families against the
-// registry in both directions, and prints the phase-annotated traces.
-// Any violation exits nonzero.
+// registry in both directions, and scrapes node 0's span trees, every
+// operation of node 0 being sampled. Any violation exits nonzero,
+// including a scrape with no tree or no step span annotated with the
+// routing phase of its hop.
 func runMetrics(nodes, dim int, seed int64, replicas int) {
-	o := bootMem(seed, dim, nodes, func(int) p2p.Config {
-		return p2p.Config{Replicas: replicas}
+	o := bootMem(seed, dim, nodes, func(ord int) p2p.Config {
+		cfg := p2p.Config{Replicas: replicas}
+		if ord == 0 {
+			cfg.TraceSample = 1
+		}
+		return cfg
 	})
 	defer o.close()
 	cluster := o.nodes
@@ -365,7 +346,7 @@ func runMetrics(nodes, dim int, seed int64, replicas int) {
 	if err != nil {
 		fail(err)
 	}
-	srv := &http.Server{Handler: telemetry.Handler(cluster[0].Telemetry(), cluster[0].TraceRing(), cluster[0].Spans())}
+	srv := &http.Server{Handler: telemetry.Handler(cluster[0].Telemetry(), cluster[0].Spans())}
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
@@ -389,12 +370,35 @@ func runMetrics(nodes, dim int, seed int64, replicas int) {
 	}
 	fmt.Printf("/debug/vars parses: %d series\n", len(vars))
 
-	traces := cluster[0].Traces()
-	if len(traces) == 0 {
-		fail(fmt.Errorf("node 0 drove traffic but retained no lookup traces"))
+	var trees []*telemetry.SpanTree
+	if err := json.Unmarshal(fetch(base+"/debug/spans?format=json"), &trees); err != nil {
+		fail(fmt.Errorf("/debug/spans is not valid JSON: %w", err))
 	}
-	fmt.Printf("%d phase-annotated traces retained; most recent:\n", len(traces))
-	for _, t := range traces[max(0, len(traces)-3):] {
+	if len(trees) == 0 {
+		fail(fmt.Errorf("node 0 sampled every operation but /debug/spans holds no trees"))
+	}
+	phased := 0
+	var walk func(sn *telemetry.SpanNode)
+	walk = func(sn *telemetry.SpanNode) {
+		for _, a := range sn.Span.Annotations {
+			if strings.HasPrefix(a, "phase=") { // only a hop's step span has one
+				phased++
+			}
+		}
+		for _, c := range sn.Children {
+			walk(c)
+		}
+	}
+	for _, t := range trees {
+		if t.Root != nil {
+			walk(t.Root)
+		}
+	}
+	if phased == 0 {
+		fail(fmt.Errorf("no step span among %d trees carries a routing phase", len(trees)))
+	}
+	fmt.Printf("scraped %s/debug/spans: %d trees, %d phase-annotated step spans; last three:\n", base, len(trees), phased)
+	for _, t := range trees[max(0, len(trees)-3):] {
 		t.Format(os.Stdout)
 	}
 	fmt.Println("metrics smoke check passed")

@@ -47,10 +47,9 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "durable store directory: WAL + snapshots live here, a restart replays them and rejoins (empty = in-memory store)")
 		fsync     = flag.Bool("fsync", true, "with -data-dir, fsync the WAL before acknowledging a Put; -fsync=false trades crash durability for latency")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/traces on this HTTP address (empty = off)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/spans on this HTTP address (empty = off)")
 		pprofOn     = flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on -metrics-addr")
 		logLevel    = flag.String("log-level", "", "emit structured logs to stderr at this level: debug, info, warn or error (empty = off)")
-		traceBuf    = flag.Int("trace-buffer", 0, "lookup traces retained for /debug/traces (0 = default 64, negative = off)")
 		traceSample = flag.Float64("trace-sample", 0, "distributed-tracing sample probability in [0,1]; sampled and anomaly-forced span trees appear on /debug/spans (anomalies are always captured once > 0)")
 		spanBuf     = flag.Int("span-buffer", 0, "completed spans retained for /debug/spans (0 = default 4096 when -trace-sample > 0, negative = off)")
 	)
@@ -71,7 +70,6 @@ func main() {
 		NoFsync:        !*fsync,
 		Telemetry:      reg,
 		Logger:         logger,
-		TraceBuffer:    *traceBuf,
 		TraceSample:    *traceSample,
 		SpanBuffer:     *spanBuf,
 	})
@@ -150,11 +148,11 @@ func buildLogger(level string) (*slog.Logger, error) {
 }
 
 // serveMetrics starts the introspection HTTP server: the node's metrics
-// and traces via telemetry.Handler, plus net/http/pprof when requested.
+// and spans via telemetry.Handler, plus net/http/pprof when requested.
 // pprof is opt-in so a metrics port never exposes profiling by default.
 func serveMetrics(addr string, node *p2p.Node, pprofOn bool) (*http.Server, error) {
 	mux := http.NewServeMux()
-	mux.Handle("/", telemetry.Handler(node.Telemetry(), node.TraceRing(), node.Spans()))
+	mux.Handle("/", telemetry.Handler(node.Telemetry(), node.Spans()))
 	if pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

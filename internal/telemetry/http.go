@@ -10,16 +10,15 @@ import (
 //
 //	/metrics      Prometheus text exposition
 //	/debug/vars   the same metrics as a flat JSON object
-//	/debug/traces recent phase-annotated lookup traces
 //	/debug/spans  distributed-tracing spans, reconstructed into trees
 //
-// /debug/traces and /debug/spans render text by default and structured
-// JSON with ?format=json, so both humans and collectors scrape the same
-// endpoints. ring and spans may be nil, in which case the corresponding
-// endpoint reports nothing. Callers mount pprof themselves when they
-// want it (see cycloidd -pprof), so importing this package never
-// registers profiling endpoints by side effect.
-func Handler(reg *Registry, ring *TraceRing, spans *SpanBuffer) http.Handler {
+// /debug/spans renders text by default and structured JSON with
+// ?format=json, so both humans and collectors scrape the same endpoint.
+// spans may be nil, in which case the endpoint reports nothing. Callers
+// mount pprof themselves when they want it (see cycloidd -pprof), so
+// importing this package never registers profiling endpoints by side
+// effect.
+func Handler(reg *Registry, spans *SpanBuffer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -29,21 +28,13 @@ func Handler(reg *Registry, ring *TraceRing, spans *SpanBuffer) http.Handler {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		_ = reg.WriteJSON(w)
 	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		ts := ring.Snapshot()
-		if wantJSON(r) {
-			writeJSON(w, ts)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, t := range ts {
-			t.Format(w)
-		}
-	})
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
 		trees := BuildTrees(spans.Snapshot())
-		if wantJSON(r) {
-			writeJSON(w, trees)
+		if r.URL.Query().Get("format") == "json" {
+			w.Header().Set("Content-Type", "application/json; charset=utf-8")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			_ = enc.Encode(trees)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -52,13 +43,4 @@ func Handler(reg *Registry, ring *TraceRing, spans *SpanBuffer) http.Handler {
 		}
 	})
 	return mux
-}
-
-func wantJSON(r *http.Request) bool { return r.URL.Query().Get("format") == "json" }
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -2,9 +2,8 @@
 // allocation-conscious metric instruments (atomic counters and gauges,
 // lock-free value-striped histograms with fixed bucket layouts), a
 // registry that renders them in Prometheus text format and /debug/vars
-// style JSON, and a per-lookup trace recorder that annotates every hop
-// with the paper's routing phase and the candidate-ordering decision
-// taken.
+// style JSON, and distributed-tracing spans with the reconstruction that
+// turns every node's spans into causal trees (span.go).
 //
 // Instruments are designed for hot paths: Inc/Add/Observe are single
 // atomic operations on preallocated memory — no locks, no allocations,

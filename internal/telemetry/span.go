@@ -320,7 +320,7 @@ func (t *SpanTree) Check(allowDetached bool) []string {
 }
 
 // Format renders the tree as an indented text view with per-span phase
-// detail — the cross-node counterpart of Trace.Format.
+// detail and annotations (a step call span's routing phase among them).
 func (t *SpanTree) Format(w io.Writer) {
 	fmt.Fprintf(w, "trace %s spans=%d", t.TraceID, t.Spans)
 	if t.Root != nil {

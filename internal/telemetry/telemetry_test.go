@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -198,47 +197,6 @@ func TestExpositionFamilies(t *testing.T) {
 	got := ExpositionFamilies(text)
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("ExpositionFamilies = %v", got)
-	}
-}
-
-func TestTraceRingEviction(t *testing.T) {
-	r := NewTraceRing(3)
-	for i := 0; i < 5; i++ {
-		r.Add(Trace{Kind: "lookup", Target: fmt.Sprintf("t%d", i)})
-	}
-	got := r.Snapshot()
-	if len(got) != 3 {
-		t.Fatalf("retained %d traces, want 3", len(got))
-	}
-	for i, tr := range got {
-		if want := uint64(i + 2); tr.Seq != want {
-			t.Errorf("trace %d seq = %d, want %d", i, tr.Seq, want)
-		}
-	}
-	var nilRing *TraceRing
-	nilRing.Add(Trace{}) // must not panic
-	if nilRing.Snapshot() != nil {
-		t.Error("nil ring snapshot not nil")
-	}
-}
-
-func TestTraceFormat(t *testing.T) {
-	tr := Trace{
-		Seq: 7, Kind: "lookup", Target: "(3,10)", Source: "(1,4)", Terminal: "(3,10)",
-		Timeouts: 1,
-		Hops: []Hop{
-			{Phase: "ascending", From: "(1,4)", To: "(2,4)"},
-			{Phase: "descending", From: "(2,4)", To: "(1,10)", Rank: 1, Timeouts: 1, Demoted: 1},
-			{Phase: "leafset", From: "(1,10)", To: "(3,10)", Greedy: true},
-		},
-	}
-	var buf bytes.Buffer
-	tr.Format(&buf)
-	out := buf.String()
-	for _, want := range []string{"trace #7", "hops=3 timeouts=1", "ascending", "cand=1", "demoted=1", "greedy"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted trace missing %q:\n%s", want, out)
-		}
 	}
 }
 

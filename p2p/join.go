@@ -26,7 +26,7 @@ func (n *Node) Join(bootstrap string) error {
 	if toEntry(boot.Self).ID == n.id {
 		return fmt.Errorf("p2p: join: ID collision with bootstrap node %v", n.id)
 	}
-	route, err := n.routeTraced(context.Background(), toEntry(boot.Self), n.id, "join", nil, nil)
+	route, err := n.route(context.Background(), toEntry(boot.Self), n.id, nil, nil)
 	if err != nil {
 		return fmt.Errorf("p2p: join: locating closest node: %w", err)
 	}
@@ -285,7 +285,7 @@ func (n *Node) handoffKeys() {
 		kp := n.keyPoint(k)
 		var dest *entry
 		if liveStart != nil {
-			if r, err := n.routeTraced(context.Background(), *liveStart, kp, "leave", nil, nil); err == nil && r.Terminal != n.id {
+			if r, err := n.route(context.Background(), *liveStart, kp, nil, nil); err == nil && r.Terminal != n.id {
 				dest = &entry{ID: r.Terminal, Addr: r.Addr}
 			}
 		}

@@ -6,11 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
-	"time"
 
 	"cycloid/internal/ids"
-	"cycloid/internal/telemetry"
 )
 
 // Route describes one resolved lookup.
@@ -43,7 +42,7 @@ func (n *Node) Lookup(key string) (Route, error) {
 // the caller budgeted rather than the full dial-timeout ladder.
 func (n *Node) LookupContext(ctx context.Context, key string) (Route, error) {
 	ot := n.beginOp("lookup", key)
-	r, err := n.routeCtx(ctx, n.keyPoint(key), ot)
+	r, err := n.route(ctx, *n.selfEntry(), n.keyPoint(key), nil, ot)
 	if id := n.endOp(ot, err); id != "" {
 		r.TraceID = id
 	}
@@ -89,7 +88,7 @@ func (n *Node) PutAt(ctx context.Context, hint, key string, value []byte) (r Rou
 			n.hintMissed(ctx, addr, herr)
 		}
 	}
-	r, err = n.routeCtx(ctx, kp, ot)
+	r, err = n.route(ctx, *n.selfEntry(), kp, nil, ot)
 	if err != nil {
 		return r, err
 	}
@@ -198,7 +197,7 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 			n.hintMissed(ctx, hint, ferr)
 		}
 	}
-	r, err = n.routeCtx(ctx, kp, ot)
+	r, err = n.route(ctx, *n.selfEntry(), kp, nil, ot)
 	if err != nil {
 		return nil, r, err
 	}
@@ -243,7 +242,7 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 			failed = make(map[string]bool)
 		}
 		failed[term.Addr] = true
-		r2, rerr := n.routeAvoiding(ctx, kp, failed, ot)
+		r2, rerr := n.route(ctx, *n.selfEntry(), kp, failed, ot)
 		if rerr != nil {
 			return nil, r, ferr
 		}
@@ -343,47 +342,29 @@ func (n *Node) replicaProbes(ctx context.Context, term entry, kp ids.CycloidID, 
 	return out
 }
 
-// route drives an iterative lookup starting at this node on behalf of
-// the maintenance plane (stabilization's key repair and routing-table
-// search).
-func (n *Node) route(t ids.CycloidID) (Route, error) {
-	if n.isStopped() {
-		return Route{}, ErrStopped
-	}
-	return n.routeTraced(context.Background(), *n.selfEntry(), t, "stabilize", nil, nil)
-}
-
-func (n *Node) routeCtx(ctx context.Context, t ids.CycloidID, ot *opTrace) (Route, error) {
-	return n.routeAvoiding(ctx, t, nil, ot)
-}
-
-// routeAvoiding routes from this node, treating every address in avoid
-// as already dead: it is neither dialed nor charged a timeout. Reads
-// use it to re-route around an owner whose corpse they already paid for
-// once.
-func (n *Node) routeAvoiding(ctx context.Context, t ids.CycloidID, avoid map[string]bool, ot *opTrace) (Route, error) {
-	if n.isStopped() {
-		return Route{}, ErrStopped
-	}
-	return n.routeTraced(ctx, *n.selfEntry(), t, "lookup", avoid, ot)
-}
-
-// routeTraced drives an iterative lookup starting at an arbitrary live
-// node (Join uses it before this node is part of the overlay). At each
-// step the current node's local decision yields candidates in preference
-// order; a candidate that cannot be dialed costs a timeout and the next
-// is tried, the live-network equivalent of the paper's timeout
-// accounting.
+// route drives an iterative lookup from start, a live node: this one
+// for lookups, reads, writes and maintenance, a bootstrap or leaf
+// neighbour for Join and Leave, which route before or after this node
+// is part of the overlay. At each step the current node's local decision
+// yields candidates in preference order; a candidate that cannot be
+// dialed costs a timeout and the next is tried, the live-network
+// equivalent of the paper's timeout accounting.
 //
 // The shared suspicion list reorders that preference: a candidate with
 // one strike is tried only after every clean candidate failed, and one
 // with suspectDrop strikes is skipped outright until stabilization
 // re-probes it — so the same corpse stops costing a timeout on every
-// route. Each dial is additionally capped by the context's deadline.
+// route. Every address in avoid counts as already dead: it is neither
+// dialed nor charged a timeout (a read re-routing around an owner whose
+// corpse it already paid for once). Each dial is additionally capped by
+// the context's deadline.
 //
-// Every hop updates the node's metrics, and when tracing is enabled the
-// whole route is recorded as one phase-annotated trace under kind.
-func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, kind string, avoid map[string]bool, ot *opTrace) (r Route, err error) {
+// Every hop updates the node's metrics; under a sampled op scope each
+// hop's step call span is annotated with how the hop was chosen.
+func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid map[string]bool, ot *opTrace) (r Route, err error) {
+	if start.ID == n.id && n.isStopped() {
+		return Route{}, ErrStopped
+	}
 	r = Route{Target: t, Phases: make(map[string]int)}
 	d := n.space.Dim()
 	window := 4*d + 16
@@ -398,27 +379,11 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 			dead[a] = true
 		}
 	}
-
-	var tr *telemetry.Trace
-	var began time.Time
-	if n.traces != nil {
-		began = time.Now()
-		tr = &telemetry.Trace{Kind: kind, Target: t.String(), Source: start.ID.String()}
-	}
 	defer func() {
 		n.tel.lookups.Inc()
 		n.tel.lookupHops.Observe(int64(r.Hops))
 		if err != nil {
 			n.tel.failures.Inc()
-		}
-		if tr != nil {
-			tr.Terminal = r.Terminal.String()
-			tr.Timeouts = r.Timeouts
-			if err != nil {
-				tr.Err = err.Error()
-			}
-			tr.Duration = time.Since(began)
-			n.traces.Add(*tr)
 		}
 	}()
 
@@ -429,7 +394,7 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 	cur := start
 	best := start.ID
 	sinceImprove := 0
-	step, err := n.stepAt(ctx, cur, t, greedyOnly, ot, sb)
+	step, err := n.stepAt(ctx, cur, t, greedyOnly, ot, sb, hopNote{})
 	if err != nil {
 		return r, fmt.Errorf("p2p: route: first hop: %w", err)
 	}
@@ -440,7 +405,7 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 		}
 		moved := false
 		// Per-hop decision accounting, reset each forwarding step.
-		hopTimeouts, hopDemoted, hopSkipped := 0, 0, 0
+		hop := hopNote{phase: step.Phase}
 		for pass := 0; pass < 2 && !moved; pass++ {
 			for ci, w := range step.Candidates {
 				cand := toEntry(w)
@@ -450,7 +415,7 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 				s := n.strikesOf(cand.Addr)
 				if s >= suspectDrop {
 					if pass == 0 {
-						hopSkipped++
+						hop.skipped++
 						n.tel.skips.Inc()
 					}
 					continue // known corpse: skipped outright
@@ -458,11 +423,12 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 				if pass == 0 && (s > 0 || n.isOverloaded(cand.Addr)) {
 					// Suspected or inside its overload window: demoted to
 					// pass 1, tried only after every clean candidate.
-					hopDemoted++
+					hop.demoted++
 					n.tel.demotions.Inc()
 					continue
 				}
-				next, serr := n.stepAt(ctx, cand, t, greedyOnly, ot, sb)
+				hop.rank = ci
+				next, serr := n.stepAt(ctx, cand, t, greedyOnly, ot, sb, hop)
 				if serr != nil {
 					if IsBusy(serr) {
 						// Shedding, not dead: step around it this round
@@ -476,7 +442,6 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 					}
 					r.Timeouts++
 					n.tel.timeouts.Inc()
-					hopTimeouts++
 					if dead == nil {
 						dead = make(map[string]bool)
 					}
@@ -488,18 +453,6 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 				r.Hops++
 				r.Phases[step.Phase]++
 				n.tel.hopPhase(step.Phase)
-				if tr != nil {
-					tr.Hops = append(tr.Hops, telemetry.Hop{
-						Phase:    step.Phase,
-						From:     cur.ID.String(),
-						To:       cand.ID.String(),
-						Rank:     ci,
-						Demoted:  hopDemoted,
-						Skipped:  hopSkipped,
-						Timeouts: hopTimeouts,
-						Greedy:   greedyOnly,
-					})
-				}
 				cur, step = cand, next
 				sb.flip()
 				moved = true
@@ -516,7 +469,7 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 			greedyOnly = true
 			n.tel.greedyFallbacks.Inc()
 			ot.force("greedy-fallback")
-			if step, err = n.stepAt(ctx, cur, t, true, ot, sb); err != nil {
+			if step, err = n.stepAt(ctx, cur, t, true, ot, sb, hopNote{}); err != nil {
 				return r, err
 			}
 			sb.flip()
@@ -525,7 +478,7 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 			greedyOnly = true
 			n.tel.greedyFallbacks.Inc()
 			ot.force("greedy-fallback")
-			if step, err = n.stepAt(ctx, cur, t, true, ot, sb); err != nil {
+			if step, err = n.stepAt(ctx, cur, t, true, ot, sb, hopNote{}); err != nil {
 				return r, err
 			}
 			sb.flip()
@@ -537,6 +490,34 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 	r.Terminal = cur.ID
 	r.Addr = cur.Addr
 	return r, nil
+}
+
+// hopNote is how a route chose the candidate it dials: the phase of the
+// step that offered it, its rank in that step's preference order, and
+// the suspects demoted or skipped before it. The zero note (a route's
+// first step, a greedy re-decision) records no hop.
+type hopNote struct {
+	phase                  string
+	rank, demoted, skipped int
+}
+
+// annotations renders the note for the step call span of a hop the
+// route made; greedy marks greedy-only leaf-set forwarding.
+func (h hopNote) annotations(greedy bool) []string {
+	a := []string{"phase=" + h.phase}
+	if h.rank > 0 {
+		a = append(a, "cand="+strconv.Itoa(h.rank))
+	}
+	if h.demoted > 0 {
+		a = append(a, "demoted="+strconv.Itoa(h.demoted))
+	}
+	if h.skipped > 0 {
+		a = append(a, "skipped="+strconv.Itoa(h.skipped))
+	}
+	if greedy {
+		a = append(a, "greedy")
+	}
+	return a
 }
 
 // stepResult is a hop decision with resolved addresses.
@@ -576,8 +557,9 @@ func (b *stepBufs) flip() { b.cur = 1 - b.cur }
 // spare list; the caller flips sb when it adopts the step. A wire failure
 // means the node is unreachable (dead), which the caller accounts as a
 // timeout. Each wire exchange is recorded as one call span under the
-// operation's scope.
-func (n *Node) stepAt(ctx context.Context, at entry, t ids.CycloidID, greedyOnly bool, ot *opTrace, sb *stepBufs) (stepResult, error) {
+// operation's scope; when the exchange succeeds and hop is not the zero
+// note, the span carries hop's annotations.
+func (n *Node) stepAt(ctx context.Context, at entry, t ids.CycloidID, greedyOnly bool, ot *opTrace, sb *stepBufs, hop hopNote) (stepResult, error) {
 	if at.ID == n.id && !n.isStopped() {
 		return n.localStep(t, greedyOnly, sb.spare()), nil
 	}
@@ -585,7 +567,11 @@ func (n *Node) stepAt(ctx context.Context, at entry, t ids.CycloidID, greedyOnly
 	resp := response{Candidates: sb.spare()}
 	sid, t0 := ot.startCall(&req)
 	err := n.callInto(ctx, at.Addr, req, &resp)
-	ot.endCall(sid, t0, "step", at.Addr, err)
+	var notes []string
+	if sid != 0 && err == nil && hop.phase != "" {
+		notes = hop.annotations(greedyOnly)
+	}
+	ot.endCall(sid, t0, "step", at.Addr, err, notes...)
 	if err != nil {
 		return stepResult{}, err
 	}

@@ -271,14 +271,6 @@ func (m *nodeMetrics) request(op string) {
 // Expose it over HTTP with telemetry.Handler (see cmd/cycloidd).
 func (n *Node) Telemetry() *telemetry.Registry { return n.tel.reg }
 
-// TraceRing returns the node's lookup trace buffer, nil when tracing is
-// disabled (Config.TraceBuffer < 0).
-func (n *Node) TraceRing() *telemetry.TraceRing { return n.traces }
-
-// Traces returns the retained phase-annotated lookup traces, oldest
-// first.
-func (n *Node) Traces() []telemetry.Trace { return n.traces.Snapshot() }
-
 // Spans returns the node's distributed-tracing span buffer, nil when
 // span recording is disabled. Collectors merge Snapshot()s from every
 // node and reconstruct causal trees with telemetry.BuildTrees.

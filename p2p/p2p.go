@@ -118,9 +118,11 @@ type Config struct {
 	// stamps every record with its own identity, so one process hosting
 	// many nodes can share a handler.
 	Logger *slog.Logger
-	// TraceBuffer caps the phase-annotated lookup traces retained for
-	// introspection (Node.Traces, /debug/traces). 0 selects the default
-	// of 64; negative disables trace recording.
+	// TraceBuffer is ignored: a route's per-hop facts (phase, candidate
+	// rank, demoted and skipped candidates, greedy forwarding) are
+	// annotations on its step call spans (TraceSample, /debug/spans).
+	//
+	// Deprecated: kept so existing callers compile; it has no effect.
 	TraceBuffer int
 	// TraceSample is the probability in [0,1] that a client operation
 	// (Get/Put/Lookup) starts a sampled distributed trace: the node
@@ -183,9 +185,6 @@ func (c *Config) defaults() {
 	}
 	if c.Logger == nil {
 		c.Logger = telemetry.NopLogger()
-	}
-	if c.TraceBuffer == 0 {
-		c.TraceBuffer = 64
 	}
 }
 
@@ -261,9 +260,8 @@ type Node struct {
 	muxMu    sync.Mutex
 	muxConns map[net.Conn]struct{}
 
-	tel    *nodeMetrics
-	log    *slog.Logger
-	traces *telemetry.TraceRing
+	tel *nodeMetrics
+	log *slog.Logger
 
 	// spans buffers completed distributed-tracing spans for pull-based
 	// collection, nil when span recording is disabled (the tracing hot
@@ -325,7 +323,6 @@ func Start(cfg Config) (*Node, error) {
 		stopped:  make(chan struct{}),
 		rng:      rand.New(rand.NewSource(int64(space.Linear(id)) + 1)),
 		tel:      newNodeMetrics(cfg.Telemetry),
-		traces:   telemetry.NewTraceRing(cfg.TraceBuffer),
 		muxConns: make(map[net.Conn]struct{}),
 	}
 	n.budget = newRetryBudget(n.tel)

@@ -270,7 +270,7 @@ func (n *Node) syncReplicas() {
 			n.fanOut(context.Background(), k, it, nil)
 			continue
 		}
-		r, err := n.route(kp)
+		r, err := n.route(context.Background(), *n.selfEntry(), kp, nil, nil)
 		if err != nil || r.Terminal == n.id {
 			continue // owner unreachable: keep the copy
 		}

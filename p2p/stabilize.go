@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -304,7 +305,7 @@ func (n *Node) RefreshRoutingTable() {
 // only, dir == 0 alternating) inspecting each cycle's members. The search
 // is bounded; stabilization retries periodically.
 func (n *Node) searchWithK(wantK uint8, ideal ids.CycloidID, dir int) (entry, bool) {
-	route, err := n.route(ideal)
+	route, err := n.route(context.Background(), *n.selfEntry(), ideal, nil, nil)
 	if err != nil {
 		return entry{}, false
 	}

@@ -20,10 +20,11 @@ import (
 const maxAllocsPerHop = 4
 
 // TestLookupHopAllocBudget pins the per-hop allocation cost of a warm
-// memnet overlay, the configuration the repo benchmark's
-// lookup workload runs. Every connection is dialed and every buffer
-// pool primed before counting, so what remains is what each hop costs
-// forever after.
+// memnet overlay of default-configured nodes, the configuration the
+// repo benchmark's lookup workload runs and every daemon, example and
+// harness that leaves tracing alone gets. Every connection is dialed
+// and every buffer pool primed before counting, so what remains is what
+// each hop costs forever after.
 func TestLookupHopAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a 24-node overlay")
@@ -32,10 +33,7 @@ func TestLookupHopAllocBudget(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	nw := memnet.New(417)
-	nodes := memCluster(t, nw, 5, 24, 417, func(cfg *Config) {
-		cfg.TraceBuffer = -1
-		cfg.SpanBuffer = -1
-	})
+	nodes := memCluster(t, nw, 5, 24, 417)
 	stabilizeAll(nodes, 3)
 	origin := nodes[0]
 	keys := make([]string, 64)

@@ -205,13 +205,18 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeUnderChurn hammers one node's scrape endpoints while
-// the overlay underneath it serves writes, reads, a crash and
-// stabilization — the race detector proves scraping never tears
-// instrument state.
+// TestMetricsScrapeUnderChurn hammers one node's scrape endpoints and
+// span buffer while the overlay underneath it serves writes, reads, a
+// crash and stabilization — the race detector proves scraping never
+// tears instrument state and span collection never races recording.
 func TestMetricsScrapeUnderChurn(t *testing.T) {
 	nw := memnet.New(13)
-	nodes := memReplCluster(t, nw, 6, 8, 13, 2)
+	nodes := traceCluster(t, nw, 6, 8, 13, func(ord int, cfg *Config) {
+		cfg.Replicas = 2
+		if ord == 0 {
+			cfg.TraceSample = 1
+		}
+	})
 	target := nodes[0]
 
 	done := make(chan struct{})
@@ -239,7 +244,7 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 				t.Errorf("WriteJSON: %v", err)
 				return
 			}
-			_ = target.Traces()
+			_ = telemetry.BuildTrees(target.Spans().Snapshot())
 		}
 	}()
 
@@ -260,66 +265,6 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-}
-
-// TestLookupTraceRecorded drives a read and requires the reader's trace
-// ring to hold a phase-annotated trace whose hop and timeout accounting
-// matches the returned route.
-func TestLookupTraceRecorded(t *testing.T) {
-	nw := memnet.New(5)
-	nodes := memCluster(t, nw, 6, 8, 5)
-	stabilizeAll(nodes, 3)
-	reader := nodes[0]
-
-	if err := nodes[1].Put("traced", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	_, r, err := reader.Get("traced")
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := reader.Traces()
-	if len(traces) == 0 {
-		t.Fatal("no traces recorded")
-	}
-	var tr *telemetry.Trace
-	for i := len(traces) - 1; i >= 0; i-- {
-		if traces[i].Kind == "lookup" {
-			tr = &traces[i]
-			break
-		}
-	}
-	if tr == nil {
-		t.Fatalf("no lookup trace among %d retained traces", len(traces))
-	}
-	if len(tr.Hops) != r.Hops {
-		t.Errorf("trace has %d hops, route reports %d", len(tr.Hops), r.Hops)
-	}
-	if tr.Timeouts != r.Timeouts {
-		t.Errorf("trace reports %d timeouts, route %d", tr.Timeouts, r.Timeouts)
-	}
-	for i, h := range tr.Hops {
-		if want, ok := r.Phases[h.Phase]; !ok || want == 0 {
-			t.Errorf("hop %d phase %q not in route's phase map %v", i, h.Phase, r.Phases)
-		}
-		if h.From == "" || h.To == "" {
-			t.Errorf("hop %d missing endpoints: %+v", i, h)
-		}
-	}
-	// Tracing disabled: no ring, Traces is nil-safe.
-	offCfg := memConfig(nw, "traceless", 6, ids.CycloidID{K: 0, A: 1})
-	offCfg.TraceBuffer = -1
-	off, err := Start(offCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	if _, err := off.Lookup("anything"); err != nil {
-		t.Fatal(err)
-	}
-	if got := off.Traces(); got != nil {
-		t.Fatalf("TraceBuffer<0 still recorded %d traces", len(got))
-	}
 }
 
 // TestRouteMetricsMatchRoutes drives a batch of reads against a cluster

@@ -163,8 +163,9 @@ func (ot *opTrace) startCall(req *request) (uint64, time.Time) {
 	return id, time.Now()
 }
 
-// endCall records the exchange span opened by startCall.
-func (ot *opTrace) endCall(id uint64, t0 time.Time, op, peer string, err error) {
+// endCall records the exchange span opened by startCall, carrying notes
+// as its annotations (a route's step spans note the hop they made).
+func (ot *opTrace) endCall(id uint64, t0 time.Time, op, peer string, err error, notes ...string) {
 	if id == 0 {
 		return
 	}
@@ -174,9 +175,10 @@ func (ot *opTrace) endCall(id uint64, t0 time.Time, op, peer string, err error) 
 		Kind: telemetry.SpanCall, Name: op,
 		Node: ot.n.addr, Peer: peer,
 		Start: t0.UnixNano(), Duration: int64(time.Since(t0)),
+		Annotations: notes,
 	}
 	if ot.budget == 0 {
-		s.Annotations = []string{"budget-exhausted"}
+		s.Annotations = append(s.Annotations, "budget-exhausted")
 	}
 	if err != nil {
 		s.Err = err.Error()

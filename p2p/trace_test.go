@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -264,6 +265,102 @@ func TestTraceSampledLookupTree(t *testing.T) {
 	if origin.Telemetry().CounterValue("cycloid_traces_sampled_total") == 0 {
 		t.Error("traces_sampled_total did not move")
 	}
+}
+
+// TestTraceStepSpansMatchRoute: a TraceSample=1 Get that routes past a
+// crashed member records one successful step call span per remote hop,
+// annotated with the phase of the step that chose it, and one failed
+// step span per timeout. Per phase, the annotated spans sum to the
+// route's Phases.
+func TestTraceStepSpansMatchRoute(t *testing.T) {
+	nw := memnet.New(5)
+	nodes := traceCluster(t, nw, 6, 8, 5, func(ord int, cfg *Config) {
+		cfg.TraceSample = 1
+		cfg.SpanBuffer = 1 << 14
+	})
+	// The victim is the reader's most frequent first choice, so routes
+	// from the reader run into it.
+	reader := nodes[0]
+	firsts := make(map[string]int)
+	for i := 0; i < 64; i++ {
+		step := reader.localStep(reader.keyPoint(fmt.Sprintf("step%d", i)), false, nil)
+		if len(step.Candidates) > 0 {
+			firsts[step.Candidates[0].Addr]++
+		}
+	}
+	victim := nodes[1]
+	for _, nd := range nodes[1:] {
+		if firsts[nd.Addr()] > firsts[victim.Addr()] {
+			victim = nd
+		}
+	}
+	var keys []string
+	for i := 0; i < 64; i++ {
+		k := fmt.Sprintf("step%d", i)
+		if ownerOf(t, nodes, k) == victim {
+			continue
+		}
+		if err := reader.Put(k, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	victim.Close()
+
+	for _, k := range keys {
+		_, r, err := reader.Get(k)
+		if err != nil || r.Timeouts == 0 {
+			continue
+		}
+		tree := findTree(t, nodes, r.TraceID)
+		if tree.Root == nil {
+			t.Fatal("sampled get has no root span")
+		}
+		phases := make(map[string]int)
+		hops, failed := 0, 0
+		var walk func(sn *telemetry.SpanNode)
+		walk = func(sn *telemetry.SpanNode) {
+			if s := sn.Span; s.Kind == telemetry.SpanCall && s.Name == "step" {
+				switch phase := stepPhase(s); {
+				case s.Err != "":
+					failed++
+				case phase == "":
+					t.Errorf("successful step span to %s carries no phase: %v", s.Peer, s.Annotations)
+				default:
+					hops++
+					phases[phase]++
+				}
+			}
+			for _, c := range sn.Children {
+				walk(c)
+			}
+		}
+		walk(tree.Root)
+		if hops != r.Hops {
+			t.Errorf("%d phase-annotated step spans, route reports %d hops", hops, r.Hops)
+		}
+		for ph, c := range r.Phases {
+			if phases[ph] != c {
+				t.Errorf("phase %s: %d annotated step spans, route reports %d (spans %v, route %v)", ph, phases[ph], c, phases, r.Phases)
+			}
+		}
+		if failed != r.Timeouts {
+			t.Errorf("%d failed step spans, route reports %d timeouts", failed, r.Timeouts)
+		}
+		return
+	}
+	t.Fatal("no Get routed past the crashed member")
+}
+
+// stepPhase returns the routing phase a step call span is annotated
+// with, "" when it has none.
+func stepPhase(s *telemetry.Span) string {
+	for _, a := range s.Annotations {
+		if p, ok := strings.CutPrefix(a, "phase="); ok {
+			return p
+		}
+	}
+	return ""
 }
 
 // TestTraceForcedOnShed: at TraceSample=0, a route that sheds around a

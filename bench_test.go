@@ -2,11 +2,10 @@ package cycloid_test
 
 // One benchmark per table and figure of the paper's evaluation, plus
 // microbenchmarks for the library's hot paths. The workloads themselves
-// live in internal/bench so that cmd/cycloid-bench -json can run the
-// same cases via testing.Benchmark and record ns/op, B/op and allocs/op
-// to BENCH_cycloid.json; these wrappers only bind them to `go test
+// live in internal/bench; these wrappers only bind them to `go test
 // -bench` names. Run cmd/cycloid-bench for the full paper-scale sweeps
-// and formatted output.
+// and formatted output, and benchmark/run.sh for the end-to-end
+// benchmark of the live stack.
 
 import (
 	"testing"

@@ -1,0 +1,122 @@
+package cycloid_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"cycloid/internal/chaosrunner"
+	"cycloid/internal/hashing"
+	"cycloid/internal/ids"
+	"cycloid/p2p"
+	"cycloid/p2p/memnet"
+)
+
+// TestLiveOverlayMatchesSimulator is the live half of Fig 5. It boots
+// live overlays on the in-memory transport the way the repo benchmark
+// does — seeded distinct IDs, each node joining through a random
+// earlier member, three stabilization sweeps — and requires the live
+// stack to be the paper's overlay, not an approximation of it: all seven
+// routing-state slots of every node equal the simulator's for the same
+// membership, and every lookup of 2 000 seeded (origin, key) pairs takes
+// exactly the simulator's path length to the same terminal.
+func TestLiveOverlayMatchesSimulator(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		dim, nodes int
+		seed       int64
+	}{
+		{"benchmark-d6-n64", 6, 64, 20040426},
+		{"d8-n256", 8, 256, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := bootLive(t, tc.dim, tc.nodes, tc.seed)
+			space := ids.NewSpace(tc.dim)
+			members := make([]ids.CycloidID, len(nodes))
+			for i, nd := range nodes {
+				members[i] = nd.ID()
+			}
+			oracle, err := chaosrunner.Oracle(tc.dim, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, nd := range nodes {
+				st := nd.State()
+				for _, d := range chaosrunner.Deviations(oracle, st) {
+					t.Errorf("node %v: %s", nd.ID(), d)
+				}
+				// Deviations accepts any cubical entry in the flipped
+				// block; a converged overlay holds exactly the closest.
+				want, _ := oracle.State(nd.ID())
+				if got := st.Cubical; (got == nil) != (want.Cubical == nil) ||
+					got != nil && (ids.CycloidID{K: got.K, A: got.A}) != *want.Cubical {
+					t.Errorf("node %v: cubical %+v, want %v", nd.ID(), got, want.Cubical)
+				}
+			}
+			rng := rand.New(rand.NewSource(tc.seed))
+			hops, simHops := 0, 0
+			for i := 0; i < 2000; i++ {
+				from := nodes[rng.Intn(len(nodes))]
+				key := fmt.Sprintf("fig5-%d", i)
+				route, err := from.Lookup(key)
+				if err != nil {
+					t.Fatalf("lookup %q from %v: %v", key, from.ID(), err)
+				}
+				want := oracle.Lookup(space.Linear(from.ID()), hashing.KeyString(key, space.Size()))
+				hops += route.Hops
+				simHops += want.PathLength()
+				if term := space.Linear(route.Terminal); route.Hops != want.PathLength() || term != want.Terminal {
+					t.Errorf("lookup %q from %v: %d hops to %v, simulator %d hops to %v",
+						key, from.ID(), route.Hops, route.Terminal, want.PathLength(), space.FromLinear(want.Terminal))
+				}
+			}
+			t.Logf("mean path length: live %.3f, simulator %.3f", float64(hops)/2000, float64(simHops)/2000)
+		})
+	}
+}
+
+// bootLive starts n memnet nodes with seeded distinct IDs, joins each
+// through a random earlier member and runs three stabilization sweeps —
+// with the benchmark's seed, dimension and size, the benchmark's own
+// topology.
+func bootLive(t *testing.T, dim, n int, seed int64) []*p2p.Node {
+	space := ids.NewSpace(dim)
+	rng := rand.New(rand.NewSource(seed))
+	fabric := memnet.New(seed)
+	var nodes []*p2p.Node
+	t.Cleanup(func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	})
+	taken := make(map[uint64]bool)
+	for len(nodes) < n {
+		v := uint64(rng.Int63n(int64(space.Size())))
+		if taken[v] {
+			continue
+		}
+		taken[v] = true
+		id := space.FromLinear(v)
+		nd, err := p2p.Start(p2p.Config{
+			Dim:        dim,
+			ID:         &id,
+			Transport:  fabric.Host(fmt.Sprintf("n%02d", len(nodes))),
+			SpanBuffer: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+		if len(nodes) > 1 {
+			if err := nd.Join(nodes[rng.Intn(len(nodes)-1)].Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, nd := range nodes {
+			nd.Stabilize()
+		}
+	}
+	return nodes
+}

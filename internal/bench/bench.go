@@ -1,10 +1,7 @@
-// Package bench defines the repository's benchmark workloads once, so
-// they are runnable both as standard `go test -bench` benchmarks (via the
-// thin wrappers in bench_test.go at the repository root) and as the
-// cycloid-bench -json trajectory recorder, which executes them with
-// testing.Benchmark and serializes ns/op, B/op and allocs/op to
-// BENCH_cycloid.json. One case per table and figure of the paper's
-// evaluation, plus microbenchmarks for the library's hot paths.
+// Package bench defines the repository's `go test -bench` workloads, run
+// through the thin wrappers in bench_test.go at the repository root: one
+// case per table and figure of the paper's evaluation, plus
+// microbenchmarks for the library's hot paths.
 package bench
 
 import (

@@ -2,9 +2,10 @@
 // overlay running on the deterministic in-memory transport (p2p/memnet)
 // and checks the paper-level invariants after every stabilization
 // window: stored keys stay retrievable from every live node, lookups
-// from every live node converge to the responsible node, routing tables
-// hold no dead entries, and timeouts appear only while faults are
-// active. The schedule — which faults fire, which nodes join, leave,
+// from every live node converge to the responsible node, every routing
+// table equals the one the simulator's oracle assigns its node in the
+// live membership (see Oracle), and timeouts appear only while faults
+// are active. The schedule — which faults fire, which nodes join, leave,
 // crash — is a pure function of the seed, so a failing run replays
 // exactly.
 //
@@ -1135,26 +1136,19 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 		}
 	}
 
-	// (3) No dead entries in any live routing table.
-	liveAddr := make(map[string]bool, len(live))
-	for _, m := range live {
-		liveAddr[m.node.Addr()] = true
+	// (3) Every live routing table is the one Section 3.1 assigns its
+	// node in the live membership, as the simulator's oracle computes it.
+	// Dead entries are illegal by construction.
+	liveIDs := make([]ids.CycloidID, len(live))
+	for i, m := range live {
+		liveIDs[i] = m.id
 	}
-	for _, m := range live {
-		st := m.node.State()
-		slots := map[string]*p2p.WireEntry{
-			"cubical": st.Cubical, "cyclicL": st.CyclicL, "cyclicS": st.CyclicS,
-			"insideL": st.InsideL, "insideR": st.InsideR,
-			"outsideL": st.OutsideL, "outsideR": st.OutsideR,
-		}
-		names := make([]string, 0, len(slots))
-		for name := range slots {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if e := slots[name]; e != nil && !liveAddr[e.Addr] {
-				violation("%s holds dead %s entry %s", m.name, name, e.Addr)
+	if oracle, err := Oracle(r.cfg.Dim, liveIDs); err != nil {
+		violation("oracle: %v", err)
+	} else {
+		for _, m := range live {
+			for _, d := range Deviations(oracle, m.node.State()) {
+				violation("%s %v %s", m.name, m.id, d)
 			}
 		}
 	}

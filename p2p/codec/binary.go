@@ -17,13 +17,14 @@ import (
 //	state  = entry Self | u8 presence bitmap | present entries in
 //	         order cubical, cyclicL, cyclicS, insideL, insideR,
 //	         outsideL, outsideR
+//	items  = u32 n { str key | vblob V | u64 Ver | u64 Src }
 //
 //	request  = u8 op code | [str op if 255]
 //	           entry From
 //	           u8 flags (1 Target, 2 GreedyOnly, 4 Propagate,
 //	                     8 Subject, 16 Departed, 32 Origin)
 //	           [entry Target] | str Key | blob Value | u64 Ver | u64 Src
-//	           u32 nItems { str key | vblob V | u64 Ver | u64 Src }
+//	           items Items
 //	           u8 event code | [str event if 255]
 //	           [entry Subject] | [state Departed] | [entry Origin]
 //	           i64 TTL | u32 DeadlineMs
@@ -34,7 +35,7 @@ import (
 //	                     32 Busy)
 //	           str Err | u8 phase code | [str phase if 255]
 //	           u32 nCandidates { entry } | [state State]
-//	           blob Value | u64 Ver | [entry Redirect]
+//	           blob Value | u64 Ver | items Items | [entry Redirect]
 //	           u32 nReplicas { entry } | u32 RetryAfterMs
 //
 // The enumerated strings the protocol actually sends (op, event, phase)
@@ -194,6 +195,31 @@ func appendState(b []byte, s *State) ([]byte, error) {
 	return b, nil
 }
 
+// appendItems encodes an item batch (a handoff request, a reclaim reply).
+func appendItems(b []byte, items map[string]Item) ([]byte, error) {
+	if len(items) > math.MaxUint32 {
+		return b, errLength
+	}
+	b = appendU32(b, uint32(len(items)))
+	var err error
+	for k, it := range items {
+		if b, err = appendStr(b, k); err != nil {
+			return b, err
+		}
+		if it.V == nil {
+			b = append(b, 0)
+		} else {
+			b = append(b, 1)
+			if b, err = appendBlob(b, it.V); err != nil {
+				return b, err
+			}
+		}
+		b = appendU64(b, it.Ver)
+		b = appendU64(b, it.Src)
+	}
+	return b, nil
+}
+
 // AppendRequest appends the v2 binary encoding of r to buf.
 func AppendRequest(buf []byte, r *Request) ([]byte, error) {
 	b, err := appendEnum(buf, r.Op, opCode(r.Op))
@@ -236,24 +262,8 @@ func AppendRequest(buf []byte, r *Request) ([]byte, error) {
 	}
 	b = appendU64(b, r.Ver)
 	b = appendU64(b, r.Src)
-	if len(r.Items) > math.MaxUint32 {
-		return buf, errLength
-	}
-	b = appendU32(b, uint32(len(r.Items)))
-	for k, it := range r.Items {
-		if b, err = appendStr(b, k); err != nil {
-			return buf, err
-		}
-		if it.V == nil {
-			b = append(b, 0)
-		} else {
-			b = append(b, 1)
-			if b, err = appendBlob(b, it.V); err != nil {
-				return buf, err
-			}
-		}
-		b = appendU64(b, it.Ver)
-		b = appendU64(b, it.Src)
+	if b, err = appendItems(b, r.Items); err != nil {
+		return buf, err
 	}
 	if b, err = appendEnum(b, r.Event, eventCode(r.Event)); err != nil {
 		return buf, err
@@ -331,6 +341,9 @@ func AppendResponse(buf []byte, r *Response) ([]byte, error) {
 		return buf, err
 	}
 	b = appendU64(b, r.Ver)
+	if b, err = appendItems(b, r.Items); err != nil {
+		return buf, err
+	}
 	if r.Redirect != nil {
 		if b, err = appendEntry(b, r.Redirect); err != nil {
 			return buf, err
@@ -514,6 +527,46 @@ func (d *reader) entries(dst []Entry) ([]Entry, error) {
 	return out, nil
 }
 
+// items decodes an item batch, nil when empty.
+func (d *reader) items() (map[string]Item, error) {
+	n, err := d.u32()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	// Each encoded item is at least 21 bytes (key 4, present 1, ver+src
+	// 16); cap the map preallocation by what arrived.
+	if max := uint32((len(d.b) - d.off) / 21); n > max {
+		return nil, ErrTruncated
+	}
+	items := make(map[string]Item, n)
+	for i := uint32(0); i < n; i++ {
+		k, err := d.str()
+		if err != nil {
+			return nil, err
+		}
+		var it Item
+		present, err := d.u8()
+		if err != nil {
+			return nil, err
+		}
+		if present != 0 {
+			v, err := d.bytes()
+			if err != nil {
+				return nil, err
+			}
+			it.V = append([]byte{}, v...) // non-nil even when empty
+		}
+		if it.Ver, err = d.u64(); err != nil {
+			return nil, err
+		}
+		if it.Src, err = d.u64(); err != nil {
+			return nil, err
+		}
+		items[k] = it
+	}
+	return items, nil
+}
+
 // DecodeRequest decodes one v2 binary request payload into r. Decoded
 // strings and byte slices never alias data, so the caller may reuse the
 // buffer immediately.
@@ -549,42 +602,8 @@ func DecodeRequest(data []byte, r *Request) error {
 	if r.Src, err = d.u64(); err != nil {
 		return err
 	}
-	nItems, err := d.u32()
-	if err != nil {
+	if r.Items, err = d.items(); err != nil {
 		return err
-	}
-	if nItems > 0 {
-		// Each encoded item is at least 21 bytes (key 4, present 1,
-		// ver+src 16); cap the map preallocation by what arrived.
-		if max := uint32((len(d.b) - d.off) / 21); nItems > max {
-			return ErrTruncated
-		}
-		r.Items = make(map[string]Item, nItems)
-		for i := uint32(0); i < nItems; i++ {
-			k, err := d.str()
-			if err != nil {
-				return err
-			}
-			var it Item
-			present, err := d.u8()
-			if err != nil {
-				return err
-			}
-			if present != 0 {
-				v, err := d.bytes()
-				if err != nil {
-					return err
-				}
-				it.V = append([]byte{}, v...) // non-nil even when empty
-			}
-			if it.Ver, err = d.u64(); err != nil {
-				return err
-			}
-			if it.Src, err = d.u64(); err != nil {
-				return err
-			}
-			r.Items[k] = it
-		}
 	}
 	if r.Event, err = d.enum(eventNames[:]); err != nil {
 		return err
@@ -661,6 +680,9 @@ func DecodeResponse(data []byte, r *Response) error {
 		return err
 	}
 	if r.Ver, err = d.u64(); err != nil {
+		return err
+	}
+	if r.Items, err = d.items(); err != nil {
 		return err
 	}
 	if flags&respHasRedirect != 0 {

@@ -68,6 +68,8 @@ func sampleResponses() []Response {
 		{OK: false, Err: "busy: admission queue full", Busy: true, RetryAfterMs: 40},
 		{OK: false, Busy: true},
 		{OK: false, Err: "busy", Busy: true, RetryAfterMs: 1<<32 - 1, Redirect: e(2, 9, "z:3")},
+		{OK: true, Items: map[string]Item{"a": {V: []byte("va"), Ver: 4, Src: 9}, "b": {V: []byte{}}, "c": {}}},
+		{OK: true, Items: map[string]Item{"": {Ver: 1<<64 - 1}}, Redirect: e(2, 9, "z:3")},
 	}
 }
 

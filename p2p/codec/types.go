@@ -3,10 +3,9 @@ package codec
 // The wire envelope types, encoded with the hand-rolled fixed-width
 // layout in binary.go. The p2p package aliases them (WireEntry =
 // codec.Entry, ...), so the overlay code constructs and consumes the
-// wire structs directly. The JSON struct tags serve two readers:
+// wire structs directly. The JSON struct tags serve one reader:
 // FuzzCodecDifferential, which uses encoding/json as the reference
-// round trip, and the reclaim reply, whose item batch rides
-// JSON-encoded inside a Response's Value.
+// round trip.
 
 // Entry is an overlay node reference on the wire.
 type Entry struct {
@@ -100,6 +99,9 @@ type Response struct {
 	Value []byte `json:"value,omitempty"`
 	Found bool   `json:"found,omitempty"`
 	Ver   uint64 `json:"ver,omitempty"` // fetch/replicate: receiver's stored version
+
+	// reclaim: the items the requesting newcomer is now responsible for
+	Items map[string]Item `json:"items,omitempty"`
 
 	// store/replicate rejection: where the receiver believes the key
 	// belongs, so the sender can follow instead of stranding the value.

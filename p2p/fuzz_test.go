@@ -152,6 +152,8 @@ func FuzzWireDecode(f *testing.F) {
 		muxReply(f, response{OK: true, Ver: 7, Replicas: []WireEntry{{K: 2, A: 9, Addr: "peer:3"}, {K: 0, A: 1, Addr: "peer:4"}}}),
 		muxReply(f, response{OK: true, Found: true, Value: []byte("hello"), Ver: 12}),
 		muxReply(f, response{Busy: true, RetryAfterMs: 50}),
+		muxReply(f, response{OK: true, Items: map[string]WireItem{"a": {V: []byte("va"), Ver: 3, Src: 7}, "b": {V: []byte{}}, "c": {}}}),
+		muxReply(f, response{OK: true, Items: map[string]WireItem{"k": {Ver: ^uint64(0)}}, Redirect: &WireEntry{K: 2, A: 9, Addr: "peer:3"}}),
 	} {
 		f.Add(s)
 	}
@@ -171,14 +173,12 @@ func FuzzWireDecode(f *testing.F) {
 		}
 
 		// Client side: the same bytes, and the body of a first frame
-		// behind a preamble, as a peer's reply — and as a reclaim
-		// payload.
+		// behind a preamble, as a peer's reply.
 		var resp response
 		_ = codec.DecodeResponse(data, &resp)
 		if hdr := codec.PreambleLen + 13; len(data) > hdr {
 			var fresp response
 			_ = codec.DecodeResponse(data[hdr:], &fresp)
 		}
-		_, _ = decodeReclaim(data)
 	})
 }

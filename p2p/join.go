@@ -38,9 +38,7 @@ func (n *Node) Join(bootstrap string) error {
 		return fmt.Errorf("p2p: join: fetching closest node state: %w", err)
 	}
 
-	if err := n.deriveLeafSets(zst); err != nil {
-		return err
-	}
+	n.deriveLeafSets(zst)
 	n.RefreshRoutingTable()
 	n.announce("join", nil)
 	n.reclaimKeys()
@@ -76,79 +74,39 @@ func (n *Node) stateOfOrLocalCtx(ctx context.Context, e entry) (*WireState, erro
 }
 
 // deriveLeafSets builds this node's leaf sets from the closest node Z's
-// neighborhood, the two cases of Section 3.3.1.
-func (n *Node) deriveLeafSets(z *WireState) error {
+// neighborhood (Section 3.3.1): Z, Z's four leaf entries and — when this
+// node opens a cycle of its own — the primary of Z's cycle are offered
+// to the slot rule.
+func (n *Node) deriveLeafSets(z *WireState) {
 	zself := toEntry(z.Self)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if zself.ID.A == n.id.A {
-		// Case 1 — same local cycle. Z is the numerically closest member,
-		// so this node slots in adjacent to Z; the side follows from the
-		// cyclic-index ring.
-		zSucc := entryOr(z.InsideR, zself)
-		zPred := entryOr(z.InsideL, zself)
-		if zSucc.ID == zself.ID {
-			// Z was alone on the cycle: both neighbors are Z.
-			n.rs.insideL, n.rs.insideR = clone(zself), clone(zself)
-		} else if n.space.ClockwiseCyclic(zself.ID.K, n.id.K) < n.space.ClockwiseCyclic(zself.ID.K, zSucc.ID.K) {
-			// This node lands between Z and Z's successor.
-			n.rs.insideL, n.rs.insideR = clone(zself), clone(zSucc)
-		} else {
-			n.rs.insideL, n.rs.insideR = clone(zPred), clone(zself)
+	cands := []entry{zself}
+	for _, w := range []*WireEntry{z.InsideL, z.InsideR, z.OutsideL, z.OutsideR} {
+		if w != nil {
+			cands = append(cands, toEntry(*w))
 		}
-		n.rs.outsideL = clone(entryOr(z.OutsideL, zself))
-		n.rs.outsideR = clone(entryOr(z.OutsideR, zself))
-		if n.rs.outsideL.ID == zself.ID || n.rs.outsideL.ID.A == n.id.A {
-			n.rs.outsideL = n.selfEntry()
-		}
-		if n.rs.outsideR.ID == zself.ID || n.rs.outsideR.ID.A == n.id.A {
-			n.rs.outsideR = n.selfEntry()
-		}
-		return nil
 	}
-	// Case 2 — this node opens a new cycle: it is its own inside leaf set
-	// and the primary of Z's cycle anchors one outside side.
-	n.rs.insideL, n.rs.insideR = n.selfEntry(), n.selfEntry()
-	primary, err := n.primaryOfCycleLocked(zself, z)
-	if err != nil {
-		return err
+	if zself.ID.A != n.id.A {
+		cands = append(cands, n.primaryOf(zself, z))
 	}
-	zOutL := entryOr(z.OutsideL, zself)
-	zOutR := entryOr(z.OutsideR, zself)
-	if n.space.ClockwiseCycle(n.id.A, zself.ID.A) <= n.space.ClockwiseCycle(zself.ID.A, n.id.A) {
-		// Z's cycle succeeds this node's cycle.
-		n.rs.outsideR = clone(primary)
-		n.rs.outsideL = clone(zOutL)
-	} else {
-		n.rs.outsideL = clone(primary)
-		n.rs.outsideR = clone(zOutR)
-	}
-	// With only one other cycle in the overlay, both sides anchor on it.
-	if n.rs.outsideL.ID.A == n.id.A || n.rs.outsideL.ID == n.id {
-		n.rs.outsideL = clone(primary)
-	}
-	if n.rs.outsideR.ID.A == n.id.A || n.rs.outsideR.ID == n.id {
-		n.rs.outsideR = clone(primary)
-	}
-	return nil
+	n.offer(cands...)
 }
 
-// primaryOfCycleLocked walks Z's local cycle through inside successors to
-// find its primary (largest cyclic index), at most d hops.
-func (n *Node) primaryOfCycleLocked(zself entry, z *WireState) (entry, error) {
-	best := zself
-	cur := entryOr(z.InsideR, zself)
-	for hop := 0; hop < n.space.Dim() && cur.ID != zself.ID; hop++ {
-		if cur.ID.K > best.ID.K {
-			best = cur
+// primaryOf walks Z's cycle through inside successors, which run in
+// cyclic-index order, up to its primary (largest cyclic index), at most
+// d hops. A failed query ends the walk early: stabilization refines.
+func (n *Node) primaryOf(z entry, st *WireState) entry {
+	for hop := 0; hop < n.space.Dim(); hop++ {
+		next := entryOr(st.InsideR, z)
+		if next.ID.K <= z.ID.K {
+			break
 		}
-		st, err := n.stateOf(cur.Addr)
-		if err != nil {
-			break // best-effort: stabilization refines later
+		z = next
+		var err error
+		if st, err = n.stateOf(z.Addr); err != nil {
+			break
 		}
-		cur = entryOr(st.InsideR, cur)
 	}
-	return best, nil
+	return z
 }
 
 // announce runs the notification fan-out: inside leaf set always; outside
@@ -160,9 +118,9 @@ func (n *Node) announce(event string, departed *WireState) {
 	req := request{Op: "update", Event: event, Subject: &self, Departed: departed}
 
 	n.mu.RLock()
-	inside := []*entry{n.rs.insideL, n.rs.insideR}
-	outside := []*entry{n.rs.outsideL, n.rs.outsideR}
-	isPrimary := n.rs.insideR == nil || n.rs.insideR.ID == n.id || n.rs.insideR.ID.K < n.id.K
+	inside := []*entry{n.rs[insideL], n.rs[insideR]}
+	outside := []*entry{n.rs[outsideL], n.rs[outsideR]}
+	isPrimary := n.rs[insideR].ID == n.id || n.rs[insideR].ID.K < n.id.K
 	n.mu.RUnlock()
 
 	sent := map[ids.CycloidID]bool{n.id: true}
@@ -189,7 +147,7 @@ func (n *Node) announce(event string, departed *WireState) {
 // responsible for, from the neighbors that held them.
 func (n *Node) reclaimKeys() {
 	n.mu.RLock()
-	targets := []*entry{n.rs.insideL, n.rs.insideR, n.rs.outsideL, n.rs.outsideR}
+	targets := append([]*entry(nil), n.rs.leaves()...)
 	n.mu.RUnlock()
 	seen := map[ids.CycloidID]bool{n.id: true}
 	for _, e := range targets {
@@ -201,11 +159,7 @@ func (n *Node) reclaimKeys() {
 		if err != nil {
 			continue
 		}
-		items, err := decodeReclaim(resp.Value)
-		if err != nil {
-			continue
-		}
-		for k, w := range items {
+		for k, w := range resp.Items {
 			n.putLocal(k, item{Val: append([]byte(nil), w.V...), Ver: w.Ver, Src: w.Src})
 		}
 	}
@@ -263,7 +217,7 @@ func (n *Node) handoffKeys() {
 		n.store.Delete(k)
 	}
 	n.updateStoreGaugeLocked()
-	cands := []*entry{n.rs.insideL, n.rs.insideR, n.rs.outsideL, n.rs.outsideR}
+	cands := append([]*entry(nil), n.rs.leaves()...)
 	n.mu.Unlock()
 
 	var liveStart *entry

@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -576,16 +575,4 @@ func (n *Node) stepAt(ctx context.Context, at entry, t ids.CycloidID, greedyOnly
 		return stepResult{}, err
 	}
 	return stepResult{Phase: resp.Phase, Candidates: resp.Candidates, Done: resp.Done}, nil
-}
-
-// decodeReclaim unpacks a reclaim response batch.
-func decodeReclaim(v []byte) (map[string]WireItem, error) {
-	if len(v) == 0 {
-		return nil, nil
-	}
-	items := make(map[string]WireItem)
-	if err := json.Unmarshal(v, &items); err != nil {
-		return nil, err
-	}
-	return items, nil
 }

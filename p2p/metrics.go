@@ -311,7 +311,7 @@ func (m *nodeMetrics) storeHooks() store.Hooks {
 // from the current routing state.
 func (n *Node) updateLeafGauges() {
 	n.mu.RLock()
-	leafs := []*entry{n.rs.insideL, n.rs.insideR, n.rs.outsideL, n.rs.outsideR}
+	leafs := n.rs.leaves()
 	distinct := make(map[string]bool)
 	for _, e := range leafs {
 		if e != nil && e.ID != n.id {

@@ -195,17 +195,6 @@ type entry struct {
 	Addr string
 }
 
-// routingState is the live node's seven-entry state (LeafHalf = 1).
-type routingState struct {
-	cubical  *entry
-	cyclicL  *entry
-	cyclicS  *entry
-	insideL  *entry
-	insideR  *entry
-	outsideL *entry
-	outsideR *entry
-}
-
 // item is one stored value with its replication metadata — see
 // store.Item. The alias keeps the replication layer's vocabulary while
 // the data itself lives behind the pluggable Store backend.
@@ -487,9 +476,9 @@ func (n *Node) snapshotLockedInto(buf *[7]ids.CycloidID) cycloid.NodeState {
 		i++
 		return &buf[i-1]
 	}
-	s.Cubical = ptr(n.rs.cubical)
-	s.CyclicL = ptr(n.rs.cyclicL)
-	s.CyclicS = ptr(n.rs.cyclicS)
+	s.Cubical = ptr(n.rs[cubical])
+	s.CyclicL = ptr(n.rs[cyclicL])
+	s.CyclicS = ptr(n.rs[cyclicS])
 	one := func(e *entry) []ids.CycloidID {
 		if e == nil {
 			return nil
@@ -498,16 +487,17 @@ func (n *Node) snapshotLockedInto(buf *[7]ids.CycloidID) cycloid.NodeState {
 		i++
 		return buf[i-1 : i : i]
 	}
-	s.InsideL = one(n.rs.insideL)
-	s.InsideR = one(n.rs.insideR)
-	s.OutsideL = one(n.rs.outsideL)
-	s.OutsideR = one(n.rs.outsideR)
+	s.InsideL = one(n.rs[insideL])
+	s.InsideR = one(n.rs[insideR])
+	s.OutsideL = one(n.rs[outsideL])
+	s.OutsideR = one(n.rs[outsideR])
 	return s
 }
 
 // State returns a copy of the node's current routing state, the same
 // snapshot peers see over the wire. Harnesses use it to assert table
-// invariants (e.g. no dead entries after stabilization).
+// invariants (e.g. equality with the simulator's oracle after
+// stabilization).
 func (n *Node) State() *WireState { return n.wireState() }
 
 // Keys returns the keys currently stored on this node, sorted.
@@ -550,23 +540,12 @@ func (n *Node) addrOf(id ids.CycloidID) (string, bool) {
 // routing-state slots directly so the per-candidate resolution on the
 // step hot path does not allocate.
 func (n *Node) addrOfLocked(id ids.CycloidID) (string, bool) {
-	for _, e := range [...]*entry{
-		n.rs.insideL, n.rs.insideR, n.rs.outsideL, n.rs.outsideR,
-		n.rs.cubical, n.rs.cyclicL, n.rs.cyclicS,
-	} {
+	for _, e := range n.rs {
 		if e != nil && e.ID == id {
 			return e.Addr, true
 		}
 	}
 	return "", false
-}
-
-// entriesLocked lists all routing-state slots.
-func (n *Node) entriesLocked() []*entry {
-	return []*entry{
-		n.rs.insideL, n.rs.insideR, n.rs.outsideL, n.rs.outsideR,
-		n.rs.cubical, n.rs.cyclicL, n.rs.cyclicS,
-	}
 }
 
 // keyPoint maps an application key onto the overlay's ID space.

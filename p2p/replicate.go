@@ -107,7 +107,7 @@ func (n *Node) replicaTargets(kp ids.CycloidID) []entry {
 		return nil
 	}
 	n.mu.RLock()
-	leafs := []*entry{n.rs.insideL, n.rs.insideR, n.rs.outsideL, n.rs.outsideR}
+	leafs := n.rs.leaves()
 	seen := map[ids.CycloidID]bool{n.id: true}
 	var cands []entry
 	for _, e := range leafs {
@@ -156,7 +156,7 @@ func (n *Node) inScope(kp ids.CycloidID, extra ...ids.CycloidID) bool {
 		return false
 	}
 	n.mu.RLock()
-	leafs := []*entry{n.rs.insideL, n.rs.insideR, n.rs.outsideL, n.rs.outsideR}
+	leafs := n.rs.leaves()
 	seen := map[ids.CycloidID]bool{n.id: true}
 	cands := []ids.CycloidID{n.id}
 	for _, e := range leafs {

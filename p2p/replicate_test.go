@@ -406,7 +406,7 @@ func TestRouteContextDeadline(t *testing.T) {
 	// candidate to chase.
 	ghost := &entry{ID: ids.CycloidID{K: 3, A: 9}, Addr: "ghost"}
 	nd.mu.Lock()
-	nd.rs.insideL, nd.rs.insideR = ghost, ghost
+	nd.rs[insideL], nd.rs[insideR] = ghost, ghost
 	nd.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)

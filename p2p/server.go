@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"net"
 	"sync"
@@ -293,13 +292,13 @@ func (n *Node) wireState() *WireState {
 	defer n.mu.RUnlock()
 	return &WireState{
 		Self:     WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()},
-		Cubical:  wirePtr(n.rs.cubical),
-		CyclicL:  wirePtr(n.rs.cyclicL),
-		CyclicS:  wirePtr(n.rs.cyclicS),
-		InsideL:  wirePtr(n.rs.insideL),
-		InsideR:  wirePtr(n.rs.insideR),
-		OutsideL: wirePtr(n.rs.outsideL),
-		OutsideR: wirePtr(n.rs.outsideR),
+		Cubical:  wirePtr(n.rs[cubical]),
+		CyclicL:  wirePtr(n.rs[cyclicL]),
+		CyclicS:  wirePtr(n.rs[cyclicS]),
+		InsideL:  wirePtr(n.rs[insideL]),
+		InsideR:  wirePtr(n.rs[insideR]),
+		OutsideL: wirePtr(n.rs[outsideL]),
+		OutsideR: wirePtr(n.rs[outsideR]),
 	}
 }
 
@@ -401,10 +400,5 @@ func (n *Node) handleReclaim(req request) response {
 		n.store.Delete(k)
 	}
 	n.updateStoreGaugeLocked()
-	if len(items) == 0 {
-		return response{}
-	}
-	out := response{}
-	out.Value, _ = json.Marshal(items) // piggyback the batch on Value
-	return out
+	return response{Items: items}
 }

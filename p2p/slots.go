@@ -1,0 +1,218 @@
+package p2p
+
+import (
+	"context"
+
+	"cycloid/internal/ids"
+)
+
+// The slot rule of Section 3.1, in one place. Every live decision about
+// who fills a routing-state slot — a join deriving its leaf sets, a
+// membership notification, a stabilization refresh, the outside-ring
+// correction and the routing-table search — hands candidates to better
+// instead of carrying its own case analysis.
+
+// slot indexes one of the seven routing-state entries. The four leaf
+// slots come first.
+type slot int
+
+const (
+	insideL slot = iota
+	insideR
+	outsideL
+	outsideR
+	cubical
+	cyclicL
+	cyclicS
+)
+
+// routingState is the live node's seven-entry state (LeafHalf = 1),
+// indexed by slot. Leaf slots are never nil: a node that knows no one
+// for a leaf slot holds itself there.
+type routingState [7]*entry
+
+// leaves returns the four leaf slots; it aliases the state, so callers
+// read it under n.mu.
+func (rs *routingState) leaves() []*entry { return rs[:cubical] }
+
+var tableSlots = [...]slot{cubical, cyclicL, cyclicS}
+
+// fits reports whether e may fill slot s at all: the inside leaf set
+// holds members of this node's cycle, the outside leaf set members of
+// other cycles, and the routing table nodes with cyclic index k-1.
+func (n *Node) fits(s slot, e entry) bool {
+	switch {
+	case e.ID == n.id:
+		return false
+	case s <= insideR:
+		return e.ID.A == n.id.A
+	case s <= outsideR:
+		return e.ID.A != n.id.A
+	}
+	return n.id.K > 0 && e.ID.K == n.id.K-1
+}
+
+// better reports whether c belongs in slot s ahead of cur, under the
+// definitions of Section 3.1 for node (k, a):
+//
+//   - insideL/insideR: the predecessor and successor on the local cycle;
+//   - outsideL/outsideR: the primary (largest cyclic index) of the
+//     nearest other cycle counter-clockwise and clockwise;
+//   - cyclicL/cyclicS: the first node with cyclic index k-1 at or after,
+//     and at or before, cubical index a;
+//   - cubical: a node with cyclic index k-1 in the flipped block
+//     a_{d-1}…a_{k+1} ¬a_k x…x, numerically closest to a⊕2^k with ties to
+//     the smaller index; when the block holds none, the circularly
+//     nearest such node, ties clockwise.
+//
+// A slot holding anything that does not fit it (this node itself marks
+// an empty leaf slot) loses to every candidate that does.
+func (n *Node) better(s slot, c, cur entry) bool {
+	if !n.fits(s, c) {
+		return false
+	}
+	if !n.fits(s, cur) {
+		return true
+	}
+	sp, me, x, y := n.space, n.id, c.ID, cur.ID
+	switch s {
+	case insideL:
+		return sp.ClockwiseCyclic(x.K, me.K) < sp.ClockwiseCyclic(y.K, me.K)
+	case insideR:
+		return sp.ClockwiseCyclic(me.K, x.K) < sp.ClockwiseCyclic(me.K, y.K)
+	case outsideL:
+		return nearer(sp.ClockwiseCycle(x.A, me.A), sp.ClockwiseCycle(y.A, me.A), x.K > y.K)
+	case outsideR:
+		return nearer(sp.ClockwiseCycle(me.A, x.A), sp.ClockwiseCycle(me.A, y.A), x.K > y.K)
+	case cyclicL:
+		return sp.ClockwiseCycle(me.A, x.A) < sp.ClockwiseCycle(me.A, y.A)
+	case cyclicS:
+		return sp.ClockwiseCycle(x.A, me.A) < sp.ClockwiseCycle(y.A, me.A)
+	}
+	f := me.A ^ 1<<me.K
+	block := ^(uint32(1)<<me.K - 1)
+	inX, inY := x.A&block == f&block, y.A&block == f&block
+	if inX != inY {
+		return inX
+	}
+	tie := sp.ClockwiseCycle(f, x.A) < sp.ClockwiseCycle(f, y.A)
+	if inX {
+		tie = x.A < y.A
+	}
+	return nearer(sp.CycleDist(x.A, f), sp.CycleDist(y.A, f), tie)
+}
+
+// nearer orders by distance, settling equal distances by tie.
+func nearer(dx, dy uint32, tie bool) bool { return dx < dy || dx == dy && tie }
+
+// offer puts each candidate into every leaf slot it belongs in ahead of
+// the current holder.
+func (n *Node) offer(cands ...entry) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.offerLocked(cands...)
+}
+
+func (n *Node) offerLocked(cands ...entry) {
+	for s := range n.rs.leaves() {
+		for _, c := range cands {
+			if n.better(slot(s), c, *n.rs[s]) {
+				n.rs[s] = clone(c)
+			}
+		}
+	}
+}
+
+// tableSearch is one routing-table refresh: the local-remote search of
+// Section 3.3.1 for nodes with cyclic index k, collecting every such
+// node it meets, with the peer states it fetched memoized so walks that
+// cross the same cycle query each member once.
+type tableSearch struct {
+	n      *Node
+	k      uint8
+	found  []entry
+	states map[ids.CycloidID]*WireState
+}
+
+func (ts *tableSearch) state(e entry) (*WireState, error) {
+	if st, ok := ts.states[e.ID]; ok {
+		return st, nil
+	}
+	st, err := ts.n.stateOfOrLocalCtx(context.Background(), e)
+	if err == nil {
+		ts.states[e.ID] = st
+	}
+	return st, err
+}
+
+// walk visits cycles outward from at's, clockwise (dir > 0) or
+// counter-clockwise, until it finds the member with cyclic index k,
+// reaches a cycle stop rejects, or comes back around. Each cycle is
+// scanned through inside successors, which run in cyclic-index order,
+// so a scan ends as soon as it passes k.
+func (ts *tableSearch) walk(at entry, dir int, stop func(a uint32) bool) {
+	sp := ts.n.space
+	for seen := map[uint32]bool{}; !seen[at.ID.A] && (stop == nil || !stop(at.ID.A)); {
+		seen[at.ID.A] = true
+		var first *WireState
+		for cur := at; ; {
+			if cur.ID.K == ts.k {
+				ts.found = append(ts.found, cur)
+				return
+			}
+			st, err := ts.state(cur)
+			if err != nil {
+				return
+			}
+			if first == nil {
+				first = st
+			}
+			next := entryOr(st.InsideR, cur)
+			off := sp.ClockwiseCyclic(at.ID.K, next.ID.K)
+			if next.ID.A != at.ID.A || off <= sp.ClockwiseCyclic(at.ID.K, cur.ID.K) || off > sp.ClockwiseCyclic(at.ID.K, ts.k) {
+				break
+			}
+			cur = next
+		}
+		if dir > 0 {
+			at = entryOr(first.OutsideR, at)
+		} else {
+			at = entryOr(first.OutsideL, at)
+		}
+	}
+}
+
+// flippedBlock looks for the cubical neighbour: one route to the flipped
+// position f = a⊕2^k, then a walk on each side of f. The route ends on
+// the nonempty cycle nearest f, which opens the side of f it lies on;
+// its outside neighbour opens the other. Each side stops at its first
+// node with cyclic index k, or at a cycle where no such node could beat
+// one already found.
+func (ts *tableSearch) flippedBlock() {
+	n := ts.n
+	f := n.id.A ^ 1<<n.id.K
+	r, err := n.route(context.Background(), *n.selfEntry(), ids.CycloidID{K: ts.k, A: f}, nil, nil)
+	if err != nil {
+		return
+	}
+	anchor := entry{ID: r.Terminal, Addr: r.Addr}
+	st, err := ts.state(anchor)
+	if err != nil {
+		return
+	}
+	cw, ccw := anchor, entryOr(st.OutsideL, anchor)
+	if n.space.ClockwiseCycle(anchor.ID.A, f) < n.space.ClockwiseCycle(f, anchor.ID.A) {
+		cw, ccw = entryOr(st.OutsideR, anchor), anchor
+	}
+	stop := func(a uint32) bool {
+		at := entry{ID: ids.CycloidID{K: ts.k, A: a}}
+		for _, c := range ts.found {
+			if !n.better(cubical, at, c) {
+				return true
+			}
+		}
+		return false
+	}
+	ts.walk(cw, +1, stop)
+	ts.walk(ccw, -1, stop)
+}

@@ -1,8 +1,6 @@
 package p2p
 
 import (
-	"context"
-	"sort"
 	"time"
 
 	"cycloid/internal/ids"
@@ -39,58 +37,34 @@ func (n *Node) Stabilize() {
 // can settle into a ring that is locally stable but globally wrong —
 // e.g. two cycles that became adjacent never learn it, and lookups
 // between them dead-end at a false local minimum. Following the current
-// outside entry's own outside chain toward this node closes such gaps:
-// every hop either reaches a strictly nearer live cycle or stops, so
-// the walk terminates and each stabilization round tightens the ring
-// until it is globally consistent, exactly like Chord's
-// successor-pointer correction.
+// outside entry's own outside chain back toward this node closes such
+// gaps: every hop either reaches a better live entry under the slot
+// rule or stops, so the walk terminates and each stabilization round
+// tightens the ring until it is globally consistent, exactly like
+// Chord's successor-pointer correction. Every adopted entry was
+// state-queried, so it is verified live.
 func (n *Node) correctOutsideRing() {
-	maxSteps := 4 * n.space.Dim()
-	// improve walks cur's chain (via nextOf) adopting strictly nearer
-	// cycles under the given closeness order; every adopted entry is
-	// state-queried, so the result is verified live.
-	improve := func(cur entry, nextOf func(*WireState) *WireEntry, closer func(a, b uint32) bool) entry {
-		best := cur
-		for step := 0; step < maxSteps; step++ {
+	for _, s := range [...]slot{outsideL, outsideR} {
+		n.mu.RLock()
+		cur := *n.rs[s]
+		n.mu.RUnlock()
+		live := cur
+		for step := 0; step < 4*n.space.Dim() && n.fits(s, cur); step++ {
 			st, err := n.stateOf(cur.Addr)
 			if err != nil {
-				return best
+				break
 			}
-			best = cur
-			w := nextOf(st)
-			if w == nil {
-				return best
+			live = cur
+			w := st.OutsideL
+			if s == outsideL {
+				w = st.OutsideR
 			}
-			c := toEntry(*w)
-			if c.ID == cur.ID || c.ID == n.id || c.ID.A == n.id.A || !closer(c.ID.A, cur.ID.A) {
-				return best
+			if w == nil || !n.better(s, toEntry(*w), cur) {
+				break
 			}
-			cur = c
+			cur = toEntry(*w)
 		}
-		return best
-	}
-	n.mu.RLock()
-	outL, outR := n.rs.outsideL, n.rs.outsideR
-	n.mu.RUnlock()
-	if outL != nil && outL.ID != n.id && outL.ID.A != n.id.A {
-		better := improve(*outL,
-			func(st *WireState) *WireEntry { return st.OutsideR },
-			func(a, b uint32) bool { return n.space.ClockwiseCycle(a, n.id.A) < n.space.ClockwiseCycle(b, n.id.A) })
-		if better.ID != outL.ID {
-			n.mu.Lock()
-			n.rs.outsideL = clone(better)
-			n.mu.Unlock()
-		}
-	}
-	if outR != nil && outR.ID != n.id && outR.ID.A != n.id.A {
-		better := improve(*outR,
-			func(st *WireState) *WireEntry { return st.OutsideL },
-			func(a, b uint32) bool { return n.space.ClockwiseCycle(n.id.A, a) < n.space.ClockwiseCycle(n.id.A, b) })
-		if better.ID != outR.ID {
-			n.mu.Lock()
-			n.rs.outsideR = clone(better)
-			n.mu.Unlock()
-		}
+		n.offer(live)
 	}
 }
 
@@ -102,7 +76,7 @@ func (n *Node) notifyLeafSet() {
 	self := WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()}
 	req := request{Op: "update", Event: "join", Subject: &self}
 	n.mu.RLock()
-	targets := []*entry{n.rs.insideL, n.rs.insideR, n.rs.outsideL, n.rs.outsideR}
+	targets := append([]*entry(nil), n.rs.leaves()...)
 	n.mu.RUnlock()
 	sent := map[string]bool{n.Addr(): true}
 	for _, e := range targets {
@@ -134,70 +108,34 @@ func (n *Node) stabilizeLoop() {
 }
 
 // refreshLeafSets gathers the neighborhoods of the current routing-state
-// entries and recomputes the leaf sets from the union — dead entries drop
-// out, nearer live nodes move in. Candidates are liveness-verified before
-// adoption so a stale second-hand reference cannot displace a live entry.
+// entries and refills each leaf slot with the best candidate of the union
+// under the slot rule — dead entries drop out, nearer live nodes move in.
+// Candidates are liveness-verified before adoption so a stale
+// second-hand reference cannot displace a live entry.
 func (n *Node) refreshLeafSets() {
 	pool, live := n.gatherNeighborhood()
-	alive := func(e entry) bool {
-		if v, ok := live[e.ID]; ok {
-			return v
-		}
-		_, err := n.call(e.Addr, request{Op: "ping"})
-		live[e.ID] = err == nil
-		return live[e.ID]
-	}
-	// pick selects the best live candidate under the given preference.
-	pick := func(eligible func(entry) bool, better func(a, b entry) bool) *entry {
-		var cands []entry
-		for _, e := range pool {
-			if e.ID != n.id && eligible(e) {
-				cands = append(cands, e)
+	var picked routingState
+	for s := range picked.leaves() {
+		for {
+			best := *n.selfEntry()
+			for _, c := range pool {
+				if v, known := live[c.ID]; (v || !known) && n.better(slot(s), c, best) {
+					best = c
+				}
+			}
+			if _, known := live[best.ID]; !known {
+				_, err := n.call(best.Addr, request{Op: "ping"})
+				live[best.ID] = err == nil
+			}
+			if best.ID == n.id || live[best.ID] {
+				picked[s] = clone(best)
+				break
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool { return better(cands[i], cands[j]) })
-		for _, c := range cands {
-			if alive(c) {
-				e := c
-				return &e
-			}
-		}
-		return nil
 	}
-
-	sameCycle := func(e entry) bool { return e.ID.A == n.id.A }
-	otherCycle := func(e entry) bool { return e.ID.A != n.id.A }
-	insideR := pick(sameCycle, func(a, b entry) bool {
-		return n.space.ClockwiseCyclic(n.id.K, a.ID.K) < n.space.ClockwiseCyclic(n.id.K, b.ID.K)
-	})
-	insideL := pick(sameCycle, func(a, b entry) bool {
-		return n.space.ClockwiseCyclic(a.ID.K, n.id.K) < n.space.ClockwiseCyclic(b.ID.K, n.id.K)
-	})
-	outR := pick(otherCycle, func(a, b entry) bool {
-		da, db := n.space.ClockwiseCycle(n.id.A, a.ID.A), n.space.ClockwiseCycle(n.id.A, b.ID.A)
-		if da != db {
-			return da < db
-		}
-		return a.ID.K > b.ID.K // primary preference within a cycle
-	})
-	outL := pick(otherCycle, func(a, b entry) bool {
-		da, db := n.space.ClockwiseCycle(a.ID.A, n.id.A), n.space.ClockwiseCycle(b.ID.A, n.id.A)
-		if da != db {
-			return da < db
-		}
-		return a.ID.K > b.ID.K
-	})
-
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if insideL == nil || insideR == nil {
-		insideL, insideR = n.selfEntry(), n.selfEntry()
-	}
-	if outL == nil || outR == nil {
-		outL, outR = n.selfEntry(), n.selfEntry()
-	}
-	n.rs.insideL, n.rs.insideR = insideL, insideR
-	n.rs.outsideL, n.rs.outsideR = outL, outR
+	copy(n.rs.leaves(), picked.leaves())
+	n.mu.Unlock()
 }
 
 // gatherNeighborhood collects this node's routing-state entries plus
@@ -205,7 +143,7 @@ func (n *Node) refreshLeafSets() {
 // for the entries it contacted directly.
 func (n *Node) gatherNeighborhood() ([]entry, map[ids.CycloidID]bool) {
 	n.mu.RLock()
-	own := n.entriesLocked()
+	own := n.rs
 	n.mu.RUnlock()
 
 	seen := make(map[ids.CycloidID]entry)
@@ -254,130 +192,49 @@ func (e *entry) entryWithState(st *WireState) entry {
 }
 
 // RefreshRoutingTable re-resolves the cubical and cyclic neighbors with
-// the local-remote search of Section 3.3.1: route toward the ideal
-// position, then walk outward through adjacent cycles (checking every
-// member) until a node with the required cyclic index appears. When the
-// search comes up empty (no node with the required cyclic index is
-// reachable) a dead incumbent is dropped rather than kept: a stale slot
-// costs a timeout on every lookup that tries it, and nothing short of
-// this check ever clears it.
+// the local-remote search of Section 3.3.1 and fills each from what it
+// found under the slot rule. The cyclic neighbors need no route: they are
+// the first nodes with cyclic index k-1 walking outward from this node's
+// own cycle in either direction. The cubical neighbor takes one route to
+// the flipped position and a walk on both sides of it (see flippedBlock).
+// When the search finds no candidate at all a dead incumbent is dropped
+// rather than kept: a stale slot costs a timeout on every lookup that
+// tries it, and nothing short of this check ever clears it.
 func (n *Node) RefreshRoutingTable() {
 	if n.id.K == 0 {
 		return // k=0 nodes have no cubical or cyclic neighbors
 	}
-	wantK := n.id.K - 1
-	flipped := n.id.A ^ (1 << n.id.K)
-
-	set := func(slot **entry, e entry, ok bool) {
-		if ok {
+	ts := &tableSearch{n: n, k: n.id.K - 1, states: make(map[ids.CycloidID]*WireState)}
+	ts.walk(*n.selfEntry(), +1, nil)
+	ts.walk(*n.selfEntry(), -1, nil)
+	ts.flippedBlock()
+	for _, s := range tableSlots {
+		var best *entry
+		for i, c := range ts.found {
+			if best == nil || n.better(s, c, *best) {
+				best = &ts.found[i]
+			}
+		}
+		if best != nil {
 			n.mu.Lock()
-			*slot = clone(e)
+			n.rs[s] = clone(*best)
 			n.mu.Unlock()
-			return
+			continue
 		}
 		n.mu.RLock()
-		cur := *slot
+		cur := n.rs[s]
 		n.mu.RUnlock()
-		if cur == nil || cur.ID == n.id {
-			return
+		if cur == nil {
+			continue
 		}
 		if _, err := n.call(cur.Addr, request{Op: "ping"}); err != nil {
 			n.mu.Lock()
-			if *slot == cur {
-				*slot = nil
+			if n.rs[s] == cur {
+				n.rs[s] = nil
 				n.tel.pruned.Inc()
 				n.log.Debug("pruned dead routing entry", "peer", cur.Addr)
 			}
 			n.mu.Unlock()
 		}
 	}
-	e, ok := n.searchWithK(wantK, ids.CycloidID{K: wantK, A: flipped}, 0)
-	set(&n.rs.cubical, e, ok)
-	e, ok = n.searchWithK(wantK, ids.CycloidID{K: wantK, A: n.id.A}, +1)
-	set(&n.rs.cyclicL, e, ok)
-	e, ok = n.searchWithK(wantK, ids.CycloidID{K: wantK, A: n.id.A}, -1)
-	set(&n.rs.cyclicS, e, ok)
-}
-
-// searchWithK finds a node with the given cyclic index near the ideal
-// position: it routes to the node responsible for the ideal ID, then
-// walks cycle by cycle (dir > 0 clockwise only, dir < 0 counter-clockwise
-// only, dir == 0 alternating) inspecting each cycle's members. The search
-// is bounded; stabilization retries periodically.
-func (n *Node) searchWithK(wantK uint8, ideal ids.CycloidID, dir int) (entry, bool) {
-	route, err := n.route(context.Background(), *n.selfEntry(), ideal, nil, nil)
-	if err != nil {
-		return entry{}, false
-	}
-	anchor := entry{ID: route.Terminal, Addr: route.Addr}
-	if anchor.ID == n.id {
-		anchor = *n.selfEntry()
-	}
-
-	maxCycles := 4 * n.space.Dim()
-	left, right := anchor, anchor
-	for i := 0; i < maxCycles; i++ {
-		goRight := dir > 0 || (dir == 0 && i%2 == 0)
-		var frontier *entry
-		if goRight {
-			frontier = &right
-		} else {
-			frontier = &left
-		}
-		found, next, ok := n.scanCycle(*frontier, wantK, goRight)
-		if found != nil {
-			return *found, true
-		}
-		if !ok {
-			return entry{}, false
-		}
-		*frontier = next
-		if left.ID == right.ID && i > 0 {
-			return entry{}, false // wrapped around the whole overlay
-		}
-	}
-	return entry{}, false
-}
-
-// scanCycle walks the members of the cycle containing at, looking for a
-// node with cyclic index wantK; it also returns the primary of the next
-// cycle in the walking direction for the outward search.
-func (n *Node) scanCycle(at entry, wantK uint8, clockwise bool) (found *entry, next entry, ok bool) {
-	cur := at
-	for hop := 0; hop <= n.space.Dim(); hop++ {
-		if cur.ID.K == wantK {
-			e := cur
-			return &e, entry{}, true
-		}
-		st, err := n.stateOfOrLocal(cur)
-		if err != nil {
-			return nil, entry{}, false
-		}
-		// Record the outward continuation from the first member we see.
-		if hop == 0 {
-			if clockwise {
-				next = entryOr(st.OutsideR, cur)
-			} else {
-				next = entryOr(st.OutsideL, cur)
-			}
-		}
-		succ := entryOr(st.InsideR, cur)
-		if succ.ID == at.ID || succ.ID == cur.ID {
-			break // completed the cycle
-		}
-		cur = succ
-	}
-	if next.ID == at.ID || next.ID == (ids.CycloidID{}) && next.Addr == "" {
-		return nil, entry{}, false
-	}
-	return nil, next, true
-}
-
-// stateOfOrLocal answers a state query locally when the entry is this
-// node itself.
-func (n *Node) stateOfOrLocal(e entry) (*WireState, error) {
-	if e.ID == n.id {
-		return n.wireState(), nil
-	}
-	return n.stateOf(e.Addr)
 }

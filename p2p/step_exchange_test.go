@@ -141,12 +141,9 @@ func TestRouteFallbackKeepsCandidates(t *testing.T) {
 	repoint := func(id ids.CycloidID, addr string) {
 		origin.mu.Lock()
 		defer origin.mu.Unlock()
-		for _, slot := range []**entry{
-			&origin.rs.insideL, &origin.rs.insideR, &origin.rs.outsideL, &origin.rs.outsideR,
-			&origin.rs.cubical, &origin.rs.cyclicL, &origin.rs.cyclicS,
-		} {
-			if *slot != nil && (*slot).ID == id {
-				*slot = &entry{ID: id, Addr: addr}
+		for s, e := range origin.rs {
+			if e != nil && e.ID == id {
+				origin.rs[s] = &entry{ID: id, Addr: addr}
 			}
 		}
 	}

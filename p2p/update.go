@@ -13,7 +13,7 @@ func (n *Node) handleUpdate(req request) {
 	subj := toEntry(*req.Subject)
 	switch req.Event {
 	case "join":
-		n.applyJoin(subj)
+		n.offer(subj)
 	case "leave":
 		if req.Departed != nil {
 			n.applyLeave(subj, req.Departed)
@@ -26,94 +26,21 @@ func (n *Node) handleUpdate(req request) {
 	}
 }
 
-// applyJoin folds a newly joined node into this node's leaf sets where it
-// belongs.
-func (n *Node) applyJoin(s entry) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s.ID == n.id {
-		return
-	}
-	if s.ID.A == n.id.A {
-		// Same local cycle: the newcomer may be the new predecessor or
-		// successor on the member ring.
-		if n.rs.insideR == nil || n.rs.insideR.ID == n.id ||
-			n.space.ClockwiseCyclic(n.id.K, s.ID.K) < n.space.ClockwiseCyclic(n.id.K, n.rs.insideR.ID.K) {
-			e := s
-			n.rs.insideR = &e
-		}
-		if n.rs.insideL == nil || n.rs.insideL.ID == n.id ||
-			n.space.ClockwiseCyclic(s.ID.K, n.id.K) < n.space.ClockwiseCyclic(n.rs.insideL.ID.K, n.id.K) {
-			e := s
-			n.rs.insideL = &e
-		}
-		return
-	}
-	// Remote cycle: the newcomer may displace an outside leaf entry —
-	// either as the new primary of the cycle the entry points to, or as a
-	// strictly nearer cycle (a newly created cycle is its own primary).
-	if out := n.rs.outsideR; out == nil || out.ID == n.id ||
-		(s.ID.A == out.ID.A && s.ID.K > out.ID.K) ||
-		n.space.ClockwiseCycle(n.id.A, s.ID.A) < n.space.ClockwiseCycle(n.id.A, out.ID.A) {
-		e := s
-		n.rs.outsideR = &e
-	}
-	if out := n.rs.outsideL; out == nil || out.ID == n.id ||
-		(s.ID.A == out.ID.A && s.ID.K > out.ID.K) ||
-		n.space.ClockwiseCycle(s.ID.A, n.id.A) < n.space.ClockwiseCycle(out.ID.A, n.id.A) {
-		e := s
-		n.rs.outsideL = &e
-	}
-}
-
 // applyLeave splices this node's leaf sets around a gracefully departing
-// node, using the departing node's own final state.
+// node: the slots that named the leaver empty, and the leaver's own leaf
+// entries — its final state — are offered in its place.
 func (n *Node) applyLeave(s entry, st *WireState) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sid := s.ID
-	// resolve turns a replacement reference into a valid slot value:
-	// references back to the leaver or to this node collapse to self.
-	resolve := func(w *WireEntry) *entry {
-		if w == nil {
-			return n.selfEntry()
+	for i, e := range n.rs.leaves() {
+		if e.ID == s.ID {
+			n.rs[i] = n.selfEntry()
 		}
-		e := toEntry(*w)
-		if e.ID == sid || e.ID == n.id {
-			return n.selfEntry()
+	}
+	for _, w := range []*WireEntry{st.InsideL, st.InsideR, st.OutsideL, st.OutsideR} {
+		if w != nil && toEntry(*w).ID != s.ID {
+			n.offerLocked(toEntry(*w))
 		}
-		return &e
-	}
-	if n.rs.insideR != nil && n.rs.insideR.ID == sid {
-		n.rs.insideR = resolve(st.InsideR)
-	}
-	if n.rs.insideL != nil && n.rs.insideL.ID == sid {
-		n.rs.insideL = resolve(st.InsideL)
-	}
-	// An outside entry pointing at the leaver was pointing at a primary.
-	// Its replacement is the leaver's cycle predecessor (the new largest
-	// cyclic index) — or, if the leaver was alone, the primary of the
-	// next cycle over, taken from the leaver's own outside leaf set.
-	replacePrimary := func(sameSide *WireEntry) *entry {
-		if st.InsideL != nil {
-			p := toEntry(*st.InsideL)
-			if p.ID != sid && p.ID.A == sid.A {
-				return &p
-			}
-		}
-		if sameSide != nil {
-			e := toEntry(*sameSide)
-			if e.ID != sid && e.ID.A != n.id.A {
-				return &e
-			}
-		}
-		return n.selfEntry()
-	}
-	if n.rs.outsideR != nil && n.rs.outsideR.ID == sid {
-		n.rs.outsideR = replacePrimary(st.OutsideR)
-	}
-	if n.rs.outsideL != nil && n.rs.outsideL.ID == sid {
-		n.rs.outsideL = replacePrimary(st.OutsideL)
 	}
 	// Cubical/cyclic neighbors referencing the leaver stay stale: the
 	// leaver has no incoming-connection knowledge (Section 3.3.2).
@@ -132,7 +59,7 @@ func (n *Node) propagate(req request) {
 		return
 	}
 	n.mu.RLock()
-	next := n.rs.insideR
+	next := n.rs[insideR]
 	n.mu.RUnlock()
 	if next == nil || next.ID == n.id {
 		return

@@ -24,13 +24,13 @@ func we(k uint8, a uint32, addr string) *WireEntry { return &WireEntry{K: k, A: 
 func TestApplyJoinSameCycle(t *testing.T) {
 	nd := bareNode(t, 5, ids.CycloidID{K: 2, A: 10})
 	// Alone: the first same-cycle joiner becomes both inside neighbors.
-	nd.applyJoin(entry{ID: ids.CycloidID{K: 4, A: 10}, Addr: "x:1"})
+	nd.offer(entry{ID: ids.CycloidID{K: 4, A: 10}, Addr: "x:1"})
 	st := nd.wireState()
 	if st.InsideR.K != 4 || st.InsideL.K != 4 {
 		t.Fatalf("inside leaf after first join: %+v / %+v", st.InsideL, st.InsideR)
 	}
 	// A closer successor (k=3) displaces the k=4 entry on the right only.
-	nd.applyJoin(entry{ID: ids.CycloidID{K: 3, A: 10}, Addr: "x:2"})
+	nd.offer(entry{ID: ids.CycloidID{K: 3, A: 10}, Addr: "x:2"})
 	st = nd.wireState()
 	if st.InsideR.K != 3 {
 		t.Fatalf("insideR = %+v, want k=3", st.InsideR)
@@ -43,25 +43,25 @@ func TestApplyJoinSameCycle(t *testing.T) {
 func TestApplyJoinRemoteCycle(t *testing.T) {
 	nd := bareNode(t, 5, ids.CycloidID{K: 2, A: 10})
 	// First remote node anchors both outside sides.
-	nd.applyJoin(entry{ID: ids.CycloidID{K: 1, A: 20}, Addr: "x:1"})
+	nd.offer(entry{ID: ids.CycloidID{K: 1, A: 20}, Addr: "x:1"})
 	st := nd.wireState()
 	if st.OutsideR.A != 20 || st.OutsideL.A != 20 {
 		t.Fatalf("outside after first join: %+v / %+v", st.OutsideL, st.OutsideR)
 	}
 	// A strictly nearer cycle clockwise displaces the right entry.
-	nd.applyJoin(entry{ID: ids.CycloidID{K: 0, A: 12}, Addr: "x:2"})
+	nd.offer(entry{ID: ids.CycloidID{K: 0, A: 12}, Addr: "x:2"})
 	st = nd.wireState()
 	if st.OutsideR.A != 12 {
 		t.Fatalf("outsideR = %+v, want cycle 12", st.OutsideR)
 	}
 	// A higher-k node in that same cycle becomes the new primary.
-	nd.applyJoin(entry{ID: ids.CycloidID{K: 3, A: 12}, Addr: "x:3"})
+	nd.offer(entry{ID: ids.CycloidID{K: 3, A: 12}, Addr: "x:3"})
 	st = nd.wireState()
 	if st.OutsideR.K != 3 {
 		t.Fatalf("outsideR = %+v, want new primary k=3", st.OutsideR)
 	}
 	// A farther cycle changes nothing.
-	nd.applyJoin(entry{ID: ids.CycloidID{K: 4, A: 25}, Addr: "x:4"})
+	nd.offer(entry{ID: ids.CycloidID{K: 4, A: 25}, Addr: "x:4"})
 	if got := nd.wireState().OutsideR; got.A != 12 {
 		t.Fatalf("outsideR moved to farther cycle: %+v", got)
 	}
@@ -70,7 +70,7 @@ func TestApplyJoinRemoteCycle(t *testing.T) {
 func TestApplyLeaveSplices(t *testing.T) {
 	nd := bareNode(t, 5, ids.CycloidID{K: 2, A: 10})
 	leaver := ids.CycloidID{K: 4, A: 10}
-	nd.applyJoin(entry{ID: leaver, Addr: "x:1"})
+	nd.offer(entry{ID: leaver, Addr: "x:1"})
 	// The leaver reports its own neighbors: k=0 (its successor around the
 	// wrap) and this node (its predecessor).
 	dep := &WireState{
@@ -83,17 +83,17 @@ func TestApplyLeaveSplices(t *testing.T) {
 	if st.InsideR.K != 0 || st.InsideR.Addr != "x:2" {
 		t.Fatalf("insideR not spliced to leaver's successor: %+v", st.InsideR)
 	}
-	// insideL pointed at the leaver too; its replacement (this node)
-	// collapses to self.
-	if st.InsideL.K != nd.ID().K || st.InsideL.A != nd.ID().A {
-		t.Fatalf("insideL should collapse to self: %+v", st.InsideL)
+	// insideL pointed at the leaver too. The cycle now holds this node
+	// and k=0 only, so k=0 is its predecessor as well as its successor.
+	if st.InsideL.K != 0 || st.InsideL.Addr != "x:2" {
+		t.Fatalf("insideL not spliced to the cycle's other member: %+v", st.InsideL)
 	}
 }
 
 func TestApplyLeavePrimaryReplacement(t *testing.T) {
 	nd := bareNode(t, 5, ids.CycloidID{K: 2, A: 10})
 	primary := ids.CycloidID{K: 4, A: 13}
-	nd.applyJoin(entry{ID: primary, Addr: "x:1"})
+	nd.offer(entry{ID: primary, Addr: "x:1"})
 	if nd.wireState().OutsideR.A != 13 {
 		t.Fatal("setup: primary not adopted")
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cycloid/internal/ids"
 	"cycloid/p2p/memnet"
@@ -300,5 +302,101 @@ func TestReplicaGCOutOfScope(t *testing.T) {
 	defer reborn.Close()
 	if _, ok := reborn.localFetch(key); ok {
 		t.Fatal("reboot resurrected the GC'd copy")
+	}
+}
+
+// stallStore makes every Put wait until release is closed or 3 s pass,
+// once armed: a disk that stalls under the node's store lock.
+type stallStore struct {
+	store.Store
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *stallStore) Put(key string, it store.Item) {
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.entered)
+		select {
+		case <-s.release:
+		case <-time.After(3 * time.Second):
+		}
+	}
+	s.Store.Put(key, it)
+}
+
+// TestStoreStallLeavesRoutingAlone pins that routing never waits for
+// the store: while one node's Put is stuck in its backend, holding the
+// store lock, lookups from other nodes whose routes pass through that
+// node still finish promptly and without a single timeout.
+func TestStoreStallLeavesRoutingAlone(t *testing.T) {
+	const dialTimeout = time.Second
+	stall := &stallStore{Store: store.NewMemory(), entered: make(chan struct{}), release: make(chan struct{})}
+	nw := memnet.New(61)
+	started := 0
+	nodes := memCluster(t, nw, 6, 24, 61, func(c *Config) {
+		c.DialTimeout = dialTimeout
+		if started == 5 {
+			c.Store = stall
+		}
+		started++
+	})
+	stabilizeAll(nodes, 3)
+	victim := nodes[5]
+	const steps = `cycloid_requests_total{op="step"}`
+
+	// Origin/key pairs whose route crosses the victim without ending
+	// there, found by watching its step counter.
+	type probe struct {
+		from *Node
+		key  string
+	}
+	var probes []probe
+	for i := 0; i < 2000 && len(probes) < 20; i++ {
+		from, key := nodes[i%len(nodes)], fmt.Sprintf("transit-%d", i)
+		if from == victim {
+			continue
+		}
+		before := victim.Telemetry().CounterValue(steps)
+		r, err := from.Lookup(key)
+		if err == nil && r.Terminal != victim.ID() && victim.Telemetry().CounterValue(steps) > before {
+			probes = append(probes, probe{from, key})
+		}
+	}
+	if len(probes) < 5 {
+		t.Fatalf("only %d routes cross the victim", len(probes))
+	}
+
+	var owned string
+	for i := 0; owned == ""; i++ {
+		if k := fmt.Sprintf("owned-%d", i); victim.localStep(victim.keyPoint(k), false, nil).Done {
+			owned = k
+		}
+	}
+	stall.armed.Store(true)
+	putDone := make(chan error, 1)
+	go func() { putDone <- victim.Put(owned, []byte("v")) }()
+	<-stall.entered
+
+	before := victim.Telemetry().CounterValue(steps)
+	for _, p := range probes {
+		began := time.Now()
+		r, err := p.from.Lookup(p.key)
+		if took := time.Since(began); err != nil || r.Timeouts != 0 || took > dialTimeout/4 {
+			t.Errorf("lookup %q from %v while the victim's store stalls: %d timeouts in %v, err %v",
+				p.key, p.from.ID(), r.Timeouts, took, err)
+		}
+	}
+	if victim.Telemetry().CounterValue(steps) == before {
+		t.Error("no lookup stepped through the victim during the stall")
+	}
+	select {
+	case err := <-putDone:
+		t.Fatalf("the stalled Put returned (err %v) before the lookups finished", err)
+	default:
+	}
+	close(stall.release)
+	if err := <-putDone; err != nil {
+		t.Fatal(err)
 	}
 }

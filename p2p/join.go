@@ -117,11 +117,9 @@ func (n *Node) announce(event string, departed *WireState) {
 	self := WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()}
 	req := request{Op: "update", Event: event, Subject: &self, Departed: departed}
 
-	n.mu.RLock()
-	inside := []*entry{n.rs[insideL], n.rs[insideR]}
-	outside := []*entry{n.rs[outsideL], n.rs[outsideR]}
-	isPrimary := n.rs[insideR].ID == n.id || n.rs[insideR].ID.K < n.id.K
-	n.mu.RUnlock()
+	rs := n.rs.Load()
+	inside, outside := rs[insideL:outsideL], rs[outsideL:cubical]
+	isPrimary := rs[insideR].ID == n.id || rs[insideR].ID.K < n.id.K
 
 	sent := map[ids.CycloidID]bool{n.id: true}
 	for _, e := range inside {
@@ -146,11 +144,8 @@ func (n *Node) announce(event string, departed *WireState) {
 // reclaimKeys pulls over the stored items this freshly joined node is now
 // responsible for, from the neighbors that held them.
 func (n *Node) reclaimKeys() {
-	n.mu.RLock()
-	targets := append([]*entry(nil), n.rs.leaves()...)
-	n.mu.RUnlock()
 	seen := map[ids.CycloidID]bool{n.id: true}
-	for _, e := range targets {
+	for _, e := range n.rs.Load().leaves() {
 		if e == nil || seen[e.ID] {
 			continue
 		}
@@ -217,9 +212,9 @@ func (n *Node) handoffKeys() {
 		n.store.Delete(k)
 	}
 	n.updateStoreGaugeLocked()
-	cands := append([]*entry(nil), n.rs.leaves()...)
 	n.mu.Unlock()
 
+	cands := n.rs.Load().leaves()
 	var liveStart *entry
 	for _, e := range cands {
 		if e != nil && e.ID != n.id {

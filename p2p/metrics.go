@@ -310,15 +310,12 @@ func (m *nodeMetrics) storeHooks() store.Hooks {
 // updateLeafGauges refreshes the leaf-set and replica-set size gauges
 // from the current routing state.
 func (n *Node) updateLeafGauges() {
-	n.mu.RLock()
-	leafs := n.rs.leaves()
 	distinct := make(map[string]bool)
-	for _, e := range leafs {
+	for _, e := range n.rs.Load().leaves() {
 		if e != nil && e.ID != n.id {
 			distinct[e.Addr] = true
 		}
 	}
-	n.mu.RUnlock()
 	n.tel.leafNodes.Set(int64(len(distinct)))
 	rs := 0
 	if n.cfg.Replicas > 1 {

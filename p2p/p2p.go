@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cycloid/internal/cycloid"
 	"cycloid/internal/hashing"
 	"cycloid/internal/ids"
 	"cycloid/internal/telemetry"
@@ -206,13 +205,19 @@ type Node struct {
 	space ids.Space
 	id    ids.CycloidID
 
-	// store is the pluggable key/value backend (p2p/store): the
-	// in-memory map by default, the WAL-backed durable store when
-	// Config.DataDir is set. Data operations are serialized under mu;
-	// store.Sync runs outside mu on acknowledgement paths, batching
-	// concurrent acks into one fsync.
+	// rs is the published routing state: an immutable value that
+	// readers Load once and use without a lock. Writers publish a
+	// changed copy under rsMu (editRS), so none loses another's update
+	// and no reader ever waits on one.
+	rsMu sync.Mutex
+	rs   atomic.Pointer[routingState]
+
+	// mu guards store and nothing else. store is the pluggable key/value
+	// backend (p2p/store): the in-memory map by default, the WAL-backed
+	// durable store when Config.DataDir is set. Data operations are
+	// serialized under mu; store.Sync runs outside mu on acknowledgement
+	// paths, batching concurrent acks into one fsync.
 	mu    sync.RWMutex
-	rs    routingState
 	store store.Store
 
 	// suspects maps transport addresses found dead during routes to a
@@ -382,7 +387,7 @@ func Start(cfg Config) (*Node, error) {
 	}
 	n.updateStoreGaugeLocked()
 	self := entry{ID: id, Addr: n.Addr()}
-	n.rs = routingState{insideL: &self, insideR: &self, outsideL: &self, outsideR: &self}
+	n.rs.Store(&routingState{insideL: &self, insideR: &self, outsideL: &self, outsideR: &self})
 	n.updateLeafGauges()
 
 	n.wg.Add(1)
@@ -450,50 +455,6 @@ func (n *Node) isStopped() bool {
 	}
 }
 
-// snapshot converts the live state to the routing algorithm's input.
-func (n *Node) snapshot() cycloid.NodeState {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.snapshotLocked()
-}
-
-func (n *Node) snapshotLocked() cycloid.NodeState {
-	return n.snapshotLockedInto(new([7]ids.CycloidID))
-}
-
-// snapshotLockedInto builds the snapshot with every slot backed by buf,
-// so the whole conversion costs the caller at most one allocation (zero
-// when buf comes from a pool, as on the step hot path). The returned
-// state aliases buf and is valid only while the caller owns it.
-func (n *Node) snapshotLockedInto(buf *[7]ids.CycloidID) cycloid.NodeState {
-	s := cycloid.NodeState{ID: n.id}
-	i := 0
-	ptr := func(e *entry) *ids.CycloidID {
-		if e == nil {
-			return nil
-		}
-		buf[i] = e.ID
-		i++
-		return &buf[i-1]
-	}
-	s.Cubical = ptr(n.rs[cubical])
-	s.CyclicL = ptr(n.rs[cyclicL])
-	s.CyclicS = ptr(n.rs[cyclicS])
-	one := func(e *entry) []ids.CycloidID {
-		if e == nil {
-			return nil
-		}
-		buf[i] = e.ID
-		i++
-		return buf[i-1 : i : i]
-	}
-	s.InsideL = one(n.rs[insideL])
-	s.InsideR = one(n.rs[insideR])
-	s.OutsideL = one(n.rs[outsideL])
-	s.OutsideR = one(n.rs[outsideR])
-	return s
-}
-
 // State returns a copy of the node's current routing state, the same
 // snapshot peers see over the wire. Harnesses use it to assert table
 // invariants (e.g. equality with the simulator's oracle after
@@ -527,25 +488,6 @@ func (n *Node) KeyVersions() map[string]uint64 {
 	})
 	n.mu.RUnlock()
 	return out
-}
-
-// addrOf resolves a candidate ID to the address this node knows for it.
-func (n *Node) addrOf(id ids.CycloidID) (string, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.addrOfLocked(id)
-}
-
-// addrOfLocked is addrOf for callers already holding n.mu; it walks the
-// routing-state slots directly so the per-candidate resolution on the
-// step hot path does not allocate.
-func (n *Node) addrOfLocked(id ids.CycloidID) (string, bool) {
-	for _, e := range n.rs {
-		if e != nil && e.ID == id {
-			return e.Addr, true
-		}
-	}
-	return "", false
 }
 
 // keyPoint maps an application key onto the overlay's ID space.

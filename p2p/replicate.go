@@ -106,17 +106,14 @@ func (n *Node) replicaTargets(kp ids.CycloidID) []entry {
 	if r <= 1 {
 		return nil
 	}
-	n.mu.RLock()
-	leafs := n.rs.leaves()
 	seen := map[ids.CycloidID]bool{n.id: true}
 	var cands []entry
-	for _, e := range leafs {
+	for _, e := range n.rs.Load().leaves() {
 		if e != nil && !seen[e.ID] {
 			seen[e.ID] = true
 			cands = append(cands, *e)
 		}
 	}
-	n.mu.RUnlock()
 	sort.Slice(cands, func(i, j int) bool { return n.space.Closer(kp, cands[i].ID, cands[j].ID) })
 	if len(cands) > r-1 {
 		cands = cands[:r-1]
@@ -155,17 +152,14 @@ func (n *Node) inScope(kp ids.CycloidID, extra ...ids.CycloidID) bool {
 	if r <= 1 {
 		return false
 	}
-	n.mu.RLock()
-	leafs := n.rs.leaves()
 	seen := map[ids.CycloidID]bool{n.id: true}
 	cands := []ids.CycloidID{n.id}
-	for _, e := range leafs {
+	for _, e := range n.rs.Load().leaves() {
 		if e != nil && !seen[e.ID] {
 			seen[e.ID] = true
 			cands = append(cands, e.ID)
 		}
 	}
-	n.mu.RUnlock()
 	for _, id := range extra {
 		if !seen[id] {
 			seen[id] = true

@@ -405,9 +405,7 @@ func TestRouteContextDeadline(t *testing.T) {
 	// Point a leaf entry at an unreachable peer so routes have a
 	// candidate to chase.
 	ghost := &entry{ID: ids.CycloidID{K: 3, A: 9}, Addr: "ghost"}
-	nd.mu.Lock()
-	nd.rs[insideL], nd.rs[insideR] = ghost, ghost
-	nd.mu.Unlock()
+	nd.editRS(func(rs *routingState) { rs[insideL], rs[insideR] = ghost, ghost })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()

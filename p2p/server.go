@@ -82,8 +82,8 @@ func (n *Node) handle(conn net.Conn) {
 // form u32 len | u64 id | u8 status | body, each request dispatched and
 // answered under its correlation ID. Responses ride a batching writer,
 // so bursts of concurrent replies coalesce into single writes.
-// Read-only ops that complete under one short lock (ping/state/step/
-// fetch) are answered inline on the read loop; the rest dispatch on
+// Short read-only ops (ping/state/step take no lock, fetch one short
+// store lock) are answered inline on the read loop; the rest dispatch on
 // goroutines, drained before the connection closes. A frame's length
 // prefix is validated against MaxFrame before any payload allocation.
 //
@@ -288,17 +288,16 @@ func (n *Node) dispatch(req request, st *opTrace) response {
 
 // wireState snapshots the node's routing state for the wire.
 func (n *Node) wireState() *WireState {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	rs := n.rs.Load()
 	return &WireState{
 		Self:     WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()},
-		Cubical:  wirePtr(n.rs[cubical]),
-		CyclicL:  wirePtr(n.rs[cyclicL]),
-		CyclicS:  wirePtr(n.rs[cyclicS]),
-		InsideL:  wirePtr(n.rs[insideL]),
-		InsideR:  wirePtr(n.rs[insideR]),
-		OutsideL: wirePtr(n.rs[outsideL]),
-		OutsideR: wirePtr(n.rs[outsideR]),
+		Cubical:  wirePtr(rs[cubical]),
+		CyclicL:  wirePtr(rs[cyclicL]),
+		CyclicS:  wirePtr(rs[cyclicS]),
+		InsideL:  wirePtr(rs[insideL]),
+		InsideR:  wirePtr(rs[insideR]),
+		OutsideL: wirePtr(rs[outsideL]),
+		OutsideR: wirePtr(rs[outsideR]),
 	}
 }
 
@@ -333,24 +332,23 @@ var stepScratchPool = sync.Pool{New: func() any { return new(stepScratch) }}
 // fresh list.
 func (n *Node) localStep(t ids.CycloidID, greedyOnly bool, dst []WireEntry) stepResult {
 	ss := stepScratchPool.Get().(*stepScratch)
-	n.mu.RLock()
-	st := n.snapshotLockedInto(&ss.ids)
+	rs := n.rs.Load()
+	st := rs.nodeState(n.id, &ss.ids)
 	step := cycloid.DecideStepScratch(n.space, &st, t, greedyOnly, &ss.sc)
 	out := stepResult{Phase: step.Phase.String(), Done: len(step.Candidates) == 0}
 	if len(step.Candidates) > 0 {
-		// Resolved under the same lock as the snapshot, so the addresses
-		// are consistent with the state the decision was made on.
+		// Resolved from the same state the decision was made on, so the
+		// addresses are consistent with it.
 		out.Candidates = dst[:0]
 		if cap(dst) < len(step.Candidates) {
 			out.Candidates = make([]WireEntry, 0, len(step.Candidates))
 		}
 		for _, id := range step.Candidates {
-			if addr, ok := n.addrOfLocked(id); ok {
+			if addr, ok := rs.addrOf(id); ok {
 				out.Candidates = append(out.Candidates, WireEntry{K: id.K, A: id.A, Addr: addr})
 			}
 		}
 	}
-	n.mu.RUnlock()
 	stepScratchPool.Put(ss)
 	return out
 }

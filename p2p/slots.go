@@ -3,6 +3,7 @@ package p2p
 import (
 	"context"
 
+	"cycloid/internal/cycloid"
 	"cycloid/internal/ids"
 )
 
@@ -28,12 +29,67 @@ const (
 
 // routingState is the live node's seven-entry state (LeafHalf = 1),
 // indexed by slot. Leaf slots are never nil: a node that knows no one
-// for a leaf slot holds itself there.
+// for a leaf slot holds itself there. A published state (Node.rs) is
+// never changed, nor is any entry it points at: readers Load it once
+// and read it without a lock, and writers publish a copy (editRS).
 type routingState [7]*entry
 
-// leaves returns the four leaf slots; it aliases the state, so callers
-// read it under n.mu.
+// leaves returns the four leaf slots; it aliases the state.
 func (rs *routingState) leaves() []*entry { return rs[:cubical] }
+
+// nodeState converts the state of node id to the routing algorithm's
+// input with every slot backed by buf, so the conversion costs the
+// caller at most one allocation (zero when buf comes from a pool, as on
+// the step hot path). The result aliases buf.
+func (rs *routingState) nodeState(id ids.CycloidID, buf *[7]ids.CycloidID) cycloid.NodeState {
+	s := cycloid.NodeState{ID: id}
+	i := 0
+	ptr := func(e *entry) *ids.CycloidID {
+		if e == nil {
+			return nil
+		}
+		buf[i] = e.ID
+		i++
+		return &buf[i-1]
+	}
+	s.Cubical = ptr(rs[cubical])
+	s.CyclicL = ptr(rs[cyclicL])
+	s.CyclicS = ptr(rs[cyclicS])
+	one := func(e *entry) []ids.CycloidID {
+		if e == nil {
+			return nil
+		}
+		buf[i] = e.ID
+		i++
+		return buf[i-1 : i : i]
+	}
+	s.InsideL = one(rs[insideL])
+	s.InsideR = one(rs[insideR])
+	s.OutsideL = one(rs[outsideL])
+	s.OutsideR = one(rs[outsideR])
+	return s
+}
+
+// addrOf resolves a candidate ID to the address the state holds for it.
+func (rs *routingState) addrOf(id ids.CycloidID) (string, bool) {
+	for _, e := range rs {
+		if e != nil && e.ID == id {
+			return e.Addr, true
+		}
+	}
+	return "", false
+}
+
+// editRS publishes a copy of the routing state changed by edit. rsMu
+// orders the writers, so none loses another's change; readers never
+// wait for it.
+func (n *Node) editRS(edit func(rs *routingState)) {
+	n.rsMu.Lock()
+	defer n.rsMu.Unlock()
+	next := *n.rs.Load()
+	edit(&next)
+	n.rs.Store(&next)
+}
 
 var tableSlots = [...]slot{cubical, cyclicL, cyclicS}
 
@@ -108,16 +164,15 @@ func nearer(dx, dy uint32, tie bool) bool { return dx < dy || dx == dy && tie }
 // offer puts each candidate into every leaf slot it belongs in ahead of
 // the current holder.
 func (n *Node) offer(cands ...entry) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.offerLocked(cands...)
+	n.editRS(func(rs *routingState) { n.place(rs, cands) })
 }
 
-func (n *Node) offerLocked(cands ...entry) {
-	for s := range n.rs.leaves() {
+// place is offer's rule applied to a state being edited.
+func (n *Node) place(rs *routingState, cands []entry) {
+	for s := range rs.leaves() {
 		for _, c := range cands {
-			if n.better(slot(s), c, *n.rs[s]) {
-				n.rs[s] = clone(c)
+			if n.better(slot(s), c, *rs[s]) {
+				rs[s] = clone(c)
 			}
 		}
 	}

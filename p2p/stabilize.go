@@ -45,9 +45,7 @@ func (n *Node) Stabilize() {
 // state-queried, so it is verified live.
 func (n *Node) correctOutsideRing() {
 	for _, s := range [...]slot{outsideL, outsideR} {
-		n.mu.RLock()
-		cur := *n.rs[s]
-		n.mu.RUnlock()
+		cur := *n.rs.Load()[s]
 		live := cur
 		for step := 0; step < 4*n.space.Dim() && n.fits(s, cur); step++ {
 			st, err := n.stateOf(cur.Addr)
@@ -75,11 +73,8 @@ func (n *Node) correctOutsideRing() {
 func (n *Node) notifyLeafSet() {
 	self := WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()}
 	req := request{Op: "update", Event: "join", Subject: &self}
-	n.mu.RLock()
-	targets := append([]*entry(nil), n.rs.leaves()...)
-	n.mu.RUnlock()
 	sent := map[string]bool{n.Addr(): true}
-	for _, e := range targets {
+	for _, e := range n.rs.Load().leaves() {
 		if e == nil || sent[e.Addr] {
 			continue
 		}
@@ -133,19 +128,13 @@ func (n *Node) refreshLeafSets() {
 			}
 		}
 	}
-	n.mu.Lock()
-	copy(n.rs.leaves(), picked.leaves())
-	n.mu.Unlock()
+	n.editRS(func(rs *routingState) { copy(rs.leaves(), picked.leaves()) })
 }
 
 // gatherNeighborhood collects this node's routing-state entries plus
 // everything in their states, deduplicated, along with a liveness cache
 // for the entries it contacted directly.
 func (n *Node) gatherNeighborhood() ([]entry, map[ids.CycloidID]bool) {
-	n.mu.RLock()
-	own := n.rs
-	n.mu.RUnlock()
-
 	seen := make(map[ids.CycloidID]entry)
 	live := make(map[ids.CycloidID]bool)
 	add := func(e entry) {
@@ -155,7 +144,7 @@ func (n *Node) gatherNeighborhood() ([]entry, map[ids.CycloidID]bool) {
 			}
 		}
 	}
-	for _, e := range own {
+	for _, e := range n.rs.Load() {
 		if e == nil || e.ID == n.id {
 			continue
 		}
@@ -216,25 +205,21 @@ func (n *Node) RefreshRoutingTable() {
 			}
 		}
 		if best != nil {
-			n.mu.Lock()
-			n.rs[s] = clone(*best)
-			n.mu.Unlock()
+			n.editRS(func(rs *routingState) { rs[s] = clone(*best) })
 			continue
 		}
-		n.mu.RLock()
-		cur := n.rs[s]
-		n.mu.RUnlock()
+		cur := n.rs.Load()[s]
 		if cur == nil {
 			continue
 		}
 		if _, err := n.call(cur.Addr, request{Op: "ping"}); err != nil {
-			n.mu.Lock()
-			if n.rs[s] == cur {
-				n.rs[s] = nil
-				n.tel.pruned.Inc()
-				n.log.Debug("pruned dead routing entry", "peer", cur.Addr)
-			}
-			n.mu.Unlock()
+			n.editRS(func(rs *routingState) {
+				if rs[s] == cur {
+					rs[s] = nil
+					n.tel.pruned.Inc()
+					n.log.Debug("pruned dead routing entry", "peer", cur.Addr)
+				}
+			})
 		}
 	}
 }

@@ -139,13 +139,13 @@ func TestRouteFallbackKeepsCandidates(t *testing.T) {
 
 	origin := nodes[0]
 	repoint := func(id ids.CycloidID, addr string) {
-		origin.mu.Lock()
-		defer origin.mu.Unlock()
-		for s, e := range origin.rs {
-			if e != nil && e.ID == id {
-				origin.rs[s] = &entry{ID: id, Addr: addr}
+		origin.editRS(func(rs *routingState) {
+			for s, e := range rs {
+				if e != nil && e.ID == id {
+					rs[s] = &entry{ID: id, Addr: addr}
+				}
 			}
-		}
+		})
 	}
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("fallback-%d", i)

@@ -8,12 +8,13 @@
 // in-flight Put acks cost one disk flush, not N.
 //
 // When the active segment outgrows Options.CompactBytes, the writer
-// rolls to a fresh segment, writes a snapshot of the full state (temp
-// file, fsync, atomic rename) covering everything up to the roll, and
-// deletes the older segments. Recovery loads the snapshot, replays the
-// segments it does not cover in order with a torn-tail-tolerant
-// decoder, and always starts a brand-new segment — it never appends
-// after a possibly-torn tail.
+// rolls to a fresh segment and encodes a snapshot of the full state
+// covering everything up to the roll. A compaction goroutine then
+// writes the snapshot (temp file, fsync, atomic rename) and deletes the
+// older segments, off the write path; at most one runs at a time.
+// Recovery loads the snapshot, replays the segments it does not cover
+// in order with a torn-tail-tolerant decoder, and always starts a
+// brand-new segment — it never appends after a possibly-torn tail.
 package store
 
 import (
@@ -26,7 +27,7 @@ import (
 )
 
 // Options parameterizes a Durable store. The zero value is safe:
-// fsync on, default compaction threshold and record cap.
+// fsync on, default compaction threshold.
 type Options struct {
 	// NoFsync keeps the WAL (writes are still flushed to the OS on
 	// Sync) but skips the fsync syscall, trading crash durability for
@@ -36,18 +37,15 @@ type Options struct {
 	// CompactBytes rolls the active segment and snapshots once it
 	// exceeds this size. Default 4 MiB.
 	CompactBytes int64
-	// MaxRecord caps one WAL record (frame + payload) on both the
-	// append and replay paths, so a corrupt length prefix cannot drive
-	// an unbounded allocation. Default 16 MiB — comfortably above the
-	// wire protocol's 1 MiB frame cap.
-	MaxRecord int
 	// Hooks receives storage events for telemetry; any field may be
-	// nil. Callbacks run on the mutating goroutine — keep them cheap.
+	// nil. Keep callbacks cheap: they run inside the store.
 	Hooks Hooks
 }
 
 // Hooks observes Durable internals without coupling this package to a
 // metrics implementation; the p2p layer wires these to its registry.
+// Snapshot and Compact fire on the compaction goroutine, Fsync on the
+// syncing one, the rest on the goroutine calling into the store.
 type Hooks struct {
 	// Append fires per WAL record with its encoded size.
 	Append func(bytes int)
@@ -70,15 +68,18 @@ func (o *Options) defaults() {
 	if o.CompactBytes == 0 {
 		o.CompactBytes = 4 << 20
 	}
-	if o.MaxRecord == 0 {
-		o.MaxRecord = 16 << 20
-	}
 }
 
 const (
 	snapName    = "snapshot"
 	snapTmpName = "snapshot.tmp"
 	segPattern  = "wal-%08d.seg"
+
+	// maxRecord caps one WAL record (frame + payload) on both the
+	// append and replay paths, so a corrupt length prefix cannot drive
+	// an unbounded allocation. It sits comfortably above the wire
+	// protocol's 1 MiB frame cap.
+	maxRecord = 16 << 20
 )
 
 // Durable implements Store over a data directory. Data operations
@@ -89,114 +90,115 @@ type Durable struct {
 	dir  string
 
 	// wmu guards the writer state below (file handle, buffer, counters)
-	// and carries the group-commit condition. The in-memory map m is
-	// NOT under wmu: the caller serializes data operations per the
-	// Store contract, and Sync never touches m.
-	wmu      sync.Mutex
-	cond     *sync.Cond
-	m        map[string]Item
-	f        *os.File
-	wbuf     []byte // pending appends not yet written to f
-	seg      uint64
-	segBytes int64
-	seq      uint64 // records appended over the store's lifetime
-	synced   uint64 // records known durable (flushed + fsynced)
-	syncing  bool   // a group-commit flush is in flight off-lock
-	closed   bool
-	err      error // first unrecoverable writer error, sticky
+	// and carries the condition that group commit, compaction and Close
+	// wait on. The in-memory map m is NOT under wmu: the caller
+	// serializes data operations per the Store contract, and neither
+	// Sync nor the compaction goroutine touches m.
+	wmu        sync.Mutex
+	cond       *sync.Cond
+	m          map[string]Item
+	f          *os.File
+	wbuf       []byte // pending appends not yet written to f
+	seg        uint64
+	segBytes   int64
+	seq        uint64 // records appended over the store's lifetime
+	synced     uint64 // records known durable (flushed + fsynced)
+	syncing    bool   // a group-commit flush is in flight off-lock
+	compacting bool   // a compaction goroutine is writing a snapshot
+	closed     bool
+	err        error // first unrecoverable writer error, sticky
 
 	enc []byte // scratch record-encoding buffer, reused across appends
 }
 
-// Open loads (or creates) the durable store under dir: snapshot first,
-// then every WAL segment the snapshot does not cover, in order, each
-// tolerant of a torn tail; then a fresh active segment numbered after
-// everything seen.
+// Open loads (or creates) the durable store under dir (see replay),
+// finishes any cleanup a crash interrupted, and opens a fresh active
+// segment numbered after everything seen.
 func Open(dir string, opts Options) (*Durable, error) {
 	opts.defaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	began := time.Now()
-	m := make(map[string]Item)
-	var minSeg uint64
-	replayed := 0
-	if data, err := os.ReadFile(filepath.Join(dir, snapName)); err == nil {
-		sm, ms, serr := decodeSnapshot(data, opts.MaxRecord)
-		if serr != nil {
-			return nil, fmt.Errorf("store: open %s: %w", dir, serr)
-		}
-		m, minSeg = sm, ms
-		replayed += len(sm)
-	} else if !os.IsNotExist(err) {
+	rec, err := replay(dir)
+	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	segs, maxSeg, err := listSegments(dir)
-	if err != nil {
-		return nil, err
+	// A crash between a snapshot's rename and the removal of the
+	// segments it covers left these behind.
+	for _, s := range rec.covered {
+		_ = os.Remove(segPath(dir, s))
 	}
-	for _, s := range segs {
-		if s < minSeg {
-			// Covered by the snapshot: a crash between snapshot write and
-			// segment cleanup left it behind. Finish the cleanup now.
-			_ = os.Remove(filepath.Join(dir, fmt.Sprintf(segPattern, s)))
-			continue
-		}
-		data, rerr := os.ReadFile(filepath.Join(dir, fmt.Sprintf(segPattern, s)))
-		if rerr != nil {
-			return nil, fmt.Errorf("store: open %s: %w", dir, rerr)
-		}
-		nrec, rerr := replaySegment(data, opts.MaxRecord, m)
-		if rerr != nil {
-			return nil, fmt.Errorf("store: open %s: segment %d: %w", dir, s, rerr)
-		}
-		replayed += nrec
-	}
-	d := &Durable{opts: opts, dir: dir, m: m}
+	d := &Durable{opts: opts, dir: dir, m: rec.m}
 	d.cond = sync.NewCond(&d.wmu)
-	if err := d.openSegment(maxSeg + 1); err != nil {
+	if err := d.openSegment(rec.maxSeg + 1); err != nil {
 		return nil, err
 	}
 	if h := opts.Hooks.Replay; h != nil {
-		h(replayed, time.Since(began))
+		h(rec.records, time.Since(began))
 	}
 	return d, nil
 }
 
 // Load replays a data directory read-only and returns the recovered
 // state, without creating files or claiming the directory. Tests and
-// tooling use it to check what a crash at this instant would preserve.
+// tooling use it to check what a crash at this instant would preserve;
+// it may run while a store on the directory compacts in the background.
 func Load(dir string) (map[string]Item, error) {
-	var opts Options
-	opts.defaults()
-	m := make(map[string]Item)
-	var minSeg uint64
-	if data, err := os.ReadFile(filepath.Join(dir, snapName)); err == nil {
-		sm, ms, serr := decodeSnapshot(data, opts.MaxRecord)
-		if serr != nil {
-			return nil, serr
-		}
-		m, minSeg = sm, ms
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	segs, _, err := listSegments(dir)
+	rec, err := replay(dir) // rec is zero on error
+	return rec.m, err
+}
+
+// recovered is the state replay finds in a data directory.
+type recovered struct {
+	m       map[string]Item
+	covered []uint64 // segments the snapshot covers: a crash cut their removal short
+	maxSeg  uint64   // highest segment number seen, 0 when none
+	records int      // records replayed, snapshot and segments together
+}
+
+// replay reads a data directory's state: the snapshot, then every WAL
+// segment it does not cover, in order, each tolerant of a torn tail.
+// The segments are read before the snapshot. A compaction renames its
+// snapshot before it removes a segment, so a segment that vanishes
+// between the listing and its read is one the snapshot read afterwards
+// covers, and a reader racing a compaction still sees one consistent
+// state.
+func replay(dir string) (recovered, error) {
+	segs, maxSeg, err := listSegments(dir)
 	if err != nil {
-		return nil, err
+		return recovered{}, err
 	}
-	for _, s := range segs {
+	data := make([][]byte, len(segs))
+	errs := make([]error, len(segs))
+	for i, s := range segs {
+		data[i], errs[i] = os.ReadFile(segPath(dir, s))
+	}
+	rec := recovered{m: make(map[string]Item), maxSeg: maxSeg}
+	var minSeg uint64
+	if snap, err := os.ReadFile(filepath.Join(dir, snapName)); err == nil {
+		if rec.m, minSeg, err = decodeSnapshot(snap, maxRecord); err != nil {
+			return recovered{}, err
+		}
+		rec.records = len(rec.m)
+	} else if !os.IsNotExist(err) {
+		return recovered{}, err
+	}
+	for i, s := range segs {
 		if s < minSeg {
+			rec.covered = append(rec.covered, s)
 			continue
 		}
-		data, rerr := os.ReadFile(filepath.Join(dir, fmt.Sprintf(segPattern, s)))
-		if rerr != nil {
-			return nil, rerr
+		if errs[i] != nil {
+			return recovered{}, errs[i]
 		}
-		if _, rerr = replaySegment(data, opts.MaxRecord, m); rerr != nil {
-			return nil, rerr
+		n, err := replaySegment(data[i], maxRecord, rec.m)
+		if err != nil {
+			return recovered{}, fmt.Errorf("segment %d: %w", s, err)
 		}
+		rec.records += n
 	}
-	return m, nil
+	return rec, nil
 }
 
 // listSegments returns the WAL segment numbers under dir, ascending,
@@ -221,11 +223,15 @@ func listSegments(dir string) ([]uint64, uint64, error) {
 	return segs, maxSeg, nil
 }
 
+// segPath names WAL segment n under dir.
+func segPath(dir string, n uint64) string {
+	return filepath.Join(dir, fmt.Sprintf(segPattern, n))
+}
+
 // openSegment creates and activates a fresh segment file. Caller holds
 // wmu (or owns the store exclusively, as in Open).
 func (d *Durable) openSegment(n uint64) error {
-	f, err := os.OpenFile(filepath.Join(d.dir, fmt.Sprintf(segPattern, n)),
-		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(segPath(d.dir, n), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: new segment: %w", err)
 	}
@@ -276,10 +282,10 @@ func (d *Durable) SetPromoted(key string, ver uint64) bool {
 	return true
 }
 
-// append encodes one record into the pending write buffer and rolls +
-// snapshots when the active segment is full. Errors are sticky and
-// surface on the next Sync — the in-memory state already advanced, and
-// the ack path is where durability failures must be reported.
+// append encodes one record into the pending write buffer and rolls
+// the segment when it is full. Errors are sticky and surface on the
+// next Sync — the in-memory state already advanced, and the ack path is
+// where durability failures must be reported.
 func (d *Durable) append(op byte, key string, it Item) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -288,8 +294,8 @@ func (d *Durable) append(op byte, key string, it Item) {
 		return
 	}
 	d.enc = appendRecord(d.enc[:0], op, key, it)
-	if len(d.enc) > d.opts.MaxRecord {
-		d.fail(fmt.Errorf("store: record for key %q exceeds MaxRecord %d", key, d.opts.MaxRecord))
+	if len(d.enc) > maxRecord {
+		d.fail(fmt.Errorf("store: record for key %q exceeds the %d-byte record cap", key, maxRecord))
 		return
 	}
 	d.wbuf = append(d.wbuf, d.enc...)
@@ -301,10 +307,11 @@ func (d *Durable) append(op byte, key string, it Item) {
 	if h := d.opts.Hooks.SegmentBytes; h != nil {
 		h(d.segBytes)
 	}
-	if d.segBytes >= d.opts.CompactBytes && !d.syncing {
-		// Roll + snapshot inline. Skipped while a group-commit fsync has
-		// the file handle off-lock; the next append retries.
-		d.compactLocked()
+	if d.segBytes >= d.opts.CompactBytes && !d.syncing && !d.compacting {
+		// Skipped while a group-commit fsync has the file handle off-lock
+		// or the last compaction is still running; a later append
+		// retries.
+		d.rollLocked()
 	}
 }
 
@@ -355,7 +362,7 @@ func (d *Durable) Sync() error {
 		if err == nil && !d.opts.NoFsync {
 			// fsync off-lock so appends (and therefore the node's write
 			// path) keep flowing; d.f cannot change underneath us because
-			// compaction skips while syncing is set.
+			// the roll skips while syncing is set.
 			f := d.f
 			began := time.Now()
 			d.wmu.Unlock()
@@ -380,36 +387,42 @@ func (d *Durable) Sync() error {
 }
 
 // Compact forces a segment roll + snapshot + old-segment cleanup, the
-// same operation the size threshold triggers. Callers must hold the
-// same serialization as data operations (tests use it to exercise
-// compaction at chosen points).
+// same operation the size threshold triggers, and waits for it to
+// finish. Callers must hold the same serialization as data operations
+// (tests use it to exercise compaction at chosen points).
 func (d *Durable) Compact() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
+	for d.syncing || d.compacting {
+		d.cond.Wait()
+	}
 	if d.closed {
 		return fmt.Errorf("store: compact after close")
 	}
-	for d.syncing {
+	d.rollLocked()
+	for d.compacting {
 		d.cond.Wait()
 	}
-	d.compactLocked()
 	return d.err
 }
 
-// compactLocked rolls to a fresh segment, snapshots the full state
-// covering everything before the roll, then removes the older
-// segments. Ordering is crash-safe at every boundary:
+// rollLocked moves the active segment N to N+1, encodes a snapshot of
+// the full state covering everything before the roll, and starts the
+// compaction goroutine that writes it. Ordering is crash-safe at every
+// boundary:
 //
-//  1. flush + fsync + close the old segment, open segment N+1 — a
-//     crash here replays old snapshot + all segments, no loss;
-//  2. write the snapshot (minSeg = N+1) to a temp file, fsync, rename —
-//     a crash leaves either the old or the new snapshot, both
-//     consistent with the segments on disk;
-//  3. delete segments < N+1 — pure cleanup, retried by the next Open.
+//  1. flush + fsync + close segment N, open segment N+1 — a crash here
+//     replays the old snapshot + all segments, no loss;
+//  2. (compaction goroutine) write the snapshot (minSeg = N+1) to a
+//     temp file, fsync, rename — a crash leaves either the old or the
+//     new snapshot, both consistent with the segments on disk;
+//  3. (compaction goroutine, after the rename returned) delete segments
+//     <= N — pure cleanup, retried by the next Open.
 //
-// Caller holds wmu with syncing unset; the in-memory map is stable
-// because mutations are serialized by the caller of Put/Delete.
-func (d *Durable) compactLocked() {
+// Caller holds wmu with syncing and compacting unset; the in-memory map
+// is stable because mutations are serialized by the caller of
+// Put/Delete.
+func (d *Durable) rollLocked() {
 	if d.err != nil {
 		return
 	}
@@ -438,43 +451,58 @@ func (d *Durable) compactLocked() {
 	}
 	sort.Strings(keys)
 	snap := encodeSnapshot(d.m, keys, d.seg)
-	if err := writeFileAtomic(d.dir, snapTmpName, snapName, snap, !d.opts.NoFsync); err != nil {
-		d.fail(err)
-		return
-	}
-	if h := d.opts.Hooks.Snapshot; h != nil {
-		h(len(keys))
-	}
-	removed := 0
-	if segs, _, err := listSegments(d.dir); err == nil {
-		for _, s := range segs {
-			if s <= oldSeg && os.Remove(filepath.Join(d.dir, fmt.Sprintf(segPattern, s))) == nil {
-				removed++
-			}
-		}
-	}
-	if h := d.opts.Hooks.Compact; h != nil {
-		h(removed)
-	}
-	// Everything up to the roll is in the snapshot or fsynced in the old
-	// segment; records appended after the roll (none yet — we hold wmu)
-	// are not covered, so synced advances to the roll point exactly.
+	// Everything up to the roll is in the closed old segment, fsynced
+	// as Sync would have; records appended after it (none yet — we hold
+	// wmu) are not, so synced advances to the roll point exactly.
 	if d.seq > d.synced {
 		d.synced = d.seq
 	}
+	d.compacting = true
 	d.cond.Broadcast()
+	go d.compact(snap, len(keys), oldSeg)
 }
 
-// Close flushes, fsyncs and releases the active segment. Safe to call
-// concurrently with Sync; double Close is a no-op.
+// compact is the compaction goroutine: steps 2 and 3 of rollLocked,
+// off the write path. A failure is sticky and surfaces on the next
+// Sync.
+func (d *Durable) compact(snap []byte, records int, oldSeg uint64) {
+	err := writeFileAtomic(d.dir, snapTmpName, snapName, snap, !d.opts.NoFsync)
+	if err == nil {
+		if h := d.opts.Hooks.Snapshot; h != nil {
+			h(records)
+		}
+		removed := 0
+		if segs, _, lerr := listSegments(d.dir); lerr == nil {
+			for _, s := range segs {
+				if s <= oldSeg && os.Remove(segPath(d.dir, s)) == nil {
+					removed++
+				}
+			}
+		}
+		if h := d.opts.Hooks.Compact; h != nil {
+			h(removed)
+		}
+	}
+	d.wmu.Lock()
+	if err != nil {
+		d.fail(err)
+	}
+	d.compacting = false
+	d.cond.Broadcast()
+	d.wmu.Unlock()
+}
+
+// Close waits for a running compaction, then flushes, fsyncs and
+// releases the active segment. Safe to call concurrently with Sync;
+// double Close is a no-op.
 func (d *Durable) Close() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
+	for d.syncing || d.compacting {
+		d.cond.Wait()
+	}
 	if d.closed {
 		return nil
-	}
-	for d.syncing {
-		d.cond.Wait()
 	}
 	d.closed = true
 	err := d.flushLocked()

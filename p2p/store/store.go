@@ -11,7 +11,11 @@
 // Sync and Close, by contrast, run on acknowledgement paths outside the
 // node lock and MUST be safe to call concurrently with data operations
 // and with each other; Durable uses this to batch many concurrent Put
-// acknowledgements into one fsync.
+// acknowledgements into one fsync. Durable also writes its snapshots
+// and removes old segments on a compaction goroutine of its own, so a
+// Put that crosses the compaction threshold holds the node's lock only
+// for the segment roll and the snapshot's encoding; Close and Compact
+// wait for that goroutine.
 package store
 
 // Item is one stored value with its replication metadata: a per-key

@@ -214,7 +214,7 @@ func TestDurableTornTail(t *testing.T) {
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v %v", segs, err)
 	}
-	path := filepath.Join(dir, fmt.Sprintf(segPattern, maxSeg))
+	path := segPath(dir, maxSeg)
 	full := appendRecord(nil, opPut, "torn", Item{Val: []byte("lost"), Ver: 2, Src: 2})
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -305,8 +305,8 @@ func TestDurableConcurrentSync(t *testing.T) {
 type refModel map[string]Item
 
 // TestDurableMatchesModel is the property test: random operation
-// sequences — puts, overwrites, tombstones, forced compactions, and
-// restarts at arbitrary points — always leave the recovered durable
+// sequences — puts, overwrites, tombstones, forced compactions, crashes
+// and restarts at arbitrary points — always leave the recovered durable
 // state identical to a plain in-memory reference model, item for item.
 func TestDurableMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -339,6 +339,21 @@ func TestDurableMatchesModel(t *testing.T) {
 					if err := d.Compact(); err != nil {
 						t.Fatalf("op %d: compact: %v", op, err)
 					}
+				case r < 0.92:
+					// Crash: after Sync, the directory alone must hold the
+					// model, even while a compaction the size trigger
+					// started is still writing its snapshot.
+					if err := d.Sync(); err != nil {
+						t.Fatalf("op %d: sync: %v", op, err)
+					}
+					crash, err := Load(dir)
+					if err != nil {
+						t.Fatalf("op %d: load: %v", op, err)
+					}
+					compareState(t, op, crash, model)
+					if t.Failed() {
+						return
+					}
 				default:
 					// Restart: clean close, reopen, compare full state.
 					if err := d.Close(); err != nil {
@@ -347,7 +362,7 @@ func TestDurableMatchesModel(t *testing.T) {
 					if d, err = Open(dir, opts); err != nil {
 						t.Fatalf("op %d: reopen: %v", op, err)
 					}
-					compareState(t, op, d, model)
+					compareState(t, op, d.m, model)
 					if t.Failed() {
 						return
 					}
@@ -360,23 +375,19 @@ func TestDurableMatchesModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareState(t, -1, d, model)
+			compareState(t, -1, d.m, model)
 			d.Close()
 		})
 	}
 }
 
-func compareState(t *testing.T, op int, d *Durable, model refModel) {
+func compareState(t *testing.T, op int, got map[string]Item, model refModel) {
 	t.Helper()
-	got := map[string]Item{}
-	d.Range(func(k string, it Item) bool {
+	for k, it := range got {
 		if it.Promoted {
 			t.Errorf("after op %d: key %q recovered with a promotion mark", op, k)
 		}
-		it.Promoted = false
-		got[k] = it
-		return true
-	})
+	}
 	want := map[string]Item{}
 	for k, it := range model {
 		it.Promoted = false

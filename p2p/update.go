@@ -30,18 +30,20 @@ func (n *Node) handleUpdate(req request) {
 // node: the slots that named the leaver empty, and the leaver's own leaf
 // entries — its final state — are offered in its place.
 func (n *Node) applyLeave(s entry, st *WireState) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for i, e := range n.rs.leaves() {
-		if e.ID == s.ID {
-			n.rs[i] = n.selfEntry()
-		}
-	}
+	var cands []entry
 	for _, w := range []*WireEntry{st.InsideL, st.InsideR, st.OutsideL, st.OutsideR} {
 		if w != nil && toEntry(*w).ID != s.ID {
-			n.offerLocked(toEntry(*w))
+			cands = append(cands, toEntry(*w))
 		}
 	}
+	n.editRS(func(rs *routingState) {
+		for i, e := range rs.leaves() {
+			if e.ID == s.ID {
+				rs[i] = n.selfEntry()
+			}
+		}
+		n.place(rs, cands)
+	})
 	// Cubical/cyclic neighbors referencing the leaver stay stale: the
 	// leaver has no incoming-connection knowledge (Section 3.3.2).
 }
@@ -58,9 +60,7 @@ func (n *Node) propagate(req request) {
 	if req.TTL <= 0 {
 		return
 	}
-	n.mu.RLock()
-	next := n.rs[insideR]
-	n.mu.RUnlock()
+	next := n.rs.Load()[insideR]
 	if next == nil || next.ID == n.id {
 		return
 	}

@@ -10,6 +10,10 @@
 // in ops/s, modelling independent clients). Key popularity is uniform
 // or Zipf (-zipf s, s > 1).
 //
+// Every operation is recorded in a history, and at the end of the run
+// the history is checked against the consistency model in DESIGN.md;
+// a violation exits 1.
+//
 // By default the overlay runs on the deterministic in-memory fabric
 // (p2p/memnet), so a fixed -seed yields an identical operation schedule
 // and query-load table across runs:
@@ -96,7 +100,12 @@ func main() {
 		}
 		lcfg.Mix = m
 	}
-	rep, err := loadgen.Run(lcfg)
+	// The overlay is booted and stabilized, and nothing faults it: every
+	// operation is settled, so the check below holds the whole run to
+	// the strict rules of the consistency model.
+	h := new(loadgen.History)
+	h.Barrier()
+	rep, err := loadgen.Start(h, lcfg)()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cycloid-load:", err)
 		os.Exit(1)
@@ -113,6 +122,13 @@ func main() {
 		rep.Format(os.Stdout)
 	}
 
+	if vs := h.Check(0); len(vs) > 0 {
+		fmt.Fprintf(os.Stderr, "cycloid-load: %d consistency violations over %d history records:\n", len(vs), h.Len())
+		for _, v := range vs {
+			fmt.Fprintln(os.Stderr, " ", v)
+		}
+		os.Exit(1)
+	}
 	if *maxErrRate >= 0 && float64(rep.Errors) > *maxErrRate*float64(rep.Ops) {
 		fmt.Fprintf(os.Stderr, "cycloid-load: error rate %d/%d exceeds %.3f\n", rep.Errors, rep.Ops, *maxErrRate)
 		os.Exit(2)

@@ -22,12 +22,12 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"cycloid"
 	"cycloid/internal/chaosrunner"
 	"cycloid/internal/ids"
+	"cycloid/internal/loadgen"
 	"cycloid/internal/telemetry"
 	"cycloid/p2p"
 	"cycloid/p2p/memnet"
@@ -328,14 +328,18 @@ func runMetrics(nodes, dim int, seed int64, replicas int) {
 	})
 	defer o.close()
 	cluster := o.nodes
+	var steps []loadgen.Step
 	for i := 0; i < 24; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if err := cluster[i%len(cluster)].Put(key, []byte(fmt.Sprintf("v%d", i))); err != nil {
-			fail(err)
-		}
-		if _, _, err := cluster[(i+3)%len(cluster)].Get(key); err != nil {
-			fail(err)
-		}
+		steps = append(steps,
+			loadgen.Step{Op: loadgen.OpPut, Node: cluster[i%len(cluster)], Key: key, Value: []byte(fmt.Sprintf("v%d", i))},
+			loadgen.Step{Op: loadgen.OpGet, Node: cluster[(i+3)%len(cluster)], Key: key})
+	}
+	h := new(loadgen.History)
+	h.Barrier()
+	(&loadgen.Exec{History: h}).Start([][]loadgen.Step{steps})()
+	if vs := h.Check(0); len(vs) > 0 {
+		fail(fmt.Errorf("consistency violations, first: %s", vs[0]))
 	}
 	fmt.Printf("metrics: %d live nodes (dim %d, R=%d), 24 keys written and read back\n",
 		len(cluster), dim, replicas)
@@ -431,31 +435,29 @@ func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wantID, 
 	})
 	defer o.close()
 
-	// Load-during-churn: concurrent writers and readers hammer keys (some
-	// owned by the shedding victim), while two extra members join
-	// mid-run.
+	// Load-during-churn: four clients write and read keys (some owned by
+	// the shedding victim) while two extra members join mid-run. Their
+	// history must hold no value that was never written.
 	const ops = 64
-	origins := o.nodes
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < ops; i++ {
-				key := fmt.Sprintf("key-%d", (w*ops+i)%24)
-				origin := origins[(w+i)%len(origins)]
-				if i%2 == 0 {
-					_ = origin.Put(key, []byte(fmt.Sprintf("v%d-%d", w, i)))
-				} else {
-					_, _, _ = origin.Get(key)
-				}
+	plan := make([][]loadgen.Step, 4)
+	for w := range plan {
+		for i := 0; i < ops; i++ {
+			s := loadgen.Step{Op: loadgen.OpGet, Node: o.nodes[(w+i)%len(o.nodes)], Key: fmt.Sprintf("key-%d", (w*ops+i)%24)}
+			if i%2 == 0 {
+				s.Op, s.Value = loadgen.OpPut, []byte(fmt.Sprintf("v%d-%d", w, i))
 			}
-		}(w)
+			plan[w] = append(plan[w], s)
+		}
 	}
+	h := new(loadgen.History)
+	wait := (&loadgen.Exec{History: h}).Start(plan)
 	o.add()
 	o.add()
-	wg.Wait()
+	wait()
 	o.stabilize(2)
+	if vs := h.Check(0); len(vs) > 0 {
+		fail(fmt.Errorf("consistency violations, first: %s", vs[0]))
+	}
 
 	cluster := o.nodes
 	var spans []*telemetry.Span

@@ -6,20 +6,27 @@ import (
 	"testing"
 
 	"cycloid/internal/chaosrunner"
+	"cycloid/internal/cycloid"
 	"cycloid/internal/hashing"
 	"cycloid/internal/ids"
 	"cycloid/p2p"
 	"cycloid/p2p/memnet"
 )
 
-// TestLiveOverlayMatchesSimulator is the live half of Fig 5. It boots
-// live overlays on the in-memory transport the way the repo benchmark
-// does — seeded distinct IDs, each node joining through a random
-// earlier member, three stabilization sweeps — and requires the live
-// stack to be the paper's overlay, not an approximation of it: all seven
-// routing-state slots of every node equal the simulator's for the same
-// membership, and every lookup of 2 000 seeded (origin, key) pairs takes
-// exactly the simulator's path length to the same terminal.
+// TestLiveOverlayMatchesSimulator is the live half of Fig 5 and of the
+// departure experiment (Fig 11, Table 4). It boots live overlays on the
+// in-memory transport the way the repo benchmark does — seeded distinct
+// IDs, each node joining through a random earlier member, three
+// stabilization sweeps — and requires the live stack to be the paper's
+// overlay, not an approximation of it: all seven routing-state slots of
+// every node equal the simulator's for the same membership, and every
+// lookup of 2 000 seeded (origin, key) pairs takes exactly the
+// simulator's path length to the same terminal. The departure cases
+// then let each node leave gracefully with probability p, run no
+// stabilization, and apply the simulator's Leave to the same set: the
+// survivors' stale and repaired slots, and every lookup's path and
+// terminal, must still match. (Timeouts per lookup differ: the live
+// origin remembers the departed nodes it has contacted.)
 func TestLiveOverlayMatchesSimulator(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -29,50 +36,77 @@ func TestLiveOverlayMatchesSimulator(t *testing.T) {
 		{"benchmark-d6-n64", 6, 64, 20040426},
 		{"d8-n256", 8, 256, 7},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			nodes := bootLive(t, tc.dim, tc.nodes, tc.seed)
-			space := ids.NewSpace(tc.dim)
-			members := make([]ids.CycloidID, len(nodes))
-			for i, nd := range nodes {
-				members[i] = nd.ID()
+		for _, p := range []float64{0, 0.1, 0.3, 0.5} {
+			name := tc.name
+			if p > 0 {
+				name += fmt.Sprintf("/leave-%.1f", p)
 			}
-			oracle, err := chaosrunner.Oracle(tc.dim, members)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, nd := range nodes {
-				st := nd.State()
-				for _, d := range chaosrunner.Deviations(oracle, st) {
-					t.Errorf("node %v: %s", nd.ID(), d)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				nodes := bootLive(t, tc.dim, tc.nodes, tc.seed)
+				members := make([]ids.CycloidID, len(nodes))
+				for i, nd := range nodes {
+					members[i] = nd.ID()
 				}
-				// Deviations accepts any cubical entry in the flipped
-				// block; a converged overlay holds exactly the closest.
-				want, _ := oracle.State(nd.ID())
-				if got := st.Cubical; (got == nil) != (want.Cubical == nil) ||
-					got != nil && (ids.CycloidID{K: got.K, A: got.A}) != *want.Cubical {
-					t.Errorf("node %v: cubical %+v, want %v", nd.ID(), got, want.Cubical)
-				}
-			}
-			rng := rand.New(rand.NewSource(tc.seed))
-			hops, simHops := 0, 0
-			for i := 0; i < 2000; i++ {
-				from := nodes[rng.Intn(len(nodes))]
-				key := fmt.Sprintf("fig5-%d", i)
-				route, err := from.Lookup(key)
+				oracle, err := chaosrunner.Oracle(tc.dim, members)
 				if err != nil {
-					t.Fatalf("lookup %q from %v: %v", key, from.ID(), err)
+					t.Fatal(err)
 				}
-				want := oracle.Lookup(space.Linear(from.ID()), hashing.KeyString(key, space.Size()))
-				hops += route.Hops
-				simHops += want.PathLength()
-				if term := space.Linear(route.Terminal); route.Hops != want.PathLength() || term != want.Terminal {
-					t.Errorf("lookup %q from %v: %d hops to %v, simulator %d hops to %v",
-						key, from.ID(), route.Hops, route.Terminal, want.PathLength(), space.FromLinear(want.Terminal))
+				space := ids.NewSpace(tc.dim)
+				rng := rand.New(rand.NewSource(tc.seed))
+				var survivors []*p2p.Node
+				for _, nd := range nodes {
+					if p == 0 || rng.Float64() >= p {
+						survivors = append(survivors, nd)
+						continue
+					}
+					if err := nd.Leave(); err != nil {
+						t.Fatalf("leave %v: %v", nd.ID(), err)
+					}
+					if err := oracle.Leave(space.Linear(nd.ID())); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			t.Logf("mean path length: live %.3f, simulator %.3f", float64(hops)/2000, float64(simHops)/2000)
-		})
+				requireOracle(t, space, oracle, survivors, rng)
+			})
+		}
 	}
+}
+
+// requireOracle requires every node's slots to equal the oracle's and
+// 2 000 seeded lookups to take the oracle's path to its terminal.
+func requireOracle(t *testing.T, space ids.Space, oracle *cycloid.Network, nodes []*p2p.Node, rng *rand.Rand) {
+	t.Helper()
+	for _, nd := range nodes {
+		st := nd.State()
+		for _, d := range chaosrunner.Deviations(oracle, st) {
+			t.Errorf("node %v: %s", nd.ID(), d)
+		}
+		// Deviations accepts any cubical entry in the flipped block; the
+		// simulator holds exactly the closest.
+		want, _ := oracle.State(nd.ID())
+		if got := st.Cubical; (got == nil) != (want.Cubical == nil) ||
+			got != nil && (ids.CycloidID{K: got.K, A: got.A}) != *want.Cubical {
+			t.Errorf("node %v: cubical %+v, want %v", nd.ID(), got, want.Cubical)
+		}
+	}
+	hops, simHops := 0, 0
+	for i := 0; i < 2000; i++ {
+		from := nodes[rng.Intn(len(nodes))]
+		key := fmt.Sprintf("fig5-%d", i)
+		route, err := from.Lookup(key)
+		if err != nil {
+			t.Fatalf("lookup %q from %v: %v", key, from.ID(), err)
+		}
+		want := oracle.Lookup(space.Linear(from.ID()), hashing.KeyString(key, space.Size()))
+		hops += route.Hops
+		simHops += want.PathLength()
+		if term := space.Linear(route.Terminal); route.Hops != want.PathLength() || term != want.Terminal {
+			t.Errorf("lookup %q from %v: %d hops to %v, simulator %d hops to %v",
+				key, from.ID(), route.Hops, route.Terminal, want.PathLength(), space.FromLinear(want.Terminal))
+		}
+	}
+	t.Logf("%d nodes, mean path length: live %.3f, simulator %.3f", len(nodes), float64(hops)/2000, float64(simHops)/2000)
 }
 
 // bootLive starts n memnet nodes with seeded distinct IDs, joins each

@@ -1,57 +1,42 @@
 // Package chaosrunner drives seeded chaos schedules against a live p2p
-// overlay running on the deterministic in-memory transport (p2p/memnet)
-// and checks the paper-level invariants after every stabilization
-// window: stored keys stay retrievable from every live node, lookups
-// from every live node converge to the responsible node, every routing
-// table equals the one the simulator's oracle assigns its node in the
-// live membership (see Oracle), and timeouts appear only while faults
-// are active. The schedule — which faults fire, which nodes join, leave,
-// crash — is a pure function of the seed, so a failing run replays
-// exactly.
-//
-// The runner also asserts the members' telemetry stays consistent with
-// the routes they report: during the fault phase — the only window in
-// which the harness drives every route itself — the fleet-wide delta of
-// cycloid_lookup_timeouts_total must equal the summed Route.Timeouts of
-// the probes exactly, and every cumulative counter must be monotone
-// from round to round.
-//
-// Each round has four phases:
+// overlay on the deterministic in-memory transport (p2p/memnet). The
+// schedule — which faults fire, which nodes join, leave, crash — is a
+// pure function of the seed, so a failing run replays exactly. Every
+// client operation runs through loadgen's executor into one
+// loadgen.History. Each round has four phases:
 //
 //  1. Fault: inject one network fault (loss, latency, partition,
-//     blackhole) and probe the overlay with lookups, accumulating the
-//     paper's timeout metric.
-//  2. Heal + membership: clear network faults, then apply one
-//     membership event (join, graceful leave, leave on a lossy fabric,
-//     or an ungraceful crash). With LoadClients > 0, load workers
-//     drive gets and lookups concurrently with this phase and the
-//     next, and their error rate must stay under a bound the run
-//     derives: 0.2, or 0.4 under KillRestart.
-//     With KillRestart, crashes become kill/restart cycles: the killed
-//     node's data directory survives, and the next round reboots the
-//     node from it — the reboot must replay every key the node held at
-//     the kill before rejoining, no acked write may vanish, and no
-//     key's logical version may regress fleet-wide.
-//  3. Stabilize: a quiescent window of synchronous stabilization
-//     sweeps.
-//  4. Verify: concurrent puts/gets/lookups followed by the invariant
-//     checks.
+//     blackhole) and probe the overlay with lookups. The fleet-wide
+//     delta of cycloid_lookup_timeouts_total must equal the probes'
+//     summed Route.Timeouts.
+//  2. Heal + membership: clear the faults, then apply the round's
+//     membership events (join, graceful leave, lossy leave, crash; or
+//     kill and restart). Load and streaming clients race them, and
+//     their error rate stays under a bound.
+//  3. Stabilize: synchronous stabilization sweeps, then a barrier in
+//     the history.
+//  4. Verify: clean puts and gets, a readback of every key and blob,
+//     then the checks: the round's history against the consistency
+//     model (loadgen.History.Check), lookups from every live node
+//     converging to the responsible node, every routing table equal to
+//     the simulator oracle's (see Oracle), telemetry counters
+//     monotone, and no timeouts.
 package chaosrunner
 
 import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"cycloid/internal/hashing"
 	"cycloid/internal/ids"
+	"cycloid/internal/loadgen"
 	"cycloid/internal/telemetry"
 	"cycloid/p2p"
 	"cycloid/p2p/memnet"
@@ -68,11 +53,8 @@ type Config struct {
 	Rounds int       // chaos rounds (default 8)
 	Trace  io.Writer // optional: per-round routing-state dump
 
-	// Replicas is the members' replication factor R (default 1, no
-	// replication). With R > 1 the run asserts the upgraded durability
-	// invariant: keys survive any f < R simultaneous crashes between
-	// stabilization windows, and every live node can Get every tracked
-	// key after each window.
+	// Replicas is the members' replication factor R (default 1). Keys
+	// acked before a crash of f < R nodes must survive it.
 	Replicas int
 	// MultiCrash is the maximum number of simultaneous crashes a single
 	// crash event may inflict (default 1). Values > 1 draw the count
@@ -80,75 +62,42 @@ type Config struct {
 	// therefore every existing seeded schedule — byte-identical.
 	MultiCrash int
 
-	// LoadClients > 0 enables load-during-churn: that many workers
-	// drive Gets on tracked keys and fresh lookups concurrently with
-	// the round's membership events and stabilization sweeps — the
-	// window in which routing state is in flux. The run then asserts a
-	// bounded error rate over that traffic (see errorBound); key
-	// durability is already covered by the per-round retrievability
-	// invariants. Default 0 keeps the harness — and every seeded report
-	// — exactly as before.
+	// LoadClients > 0 enables load-during-churn: that many clients
+	// drive Gets on acked keys and fresh lookups through each round's
+	// membership events and stabilization sweeps.
 	LoadClients int
 
 	// KillRestart upgrades crash events into kill/restart cycles: the
 	// schedule emits EvKill instead of EvCrash, the killed node's data
 	// directory survives, and one round later the runner reboots the
-	// node from it — same ID, same address, same telemetry registry. A
-	// kill whose restart would land past the final round leaves the
-	// node down for good. Every member runs on a durable disk-backed
-	// store in a run-scoped temporary directory removed when Run
-	// returns, and the run asserts the durability invariants: the
-	// reboot replays every key the node held at the kill before
-	// rejoining, and no key's owner-assigned version regresses
-	// fleet-wide. Kill/restart runs should use Replicas greater than
-	// the simultaneous kill count so reads stay available during the
-	// downtime; the runner keeps expecting a killed node's keys
-	// regardless, because its disk — and therefore its copy — survives.
+	// node from it — same ID, address and telemetry registry — and
+	// requires it to replay every key it held at the kill. A kill whose
+	// restart would land past the final round leaves the node down for
+	// good. Members run durable stores in a run-scoped temporary
+	// directory. A kill forfeits nothing, because the disk survives, so
+	// kill/restart runs should use Replicas above the simultaneous kill
+	// count to keep reads available through the downtime.
 	KillRestart bool
 
 	// TraceSample enables distributed tracing on every member
-	// (p2p.Config.TraceSample): each member samples that fraction of its
-	// client operations and force-samples anomalies, recording spans
-	// into a generous per-member buffer. After the final round the run
-	// asserts the trace-completeness invariant: every reconstructed
-	// span tree must pass its structural checks (rooted, call counts
-	// consistent, server spans only under calls), with detached spans
-	// tolerated only when the schedule contains crashes or kills — the
-	// only events that can destroy a caller's span buffer. Sampling
-	// draws from each node's private span-ID stream, never from the
-	// schedule RNG, so enabling tracing leaves every seeded schedule
-	// byte-identical.
+	// (p2p.Config.TraceSample). After the final round every
+	// reconstructed span tree must pass its structural checks, with
+	// detached spans tolerated only when the schedule crashes or kills
+	// a node. Sampling never draws from the schedule RNG.
 	TraceSample float64
 
 	// StreamingClients > 0 enables streaming-during-churn: that many
-	// workers write fresh chunked blobs (p2p/blob) and play viewer
-	// sessions over previously acknowledged ones concurrently with each
-	// round's membership events and stabilization sweeps. The run then
-	// asserts the blob invariants after every round: zero chunk
-	// integrity failures fleet-wide, every acknowledged blob fully
-	// readable from a live node (zero lost acked blobs), and bounded
-	// error and rebuffer rates over the round's traffic. The knob never
-	// touches the schedule RNG, so default schedules stay
-	// byte-identical. Streaming runs should use Replicas greater than
-	// the simultaneous crash count (or KillRestart, whose disks
-	// survive) so acked blobs stay readable through the churn.
+	// clients write fresh chunked blobs (p2p/blob) and play paced viewer
+	// sessions over acked ones through each round's churn (see
+	// streaming.go).
 	StreamingClients int
 
 	// Overload selects the overload-protection tier instead of the
-	// fault schedule: every member runs admission control, member
-	// ordinal 0 (the victim) gets a tiny in-flight cap, and Zipf-skewed
-	// hot-key traffic is aimed at keys the victim owns while control
-	// traffic measures the rest of the cluster. The run asserts the
-	// overload invariants — admission conservation (offered ==
-	// admitted + shed + queue-timeout, with the victim demonstrably
-	// shedding), no acked Put lost while shedding, bounded p99 on
-	// admitted control traffic, client retries within the token-bucket
-	// ceiling, and the victim still routable (never suspected) once
-	// the load stops. Replicas defaults to 2 in this mode so reads
-	// survive the victim's shedding via replica fallback. The tier
-	// runs no fault schedule, load or streaming workers and no
-	// tracing, so Run rejects it combined with KillRestart,
-	// LoadClients, StreamingClients, MultiCrash > 1 or TraceSample.
+	// fault schedule (see overload.go). Replicas defaults to 2 in this
+	// mode so reads survive the victim's shedding via replica
+	// fallback. Run rejects it combined with KillRestart, LoadClients,
+	// StreamingClients, MultiCrash > 1 or TraceSample, which it would
+	// ignore.
 	Overload bool
 }
 
@@ -157,10 +106,10 @@ const (
 	seedKeys         = 16  // keys seeded before round 1
 	stabilizeRounds  = 3   // sweeps per quiescent window
 	probes           = 8   // fault-phase lookups per round
-	clients          = 4   // concurrent clean-phase workers
-	opsPerClient     = 3   // put+get pairs per clean-phase worker
-	loadOpsPerClient = 8   // operations per load worker per round
-	maxLoadErrorRate = 0.2 // load workers' error bound, see errorBound
+	clients          = 4   // concurrent clean-phase clients
+	opsPerClient     = 3   // put+get pairs per clean-phase client
+	loadOpsPerClient = 8   // operations per load client per round
+	maxLoadErrorRate = 0.2 // load clients' error bound, see boundErrors
 
 	// dialTimeout is every member's per-contact budget. The fabric
 	// never sleeps, so this costs no wall time; it is the real-clock
@@ -189,23 +138,6 @@ func (c *Config) defaults() {
 	if c.MultiCrash == 0 {
 		c.MultiCrash = 1
 	}
-}
-
-// errorBound is the highest error rate the traffic racing a round's
-// churn may show: base for the load workers (maxLoadErrorRate) or the
-// streaming workers (maxStreamErrorRate). Membership changes
-// mid-request make occasional failures legitimate; past the bound
-// churn is breaking routing or the blob layer rather than racing it. A
-// request racing a kill fails until the stabilization window promotes
-// a replica, and with a node down for the whole window the transient
-// rate runs higher than in crash-only runs, so kill/restart runs get
-// 0.4 on either tier. Durability itself is gated by the
-// post-stabilization invariants.
-func (c *Config) errorBound(base float64) float64 {
-	if c.KillRestart {
-		return 0.4
-	}
-	return base
 }
 
 // Event kinds. Fault events run in phase 1, membership events in
@@ -259,14 +191,14 @@ type Result struct {
 	Rounds     []RoundReport
 	Violations []string // all rounds' violations, flattened
 	FinalLive  int
-	FinalKeys  int // expected keys tracked at the end
+	FinalKeys  int // keys acked and not forfeited at the end (History.Acked)
 	Kills      int // kill events in the schedule (KillRestart runs)
 	Restarts   int // restart events in the schedule (KillRestart runs)
 	Traces     int // span trees reconstructed post-run (TraceSample > 0)
 	Spans      int // spans collected fleet-wide post-run (TraceSample > 0)
 	StreamOps  int // streaming attempts across all rounds (StreamingClients > 0)
 	Rebuffers  int // rebuffer events across all rounds (StreamingClients > 0)
-	AckedBlobs int // blobs acknowledged and verified readable (StreamingClients > 0)
+	AckedBlobs int // blobs acked and not forfeited at the end (StreamingClients > 0)
 
 	// Overload carries the overload tier's measurements; nil unless
 	// Config.Overload was set.
@@ -397,9 +329,13 @@ type runner struct {
 	space    ids.Space
 	nw       *memnet.Network
 	members  []*member
-	expected map[string][]byte // keys the invariants assert retrievable
 	idFor    map[int]ids.CycloidID
 	dataRoot string // parent of all member data dirs, "" for in-memory runs
+
+	// h records every client operation of the run. The keys and blobs
+	// the invariants track are its acked writes (History.Acked).
+	h *loadgen.History
+	x *loadgen.Exec // unpaced, no deadline
 
 	// prevCounters holds each member's cumulative telemetry snapshot
 	// from the previous round, for the monotonicity invariant. Entries
@@ -407,15 +343,6 @@ type runner struct {
 	// retired with them, and only kill/restart members carry counters
 	// across a downtime.
 	prevCounters map[int]map[string]uint64
-	// maxVer tracks the highest owner-assigned version ever observed
-	// for each key across the whole fleet, for the no-version-regress
-	// durability invariant.
-	maxVer map[string]uint64
-
-	// ackedBlobs maps every blob name the blob layer acknowledged to its
-	// full expected content (streaming tier); each must read back in
-	// full after every round — the zero-lost-acked-blobs invariant.
-	ackedBlobs map[string][]byte
 }
 
 // Run executes the seeded schedule and returns the full report. An
@@ -451,18 +378,18 @@ func Run(cfg Config) (*Result, error) {
 		return r.runOverload()
 	}
 	r.stabilizeAll(2)
+	r.h.Barrier()
+	var seed []loadgen.Step
 	for i := 0; i < seedKeys; i++ {
 		k := fmt.Sprintf("seed-k%d", i)
-		v := []byte(k)
-		if err := r.liveAt(i).node.Put(k, v); err != nil {
-			return nil, fmt.Errorf("chaosrunner: seeding key %q: %w", k, err)
-		}
-		r.expected[k] = v
+		seed = append(seed, loadgen.Step{Op: loadgen.OpPut, Node: r.liveAt(i).node, Key: k, Value: []byte(k)})
 	}
-	if cfg.StreamingClients > 0 {
-		if err := r.provisionBlobs(); err != nil {
-			return nil, err
-		}
+	for i := 0; i < cfg.StreamingClients; i++ {
+		name := fmt.Sprintf("blob-seed-%d", i)
+		seed = append(seed, loadgen.Step{Op: loadgen.OpBlobPut, Node: r.liveAt(i).node, Key: name, Value: blobContent(name, streamBlobSize)})
+	}
+	if failed := loadgen.Failed(r.x.Start([][]loadgen.Step{seed})()); len(failed) > 0 {
+		return nil, fmt.Errorf("chaosrunner: seeding: %s", loadgen.Summarize(failed, 3))
 	}
 
 	res := &Result{Schedule: sched}
@@ -482,8 +409,8 @@ func Run(cfg Config) (*Result, error) {
 		res.Rebuffers += rep.Rebuffers
 	}
 	res.FinalLive = len(r.liveMembers())
-	res.FinalKeys = len(r.expected)
-	res.AckedBlobs = len(r.ackedBlobs)
+	res.FinalKeys = len(r.h.Acked(loadgen.OpPut))
+	res.AckedBlobs = len(r.h.Acked(loadgen.OpBlobPut))
 	if cfg.TraceSample > 0 {
 		r.checkTraces(res, sched)
 	}
@@ -542,11 +469,13 @@ func assignIDs(seed int64, space ids.Space, n int) map[int]ids.CycloidID {
 // KillRestart every member's durable store lives in a run-scoped
 // temporary directory, which close removes.
 func start(cfg Config, sched []Event) (*runner, error) {
+	h := new(loadgen.History)
 	r := &runner{
-		cfg:      cfg,
-		space:    ids.NewSpace(cfg.Dim),
-		nw:       memnet.New(cfg.Seed),
-		expected: make(map[string][]byte),
+		cfg:   cfg,
+		space: ids.NewSpace(cfg.Dim),
+		nw:    memnet.New(cfg.Seed),
+		h:     h,
+		x:     &loadgen.Exec{History: h, Blob: blobOpts},
 	}
 	if cfg.KillRestart {
 		dir, err := os.MkdirTemp("", "cycloid-chaos-")
@@ -701,6 +630,11 @@ func (r *runner) bruteOwner(t ids.CycloidID) ids.CycloidID {
 
 func (r *runner) runRound(round int, sched []Event) RoundReport {
 	rep := RoundReport{Round: round}
+	violation := func(format string, args ...any) {
+		rep.Violations = append(rep.Violations, fmt.Sprintf("round %d: ", round)+fmt.Sprintf(format, args...))
+	}
+	from := r.h.Len()
+	r.h.Churn()
 	var events []Event
 	for _, e := range sched {
 		if e.Round == round {
@@ -771,8 +705,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 		timeoutsAfter += m.node.Telemetry().CounterValue(timeoutCounter)
 	}
 	if delta := int(timeoutsAfter - timeoutsBefore); delta != probeTimeouts {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(
-			"round %d: %s advanced by %d for %d probe timeouts", round, timeoutCounter, delta, probeTimeouts))
+		violation("%s advanced by %d for %d probe timeouts", timeoutCounter, delta, probeTimeouts)
 	}
 
 	// Phase 2: heal the fabric, then apply the membership event. The
@@ -799,54 +732,21 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 		}
 	}
 
-	// Load-during-churn: workers drive Gets on tracked keys and fresh
-	// lookups while the membership events below and the stabilization
-	// sweeps execute — the window in which routing tables are in flux.
-	// The workers stop before the phase-4 invariant checks.
-	var loadWG sync.WaitGroup
-	var loadOps, loadErrs atomic.Int64
-	if r.cfg.LoadClients > 0 {
-		keys := make([]string, 0, len(r.expected))
-		for k := range r.expected {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		if len(survivors) > 0 {
-			for g := 0; g < r.cfg.LoadClients; g++ {
-				loadWG.Add(1)
-				go func(g int) {
-					defer loadWG.Done()
-					for i := 0; i < loadOpsPerClient; i++ {
-						from := survivors[(g*13+i)%len(survivors)].node
-						loadOps.Add(1)
-						if i%2 == 0 && len(keys) > 0 {
-							if _, _, err := from.Get(keys[(g*7+i)%len(keys)]); err != nil {
-								loadErrs.Add(1)
-							}
-						} else if _, err := from.Lookup(fmt.Sprintf("churn-%d-%d-%d", round, g, i)); err != nil {
-							loadErrs.Add(1)
-						}
-					}
-				}(g)
-			}
-		}
+	// Traffic racing the churn runs through the membership events below
+	// and the stabilization sweeps, the window in which routing tables
+	// are in flux, and stops before the phase-4 checks.
+	var plan [][]loadgen.Step
+	if len(survivors) > 0 {
+		plan = append(r.loadPlan(round, survivors), r.streamPlan(round, survivors)...)
 	}
-
-	// Streaming-during-churn: blob writers and paced viewer sessions run
-	// through the same window as the load workers. Stats land in sstats
-	// (atomics only); checkStreaming promotes them after the workers
-	// drain.
-	var sstats streamStats
-	if r.cfg.StreamingClients > 0 && len(survivors) > 0 {
-		r.launchStreaming(round, &loadWG, survivors, &sstats)
-	}
+	wait := (&loadgen.Exec{History: r.h, Blob: blobOpts, Bitrate: streamBitrateKBps}).Start(plan)
 
 	blobsAtRisk := false
 	for _, e := range events {
 		switch e.Kind {
 		case EvJoin:
 			if err := r.startMember(e.Node); err != nil {
-				rep.Violations = append(rep.Violations, fmt.Sprintf("round %d: %v", round, err))
+				violation("%v", err)
 			}
 		case EvLeave, EvLossy:
 			m := r.byOrd(e.Node)
@@ -857,7 +757,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 				r.nw.SetDefaultDrop(e.P)
 			}
 			if err := m.node.Leave(); err != nil {
-				rep.Violations = append(rep.Violations, fmt.Sprintf("round %d: leave %s: %v", round, m.name, err))
+				violation("leave %s: %v", m.name, err)
 			}
 			m.live = false
 			r.nw.HealAll()
@@ -872,16 +772,15 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 			// round's simultaneous crash count stays below R — the
 			// upgraded durability invariant.
 			if crashes >= r.cfg.Replicas {
-				for k := range r.expected {
-					kp := r.keyPoint(k)
-					if r.bruteOwner(kp) == m.id {
-						delete(r.expected, k)
+				for _, k := range r.h.Acked(loadgen.OpPut) {
+					if r.bruteOwner(r.keyPoint(k)) == m.id {
+						r.h.Forfeit(k)
 					}
 				}
 				// Blob chunks scatter across the whole ID space, so a
 				// crash set reaching R may have taken some chunk's entire
-				// replica set with it. Flag the drop; it applies after the
-				// workers (which still mutate the acked set) drain.
+				// replica set with it. Flag the forfeit; it applies after
+				// the round's blob writes drain.
 				blobsAtRisk = true
 			}
 			m.node.Close()
@@ -916,7 +815,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 			}
 			replayed, err := r.up(m)
 			if err != nil {
-				rep.Violations = append(rep.Violations, fmt.Sprintf("round %d: %v", round, err))
+				violation("%v", err)
 				break
 			}
 			// Durability: every key the node held when it was killed must
@@ -936,9 +835,8 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 				}
 			}
 			if missing > 0 {
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"round %d: restarted %s lost %d of %d persisted keys (e.g. %q) across the kill",
-					round, m.name, missing, len(m.keysAtKill), example))
+				violation("restarted %s lost %d of %d persisted keys (e.g. %q) across the kill",
+					m.name, missing, len(m.keysAtKill), example)
 			}
 			// Telemetry: the restart re-registers every metric family in
 			// the member's reused registry, which must resolve to the
@@ -947,16 +845,13 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 			// the kill.
 			var buf bytes.Buffer
 			if err := m.reg.WritePrometheus(&buf); err != nil {
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"round %d: scraping %s after restart: %v", round, m.name, err))
+				violation("scraping %s after restart: %v", m.name, err)
 			} else if err := telemetry.Lint(buf.Bytes()); err != nil {
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"round %d: exposition of restarted %s fails lint: %v", round, m.name, err))
+				violation("exposition of restarted %s fails lint: %v", m.name, err)
 			}
 			if fams := m.reg.Families(); len(fams) != len(m.famsAtKill) {
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"round %d: restarting %s changed its metric families: %d -> %d",
-					round, m.name, len(m.famsAtKill), len(fams)))
+				violation("restarting %s changed its metric families: %d -> %d",
+					m.name, len(m.famsAtKill), len(fams))
 			}
 		}
 	}
@@ -964,161 +859,78 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 	// Phase 3: quiescent stabilization window.
 	r.stabilizeAll(stabilizeRounds)
 
-	var cleanTimeouts atomic.Int64
-	var vmu sync.Mutex
-	violation := func(format string, args ...any) {
-		vmu.Lock()
-		rep.Violations = append(rep.Violations, fmt.Sprintf("round %d: ", round)+fmt.Sprintf(format, args...))
-		vmu.Unlock()
-	}
-
-	// The load-during-churn invariant: the traffic that raced the
-	// membership events may fail occasionally, but its error rate stays
-	// under the bound.
-	loadWG.Wait()
-	if blobsAtRisk {
-		r.dropAckedBlobs()
-	}
-	rep.LoadOps = int(loadOps.Load())
-	rep.LoadErrors = int(loadErrs.Load())
-	if rep.LoadOps > 0 {
-		if rate, bound := float64(rep.LoadErrors)/float64(rep.LoadOps), r.cfg.errorBound(maxLoadErrorRate); rate > bound {
-			violation("load-during-churn error rate %.3f (%d/%d) exceeds %.3f",
-				rate, rep.LoadErrors, rep.LoadOps, bound)
+	// The traffic that raced the membership events may fail
+	// occasionally, but its error rate stays under the bound.
+	var load, stream []loadgen.Record
+	for _, rec := range wait() {
+		if rec.Op == loadgen.OpBlobPut || rec.Op == loadgen.OpBlobGet {
+			stream = append(stream, rec)
+		} else {
+			load = append(load, rec)
 		}
 	}
+	if blobsAtRisk {
+		for _, name := range r.h.Acked(loadgen.OpBlobPut) {
+			r.h.Forfeit(name)
+		}
+	}
+	rep.LoadOps, rep.LoadErrors = len(load), r.boundErrors("load-during-churn", load, maxLoadErrorRate, violation)
 
-	// Phase 4a: concurrent clean traffic — puts, gets, lookups.
-	var wg sync.WaitGroup
-	type putKV struct {
-		k string
-		v []byte
+	// Phase 4a: concurrent clean traffic, each client putting fresh keys
+	// and reading each back from another node.
+	r.h.Barrier()
+	clean := make([][]loadgen.Step, clients)
+	for g := range clean {
+		for i := 0; i < opsPerClient; i++ {
+			k := fmt.Sprintf("r%dc%dk%d", round, g, i)
+			clean[g] = append(clean[g],
+				loadgen.Step{Op: loadgen.OpPut, Node: r.liveAt(g*31 + i).node, Key: k, Value: []byte(k)},
+				loadgen.Step{Op: loadgen.OpGet, Node: r.liveAt(g*17 + i + 1).node, Key: k})
+		}
 	}
-	puts := make(chan putKV, clients*opsPerClient)
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < opsPerClient; i++ {
-				k := fmt.Sprintf("r%dc%dk%d", round, g, i)
-				v := []byte(k)
-				nd := r.liveAt(g*31 + i).node
-				if err := nd.Put(k, v); err != nil {
-					violation("concurrent put %q: %v", k, err)
-					continue
-				}
-				puts <- putKV{k, v}
-				got, route, err := r.liveAt(g*17 + i + 1).node.Get(k)
-				cleanTimeouts.Add(int64(route.Timeouts))
-				if err != nil {
-					violation("concurrent get %q: %v", k, err)
-				} else if string(got) != k {
-					violation("concurrent get %q returned %q", k, got)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(puts)
-	for p := range puts {
-		r.expected[p.k] = p.v
-	}
+	settled := r.x.Start(clean)()
 
 	// Phase 4b: invariants.
 	live := r.liveMembers()
 	rep.Live = len(live)
 
-	// (1) Every key stored on a live node — and every key the run still
-	// tracks — is retrievable from any live node.
-	holder := make(map[string]string) // key -> host holding it
-	checkKeys := make(map[string]bool)
+	// (1) The readback: every key a live node holds or the history
+	// acked, from a node rotating with the round; under R > 1 every
+	// acked key from every live node; every acked blob in full. The
+	// checker then holds the round's history to the model (DESIGN.md).
+	acked := r.h.Acked(loadgen.OpPut)
+	held := make(map[string]bool)
 	for _, m := range live {
 		for _, k := range m.node.Keys() {
-			holder[k] = m.name
-			checkKeys[k] = true
+			held[k] = true
 		}
 	}
-	for k := range r.expected {
-		checkKeys[k] = true
+	for _, k := range acked {
+		held[k] = true
 	}
-	keys := make([]string, 0, len(checkKeys))
-	for k := range checkKeys {
-		keys = append(keys, k)
+	var readback []loadgen.Step
+	for i, k := range slices.Sorted(maps.Keys(held)) {
+		readback = append(readback, loadgen.Step{Op: loadgen.OpGet, Node: live[(i+round)%len(live)].node, Key: k})
 	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		m := live[(i+round)%len(live)]
-		v, route, err := m.node.Get(k)
-		cleanTimeouts.Add(int64(route.Timeouts))
-		where, held := holder[k]
-		if !held {
-			where = "no live node"
-		}
-		if err != nil {
-			violation("key %q unreachable (get from %s, held by %s): %v", k, m.name, where, err)
-		} else if want, tracked := r.expected[k]; tracked && string(v) != string(want) {
-			violation("key %q corrupted: %q", k, v)
-		}
-	}
-
-	// (1b) With replication on, the durability invariant is stronger:
-	// every tracked key must be retrievable from EVERY live node, not
-	// just a rotating sample — reads must survive the round's crashes
-	// from any vantage point once the stabilization window closed.
 	if r.cfg.Replicas > 1 {
-		tracked := make([]string, 0, len(r.expected))
-		for k := range r.expected {
-			tracked = append(tracked, k)
-		}
-		sort.Strings(tracked)
-		for _, k := range tracked {
-			want := r.expected[k]
+		for _, k := range acked {
 			for _, m := range live {
-				v, route, err := m.node.Get(k)
-				cleanTimeouts.Add(int64(route.Timeouts))
-				if err != nil {
-					violation("key %q unreachable from %s under R=%d: %v", k, m.name, r.cfg.Replicas, err)
-				} else if string(v) != string(want) {
-					violation("key %q corrupted at %s: %q", k, m.name, v)
-				}
+				readback = append(readback, loadgen.Step{Op: loadgen.OpGet, Node: m.node, Key: k})
 			}
 		}
 	}
-
-	// (1c) Owner-assigned versions never regress fleet-wide: the highest
-	// version any live node reports for a key must be at least the
-	// highest ever observed. A regression means a restart replayed stale
-	// state over newer writes, or anti-entropy resurrected an old value.
-	// Keys no live node currently holds are skipped, not failed — a
-	// holder may legitimately be mid-downtime.
-	if r.maxVer == nil {
-		r.maxVer = make(map[string]uint64)
+	for i, name := range r.h.Acked(loadgen.OpBlobPut) {
+		readback = append(readback, loadgen.Step{Op: loadgen.OpBlobGet, Node: live[(i+round)%len(live)].node, Key: name})
 	}
-	roundMax := make(map[string]uint64)
-	for _, m := range live {
-		for k, v := range m.node.KeyVersions() {
-			if v > roundMax[k] {
-				roundMax[k] = v
-			}
-		}
+	settled = append(settled, r.x.Start([][]loadgen.Step{readback})()...)
+	for _, rec := range settled {
+		rep.CleanTimeouts += rec.Timeouts
 	}
-	for k, was := range r.maxVer {
-		if now, ok := roundMax[k]; ok && now < was {
-			violation("key %q version regressed fleet-wide: %d -> %d", k, was, now)
-		}
+	for _, v := range r.h.Check(from) {
+		violation("%s", v)
 	}
-	for k, v := range roundMax {
-		if v > r.maxVer[k] {
-			r.maxVer[k] = v
-		}
-	}
-
-	// (1d) Streaming-during-churn: bounded error and rebuffer rates over
-	// the traffic that raced the churn, zero chunk integrity failures
-	// fleet-wide, and every acknowledged blob readable in full from a
-	// live node.
 	if r.cfg.StreamingClients > 0 {
-		r.checkStreaming(round, &rep, &sstats, live, violation)
+		r.checkStreaming(&rep, stream, live, violation)
 	}
 
 	// (2) Lookups from every live node converge to the responsible node.
@@ -1127,7 +939,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 		want := r.bruteOwner(r.keyPoint(k))
 		for _, m := range live {
 			route, err := m.node.Lookup(k)
-			cleanTimeouts.Add(int64(route.Timeouts))
+			rep.CleanTimeouts += route.Timeouts
 			if err != nil {
 				violation("lookup %q from %s: %v", k, m.name, err)
 			} else if route.Terminal != want {
@@ -1181,12 +993,49 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 	}
 
 	// (5) Timeouts appear only under injected faults.
-	rep.CleanTimeouts = int(cleanTimeouts.Load())
 	if rep.CleanTimeouts != 0 {
 		violation("%d timeouts in a healed, stabilized overlay", rep.CleanTimeouts)
 	}
-	sort.Strings(rep.Violations)
+	slices.Sort(rep.Violations)
 	return rep
+}
+
+// loadPlan is the load-during-churn traffic: each client alternates
+// Gets on acked keys with lookups of fresh keys.
+func (r *runner) loadPlan(round int, origins []*member) [][]loadgen.Step {
+	keys := r.h.Acked(loadgen.OpPut)
+	plan := make([][]loadgen.Step, r.cfg.LoadClients)
+	for g := range plan {
+		for i := 0; i < loadOpsPerClient; i++ {
+			s := loadgen.Step{Op: loadgen.OpLookup, Node: origins[(g*13+i)%len(origins)].node, Key: fmt.Sprintf("churn-%d-%d-%d", round, g, i)}
+			if i%2 == 0 && len(keys) > 0 {
+				s.Op, s.Key = loadgen.OpGet, keys[(g*7+i)%len(keys)]
+			}
+			plan[g] = append(plan[g], s)
+		}
+	}
+	return plan
+}
+
+// boundErrors flags the traffic that raced a round's churn when more
+// than base of it failed (maxLoadErrorRate or maxStreamErrorRate),
+// naming the first failures, and returns the failure count. Membership
+// changes mid-request make occasional failures legitimate; past the
+// bound churn is breaking routing or the blob layer rather than racing
+// it. A request racing a kill fails until stabilization promotes a
+// replica, and with a node down for the whole window the transient rate
+// runs higher, so kill/restart runs get 0.4. Durability itself is the
+// checker's.
+func (r *runner) boundErrors(what string, recs []loadgen.Record, base float64, violation func(string, ...any)) int {
+	if r.cfg.KillRestart {
+		base = 0.4
+	}
+	failed := loadgen.Failed(recs)
+	if rate := float64(len(failed)) / float64(max(len(recs), 1)); rate > base {
+		violation("%s error rate %.3f (%d/%d) exceeds %.3f: %s",
+			what, rate, len(failed), len(recs), base, loadgen.Summarize(failed, 3))
+	}
+	return len(failed)
 }
 
 // weStr formats a wire entry for trace output.

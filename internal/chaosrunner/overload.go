@@ -7,9 +7,9 @@
 //   - Conservation: on every member, admission_offered_total ==
 //     admitted + shed + queue_timeout once the load settles, and the
 //     victim demonstrably shed (its cap was real).
-//   - Durability under shedding: every Put acked during the overload
-//     window is retrievable from every live node afterwards — shedding
-//     may refuse work, never lose acked work.
+//   - Durability under shedding: the tier's history, ending in a
+//     readback of every acked Put from every live node, passes the
+//     consistency check — shedding may refuse work, never lose it.
 //   - Graceful degradation: p99 of the admitted control traffic stays
 //     within a small factor of its unloaded baseline while the victim's
 //     shed rate rises — overload is routed around, not waited out.
@@ -22,9 +22,7 @@
 package chaosrunner
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"cycloid/internal/ids"
@@ -173,8 +171,8 @@ func (r *runner) runOverload() (*Result, error) {
 
 	// The control workload, run once with the cluster otherwise idle as
 	// the baseline and once during the loaded window.
-	control := func(seed int64) (*loadgen.Report, error) {
-		return loadgen.Run(loadgen.Config{
+	control := func(seed int64) func() (*loadgen.Report, error) {
+		return loadgen.Start(r.h, loadgen.Config{
 			Nodes:       originNodes,
 			Mix:         loadgen.Mix{Get: 3, Lookup: 1},
 			KeyList:     ctrl,
@@ -184,7 +182,7 @@ func (r *runner) runOverload() (*Result, error) {
 			OpTimeout:   dialTimeout,
 		})
 	}
-	base, err := control(r.cfg.Seed)
+	base, err := control(r.cfg.Seed)()
 	if err != nil {
 		return nil, fmt.Errorf("chaosrunner: baseline load: %w", err)
 	}
@@ -197,52 +195,35 @@ func (r *runner) runOverload() (*Result, error) {
 	// The loaded window: Zipf hot-key fire at the victim's keys, the
 	// control workload measuring the rest of the cluster, and the
 	// durability writer acking Puts of victim-owned keys — all
-	// concurrent.
-	var (
-		wg              sync.WaitGroup
-		hotRep, ctrlRep *loadgen.Report
-		hotErr, ctrlErr error
-		ackedVals       = make(map[string][]byte)
-		amu             sync.Mutex
-	)
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		// Put-heavy on purpose: the store handler holds its admission
-		// slot across the synchronous replica fan-out — a real network
-		// exchange — so writes are the hot ops whose slot-hold time is
-		// long enough for occupancy to build past cap+queue. Gets ride
-		// along to exercise the shed->replica-fallback path.
-		hotRep, hotErr = loadgen.Run(loadgen.Config{
-			Nodes:       originNodes,
-			Mix:         loadgen.Mix{Put: 3, Get: 1},
-			KeyList:     hot,
-			Zipf:        overloadZipf,
-			Seed:        r.cfg.Seed + 1,
-			Ops:         overloadOps,
-			Concurrency: overloadHotClients,
-			OpTimeout:   overloadHotTimeout,
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		ctrlRep, ctrlErr = control(r.cfg.Seed + 2)
-	}()
-	go func() {
-		defer wg.Done()
-		for i, k := range ackedKeys {
-			v := []byte(fmt.Sprintf("acked-v%d", i))
-			ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
-			err := origins[i%len(origins)].node.PutContext(ctx, k, v)
-			cancel()
-			if err == nil {
-				amu.Lock()
-				ackedVals[k] = v
-				amu.Unlock()
-			}
+	// concurrent. The hot mix is Put-heavy on purpose: the store handler
+	// holds its admission slot across the synchronous replica fan-out —
+	// a real network exchange — so writes are the hot ops whose
+	// slot-hold time is long enough for occupancy to build past
+	// cap+queue. Gets ride along to exercise the shed->replica-fallback
+	// path.
+	hotWait := loadgen.Start(r.h, loadgen.Config{
+		Nodes:       originNodes,
+		Mix:         loadgen.Mix{Put: 3, Get: 1},
+		KeyList:     hot,
+		Zipf:        overloadZipf,
+		Seed:        r.cfg.Seed + 1,
+		Ops:         overloadOps,
+		Concurrency: overloadHotClients,
+		OpTimeout:   overloadHotTimeout,
+	})
+	ctrlWait := control(r.cfg.Seed + 2)
+	var writes []loadgen.Step
+	for i, k := range ackedKeys {
+		writes = append(writes, loadgen.Step{Op: loadgen.OpPut, Node: origins[i%len(origins)].node, Key: k, Value: []byte(fmt.Sprintf("acked-v%d", i))})
+	}
+	var acked []string
+	for _, rec := range (&loadgen.Exec{History: r.h, Timeout: dialTimeout}).Start([][]loadgen.Step{writes})() {
+		if rec.Err == nil {
+			acked = append(acked, rec.Key)
 		}
-	}()
-	wg.Wait()
+	}
+	hotRep, hotErr := hotWait()
+	ctrlRep, ctrlErr := ctrlWait()
 	if hotErr != nil {
 		return nil, fmt.Errorf("chaosrunner: hot load: %w", hotErr)
 	}
@@ -289,7 +270,7 @@ func (r *runner) runOverload() (*Result, error) {
 		HotErrors:     hotRep.Errors,
 		CtrlOps:       ctrlRep.Ops,
 		CtrlErrors:    ctrlRep.Errors,
-		AckedPuts:     len(ackedVals),
+		AckedPuts:     len(acked),
 	}
 	for _, m := range r.liveMembers() {
 		orep.FleetRetries += after[m.ord].retries - before[m.ord].retries
@@ -332,15 +313,16 @@ func (r *runner) runOverload() (*Result, error) {
 
 	// Durability: every Put acked during the window reads back from
 	// every live node — shedding refused work but never lost acked work.
-	for k, want := range ackedVals {
+	r.h.Barrier()
+	var readback []loadgen.Step
+	for _, k := range acked {
 		for _, m := range r.liveMembers() {
-			v, _, err := m.node.Get(k)
-			if err != nil {
-				violation("acked key %q unreachable from %s after overload: %v", k, m.name, err)
-			} else if string(v) != string(want) {
-				violation("acked key %q corrupted at %s: %q", k, m.name, v)
-			}
+			readback = append(readback, loadgen.Step{Op: loadgen.OpGet, Node: m.node, Key: k})
 		}
+	}
+	r.x.Start([][]loadgen.Step{readback})()
+	for _, v := range r.h.Check(0) {
+		violation("%s", v)
 	}
 
 	// Overload is not crash: with the load gone, lookups from every
@@ -367,7 +349,7 @@ func (r *runner) runOverload() (*Result, error) {
 		Rounds:     []RoundReport{rep},
 		Violations: rep.Violations,
 		FinalLive:  rep.Live,
-		FinalKeys:  len(ackedVals),
+		FinalKeys:  len(acked),
 		Overload:   orep,
 	}
 	return res, nil

@@ -1,26 +1,22 @@
-// Package loadgen drives sustained Put/Get/Lookup traffic against a
-// live p2p Cycloid cluster and reports what the paper measures under
-// load: throughput, latency quantiles, error counts, and the per-node
-// query-load distribution of Figures 8–10 (how evenly lookup traffic
-// spreads across the overlay).
+// Package loadgen is the one client driver of the repo's harnesses.
+// Exec issues every operation — Put, Get, Lookup, whole-blob writes and
+// paced viewer sessions — and records each in a History, which Check
+// holds to the consistency model of DESIGN.md. Harnesses hand Exec a
+// plan: one list of steps per client.
 //
-// Two drivers are provided. The closed-loop driver keeps a fixed number
-// of outstanding operations (classic concurrency-N benchmarking: the
-// next op starts when one finishes). The open-loop driver dispatches
-// operations at a fixed arrival rate regardless of completions,
-// modelling independent clients; a saturated overlay shows up as
-// latency growth rather than throughput collapse.
-//
-// The workload is pregenerated from a seed — operation kinds, key
-// choices (uniform or Zipf-distributed popularity), and originating
-// nodes are all drawn single-threaded before any traffic flows. On a
-// deterministic fabric (p2p/memnet) with a fixed seed the operation
-// outcomes and the per-node query-load table are therefore identical
-// across runs; only wall-clock latency fields vary.
+// On top of it, Run drives a seeded workload against a live cluster and
+// reports what the paper measures under load: throughput, latency
+// quantiles, error counts, and the per-node query-load distribution of
+// Figures 8–10. The closed-loop driver keeps a fixed number of
+// operations outstanding; the open-loop driver dispatches at a fixed
+// arrival rate regardless of completions, so a saturated overlay shows
+// up as latency growth rather than throughput collapse. The workload is
+// drawn from the seed before any traffic flows, so on a deterministic
+// fabric (p2p/memnet) the outcomes and the query-load table repeat
+// exactly; only wall-clock fields vary.
 package loadgen
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -33,26 +29,23 @@ import (
 	"cycloid/p2p"
 )
 
-// Op is one workload operation kind.
+// Op is one operation kind: a workload operation, or a History mark.
 type Op int
 
-// Workload operation kinds.
+// Operation kinds, then mark kinds.
 const (
 	OpPut Op = iota
 	OpGet
 	OpLookup
+	OpBlobPut // write a whole blob
+	OpBlobGet // play a blob through, as a viewer session
+	OpBarrier
+	OpChurn
+	OpForfeit
 )
 
 func (o Op) String() string {
-	switch o {
-	case OpPut:
-		return "put"
-	case OpGet:
-		return "get"
-	case OpLookup:
-		return "lookup"
-	}
-	return "unknown"
+	return [...]string{"put", "get", "lookup", "blob-put", "blob-get", "barrier", "churn", "forfeit"}[o]
 }
 
 // Mix weights the operation kinds; zero-value weights drop the kind.
@@ -101,7 +94,7 @@ type Config struct {
 	// queued work whose caller has already given up; an operation that
 	// exceeds it counts as an error in the report.
 	OpTimeout time.Duration
-	// Streaming selects the streaming mix (see RunStreaming): viewer
+	// Streaming selects the streaming mix: viewer
 	// sessions over chunked blobs instead of single-key operations.
 	// Mix, Keys, KeyList and Ops are ignored when it is set; Zipf skews
 	// blob popularity and Concurrency is the concurrent viewer count.
@@ -130,13 +123,6 @@ func (c *Config) defaults() error {
 		return fmt.Errorf("loadgen: zipf skew must be > 1 (or 0 for uniform), got %v", c.Zipf)
 	}
 	return nil
-}
-
-// spec is one pregenerated operation: kind, key index, origin node.
-type spec struct {
-	op     Op
-	key    int
-	origin int
 }
 
 // NodeLoad is one node's share of the query load: the wire requests it
@@ -212,70 +198,115 @@ type Report struct {
 // maxExemplars bounds how many outlier traces a report retains.
 const maxExemplars = 8
 
-// runner is one run's shared state.
-type runner struct {
-	cfg     Config
-	specs   []spec
-	keys    []string
-	vals    [][]byte
-	lat     map[Op]*telemetry.Histogram
-	latAll  *telemetry.Histogram
-	ops     [3]atomic.Int64
-	errs    [3]atomic.Int64
-	nextIdx atomic.Int64
+// Run executes the configured workload and returns its report.
+func Run(cfg Config) (*Report, error) { return Start(new(History), cfg)() }
 
-	exMu      sync.Mutex
-	exemplars []Exemplar
-}
-
-// Run executes the configured workload and returns its report. The keys
-// are first written once each (round-robin across nodes, outside the
+// Start begins the configured workload, recording every operation in
+// h, and returns a function that waits for its report. The keys are
+// first written once each (round-robin across nodes, outside the
 // measure window) so reads always have something to hit; the per-node
 // load table covers only the measured traffic.
-func Run(cfg Config) (*Report, error) {
-	if cfg.Streaming != nil {
-		return RunStreaming(cfg)
+func Start(h *History, cfg Config) (wait func() (*Report, error)) {
+	var rep *Report
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if cfg.Streaming != nil {
+			rep, err = runStreaming(h, cfg)
+		} else {
+			rep, err = run(h, cfg)
+		}
+	}()
+	return func() (*Report, error) {
+		<-done
+		return rep, err
 	}
+}
+
+func run(h *History, cfg Config) (*Report, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	r := &runner{cfg: cfg}
-	r.generate()
-
-	// Warmup: seed every key so Gets hit, outside the measure window.
-	for i, k := range r.keys {
-		if err := cfg.Nodes[i%len(cfg.Nodes)].Put(k, r.vals[i]); err != nil {
-			return nil, fmt.Errorf("loadgen: warmup put %q: %w", k, err)
+	warmup, steps := plan(cfg)
+	unbounded := &Exec{History: h}
+	for _, s := range warmup {
+		if rec := unbounded.Do(0, s); rec.Err != nil {
+			return nil, fmt.Errorf("loadgen: warmup put %q: %w", s.Key, rec.Err)
 		}
 	}
 
+	x := &Exec{History: h, Timeout: cfg.OpTimeout}
+	recs := make([]Record, len(steps))
 	before := snapshotLoads(cfg.Nodes)
 	began := time.Now()
 	if cfg.Rate > 0 {
-		r.runOpen()
+		interval := time.Duration(float64(time.Second) / cfg.Rate)
+		var wg sync.WaitGroup
+		for i, s := range steps {
+			// Operation i is due at began + i/rate regardless of earlier
+			// completions: a fixed arrival rate, as from independent clients.
+			if d := time.Until(began.Add(time.Duration(i) * interval)); d > 0 {
+				time.Sleep(d)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				recs[i] = x.Do(i, s)
+			}()
+		}
+		wg.Wait()
 	} else {
-		r.runClosed()
+		closedLoop(cfg.Concurrency, len(steps), func(client, i int) { recs[i] = x.Do(client, steps[i]) })
 	}
 	took := time.Since(began)
 	after := snapshotLoads(cfg.Nodes)
 
-	return r.report(took, before, after), nil
+	rep := &Report{Mode: "closed", Nodes: len(cfg.Nodes), Duration: took, PerOp: map[string]OpStats{}}
+	if cfg.Rate > 0 {
+		rep.Mode = "open"
+	}
+	reg := telemetry.NewRegistry("loadgen")
+	all := reg.Histogram("op_latency_us", "All-op latency.", telemetry.LatencyBucketsUS)
+	for _, op := range []Op{OpPut, OpGet, OpLookup} {
+		lat := reg.Histogram(op.String()+"_latency_us", "Per-op latency.", telemetry.LatencyBucketsUS)
+		var st OpStats
+		for _, r := range recs {
+			if r.Op == op {
+				lat.Observe(r.Latency.Microseconds())
+				all.Observe(r.Latency.Microseconds())
+				st.Ops++
+				if r.Err != nil {
+					st.Errors++
+				}
+			}
+		}
+		if st.Ops > 0 {
+			st.P50, st.P95, st.P99 = lat.Quantile(0.50), lat.Quantile(0.95), lat.Quantile(0.99)
+			rep.PerOp[op.String()] = st
+			rep.Ops += st.Ops
+			rep.Errors += st.Errors
+		}
+	}
+	rep.P50, rep.P95, rep.P99 = all.Quantile(0.50), all.Quantile(0.95), all.Quantile(0.99)
+	rep.Throughput = float64(rep.Ops) / took.Seconds()
+	rep.Exemplars = exemplars(recs)
+	fillLoad(rep, cfg.Nodes, before, after)
+	return rep, nil
 }
 
-// generate pregenerates keys, values and the full operation sequence
-// from the seed, single-threaded — the only randomness in a run.
-func (r *runner) generate() {
-	cfg := r.cfg
+// plan pregenerates the warmup writes and the measured steps from the
+// seed, single-threaded — the only randomness in a run.
+func plan(cfg Config) (warmup, steps []Step) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	r.keys = make([]string, cfg.Keys)
-	r.vals = make([][]byte, cfg.Keys)
-	for i := range r.keys {
+	keys := make([]string, cfg.Keys)
+	for i := range keys {
 		if len(cfg.KeyList) > 0 {
-			r.keys[i] = cfg.KeyList[i]
+			keys[i] = cfg.KeyList[i]
 		} else {
-			r.keys[i] = fmt.Sprintf("load-%d-%d", cfg.Seed, i)
+			keys[i] = fmt.Sprintf("load-%d-%d", cfg.Seed, i)
 		}
-		r.vals[i] = []byte(fmt.Sprintf("v%d", i))
+		warmup = append(warmup, Step{Op: OpPut, Node: cfg.Nodes[i%len(cfg.Nodes)], Key: keys[i], Value: []byte(fmt.Sprintf("v%d", i))})
 	}
 	var zipf *rand.Zipf
 	if cfg.Zipf > 1 {
@@ -288,8 +319,8 @@ func (r *runner) generate() {
 		return rng.Intn(cfg.Keys)
 	}
 	tot := cfg.Mix.total()
-	r.specs = make([]spec, cfg.Ops)
-	for i := range r.specs {
+	steps = make([]Step, cfg.Ops)
+	for i := range steps {
 		var op Op
 		switch w := rng.Intn(tot); {
 		case w < cfg.Mix.Put:
@@ -299,106 +330,48 @@ func (r *runner) generate() {
 		default:
 			op = OpLookup
 		}
-		r.specs[i] = spec{op: op, key: pick(), origin: rng.Intn(len(cfg.Nodes))}
+		k := pick()
+		steps[i] = Step{Op: op, Key: keys[k], Node: cfg.Nodes[rng.Intn(len(cfg.Nodes))]}
+		if op == OpPut {
+			// Every write's value is unique, so the checker can tell
+			// which write a read saw.
+			steps[i].Value = []byte(fmt.Sprintf("v%d-%d", k, i))
+		}
 	}
-	r.lat = map[Op]*telemetry.Histogram{}
-	reg := telemetry.NewRegistry("loadgen")
-	for _, op := range []Op{OpPut, OpGet, OpLookup} {
-		r.lat[op] = reg.Histogram(op.String()+"_latency_us", "Per-op latency.", telemetry.LatencyBucketsUS)
-	}
-	r.latAll = reg.Histogram("op_latency_us", "All-op latency.", telemetry.LatencyBucketsUS)
+	return warmup, steps
 }
 
-// exec runs one pregenerated operation and records its outcome.
-func (r *runner) exec(s spec) {
-	nd := r.cfg.Nodes[s.origin]
-	key := r.keys[s.key]
-	ctx := context.Background()
-	if r.cfg.OpTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.OpTimeout)
-		defer cancel()
-	}
-	began := time.Now()
-	var err error
-	var rt p2p.Route
-	switch s.op {
-	case OpPut:
-		err = nd.PutContext(ctx, key, r.vals[s.key])
-	case OpGet:
-		_, rt, err = nd.GetContext(ctx, key)
-	case OpLookup:
-		rt, err = nd.LookupContext(ctx, key)
-	}
-	us := time.Since(began).Microseconds()
-	r.lat[s.op].Observe(us)
-	r.latAll.Observe(us)
-	r.ops[s.op].Add(1)
-	if err != nil {
-		r.errs[s.op].Add(1)
-	}
-	if rt.TraceID != "" {
-		r.noteExemplar(s.op, key, rt.TraceID, us, err)
-	}
-}
-
-// noteExemplar keeps the maxExemplars slowest sampled operations,
-// slowest first. Puts never reach here (PutContext reports no Route),
+// exemplars returns the maxExemplars slowest trace-sampled operations,
+// slowest first. Puts carry no trace ID (PutContext reports no Route),
 // so exemplars cover Gets and Lookups — the latency-sensitive reads.
-func (r *runner) noteExemplar(op Op, key, traceID string, latUS int64, err error) {
-	e := Exemplar{Op: op.String(), Key: key, TraceID: traceID, LatencyUS: latUS}
-	if err != nil {
-		e.Err = err.Error()
+func exemplars(recs []Record) []Exemplar {
+	var out []Exemplar
+	for _, r := range recs {
+		if r.TraceID != "" {
+			e := Exemplar{Op: r.Op.String(), Key: r.Key, TraceID: r.TraceID, LatencyUS: r.Latency.Microseconds()}
+			if r.Err != nil {
+				e.Err = r.Err.Error()
+			}
+			out = append(out, e)
+		}
 	}
-	r.exMu.Lock()
-	defer r.exMu.Unlock()
-	if len(r.exemplars) == maxExemplars && latUS <= r.exemplars[len(r.exemplars)-1].LatencyUS {
-		return
-	}
-	r.exemplars = append(r.exemplars, e)
-	sort.Slice(r.exemplars, func(i, j int) bool {
-		return r.exemplars[i].LatencyUS > r.exemplars[j].LatencyUS
-	})
-	if len(r.exemplars) > maxExemplars {
-		r.exemplars = r.exemplars[:maxExemplars]
-	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].LatencyUS > out[j].LatencyUS })
+	return out[:min(len(out), maxExemplars)]
 }
 
-// runClosed keeps Concurrency operations outstanding until the
-// pregenerated sequence is exhausted.
-func (r *runner) runClosed() {
+// closedLoop keeps workers clients busy on items 0..n-1: each takes
+// the next item as soon as it finishes one.
+func closedLoop(workers, n int, do func(client, i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Concurrency; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(r.nextIdx.Add(1)) - 1
-				if i >= len(r.specs) {
-					return
-				}
-				r.exec(r.specs[i])
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(w, i)
 			}
 		}()
-	}
-	wg.Wait()
-}
-
-// runOpen dispatches operation i at t0 + i/rate regardless of earlier
-// completions — a fixed arrival rate, as from independent clients.
-func (r *runner) runOpen() {
-	interval := time.Duration(float64(time.Second) / r.cfg.Rate)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for i := range r.specs {
-		if d := time.Until(t0.Add(time.Duration(i) * interval)); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(s spec) {
-			defer wg.Done()
-			r.exec(s)
-		}(r.specs[i])
 	}
 	wg.Wait()
 }
@@ -420,41 +393,6 @@ func snapshotLoads(nodes []*p2p.Node) []loadSnapshot {
 		}
 	}
 	return out
-}
-
-func (r *runner) report(took time.Duration, before, after []loadSnapshot) *Report {
-	cfg := r.cfg
-	rep := &Report{
-		Mode:        "closed",
-		Nodes:       len(cfg.Nodes),
-		Duration:    took,
-		P50:         r.latAll.Quantile(0.50),
-		P95:         r.latAll.Quantile(0.95),
-		P99:         r.latAll.Quantile(0.99),
-		PerOp:       map[string]OpStats{},
-		Load:        make([]NodeLoad, len(cfg.Nodes)),
-		LoadBalance: Balance{Min: ^uint64(0)},
-	}
-	if cfg.Rate > 0 {
-		rep.Mode = "open"
-	}
-	for _, op := range []Op{OpPut, OpGet, OpLookup} {
-		ops, errs := int(r.ops[op].Load()), int(r.errs[op].Load())
-		rep.Ops += ops
-		rep.Errors += errs
-		if ops == 0 {
-			continue
-		}
-		h := r.lat[op]
-		rep.PerOp[op.String()] = OpStats{
-			Ops: ops, Errors: errs,
-			P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
-		}
-	}
-	rep.Throughput = float64(rep.Ops) / took.Seconds()
-	rep.Exemplars = r.exemplars
-	fillLoad(rep, cfg.Nodes, before, after)
-	return rep
 }
 
 // fillLoad computes the per-node query-load table and its balance

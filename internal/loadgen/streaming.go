@@ -15,12 +15,8 @@
 package loadgen
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cycloid/internal/telemetry"
@@ -70,34 +66,47 @@ func (s *Streaming) defaults() {
 
 // StreamStats is the streaming mix's section of the report.
 type StreamStats struct {
-	Sessions     int     `json:"sessions"`
-	Chunks       int     `json:"chunks"`         // chunk reads completed
-	Errors       int     `json:"errors"`         // sessions that failed
-	Rebuffers    int     `json:"rebuffers"`      // chunks past their playout deadline
-	RebufferRate float64 `json:"rebuffer_rate"`  // rebuffers per session
-	TTFBP50      int64   `json:"ttfb_p50_us"`    // time to first byte, µs
+	Sessions     int     `json:"sessions"`      // sessions played to the end
+	Chunks       int     `json:"chunks"`        // chunk reads completed
+	Errors       int     `json:"errors"`        // sessions that failed
+	Rebuffers    int     `json:"rebuffers"`     // chunks past their playout deadline
+	RebufferRate float64 `json:"rebuffer_rate"` // rebuffers per completed session
+	TTFBP50      int64   `json:"ttfb_p50_us"`   // time to first byte, µs
 	TTFBP95      int64   `json:"ttfb_p95_us"`
 	TTFBP99      int64   `json:"ttfb_p99_us"`
 	Integrity    uint64  `json:"integrity_failures"` // fleet-wide digest failures
 }
 
-// session is one pregenerated viewing session: which blob, from which
-// node.
-type session struct {
-	blob   int
-	origin int
+// SessionStats tallies viewer sessions (OpBlobGet records): completed
+// and failed sessions, chunks and rebuffers. A failed session never
+// reached its end, so the rebuffer rate is per completed session.
+func SessionStats(recs []Record) StreamStats {
+	var st StreamStats
+	for _, r := range recs {
+		if r.Op != OpBlobGet {
+			continue
+		}
+		st.Chunks += r.Chunks
+		st.Rebuffers += r.Rebuffers
+		if r.Err != nil {
+			st.Errors++
+		} else {
+			st.Sessions++
+		}
+	}
+	if st.Sessions > 0 {
+		st.RebufferRate = float64(st.Rebuffers) / float64(st.Sessions)
+	}
+	return st
 }
 
-// RunStreaming executes the streaming mix: provision the blob
+// runStreaming executes the streaming mix: provision the blob
 // population (outside the measure window), then play Sessions viewer
 // sessions with Concurrency concurrent viewers, and report the usual
 // per-node query-load table plus the streaming SLOs. All randomness is
 // pregenerated from cfg.Seed, so on a deterministic fabric the session
 // sequence, chunk counts and outcomes repeat exactly.
-func RunStreaming(cfg Config) (*Report, error) {
-	if cfg.Streaming == nil {
-		cfg.Streaming = &Streaming{}
-	}
+func runStreaming(h *History, cfg Config) (*Report, error) {
 	st := *cfg.Streaming
 	st.defaults()
 	if len(cfg.Nodes) == 0 {
@@ -110,166 +119,78 @@ func RunStreaming(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("loadgen: zipf skew must be > 1 (or 0 for uniform), got %v", cfg.Zipf)
 	}
 
-	// One blob store per node, so sessions originate anywhere like the
-	// other mixes' operations do.
-	stores := make([]*blob.Store, len(cfg.Nodes))
-	for i, nd := range cfg.Nodes {
-		s, err := blob.New(nd, blob.Options{ChunkSize: st.ChunkSize, Window: st.Window})
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: %w", err)
-		}
-		stores[i] = s
-	}
-
 	// Pregenerate blob contents and the session sequence from the seed,
-	// single-threaded.
+	// single-threaded. Sessions originate anywhere, like the other
+	// mixes' operations.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	names := make([]string, st.Blobs)
-	contents := make([][]byte, st.Blobs)
-	for i := range names {
-		names[i] = fmt.Sprintf("stream-%d-%d", cfg.Seed, i)
-		contents[i] = make([]byte, st.BlobChunks*st.ChunkSize)
-		rng.Read(contents[i])
+	provision := make([]Step, st.Blobs)
+	for i := range provision {
+		content := make([]byte, st.BlobChunks*st.ChunkSize)
+		rng.Read(content)
+		provision[i] = Step{Op: OpBlobPut, Node: cfg.Nodes[i%len(cfg.Nodes)], Key: fmt.Sprintf("stream-%d-%d", cfg.Seed, i), Value: content}
 	}
 	var zipf *rand.Zipf
 	if cfg.Zipf > 1 {
 		zipf = rand.NewZipf(rng, cfg.Zipf, 1, uint64(st.Blobs-1))
 	}
-	sessions := make([]session, st.Sessions)
+	sessions := make([]Step, st.Sessions)
 	for i := range sessions {
 		b := rng.Intn(st.Blobs)
 		if zipf != nil {
 			b = int(zipf.Uint64())
 		}
-		sessions[i] = session{blob: b, origin: rng.Intn(len(cfg.Nodes))}
-	}
-
-	// Provision the population outside the measure window.
-	ctx := context.Background()
-	for i, name := range names {
-		if err := stores[i%len(stores)].Put(ctx, name, contents[i]); err != nil {
-			return nil, fmt.Errorf("loadgen: provision blob %q: %w", name, err)
-		}
+		sessions[i] = Step{Op: OpBlobGet, Node: cfg.Nodes[rng.Intn(len(cfg.Nodes))], Key: provision[b].Key}
 	}
 
 	reg := telemetry.NewRegistry("loadgen")
-	chunkLat := reg.Histogram("chunk_latency_us", "Per-chunk read latency.", telemetry.LatencyBucketsUS)
-	ttfb := reg.Histogram("ttfb_us", "Time to first byte per session.", telemetry.LatencyBucketsUS)
+	x := &Exec{
+		History:  h,
+		Timeout:  cfg.OpTimeout,
+		Blob:     blob.Options{ChunkSize: st.ChunkSize, Window: st.Window},
+		Bitrate:  st.BitrateKBps,
+		chunkLat: reg.Histogram("chunk_latency_us", "Per-chunk read latency.", telemetry.LatencyBucketsUS),
+	}
+	// Provision the population outside the measure window.
+	unbounded := &Exec{History: h, Blob: x.Blob}
+	for _, s := range provision {
+		if rec := unbounded.Do(0, s); rec.Err != nil {
+			return nil, fmt.Errorf("loadgen: provision blob %q: %w", s.Key, rec.Err)
+		}
+	}
 	integBefore := sumCounter(cfg.Nodes, "cycloid_blob_integrity_failures_total")
 
 	before := snapshotLoads(cfg.Nodes)
 	began := time.Now()
-
-	var (
-		chunkDur  time.Duration
-		chunks    atomic.Int64
-		rebuffers atomic.Int64
-		errors    atomic.Int64
-		nextIdx   atomic.Int64
-		wg        sync.WaitGroup
-	)
-	if st.BitrateKBps > 0 {
-		chunkDur = time.Duration(float64(st.ChunkSize) / float64(st.BitrateKBps<<10) * float64(time.Second))
-	}
-	play := func(s session) {
-		store := stores[s.origin]
-		sctx := ctx
-		if cfg.OpTimeout > 0 {
-			var cancel context.CancelFunc
-			sctx, cancel = context.WithTimeout(ctx, cfg.OpTimeout)
-			defer cancel()
-		}
-		t0 := time.Now()
-		r, err := store.Open(sctx, names[s.blob])
-		if err != nil {
-			errors.Add(1)
-			return
-		}
-		defer r.Close()
-		buf := make([]byte, st.ChunkSize)
-		var playStart time.Time
-		for seq := 0; ; seq++ {
-			if seq > 0 && chunkDur > 0 {
-				// Pace like a player: the next chunk is wanted at its
-				// playout time, not earlier.
-				if wait := time.Until(playStart.Add(time.Duration(seq-1) * chunkDur)); wait > 0 {
-					time.Sleep(wait)
-				}
-			}
-			c0 := time.Now()
-			_, err := io.ReadFull(r, buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil && err != io.ErrUnexpectedEOF {
-				errors.Add(1)
-				return
-			}
-			now := time.Now()
-			chunkLat.Observe(now.Sub(c0).Microseconds())
-			chunks.Add(1)
-			if seq == 0 {
-				ttfb.Observe(now.Sub(t0).Microseconds())
-				playStart = now
-			} else if chunkDur > 0 {
-				if late := now.Sub(playStart.Add(time.Duration(seq) * chunkDur)); late > 0 {
-					rebuffers.Add(1)
-					store.RecordRebuffer()
-					playStart = playStart.Add(late) // resume where it stalled
-				}
-			}
-			if err == io.ErrUnexpectedEOF {
-				break
-			}
-		}
-	}
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextIdx.Add(1)) - 1
-				if i >= len(sessions) {
-					return
-				}
-				play(sessions[i])
-			}
-		}()
-	}
-	wg.Wait()
-
+	recs := make([]Record, len(sessions))
+	closedLoop(cfg.Concurrency, len(sessions), func(client, i int) { recs[i] = x.Do(client, sessions[i]) })
 	took := time.Since(began)
 	after := snapshotLoads(cfg.Nodes)
 
-	rep := &Report{
-		Mode:     "streaming",
-		Nodes:    len(cfg.Nodes),
-		Ops:      int(chunks.Load()),
-		Errors:   int(errors.Load()),
-		Duration: took,
-		P50:      chunkLat.Quantile(0.50),
-		P95:      chunkLat.Quantile(0.95),
-		P99:      chunkLat.Quantile(0.99),
-		PerOp: map[string]OpStats{
-			"chunk": {
-				Ops: int(chunks.Load()), Errors: int(errors.Load()),
-				P50: chunkLat.Quantile(0.50), P95: chunkLat.Quantile(0.95), P99: chunkLat.Quantile(0.99),
-			},
-		},
-		Streaming: &StreamStats{
-			Sessions:  st.Sessions,
-			Chunks:    int(chunks.Load()),
-			Errors:    int(errors.Load()),
-			Rebuffers: int(rebuffers.Load()),
-			TTFBP50:   ttfb.Quantile(0.50),
-			TTFBP95:   ttfb.Quantile(0.95),
-			TTFBP99:   ttfb.Quantile(0.99),
-			Integrity: sumCounter(cfg.Nodes, "cycloid_blob_integrity_failures_total") - integBefore,
-		},
+	ttfb := reg.Histogram("ttfb_us", "Time to first byte per session.", telemetry.LatencyBucketsUS)
+	for _, r := range recs {
+		if r.Chunks > 0 {
+			ttfb.Observe(r.TTFB.Microseconds())
+		}
 	}
-	rep.Throughput = float64(rep.Ops) / took.Seconds()
-	if st.Sessions > 0 {
-		rep.Streaming.RebufferRate = float64(rep.Streaming.Rebuffers) / float64(st.Sessions)
+	ss := SessionStats(recs)
+	ss.TTFBP50, ss.TTFBP95, ss.TTFBP99 = ttfb.Quantile(0.50), ttfb.Quantile(0.95), ttfb.Quantile(0.99)
+	ss.Integrity = sumCounter(cfg.Nodes, "cycloid_blob_integrity_failures_total") - integBefore
+	chunk := OpStats{
+		Ops: ss.Chunks, Errors: ss.Errors,
+		P50: x.chunkLat.Quantile(0.50), P95: x.chunkLat.Quantile(0.95), P99: x.chunkLat.Quantile(0.99),
+	}
+	rep := &Report{
+		Mode:       "streaming",
+		Nodes:      len(cfg.Nodes),
+		Ops:        chunk.Ops,
+		Errors:     chunk.Errors,
+		Duration:   took,
+		Throughput: float64(chunk.Ops) / took.Seconds(),
+		P50:        chunk.P50,
+		P95:        chunk.P95,
+		P99:        chunk.P99,
+		PerOp:      map[string]OpStats{"chunk": chunk},
+		Streaming:  &ss,
 	}
 	fillLoad(rep, cfg.Nodes, before, after)
 	return rep, nil

@@ -210,11 +210,12 @@ func TestChaosReplicatedCrashTolerance(t *testing.T) {
 
 // TestChaosPooledLoadDuringChurn is the transport stress run: every
 // member's pooled, multiplexed connections carry load while replication
-// keeps crashes below R and load workers drive gets and lookups
+// keeps crashes below R and load clients drive gets and lookups
 // concurrently with every membership event and stabilization sweep.
-// Required: every invariant holds (no lost keys — invariant 1b checks
-// each tracked key from every live node — and a bounded error rate on
-// the racing traffic), and the load actually ran.
+// Required: every invariant holds (no lost keys — the consistency
+// checker judges a readback of each acked key from every live node —
+// and a bounded error rate on the racing traffic), and the load
+// actually ran.
 func TestChaosPooledLoadDuringChurn(t *testing.T) {
 	for s := 0; s < *chaosSeeds; s++ {
 		seed := int64(201 + s)
@@ -404,12 +405,12 @@ func TestChaosKillRestartSchedule(t *testing.T) {
 // directory survives and the runner reboots it a round later), R = 3
 // replication, and load racing the churn. Required: at least three
 // kill/restart cycles actually ran, zero violations — which covers
-// every acked Put staying readable from every live node (invariant
-// 1b), the rebooted node replaying every key it held at the kill
-// before rejoining, no owner-assigned version regressing fleet-wide
-// (invariant 1c), and the reused telemetry registry linting clean
-// after each restart — and zero forfeiture: kills never drop a tracked
-// key, because the disk survives.
+// every acked Put staying readable from every live node with no read
+// version regressing (the consistency checker), the rebooted node
+// replaying every key it held at the kill before rejoining, and the
+// reused telemetry registry linting clean after each restart — and
+// zero forfeiture: kills never drop an acked key, because the disk
+// survives.
 func TestChaosKillRestartDurability(t *testing.T) {
 	for _, seed := range []int64{402, 438} {
 		seed := seed
@@ -489,13 +490,13 @@ func TestChaosOverloadTier(t *testing.T) {
 }
 
 // TestChaosStreamingDuringChurn is the blob layer's chaos gate, on a
-// pinned seed: streaming workers write chunked
+// pinned seed: streaming clients write chunked
 // blobs and play paced viewer sessions while the schedule's churn —
 // kill/restart cycles included, so surviving disks matter — runs
 // underneath. The runner itself asserts the tier's invariants after
 // every round (zero chunk integrity failures fleet-wide, every
-// acknowledged blob readable in full from a live node, bounded error
-// and rebuffer rates), so this test checks for violations and that the
+// acknowledged blob read back in full with its written digest, bounded
+// error and rebuffer rates), so this test checks for violations and that the
 // scenario actually bit: every scheduled streaming attempt ran, kills
 // happened, and the acknowledged-blob set grew past the seed
 // population and survived to the end.

@@ -28,6 +28,9 @@ type Route struct {
 	// otherwise. Load harnesses attach it to SLO outliers so a p99
 	// exemplar can be pulled from the cluster's span buffers.
 	TraceID string
+	// Ver is the owner-assigned version of the value a Get returned,
+	// as the answering store held it; 0 for lookups and misses.
+	Ver uint64
 }
 
 // Lookup routes a request for an application key from this node and
@@ -182,8 +185,8 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 	kp := n.keyPoint(key)
 	if n.hintUsable(hint) {
 		if hint == n.Addr() {
-			if v, ok := n.localFetch(key); ok {
-				return v, Route{Target: kp, Addr: hint, Hinted: true}, nil
+			if it, ok := n.localFetch(key); ok {
+				return it.Val, Route{Target: kp, Addr: hint, Hinted: true, Ver: it.Ver}, nil
 			}
 		} else {
 			req := request{Op: "fetch", Key: key}
@@ -191,7 +194,7 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 			resp, ferr := n.callCtx(ctx, hint, req)
 			ot.endCall(sid, t0, "fetch", hint, ferr)
 			if ferr == nil && resp.Found {
-				return resp.Value, Route{Target: kp, Addr: hint, Hinted: true}, nil
+				return resp.Value, Route{Target: kp, Addr: hint, Hinted: true, Ver: resp.Ver}, nil
 			}
 			n.hintMissed(ctx, hint, ferr)
 		}
@@ -209,10 +212,11 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 	term := entry{ID: r.Terminal, Addr: r.Addr}
 	for attempt := 0; attempt < n.cfg.Replicas; attempt++ {
 		tried[term.Addr] = true
-		v, found, ferr := n.fetchAt(ctx, term, key, ot)
+		it, found, ferr := n.fetchAt(ctx, term, key, ot)
 		if ferr == nil {
 			if found {
-				return v, r, nil
+				r.Ver = it.Ver
+				return it.Val, r, nil
 			}
 			break // reachable but empty: fall through to the replica probe
 		}
@@ -261,13 +265,14 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 		// anti-entropy pass has not reached yet, or a mid-transition
 		// owner): probe its leaf neighborhood, which coincides with the
 		// previous owner's replica set.
-		if v, ok := n.localFetch(key); ok {
-			return v, r, nil
+		if it, ok := n.localFetch(key); ok {
+			r.Ver = it.Ver
+			return it.Val, r, nil
 		}
 		for _, cand := range n.replicaProbes(ctx, term, kp, tried) {
 			tried[cand.Addr] = true
 			n.tel.replicaProbes.Inc()
-			v, found, ferr := n.fetchAt(ctx, cand, key, ot)
+			it, found, ferr := n.fetchAt(ctx, cand, key, ot)
 			if ferr != nil {
 				if !IsBusy(ferr) {
 					r.Timeouts++
@@ -278,36 +283,38 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 				continue
 			}
 			if found {
-				return v, r, nil
+				r.Ver = it.Ver
+				return it.Val, r, nil
 			}
 		}
 	}
 	return nil, r, ErrNotFound
 }
 
-// localFetch reads a key from this node's own store.
-func (n *Node) localFetch(key string) ([]byte, bool) {
+// localFetch reads a key's value and version from this node's own
+// store.
+func (n *Node) localFetch(key string) (item, bool) {
 	n.mu.RLock()
 	it, ok := n.store.Get(key)
 	n.mu.RUnlock()
 	if !ok {
-		return nil, false
+		return item{}, false
 	}
-	return append([]byte(nil), it.Val...), true
+	return item{Val: append([]byte(nil), it.Val...), Ver: it.Ver}, true
 }
 
-// fetchAt reads a key from the given node — locally when it is this
-// node, over the wire otherwise.
-func (n *Node) fetchAt(ctx context.Context, at entry, key string, ot *opTrace) ([]byte, bool, error) {
+// fetchAt reads a key's value and version from the given node —
+// locally when it is this node, over the wire otherwise.
+func (n *Node) fetchAt(ctx context.Context, at entry, key string, ot *opTrace) (item, bool, error) {
 	if at.ID == n.id && !n.isStopped() {
-		v, ok := n.localFetch(key)
-		return v, ok, nil
+		it, ok := n.localFetch(key)
+		return it, ok, nil
 	}
 	resp, err := n.callRetry(ctx, at.Addr, request{Op: "fetch", Key: key}, ot)
 	if err != nil {
-		return nil, false, err
+		return item{}, false, err
 	}
-	return resp.Value, resp.Found, nil
+	return item{Val: resp.Value, Ver: resp.Ver}, resp.Found, nil
 }
 
 // replicaProbes lists the terminal's leaf neighborhood ranked by

@@ -295,8 +295,8 @@ func TestVersionConflictLWW(t *testing.T) {
 	if !nd.putLocal("k", item{Val: []byte("v2"), Ver: 2, Src: 1}) {
 		t.Fatal("newer version must be accepted")
 	}
-	if v, _ := nd.localFetch("k"); string(v) != "v2" {
-		t.Fatalf("store holds %q after merge, want v2", v)
+	if it, _ := nd.localFetch("k"); string(it.Val) != "v2" {
+		t.Fatalf("store holds %q after merge, want v2", it.Val)
 	}
 
 	// End-to-end: the second Put supersedes the first on all replicas.

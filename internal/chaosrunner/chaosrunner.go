@@ -896,8 +896,10 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 
 	// (1) The readback: every key a live node holds or the history
 	// acked, from a node rotating with the round; under R > 1 every
-	// acked key from every live node; every acked blob in full. The
-	// checker then holds the round's history to the model (DESIGN.md).
+	// acked key from every live node; every acked blob in full, at once
+	// (Store.Get, the ReadAt path; viewers cover the sequential path).
+	// The checker then holds the round's history to the model
+	// (DESIGN.md).
 	acked := r.h.Acked(loadgen.OpPut)
 	held := make(map[string]bool)
 	for _, m := range live {
@@ -920,7 +922,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 		}
 	}
 	for i, name := range r.h.Acked(loadgen.OpBlobPut) {
-		readback = append(readback, loadgen.Step{Op: loadgen.OpBlobGet, Node: live[(i+round)%len(live)].node, Key: name})
+		readback = append(readback, loadgen.Step{Op: loadgen.OpBlobRead, Node: live[(i+round)%len(live)].node, Key: name})
 	}
 	settled = append(settled, r.x.Start([][]loadgen.Step{readback})()...)
 	for _, rec := range settled {

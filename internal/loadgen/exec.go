@@ -55,14 +55,18 @@ func (x *Exec) Do(client int, s Step) Record {
 		rec.Value, rt, rec.Err = s.Node.GetContext(ctx, s.Key)
 	case OpLookup:
 		rt, rec.Err = s.Node.LookupContext(ctx, s.Key)
-	case OpBlobPut:
-		sum := sha256.Sum256(s.Value)
-		rec.Value = sum[:]
+	case OpBlobPut, OpBlobRead:
+		data := s.Value
 		bs, err := blob.New(s.Node, x.Blob)
-		if err == nil {
-			err = bs.Put(ctx, s.Key, s.Value)
+		switch {
+		case err != nil:
+		case s.Op == OpBlobPut:
+			err = bs.Put(ctx, s.Key, data)
+		default:
+			data, err = bs.Get(ctx, s.Key)
 		}
-		rec.Err = err
+		sum := sha256.Sum256(data)
+		rec.Value, rec.Err = sum[:], err
 	case OpBlobGet:
 		rec.Value, rec.Err = x.play(ctx, s, &rec)
 	}

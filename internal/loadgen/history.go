@@ -1,9 +1,7 @@
 package loadgen
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -87,11 +85,12 @@ func (h *History) Len() int {
 	return len(h.recs)
 }
 
-// Records returns a copy of the history.
+// Records returns the history so far. The records are shared, not
+// copied: callers must not modify them.
 func (h *History) Records() []Record {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]Record(nil), h.recs...)
+	return h.recs[:len(h.recs):len(h.recs)]
 }
 
 // Acked returns, sorted, the keys that write kind op (OpPut or
@@ -124,6 +123,10 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Rule + ": " + Summarize(v.Records, 3) }
 
+// Failed reports whether the violation is an operation that returned an
+// error, rather than one that returned a wrong answer.
+func (v Violation) Failed() bool { return v.Records[0].Err != nil }
+
 // Summarize renders the first n records and counts the rest.
 func Summarize(recs []Record, n int) string {
 	parts := make([]string, 0, n+1)
@@ -145,8 +148,7 @@ func Summarize(recs []Record, n int) string {
 // window mark before it is a Barrier and none falls inside it. Then:
 //
 //   - a read never returns a value no write to its key wrote (always);
-//   - a settled operation does not fail, except a read of a key with no
-//     acked, unforfeited write;
+//   - a settled operation does not fail;
 //   - a settled read of a key with an acked, unforfeited write returns
 //     a value no such write superseded (lost acked write);
 //   - a settled Get never sees a lower version than a settled Get of
@@ -156,86 +158,103 @@ func Summarize(recs []Record, n int) string {
 // Keys the history never wrote (the blob layer's chunk and manifest
 // keys, read back because a live node holds them) are judged on the
 // settled rule alone.
+//
+// Check sweeps the counter once. Each record is judged at its Invoke
+// against what had returned by then, so the cost is linear in the
+// history plus, per read, the writes of the same key and value.
 func (h *History) Check(from int) []Violation {
 	recs := h.Records()
 	var windows []Record
-	writes, forfeits := map[string][]Record{}, map[string][]int64{}
-	for _, r := range recs {
+	type kv struct{ key, val string }
+	src := map[kv][]int{} // the writes of each key and value
+	// A register is one written key's state as of the sweep's position,
+	// counting only operations that returned since its last forfeit.
+	type register struct {
+		acked  *Record // the acked write that returned last
+		newest int64   // the latest Invoke of an acked write
+		seen   *Record // the settled Get that saw the highest version
+	}
+	regs := map[string]*register{}
+	var last int64
+	for i, r := range recs {
 		switch r.Op {
 		case OpBarrier, OpChurn:
 			windows = append(windows, r)
-		case OpForfeit:
-			forfeits[r.Key] = append(forfeits[r.Key], r.Invoke)
 		case OpPut, OpBlobPut:
-			writes[r.Key] = append(writes[r.Key], r)
+			k := kv{r.Key, string(r.Value)}
+			src[k] = append(src[k], i)
+			if regs[r.Key] == nil {
+				regs[r.Key] = new(register)
+			}
 		}
+		last = max(last, r.Return)
 	}
 	sort.Slice(windows, func(i, j int) bool { return windows[i].Invoke < windows[j].Invoke })
 	settled := func(r Record) bool {
 		i := sort.Search(len(windows), func(i int) bool { return windows[i].Invoke > r.Invoke })
 		return i > 0 && windows[i-1].Op == OpBarrier && (i == len(windows) || windows[i].Invoke > r.Return)
 	}
-	// forfeited reports whether key was forfeited between ticks a and b.
-	forfeited := func(key string, a, b int64) bool {
-		return slices.ContainsFunc(forfeits[key], func(f int64) bool { return a < f && f < b })
-	}
-	gets := map[string][]Record{} // successful settled Gets, per key
-	for _, r := range recs {
-		if r.Op == OpGet && r.Err == nil && settled(r) {
-			gets[r.Key] = append(gets[r.Key], r)
+	// at[t] is i+1 if record i is invoked at tick t, -(i+1) if it returns.
+	at := make([]int, last+1)
+	for i, r := range recs {
+		at[r.Invoke] = i + 1
+		if r.Return > r.Invoke {
+			at[r.Return] = -(i + 1)
 		}
 	}
 
 	var out []Violation
 	flag := func(rule string, rs ...Record) { out = append(out, Violation{rule, rs}) }
-	for _, r := range recs[from:] {
-		st := settled(r)
-		isRead := r.Op == OpGet || r.Op == OpBlobGet
-		if r.Op >= OpBarrier || r.Op == OpLookup && !st {
+	for _, e := range at {
+		if e < 0 { // a return: update the register
+			r := &recs[-e-1]
+			switch g := regs[r.Key]; {
+			case g == nil || r.Err != nil:
+			case r.Op == OpPut || r.Op == OpBlobPut:
+				g.acked, g.newest = r, max(g.newest, r.Invoke)
+			case r.Op == OpGet && settled(*r) && (g.seen == nil || r.Ver > g.seen.Ver):
+				g.seen = r
+			}
 			continue
 		}
-		ws := writes[r.Key]
-		var live []Record // the acked writes a settled read must not lose
-		for _, w := range ws {
-			if w.Err == nil && w.Return < r.Invoke && !forfeited(r.Key, w.Return, r.Invoke) {
-				live = append(live, w)
+		if e == 0 {
+			continue
+		}
+		r := recs[e-1]
+		g := regs[r.Key]
+		if r.Op == OpForfeit && g != nil {
+			*g = register{}
+		}
+		st := settled(r)
+		if e-1 < from || r.Op >= OpBarrier || r.Op == OpLookup && !st {
+			continue
+		}
+		isRead := r.Op == OpGet || r.Op == OpBlobGet || r.Op == OpBlobRead
+		switch {
+		case r.Err != nil && st && isRead && g != nil && g.acked != nil:
+			flag("acked write lost", r, *g.acked)
+		case r.Err != nil && st:
+			flag("settled operation failed", r)
+		}
+		if r.Err != nil || !isRead || g == nil {
+			continue
+		}
+		// The value is fresh if some write that produced it was not
+		// superseded: no acked write began after it returned.
+		wrote, fresh := false, g.acked == nil
+		for _, j := range src[kv{r.Key, string(r.Value)}] {
+			if w := recs[j]; w.Invoke < r.Return {
+				wrote, fresh = true, fresh || w.Return > g.newest
 			}
 		}
 		switch {
-		case r.Err != nil && st && isRead && len(live) > 0:
-			flag("acked write lost", r, live[len(live)-1])
-		case r.Err != nil && st && (!isRead || len(ws) == 0):
-			flag("settled operation failed", r)
-		}
-		if r.Err != nil || !isRead || len(ws) == 0 {
-			continue
-		}
-		var src []Record // writes that could have produced the value read
-		for _, w := range ws {
-			if w.Invoke < r.Return && bytes.Equal(w.Value, r.Value) {
-				src = append(src, w)
-			}
-		}
-		if len(src) == 0 {
+		case !wrote:
 			flag("read a value never written", r)
-			continue
-		}
-		if !st {
-			continue
-		}
-		if i := slices.IndexFunc(gets[r.Key], func(p Record) bool {
-			return p.Return < r.Invoke && p.Ver > r.Ver && !forfeited(r.Key, p.Return, r.Invoke)
-		}); r.Op == OpGet && i >= 0 {
-			flag("version regressed", gets[r.Key][i], r)
-		}
-		// The value is fresh if some write that produced it was not
-		// superseded: no live write began after it returned.
-		fresh := len(live) == 0
-		for _, w := range src {
-			fresh = fresh || !slices.ContainsFunc(live, func(a Record) bool { return a.Invoke > w.Return })
-		}
-		if !fresh {
-			flag("acked write lost", r, live[len(live)-1])
+		case !st:
+		case r.Op == OpGet && g.seen != nil && g.seen.Ver > r.Ver:
+			flag("version regressed", *g.seen, r)
+		case !fresh:
+			flag("acked write lost", r, *g.acked)
 		}
 	}
 	return out

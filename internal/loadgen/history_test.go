@@ -81,6 +81,17 @@ func TestCheckerModel(t *testing.T) {
 			barrier(1),
 			ev{op: OpGet, key: "blob:c:x", fail: true, inv: 2, ret: 3},
 		), "settled operation failed"},
+		{"forfeited key a live node holds is unreadable", history(
+			ev{op: OpPut, key: "k", val: "a", inv: 1, ret: 2},
+			ev{op: OpForfeit, key: "k", inv: 3, ret: 3},
+			barrier(4),
+			ev{op: OpGet, key: "k", fail: true, inv: 5, ret: 6},
+		), "settled operation failed"},
+		{"acked blob unreadable", history(
+			ev{op: OpBlobPut, key: "movie", val: "digest-A", inv: 1, ret: 2},
+			barrier(3),
+			ev{op: OpBlobRead, key: "movie", fail: true, inv: 4, ret: 5},
+		), "acked write lost"},
 
 		// Allowed.
 		{"stale read before the barrier", history(
@@ -110,16 +121,21 @@ func TestCheckerModel(t *testing.T) {
 			ev{op: OpGet, key: "k", val: "b", inv: 6, ret: 7},
 		), ""},
 		{"un-acked write lost", history(
-			ev{op: OpPut, key: "k", val: "a", fail: true, inv: 1, ret: 2},
-			barrier(3),
-			ev{op: OpGet, key: "k", fail: true, inv: 4, ret: 5},
+			ev{op: OpPut, key: "k", val: "a", inv: 1, ret: 2},
+			ev{op: OpPut, key: "k", val: "b", fail: true, inv: 3, ret: 4},
+			barrier(5),
+			ev{op: OpGet, key: "k", val: "a", inv: 6, ret: 7},
 		), ""},
-		{"forfeited write lost", history(
-			ev{op: OpPut, key: "k", val: "a", ver: 4, inv: 1, ret: 2},
+		{"forfeited write lost, version order restarts", history(
+			ev{op: OpPut, key: "k", val: "a", inv: 1, ret: 2},
 			barrier(3),
 			ev{op: OpGet, key: "k", val: "a", ver: 4, inv: 4, ret: 5},
-			ev{op: OpForfeit, key: "k", inv: 6, ret: 6},
-			ev{op: OpGet, key: "k", fail: true, inv: 7, ret: 8},
+			ev{op: OpChurn, inv: 6, ret: 6},
+			ev{op: OpForfeit, key: "k", inv: 7, ret: 7},
+			ev{op: OpGet, key: "k", fail: true, inv: 8, ret: 9},
+			ev{op: OpPut, key: "k", val: "b", inv: 10, ret: 11},
+			barrier(12),
+			ev{op: OpGet, key: "k", val: "b", ver: 1, inv: 13, ret: 14},
 		), ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

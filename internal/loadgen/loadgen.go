@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,15 +38,16 @@ const (
 	OpPut Op = iota
 	OpGet
 	OpLookup
-	OpBlobPut // write a whole blob
-	OpBlobGet // play a blob through, as a viewer session
+	OpBlobPut  // write a whole blob
+	OpBlobGet  // play a blob through, as a viewer session
+	OpBlobRead // read a whole blob at once (blob.Store.Get)
 	OpBarrier
 	OpChurn
 	OpForfeit
 )
 
 func (o Op) String() string {
-	return [...]string{"put", "get", "lookup", "blob-put", "blob-get", "barrier", "churn", "forfeit"}[o]
+	return [...]string{"put", "get", "lookup", "blob-put", "blob-get", "blob-read", "barrier", "churn", "forfeit"}[o]
 }
 
 // Mix weights the operation kinds; zero-value weights drop the kind.
@@ -237,7 +239,7 @@ func run(h *History, cfg Config) (*Report, error) {
 	}
 
 	x := &Exec{History: h, Timeout: cfg.OpTimeout}
-	recs := make([]Record, len(steps))
+	t := newTally()
 	before := snapshotLoads(cfg.Nodes)
 	began := time.Now()
 	if cfg.Rate > 0 {
@@ -252,12 +254,12 @@ func run(h *History, cfg Config) (*Report, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				recs[i] = x.Do(i, s)
+				t.add(x.Do(i, s))
 			}()
 		}
 		wg.Wait()
 	} else {
-		closedLoop(cfg.Concurrency, len(steps), func(client, i int) { recs[i] = x.Do(client, steps[i]) })
+		closedLoop(cfg.Concurrency, len(steps), func(client, i int) { t.add(x.Do(client, steps[i])) })
 	}
 	took := time.Since(began)
 	after := snapshotLoads(cfg.Nodes)
@@ -266,33 +268,65 @@ func run(h *History, cfg Config) (*Report, error) {
 	if cfg.Rate > 0 {
 		rep.Mode = "open"
 	}
-	reg := telemetry.NewRegistry("loadgen")
-	all := reg.Histogram("op_latency_us", "All-op latency.", telemetry.LatencyBucketsUS)
 	for _, op := range []Op{OpPut, OpGet, OpLookup} {
-		lat := reg.Histogram(op.String()+"_latency_us", "Per-op latency.", telemetry.LatencyBucketsUS)
-		var st OpStats
-		for _, r := range recs {
-			if r.Op == op {
-				lat.Observe(r.Latency.Microseconds())
-				all.Observe(r.Latency.Microseconds())
-				st.Ops++
-				if r.Err != nil {
-					st.Errors++
-				}
-			}
-		}
-		if st.Ops > 0 {
-			st.P50, st.P95, st.P99 = lat.Quantile(0.50), lat.Quantile(0.95), lat.Quantile(0.99)
+		if st := t.stats[op]; st.Ops > 0 {
+			st.P50, st.P95, st.P99 = t.lat[op].Quantile(0.50), t.lat[op].Quantile(0.95), t.lat[op].Quantile(0.99)
 			rep.PerOp[op.String()] = st
 			rep.Ops += st.Ops
 			rep.Errors += st.Errors
 		}
 	}
-	rep.P50, rep.P95, rep.P99 = all.Quantile(0.50), all.Quantile(0.95), all.Quantile(0.99)
+	rep.P50, rep.P95, rep.P99 = t.all.Quantile(0.50), t.all.Quantile(0.95), t.all.Quantile(0.99)
 	rep.Throughput = float64(rep.Ops) / took.Seconds()
-	rep.Exemplars = exemplars(recs)
+	for _, r := range t.slow {
+		e := Exemplar{Op: r.Op.String(), Key: r.Key, TraceID: r.TraceID, LatencyUS: r.Latency.Microseconds()}
+		if r.Err != nil {
+			e.Err = r.Err.Error()
+		}
+		rep.Exemplars = append(rep.Exemplars, e)
+	}
 	fillLoad(rep, cfg.Nodes, before, after)
 	return rep, nil
+}
+
+// tally folds a run's operations into its report as they finish:
+// counts and latency histograms per kind, and the slowest trace-sampled
+// operations. The records themselves stay in the history only.
+type tally struct {
+	all   *telemetry.Histogram
+	lat   [OpLookup + 1]*telemetry.Histogram
+	mu    sync.Mutex
+	stats [OpLookup + 1]OpStats
+	// slow holds the maxExemplars slowest trace-sampled operations,
+	// slowest first. Puts carry no trace ID (PutContext reports no
+	// Route), so exemplars cover Gets and Lookups — the
+	// latency-sensitive reads.
+	slow []Record
+}
+
+func newTally() *tally {
+	reg := telemetry.NewRegistry("loadgen")
+	t := &tally{all: reg.Histogram("op_latency_us", "All-op latency.", telemetry.LatencyBucketsUS)}
+	for op := range t.lat {
+		t.lat[op] = reg.Histogram(Op(op).String()+"_latency_us", "Per-op latency.", telemetry.LatencyBucketsUS)
+	}
+	return t
+}
+
+func (t *tally) add(r Record) {
+	t.all.Observe(r.Latency.Microseconds())
+	t.lat[r.Op].Observe(r.Latency.Microseconds())
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.stats[r.Op].Ops++
+	if r.Err != nil {
+		t.stats[r.Op].Errors++
+	}
+	if r.TraceID != "" {
+		i := sort.Search(len(t.slow), func(i int) bool { return t.slow[i].Latency < r.Latency })
+		t.slow = slices.Insert(t.slow, i, r)
+		t.slow = t.slow[:min(len(t.slow), maxExemplars)]
+	}
 }
 
 // plan pregenerates the warmup writes and the measured steps from the
@@ -339,24 +373,6 @@ func plan(cfg Config) (warmup, steps []Step) {
 		}
 	}
 	return warmup, steps
-}
-
-// exemplars returns the maxExemplars slowest trace-sampled operations,
-// slowest first. Puts carry no trace ID (PutContext reports no Route),
-// so exemplars cover Gets and Lookups — the latency-sensitive reads.
-func exemplars(recs []Record) []Exemplar {
-	var out []Exemplar
-	for _, r := range recs {
-		if r.TraceID != "" {
-			e := Exemplar{Op: r.Op.String(), Key: r.Key, TraceID: r.TraceID, LatencyUS: r.Latency.Microseconds()}
-			if r.Err != nil {
-				e.Err = r.Err.Error()
-			}
-			out = append(out, e)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].LatencyUS > out[j].LatencyUS })
-	return out[:min(len(out), maxExemplars)]
 }
 
 // closedLoop keeps workers clients busy on items 0..n-1: each takes

@@ -34,6 +34,7 @@ import (
 	"strings"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/internal/loadgen"
 	"cycloid/p2p"
@@ -147,8 +148,8 @@ func main() {
 	}
 }
 
-// boot brings up an n-node overlay on the chosen fabric, joined and
-// stabilized, with seeded distinct IDs.
+// boot brings up an n-node overlay on the chosen fabric through
+// fleet.Boot, joined and stabilized.
 func boot(transport string, n, dim int, seed int64, replicas int, dialTimeout time.Duration, traceSample float64) ([]*p2p.Node, func(), error) {
 	var nw *memnet.Network
 	switch transport {
@@ -158,54 +159,33 @@ func boot(transport string, n, dim int, seed int64, replicas int, dialTimeout ti
 	default:
 		return nil, nil, fmt.Errorf("unknown transport %q (memnet or tcp)", transport)
 	}
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	nodes := make([]*p2p.Node, 0, n)
+	nodes, err := fleet.Boot(fleet.NewDealer(rand.New(rand.NewSource(seed)), ids.NewSpace(dim)), nil, n,
+		func(ord int, id ids.CycloidID) (*p2p.Node, error) {
+			cfg := p2p.Config{
+				Dim:         dim,
+				ID:          &id,
+				DialTimeout: dialTimeout,
+				Replicas:    replicas,
+				TraceSample: traceSample,
+			}
+			if traceSample > 0 {
+				cfg.SpanBuffer = 1 << 14
+			}
+			if nw != nil {
+				cfg.Transport = nw.Host(fmt.Sprintf("n%d", ord))
+			}
+			return p2p.Start(cfg)
+		})
 	cleanup := func() {
 		for _, nd := range nodes {
 			nd.Close()
 		}
 	}
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		id := space.FromLinear(v)
-		cfg := p2p.Config{
-			Dim:         dim,
-			ID:          &id,
-			DialTimeout: dialTimeout,
-			Replicas:    replicas,
-			TraceSample: traceSample,
-		}
-		if traceSample > 0 {
-			cfg.SpanBuffer = 1 << 14
-		}
-		if nw != nil {
-			cfg.Transport = nw.Host(fmt.Sprintf("n%d", len(nodes)))
-		}
-		nd, err := p2p.Start(cfg)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		if len(nodes) > 0 {
-			if err := nd.Join(nodes[rng.Intn(len(nodes))].Addr()); err != nil {
-				nd.Close()
-				cleanup()
-				return nil, nil, fmt.Errorf("join node %d: %w", len(nodes), err)
-			}
-		}
-		nodes = append(nodes, nd)
+	if err != nil {
+		cleanup()
+		return nil, nil, err
 	}
-	for r := 0; r < 2; r++ {
-		for _, nd := range nodes {
-			nd.Stabilize()
-		}
-	}
+	fleet.Stabilize(nodes, 3)
 	return nodes, cleanup, nil
 }
 

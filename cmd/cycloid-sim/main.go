@@ -26,6 +26,7 @@ import (
 
 	"cycloid"
 	"cycloid/internal/chaosrunner"
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/internal/loadgen"
 	"cycloid/internal/telemetry"
@@ -451,10 +452,9 @@ func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wantID, 
 	}
 	h := new(loadgen.History)
 	wait := (&loadgen.Exec{History: h}).Start(plan)
-	o.add()
-	o.add()
+	o.grow(2)
 	wait()
-	o.stabilize(2)
+	fleet.Stabilize(o.nodes, 2)
 	if vs := h.Check(0); len(vs) > 0 {
 		fail(fmt.Errorf("consistency violations, first: %s", vs[0]))
 	}
@@ -528,69 +528,40 @@ func runTrace(nodes, dim int, seed int64, replicas int, sample float64, wantID, 
 
 // memOverlay is the metrics and trace smoke checks' testbed: live nodes
 // on the deterministic in-memory fabric, named m0, m1, ... in start
-// order, with distinct IDs drawn from one seeded stream.
+// order, booted through fleet from one seeded stream.
 type memOverlay struct {
-	nw     *memnet.Network
-	space  ids.Space
-	rng    *rand.Rand
-	taken  map[uint64]bool
-	config func(ord int) p2p.Config // per-member settings beyond ID, Dim, fabric and dial budget
-	nodes  []*p2p.Node
+	deal  *fleet.Dealer
+	start func(ord int, id ids.CycloidID) (*p2p.Node, error)
+	nodes []*p2p.Node
 }
 
-// bootMem starts n members and runs three stabilization sweeps. Any
-// failure ends the run.
+// bootMem starts n members and runs three stabilization sweeps. config
+// gives member ord's settings beyond ID, Dim, fabric and dial budget.
+// Any failure ends the run.
 func bootMem(seed int64, dim, n int, config func(ord int) p2p.Config) *memOverlay {
+	nw := memnet.New(seed)
 	o := &memOverlay{
-		nw:     memnet.New(seed),
-		space:  ids.NewSpace(dim),
-		rng:    rand.New(rand.NewSource(seed)),
-		taken:  make(map[uint64]bool),
-		config: config,
+		deal: fleet.NewDealer(rand.New(rand.NewSource(seed)), ids.NewSpace(dim)),
+		start: func(ord int, id ids.CycloidID) (*p2p.Node, error) {
+			cfg := config(ord)
+			cfg.Dim = dim
+			cfg.ID = &id
+			cfg.DialTimeout = 200 * time.Millisecond
+			cfg.Transport = nw.Host(fmt.Sprintf("m%d", ord))
+			return p2p.Start(cfg)
+		},
 	}
-	for i := 0; i < n; i++ {
-		o.add()
-	}
-	o.stabilize(3)
+	o.grow(n)
+	fleet.Stabilize(o.nodes, 3)
 	return o
 }
 
-// add starts the next member and joins it through the member started
-// before it — never through m0 once there are two, since a victim
-// configured at m0 may shed the join.
-func (o *memOverlay) add() {
-	var v uint64
-	for {
-		v = uint64(o.rng.Int63n(int64(o.space.Size())))
-		if !o.taken[v] {
-			o.taken[v] = true
-			break
-		}
-	}
-	id := o.space.FromLinear(v)
-	ord := len(o.nodes)
-	cfg := o.config(ord)
-	cfg.Dim = o.space.Dim()
-	cfg.ID = &id
-	cfg.DialTimeout = 200 * time.Millisecond
-	cfg.Transport = o.nw.Host(fmt.Sprintf("m%d", ord))
-	nd, err := p2p.Start(cfg)
-	if err != nil {
+// grow starts and joins n more members. Any failure ends the run.
+func (o *memOverlay) grow(n int) {
+	var err error
+	if o.nodes, err = fleet.Boot(o.deal, o.nodes, n, o.start); err != nil {
+		o.close()
 		fail(err)
-	}
-	if ord > 0 {
-		if err := nd.Join(o.nodes[ord-1].Addr()); err != nil {
-			fail(err)
-		}
-	}
-	o.nodes = append(o.nodes, nd)
-}
-
-func (o *memOverlay) stabilize(sweeps int) {
-	for r := 0; r < sweeps; r++ {
-		for _, nd := range o.nodes {
-			nd.Stabilize()
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"cycloid/internal/chaosrunner"
 	"cycloid/internal/cycloid"
+	"cycloid/internal/fleet"
 	"cycloid/internal/hashing"
 	"cycloid/internal/ids"
 	"cycloid/p2p"
@@ -109,48 +110,28 @@ func requireOracle(t *testing.T, space ids.Space, oracle *cycloid.Network, nodes
 	t.Logf("%d nodes, mean path length: live %.3f, simulator %.3f", len(nodes), float64(hops)/2000, float64(simHops)/2000)
 }
 
-// bootLive starts n memnet nodes with seeded distinct IDs, joins each
-// through a random earlier member and runs three stabilization sweeps —
-// with the benchmark's seed, dimension and size, the benchmark's own
-// topology.
+// bootLive boots n memnet nodes through fleet.Boot and runs three
+// stabilization sweeps — with the benchmark's seed, dimension and size,
+// the benchmark's own topology (pinned by fleet.TestBenchmarkTopology).
 func bootLive(t *testing.T, dim, n int, seed int64) []*p2p.Node {
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
 	fabric := memnet.New(seed)
-	var nodes []*p2p.Node
+	nodes, err := fleet.Boot(fleet.NewDealer(rand.New(rand.NewSource(seed)), ids.NewSpace(dim)), nil, n,
+		func(ord int, id ids.CycloidID) (*p2p.Node, error) {
+			return p2p.Start(p2p.Config{
+				Dim:        dim,
+				ID:         &id,
+				Transport:  fabric.Host(fmt.Sprintf("n%02d", ord)),
+				SpanBuffer: -1,
+			})
+		})
 	t.Cleanup(func() {
 		for _, nd := range nodes {
 			nd.Close()
 		}
 	})
-	taken := make(map[uint64]bool)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		id := space.FromLinear(v)
-		nd, err := p2p.Start(p2p.Config{
-			Dim:        dim,
-			ID:         &id,
-			Transport:  fabric.Host(fmt.Sprintf("n%02d", len(nodes))),
-			SpanBuffer: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, nd)
-		if len(nodes) > 1 {
-			if err := nd.Join(nodes[rng.Intn(len(nodes)-1)].Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err != nil {
+		t.Fatal(err)
 	}
-	for round := 0; round < 3; round++ {
-		for _, nd := range nodes {
-			nd.Stabilize()
-		}
-	}
+	fleet.Stabilize(nodes, 3)
 	return nodes
 }

@@ -34,6 +34,7 @@ import (
 	"slices"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/hashing"
 	"cycloid/internal/ids"
 	"cycloid/internal/loadgen"
@@ -329,7 +330,7 @@ type runner struct {
 	space    ids.Space
 	nw       *memnet.Network
 	members  []*member
-	idFor    map[int]ids.CycloidID
+	deal     *fleet.Dealer
 	dataRoot string // parent of all member data dirs, "" for in-memory runs
 
 	// h records every client operation of the run. The keys and blobs
@@ -368,16 +369,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	cfg.defaults()
 	sched := GenerateSchedule(cfg)
-	r, err := start(cfg, sched)
+	r, err := start(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer r.close()
 	if cfg.Overload {
-		r.stabilizeAll(stabilizeRounds)
+		fleet.Stabilize(r.liveNodes(), stabilizeRounds)
 		return r.runOverload()
 	}
-	r.stabilizeAll(2)
+	fleet.Stabilize(r.liveNodes(), 2)
 	r.h.Barrier()
 	var seed []loadgen.Step
 	for i := 0; i < seedKeys; i++ {
@@ -447,28 +448,10 @@ func (r *runner) checkTraces(res *Result, sched []Event) {
 	}
 }
 
-// assignIDs deterministically draws n distinct overlay IDs.
-func assignIDs(seed int64, space ids.Space, n int) map[int]ids.CycloidID {
-	rng := rand.New(rand.NewSource(seed ^ 0x1dfa_cafe))
-	taken := make(map[uint64]bool)
-	out := make(map[int]ids.CycloidID, n)
-	for i := 0; i < n; i++ {
-		for {
-			v := uint64(rng.Int63n(int64(space.Size())))
-			if !taken[v] {
-				taken[v] = true
-				out[i] = space.FromLinear(v)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // start builds the runner and boots its first cfg.Nodes members. Under
 // KillRestart every member's durable store lives in a run-scoped
 // temporary directory, which close removes.
-func start(cfg Config, sched []Event) (*runner, error) {
+func start(cfg Config) (*runner, error) {
 	h := new(loadgen.History)
 	r := &runner{
 		cfg:   cfg,
@@ -476,6 +459,9 @@ func start(cfg Config, sched []Event) (*runner, error) {
 		nw:    memnet.New(cfg.Seed),
 		h:     h,
 		x:     &loadgen.Exec{History: h, Blob: blobOpts},
+		// Members start in ordinal order, each dealt the next ID of a
+		// seed-derived stream independent of the event stream.
+		deal: fleet.NewDealer(rand.New(rand.NewSource(cfg.Seed^0x1dfa_cafe)), ids.NewSpace(cfg.Dim)),
 	}
 	if cfg.KillRestart {
 		dir, err := os.MkdirTemp("", "cycloid-chaos-")
@@ -484,15 +470,6 @@ func start(cfg Config, sched []Event) (*runner, error) {
 		}
 		r.dataRoot = dir
 	}
-	// Pre-assign distinct IDs for every ordinal the schedule can touch,
-	// from a seed-derived stream independent of the event stream.
-	joins := 0
-	for _, e := range sched {
-		if e.Kind == EvJoin {
-			joins++
-		}
-	}
-	r.idFor = assignIDs(cfg.Seed, r.space, cfg.Nodes+joins)
 	for i := 0; i < cfg.Nodes; i++ {
 		if err := r.startMember(i); err != nil {
 			r.close()
@@ -517,7 +494,7 @@ func (r *runner) startMember(ord int) error {
 	m := &member{
 		ord:  ord,
 		name: fmt.Sprintf("n%03d", ord),
-		id:   r.idFor[ord],
+		id:   r.deal.Next(),
 		reg:  telemetry.NewRegistry("cycloid"),
 	}
 	if r.dataRoot != "" {
@@ -570,15 +547,9 @@ func (r *runner) up(m *member) ([]string, error) {
 		return nil, fmt.Errorf("chaosrunner: start %s: %w", m.name, err)
 	}
 	replayed := nd.Keys()
-	if boots := r.liveMembers(); len(boots) > 0 {
-		joined := false
-		for attempt := 0; attempt < len(boots) && !joined; attempt++ {
-			joined = nd.Join(boots[(m.ord+attempt)%len(boots)].node.Addr()) == nil
-		}
-		if !joined {
-			nd.Close()
-			return nil, fmt.Errorf("chaosrunner: %s failed to join through any live node", m.name)
-		}
+	if err := fleet.Join(nd, r.liveNodes(), m.ord); err != nil {
+		nd.Close()
+		return nil, fmt.Errorf("chaosrunner: %s failed to join through any live node: %w", m.name, err)
 	}
 	m.node, m.addr, m.live = nd, nd.Addr(), true
 	return replayed, nil
@@ -608,12 +579,13 @@ func (r *runner) byOrd(ord int) *member {
 	return nil
 }
 
-func (r *runner) stabilizeAll(rounds int) {
-	for i := 0; i < rounds; i++ {
-		for _, m := range r.liveMembers() {
-			m.node.Stabilize()
-		}
+// liveNodes returns the live members' nodes, in member order.
+func (r *runner) liveNodes() []*p2p.Node {
+	var out []*p2p.Node
+	for _, m := range r.liveMembers() {
+		out = append(out, m.node)
 	}
+	return out
 }
 
 // bruteOwner is the ground-truth responsible node among live members.
@@ -857,7 +829,7 @@ func (r *runner) runRound(round int, sched []Event) RoundReport {
 	}
 
 	// Phase 3: quiescent stabilization window.
-	r.stabilizeAll(stabilizeRounds)
+	fleet.Stabilize(r.liveNodes(), stabilizeRounds)
 
 	// The traffic that raced the membership events may fail
 	// occasionally, but its error rate stays under the bound.

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/internal/loadgen"
 	"cycloid/p2p"
@@ -250,7 +251,7 @@ func (r *runner) runOverload() (*Result, error) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	r.stabilizeAll(stabilizeRounds)
+	fleet.Stabilize(r.liveNodes(), stabilizeRounds)
 
 	after := make(map[int]admSnap)
 	for _, m := range r.liveMembers() {

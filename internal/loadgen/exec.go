@@ -72,7 +72,7 @@ func (x *Exec) Do(client int, s Step) Record {
 	}
 	rec.Return = x.History.tick()
 	rec.Latency = time.Since(began)
-	rec.Ver, rec.Timeouts, rec.TraceID = rt.Ver, rt.Timeouts, rt.TraceID
+	rec.Ver, rec.Timeouts, rec.TraceID, rec.Terminal = rt.Ver, rt.Timeouts, rt.TraceID, rt.Addr
 	x.History.add(rec)
 	return rec
 }

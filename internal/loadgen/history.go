@@ -27,6 +27,7 @@ type Record struct {
 	Latency   time.Duration
 	Timeouts  int
 	TraceID   string
+	Terminal  string        // Get, Lookup: the answering node (Route.Addr), failed ones too
 	TTFB      time.Duration // blob reads: time to the first chunk
 	Chunks    int           // blob reads: chunks read
 	Rebuffers int           // blob reads: chunks past their playout deadline
@@ -34,6 +35,9 @@ type Record struct {
 
 func (r Record) String() string {
 	s := fmt.Sprintf("%s %q from %s [%d,%d]", r.Op, r.Key, r.Origin, r.Invoke, r.Return)
+	if r.Terminal != "" {
+		s += " at " + r.Terminal
+	}
 	if r.Ver > 0 {
 		s += fmt.Sprintf(" ver=%d", r.Ver)
 	}

@@ -216,7 +216,8 @@ func TestSessionStatsPerCompletedSession(t *testing.T) {
 
 // TestRunHistoryChecks drives the load-smoke mix (concurrent writes to
 // Zipf-hot keys) on a settled overlay and requires one record per
-// operation, versions on every successful Get, and a clean check.
+// operation, versions on every successful Get, the answering node on
+// every successful Get and Lookup, and a clean check.
 func TestRunHistoryChecks(t *testing.T) {
 	nodes := cluster(t, 42, 6, 12)
 	h := new(History)
@@ -231,6 +232,10 @@ func TestRunHistoryChecks(t *testing.T) {
 	}
 	gets := 0
 	for _, r := range recs {
+		if (r.Op == OpGet || r.Op == OpLookup) && r.Err == nil &&
+			(r.Terminal == "" || !strings.Contains(r.String(), " at "+r.Terminal)) {
+			t.Fatalf("answering node not recorded: %s", r)
+		}
 		if r.Op == OpGet && r.Err == nil {
 			gets++
 			if r.Ver == 0 {

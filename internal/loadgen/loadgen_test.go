@@ -9,54 +9,36 @@ import (
 	"testing"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/p2p"
 	"cycloid/p2p/memnet"
 )
 
-// cluster boots n nodes on a fresh seeded memnet
+// cluster boots n nodes through fleet.Boot on a fresh seeded memnet
 // fabric — the deterministic stack the load generator's determinism
 // contract is stated against.
 func cluster(t *testing.T, fabricSeed int64, dim, n int) []*p2p.Node {
 	t.Helper()
 	nw := memnet.New(fabricSeed)
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(fabricSeed))
-	taken := make(map[uint64]bool)
-	nodes := make([]*p2p.Node, 0, n)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		id := space.FromLinear(v)
-		nd, err := p2p.Start(p2p.Config{
-			Dim:         dim,
-			ID:          &id,
-			DialTimeout: time.Second,
-			Transport:   nw.Host(fmt.Sprintf("n%d", len(nodes))),
+	nodes, err := fleet.Boot(fleet.NewDealer(rand.New(rand.NewSource(fabricSeed)), ids.NewSpace(dim)), nil, n,
+		func(ord int, id ids.CycloidID) (*p2p.Node, error) {
+			return p2p.Start(p2p.Config{
+				Dim:         dim,
+				ID:          &id,
+				DialTimeout: time.Second,
+				Transport:   nw.Host(fmt.Sprintf("n%d", ord)),
+			})
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) > 0 {
-			if err := nd.Join(nodes[0].Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	for r := 0; r < 2; r++ {
-		for _, nd := range nodes {
-			nd.Stabilize()
-		}
-	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {
 			nd.Close()
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Stabilize(nodes, 3)
 	return nodes
 }
 

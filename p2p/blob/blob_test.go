@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/p2p"
 	"cycloid/p2p/blob"
@@ -24,7 +25,7 @@ import (
 type clusterOpt struct {
 	replicas    int
 	maxInflight int
-	latency     time.Duration // applied to every pair, both directions
+	latency     time.Duration // applied to every link after boot
 	dials       *dialCounter  // when set, counts every node's dials
 }
 
@@ -56,63 +57,39 @@ func (t countingTransport) Dial(addr string, timeout time.Duration) (net.Conn, e
 	return t.Transport.Dial(addr, timeout)
 }
 
-// cluster boots n joined, stabilized nodes on a seeded in-memory
-// fabric with pooled connections, closed via t.Cleanup.
+// cluster boots n nodes through fleet.Boot on a seeded in-memory
+// fabric with pooled connections, stabilized and closed via t.Cleanup.
 func cluster(t *testing.T, n int, seed int64, opt clusterOpt) ([]*p2p.Node, *memnet.Network) {
 	t.Helper()
 	if opt.replicas == 0 {
 		opt.replicas = 1
 	}
 	nw := memnet.New(seed)
-	space := ids.NewSpace(6)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	var nodes []*p2p.Node
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		id := space.FromLinear(v)
-		name := fmt.Sprintf("n%d", len(nodes))
-		var tr p2p.Transport = nw.Host(name)
-		if opt.dials != nil {
-			tr = countingTransport{Transport: tr, c: opt.dials}
-		}
-		nd, err := p2p.Start(p2p.Config{
-			Dim:         6,
-			ID:          &id,
-			DialTimeout: 2 * time.Second,
-			Transport:   tr,
-			Replicas:    opt.replicas,
-			MaxInflight: opt.maxInflight,
+	nodes, err := fleet.Boot(fleet.NewDealer(rand.New(rand.NewSource(seed)), ids.NewSpace(6)), nil, n,
+		func(ord int, id ids.CycloidID) (*p2p.Node, error) {
+			var tr p2p.Transport = nw.Host(fmt.Sprintf("n%d", ord))
+			if opt.dials != nil {
+				tr = countingTransport{Transport: tr, c: opt.dials}
+			}
+			return p2p.Start(p2p.Config{
+				Dim:         6,
+				ID:          &id,
+				DialTimeout: 2 * time.Second,
+				Transport:   tr,
+				Replicas:    opt.replicas,
+				MaxInflight: opt.maxInflight,
+			})
 		})
-		if err != nil {
-			t.Fatalf("start %s: %v", name, err)
-		}
-		t.Cleanup(func() { nd.Close() })
-		if len(nodes) > 0 {
-			if err := nd.Join(nodes[0].Addr()); err != nil {
-				t.Fatalf("join %s: %v", name, err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	if opt.latency > 0 {
-		for i := range nodes {
-			for j := range nodes {
-				if i != j {
-					nw.SetLatency(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j), opt.latency)
-				}
-			}
-		}
-	}
-	for r := 0; r < 3; r++ {
+	t.Cleanup(func() {
 		for _, nd := range nodes {
-			nd.Stabilize()
+			nd.Close()
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	nw.SetDefaultLatency(opt.latency)
+	fleet.Stabilize(nodes, 3)
 	return nodes, nw
 }
 

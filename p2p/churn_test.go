@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 )
 
@@ -20,37 +21,18 @@ func TestLiveChurn(t *testing.T) {
 	space := ids.NewSpace(dim)
 	rng := rand.New(rand.NewSource(77))
 
-	taken := map[uint64]bool{}
-	newNode := func() *Node {
-		for {
-			v := uint64(rng.Int63n(int64(space.Size())))
-			if taken[v] {
-				continue
-			}
-			taken[v] = true
-			nd, err := Start(testConfig(dim, space.FromLinear(v)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return nd
-		}
-	}
-
-	var nodes []*Node
-	nodes = append(nodes, newNode())
-	for i := 0; i < 14; i++ {
-		nd := newNode()
-		if err := nd.Join(nodes[rng.Intn(len(nodes))].Addr()); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, nd)
-	}
+	deal := fleet.NewDealer(rng, space)
+	start := func(_ int, id ids.CycloidID) (*Node, error) { return Start(testConfig(dim, id)) }
+	nodes, err := fleet.Boot(deal, nil, 15, start)
 	t.Cleanup(func() {
 		for _, nd := range nodes {
 			nd.Close()
 		}
 	})
-	stabilizeAll(nodes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Stabilize(nodes, 3)
 
 	const items = 20
 	for i := 0; i < items; i++ {
@@ -61,19 +43,16 @@ func TestLiveChurn(t *testing.T) {
 
 	for round := 0; round < 6; round++ {
 		// One join and one graceful leave per round.
-		nd := newNode()
-		if err := nd.Join(nodes[rng.Intn(len(nodes))].Addr()); err != nil {
+		if nodes, err = fleet.Boot(deal, nodes, 1, start); err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, nd)
 		idx := rng.Intn(len(nodes) - 1) // never the one that just joined
 		leaver := nodes[idx]
-		taken[space.Linear(leaver.ID())] = false
 		if err := leaver.Leave(); err != nil {
 			t.Fatalf("round %d: leave: %v", round, err)
 		}
 		nodes = append(nodes[:idx], nodes[idx+1:]...)
-		stabilizeAll(nodes, 1)
+		fleet.Stabilize(nodes, 1)
 
 		// Every item must still be retrievable through any node.
 		for i := 0; i < items; i++ {
@@ -88,7 +67,7 @@ func TestLiveChurn(t *testing.T) {
 	}
 
 	// Final exactness check against the placement ground truth.
-	stabilizeAll(nodes, 2)
+	fleet.Stabilize(nodes, 2)
 	for trial := 0; trial < 30; trial++ {
 		k := fmt.Sprintf("final-%d", trial)
 		want := bruteOwner(space, nodes, nodes[0].keyPoint(k))

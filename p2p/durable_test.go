@@ -2,56 +2,31 @@ package p2p
 
 import (
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/p2p/memnet"
 	"cycloid/p2p/store"
 )
 
-// durableReplCluster boots n nodes with replication factor r, each on
-// a durable disk-backed store under root/<name>, fully stabilized. It
-// returns the nodes plus each node's memnet host name, so a test can
+// durableReplCluster boots n nodes with replication factor r on hosts
+// d0, d1, ..., each on a durable disk-backed store under root/<host>.
+// It returns the nodes plus each node's host name, so a test can
 // restart one with the same identity.
 func durableReplCluster(t *testing.T, nw *memnet.Network, root string, dim, n int, seed int64, r int) ([]*Node, []string) {
 	t.Helper()
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	nodes := make([]*Node, 0, n)
-	names := make([]string, 0, n)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		name := fmt.Sprintf("d%d", len(nodes))
-		cfg := memConfig(nw, name, dim, space.FromLinear(v))
+	names := make([]string, n)
+	nodes := boot(t, dim, n, seed, func(ord int, id ids.CycloidID) Config {
+		names[ord] = fmt.Sprintf("d%d", ord)
+		cfg := memConfig(nw, names[ord], dim, id)
 		cfg.Replicas = r
-		cfg.DataDir = filepath.Join(root, name)
-		nd, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) > 0 {
-			if err := nd.Join(nodes[rng.Intn(len(nodes))].Addr()); err != nil {
-				t.Fatalf("node %v join: %v", nd.ID(), err)
-			}
-		}
-		nodes = append(nodes, nd)
-		names = append(names, name)
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
+		cfg.DataDir = filepath.Join(root, names[ord])
+		return cfg
 	})
-	stabilizeAll(nodes, 3)
 	return nodes, names
 }
 
@@ -105,7 +80,7 @@ func TestDurableNodeRestartRejoin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stabilizeAll(nodes, 2)
+	fleet.Stabilize(nodes, 2)
 
 	victim := ownerOf(t, nodes, keys[0])
 	vi := -1
@@ -133,7 +108,7 @@ func TestDurableNodeRestartRejoin(t *testing.T) {
 	// The downtime window: survivors stabilize, evicting the dead
 	// incarnation's routing entries — otherwise the rejoin would route
 	// to the reborn node's own (reused) address and see its own ID.
-	stabilizeAll(liveOf(nodes), 2)
+	fleet.Stabilize(liveOf(nodes), 2)
 
 	cfg := memConfig(nw, names[vi], 6, id)
 	cfg.Replicas = 3
@@ -167,7 +142,7 @@ func TestDurableNodeRestartRejoin(t *testing.T) {
 		t.Fatalf("rejoin: %v", err)
 	}
 	all := append(liveOf(nodes), reborn)
-	stabilizeAll(all, 3)
+	fleet.Stabilize(all, 3)
 	for _, k := range keys {
 		for _, nd := range all {
 			v, _, err := nd.Get(k)
@@ -207,12 +182,12 @@ func TestPromotionAfterOwnerCrash(t *testing.T) {
 	if err := nodes[0].Put(key, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	stabilizeAll(nodes, 2)
+	fleet.Stabilize(nodes, 2)
 	owner := ownerOf(t, nodes, key)
 	owner.Close()
 
 	live := liveOf(nodes)
-	stabilizeAll(live, 3)
+	fleet.Stabilize(live, 3)
 	heir := ownerOf(t, nodes, key)
 	if _, ok := heir.localFetch(key); !ok {
 		t.Fatalf("new owner %v holds no copy after stabilization", heir.ID())
@@ -223,7 +198,7 @@ func TestPromotionAfterOwnerCrash(t *testing.T) {
 		t.Fatalf("new owner %v counted no promotion for the inherited key", heir.ID())
 	}
 	// Idempotence: the mark survives further sweeps without recounting.
-	stabilizeAll(live, 2)
+	fleet.Stabilize(live, 2)
 	if again := heir.Telemetry().CounterValue(promCounter); again != got {
 		t.Fatalf("promotion recounted by later sweeps: %d -> %d", got, again)
 	}
@@ -333,15 +308,12 @@ func TestStoreStallLeavesRoutingAlone(t *testing.T) {
 	const dialTimeout = time.Second
 	stall := &stallStore{Store: store.NewMemory(), entered: make(chan struct{}), release: make(chan struct{})}
 	nw := memnet.New(61)
-	started := 0
-	nodes := memCluster(t, nw, 6, 24, 61, func(c *Config) {
+	nodes := memCluster(t, nw, 6, 24, 61, func(ord int, c *Config) {
 		c.DialTimeout = dialTimeout
-		if started == 5 {
+		if ord == 5 {
 			c.Store = stall
 		}
-		started++
 	})
-	stabilizeAll(nodes, 3)
 	victim := nodes[5]
 	const steps = `cycloid_requests_total{op="step"}`
 

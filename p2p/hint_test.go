@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cycloid/internal/fleet"
 	"cycloid/p2p/memnet"
 )
 
@@ -28,7 +29,7 @@ func timeouts(nd *Node) uint64 { return nd.tel.timeouts.Value() }
 // hint dials again.
 func TestHintedPutGet(t *testing.T) {
 	nw := memnet.New(31)
-	nodes := memReplCluster(t, nw, 6, 10, 31, 3)
+	nodes := memCluster(t, nw, 6, 10, 31, func(_ int, c *Config) { c.Replicas = 3 })
 	ctx := context.Background()
 	client := nodes[0]
 
@@ -89,7 +90,7 @@ func TestHintedPutGet(t *testing.T) {
 	dead := owner.Addr()
 	owner.Close()
 	live := liveOf(nodes)
-	stabilizeAll(live, 3)
+	fleet.Stabilize(live, 3)
 	reader := client
 	for _, nd := range live {
 		if nd.strikesOf(dead) == 0 {

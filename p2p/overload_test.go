@@ -3,7 +3,6 @@ package p2p
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -234,46 +233,6 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// overloadCluster boots a replicated memnet cluster whose first node
-// ("m0", the victim) runs with a tiny admission cap.
-func overloadCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64, r, maxInflight, queueDepth int) []*Node {
-	t.Helper()
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	nodes := make([]*Node, 0, n)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		cfg := memConfig(nw, fmt.Sprintf("m%d", len(nodes)), dim, space.FromLinear(v))
-		cfg.Replicas = r
-		if len(nodes) == 0 {
-			cfg.MaxInflight = maxInflight
-			cfg.QueueDepth = queueDepth
-		}
-		nd, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) > 0 {
-			if err := nd.Join(nodes[rng.Intn(len(nodes))].Addr()); err != nil {
-				t.Fatalf("node %v join: %v", nd.ID(), err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	})
-	stabilizeAll(nodes, 3)
-	return nodes
-}
-
 // TestShedGetFallsBackWithoutSuspicion saturates a key owner's
 // admission controller and requires a Get through it to (a) receive a
 // typed busy rejection on the direct fetch, (b) still return the value
@@ -281,7 +240,13 @@ func overloadCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64, r
 // overload ≠ crash distinction, end to end.
 func TestShedGetFallsBackWithoutSuspicion(t *testing.T) {
 	nw := memnet.New(61)
-	nodes := overloadCluster(t, nw, 6, 10, 61, 3, 1, 1)
+	nodes := memCluster(t, nw, 6, 10, 61, func(ord int, c *Config) {
+		c.Replicas = 3
+		if ord == 0 { // the victim: a tiny admission cap
+			c.MaxInflight = 1
+			c.QueueDepth = 1
+		}
+	})
 	victim := nodes[0]
 
 	// Find a key the victim owns; its replicas live on the leaf set.

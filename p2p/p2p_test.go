@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 )
 
@@ -19,49 +20,29 @@ func testConfig(dim int, id ids.CycloidID) Config {
 	}
 }
 
-// cluster boots n nodes with distinct random IDs, joining sequentially
-// through the first node, and returns them.
-func cluster(t *testing.T, dim, n int, seed int64) []*Node {
+// boot starts n nodes through fleet.Boot from seed, member ord with
+// config(ord, id), closes them at cleanup and runs three stabilization
+// sweeps.
+func boot(t *testing.T, dim, n int, seed int64, config func(ord int, id ids.CycloidID) Config) []*Node {
 	t.Helper()
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	nodes := make([]*Node, 0, n)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		nd, err := Start(testConfig(dim, space.FromLinear(v)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) > 0 {
-			boot := nodes[rng.Intn(len(nodes))]
-			if err := nd.Join(boot.Addr()); err != nil {
-				t.Fatalf("node %v join: %v", nd.ID(), err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
+	nodes, err := fleet.Boot(fleet.NewDealer(rand.New(rand.NewSource(seed)), ids.NewSpace(dim)), nil, n,
+		func(ord int, id ids.CycloidID) (*Node, error) { return Start(config(ord, id)) })
 	t.Cleanup(func() {
 		for _, nd := range nodes {
 			nd.Close()
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Stabilize(nodes, 3)
 	return nodes
 }
 
-// stabilizeAll runs the given number of full stabilization rounds.
-func stabilizeAll(nodes []*Node, rounds int) {
-	for r := 0; r < rounds; r++ {
-		for _, nd := range nodes {
-			if !nd.isStopped() {
-				nd.Stabilize()
-			}
-		}
-	}
+// cluster boots n localhost TCP nodes.
+func cluster(t *testing.T, dim, n int, seed int64) []*Node {
+	t.Helper()
+	return boot(t, dim, n, seed, func(_ int, id ids.CycloidID) Config { return testConfig(dim, id) })
 }
 
 // bruteOwner computes the ground-truth responsible node among live nodes.
@@ -156,7 +137,6 @@ func TestJoinIDCollision(t *testing.T) {
 func TestClusterLookupExactness(t *testing.T) {
 	const dim, size = 5, 24
 	nodes := cluster(t, dim, size, 7)
-	stabilizeAll(nodes, 2)
 
 	space := ids.NewSpace(dim)
 	rng := rand.New(rand.NewSource(8))
@@ -179,7 +159,6 @@ func TestClusterLookupExactness(t *testing.T) {
 
 func TestClusterPutGetFromEveryNode(t *testing.T) {
 	nodes := cluster(t, 5, 16, 9)
-	stabilizeAll(nodes, 2)
 	for i := 0; i < 30; i++ {
 		key := fmt.Sprintf("file-%d", i)
 		if err := nodes[i%len(nodes)].Put(key, []byte(key)); err != nil {
@@ -200,7 +179,6 @@ func TestClusterPutGetFromEveryNode(t *testing.T) {
 
 func TestGracefulLeaveMovesKeys(t *testing.T) {
 	nodes := cluster(t, 5, 12, 10)
-	stabilizeAll(nodes, 2)
 	const items = 24
 	for i := 0; i < items; i++ {
 		if err := nodes[0].Put(fmt.Sprintf("doc-%d", i), []byte{byte(i)}); err != nil {
@@ -219,7 +197,7 @@ func TestGracefulLeaveMovesKeys(t *testing.T) {
 			live = append(live, nd)
 		}
 	}
-	stabilizeAll(live, 2)
+	fleet.Stabilize(live, 2)
 	for i := 0; i < items; i++ {
 		key := fmt.Sprintf("doc-%d", i)
 		val, _, err := live[i%len(live)].Get(key)
@@ -234,7 +212,6 @@ func TestGracefulLeaveMovesKeys(t *testing.T) {
 
 func TestUngracefulCloseCausesTimeoutsThenRecovers(t *testing.T) {
 	nodes := cluster(t, 5, 18, 11)
-	stabilizeAll(nodes, 2)
 
 	// Kill a third of the overlay without notifications.
 	for _, idx := range []int{2, 5, 8, 11, 14, 16} {
@@ -259,7 +236,7 @@ func TestUngracefulCloseCausesTimeoutsThenRecovers(t *testing.T) {
 	}
 
 	// Repair: a few stabilization rounds must restore exactness.
-	stabilizeAll(live, 3)
+	fleet.Stabilize(live, 3)
 	space := ids.NewSpace(5)
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("verify-%d", i)
@@ -276,7 +253,6 @@ func TestUngracefulCloseCausesTimeoutsThenRecovers(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	nodes := cluster(t, 5, 10, 12)
-	stabilizeAll(nodes, 2)
 	errs := make(chan error, 40)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {

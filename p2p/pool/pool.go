@@ -27,8 +27,10 @@
 //
 // # Lifecycle
 //
-// Connections are created on demand (at most MaxPerPeer per peer,
-// preferring the least-loaded one), evicted after IdleTimeout of
+// Connections are created on demand: a call rides the peer's
+// least-loaded connection unless that one already carries
+// spreadInflight (32) calls, and then opens another, up to MaxPerPeer
+// per peer. Connections are evicted after IdleTimeout of
 // disuse, and torn down on any read, write, decode or per-call timeout
 // failure. A teardown fails every call pending on the connection, and
 // the caller's error handling (timeout accounting, the suspicion list)
@@ -66,6 +68,11 @@ var ErrClosed = errors.New("pool: closed")
 // a dead peer.
 var ErrPeerSaturated = errors.New("pool: peer connections saturated")
 
+// spreadInflight is the per-connection in-flight call count at which
+// the pool prefers opening another connection to the peer (up to
+// MaxPerPeer) over queueing on the least-loaded one.
+const spreadInflight = 32
+
 // binEnvelopeLen is the fixed id+status header inside every frame.
 const binEnvelopeLen = 9
 
@@ -96,10 +103,6 @@ type Config struct {
 	Codec codec.Codec
 	// MaxPerPeer caps the connections kept per peer address. Default 2.
 	MaxPerPeer int
-	// MaxInflight is the per-connection in-flight call count above which
-	// the pool prefers opening another connection (up to MaxPerPeer).
-	// Default 32.
-	MaxInflight int
 	// MaxPerPeerInflight, when positive, caps the total calls in flight
 	// to one peer across all its connections; calls beyond the cap fail
 	// immediately with ErrPeerSaturated instead of queueing unbounded
@@ -123,9 +126,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.MaxPerPeer == 0 {
 		c.MaxPerPeer = 2
-	}
-	if c.MaxInflight == 0 {
-		c.MaxInflight = 32
 	}
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
@@ -434,7 +434,7 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 		p.event(EventSaturated)
 		return nil, fmt.Errorf("pool: call %s: %w", addr, ErrPeerSaturated)
 	}
-	if best != nil && (bestLoad < p.cfg.MaxInflight || len(p.peers[addr]) >= p.cfg.MaxPerPeer) {
+	if best != nil && (bestLoad < spreadInflight || len(p.peers[addr]) >= p.cfg.MaxPerPeer) {
 		p.mu.Unlock()
 		p.event(EventReuse)
 		return best, nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/p2p/codec"
 	"cycloid/p2p/memnet"
@@ -21,8 +22,7 @@ import (
 // on long-lived connections: reuses recorded, dials bounded.
 func TestPooledTransportLookups(t *testing.T) {
 	nw := memnet.New(7)
-	nodes := memCluster(t, nw, 6, 10, 3)
-	stabilizeAll(nodes, 2)
+	nodes := memCluster(t, nw, 6, 10, 3, nil)
 	space := nodes[0].space
 
 	const items = 40
@@ -69,8 +69,7 @@ func TestPooledTransportLookups(t *testing.T) {
 // lookups converge on the live membership with no timeouts left.
 func TestPooledTransportSurvivesCrash(t *testing.T) {
 	nw := memnet.New(21)
-	nodes := memCluster(t, nw, 6, 8, 11)
-	stabilizeAll(nodes, 2)
+	nodes := memCluster(t, nw, 6, 8, 11, nil)
 
 	// Warm the pools so the crash hits established connections, not
 	// fresh dials.
@@ -89,7 +88,7 @@ func TestPooledTransportSurvivesCrash(t *testing.T) {
 			live = append(live, nd)
 		}
 	}
-	stabilizeAll(live, 3)
+	fleet.Stabilize(live, 3)
 
 	space := nodes[0].space
 	for trial := 0; trial < 20; trial++ {

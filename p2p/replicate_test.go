@@ -8,45 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/p2p/memnet"
 )
-
-// memReplCluster boots n nodes with replication factor r on one memnet
-// fabric, with distinct seeded IDs, fully stabilized.
-func memReplCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64, r int) []*Node {
-	t.Helper()
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	nodes := make([]*Node, 0, n)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		cfg := memConfig(nw, fmt.Sprintf("m%d", len(nodes)), dim, space.FromLinear(v))
-		cfg.Replicas = r
-		nd, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) > 0 {
-			if err := nd.Join(nodes[rng.Intn(len(nodes))].Addr()); err != nil {
-				t.Fatalf("node %v join: %v", nd.ID(), err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	})
-	stabilizeAll(nodes, 3)
-	return nodes
-}
 
 // ownerOf returns the live node responsible for the key.
 func ownerOf(t *testing.T, nodes []*Node, key string) *Node {
@@ -96,7 +61,7 @@ func holdersOf(nodes []*Node, key string) int {
 // owner after at most suspectDrop encounters.
 func TestOwnerCrashGetFallback(t *testing.T) {
 	nw := memnet.New(21)
-	nodes := memReplCluster(t, nw, 6, 10, 21, 3)
+	nodes := memCluster(t, nw, 6, 10, 21, func(_ int, c *Config) { c.Replicas = 3 })
 
 	const key = "crash-me"
 	if err := nodes[0].Put(key, []byte("survives")); err != nil {
@@ -142,7 +107,7 @@ func TestOwnerCrashGetFallback(t *testing.T) {
 // factor.
 func TestCrashRetentionFMinusOne(t *testing.T) {
 	nw := memnet.New(33)
-	nodes := memReplCluster(t, nw, 6, 12, 33, 3)
+	nodes := memCluster(t, nw, 6, 12, 33, func(_ int, c *Config) { c.Replicas = 3 })
 
 	keys := make([]string, 20)
 	for i := range keys {
@@ -151,7 +116,7 @@ func TestCrashRetentionFMinusOne(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stabilizeAll(nodes, 2) // let anti-entropy settle replica placement
+	fleet.Stabilize(nodes, 2) // let anti-entropy settle replica placement
 
 	// Crash two distinct nodes at once: the owner of keys[0] and one more.
 	victim1 := ownerOf(t, nodes, keys[0])
@@ -176,7 +141,7 @@ func TestCrashRetentionFMinusOne(t *testing.T) {
 		}
 	}
 
-	stabilizeAll(liveOf(nodes), 3)
+	fleet.Stabilize(liveOf(nodes), 3)
 	for _, k := range keys {
 		for _, nd := range liveOf(nodes) {
 			v, route, err := nd.Get(k)
@@ -202,8 +167,7 @@ func TestCrashRetentionFMinusOne(t *testing.T) {
 // replicas the anti-entropy pass created.
 func TestReReplicationAfterJoin(t *testing.T) {
 	nw := memnet.New(7)
-	nodes := memReplCluster(t, nw, 6, 8, 7, 3)
-	space := nodes[0].space
+	nodes := memCluster(t, nw, 6, 8, 7, func(_ int, c *Config) { c.Replicas = 3 })
 
 	keys := make([]string, 16)
 	for i := range keys {
@@ -213,17 +177,11 @@ func TestReReplicationAfterJoin(t *testing.T) {
 		}
 	}
 
-	// Pick a fresh ID not already in the overlay.
-	taken := make(map[ids.CycloidID]bool)
+	// The joiner's ID comes from a stream of its own.
+	nid := fleet.NewDealer(rand.New(rand.NewSource(99)), nodes[0].space).Next()
 	for _, nd := range nodes {
-		taken[nd.ID()] = true
-	}
-	rng := rand.New(rand.NewSource(99))
-	var nid ids.CycloidID
-	for {
-		nid = space.FromLinear(uint64(rng.Int63n(int64(space.Size()))))
-		if !taken[nid] {
-			break
+		if nd.ID() == nid {
+			t.Fatalf("joiner ID %v is already in the overlay", nid)
 		}
 	}
 	cfg := memConfig(nw, "joiner", 6, nid)
@@ -236,7 +194,7 @@ func TestReReplicationAfterJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := append(append([]*Node(nil), nodes...), joiner)
-	stabilizeAll(all, 3)
+	fleet.Stabilize(all, 3)
 
 	owned := 0
 	for _, k := range keys {
@@ -255,7 +213,7 @@ func TestReReplicationAfterJoin(t *testing.T) {
 			t.Fatalf("key %q lost after joiner crash (joiner owned %d keys)", k, owned)
 		}
 	}
-	stabilizeAll(liveOf(all), 3)
+	fleet.Stabilize(liveOf(all), 3)
 	for _, k := range keys {
 		v, _, err := liveOf(all)[0].Get(k)
 		if err != nil {
@@ -283,7 +241,7 @@ func TestVersionConflictLWW(t *testing.T) {
 	}
 
 	nw := memnet.New(55)
-	nodes := memReplCluster(t, nw, 6, 8, 55, 3)
+	nodes := memCluster(t, nw, 6, 8, 55, func(_ int, c *Config) { c.Replicas = 3 })
 	nd := nodes[0]
 
 	if !nd.putLocal("k", item{Val: []byte("v1"), Ver: 1, Src: 3}) {
@@ -307,7 +265,7 @@ func TestVersionConflictLWW(t *testing.T) {
 	if err := nodes[2].Put(key, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	stabilizeAll(nodes, 2)
+	fleet.Stabilize(nodes, 2)
 	for _, rd := range nodes {
 		if v, _, err := rd.Get(key); err != nil || string(v) != "new" {
 			t.Fatalf("Get from %v = %q, %v; want new", rd.ID(), v, err)
@@ -331,7 +289,7 @@ func TestVersionConflictLWW(t *testing.T) {
 // redirect entry instead of silently stranding the value.
 func TestStoreRejectsOutOfScope(t *testing.T) {
 	nw := memnet.New(11)
-	nodes := memReplCluster(t, nw, 6, 10, 11, 1)
+	nodes := memCluster(t, nw, 6, 10, 11, func(_ int, c *Config) { c.Replicas = 1 })
 
 	const key = "misrouted"
 	owner := ownerOf(t, nodes, key)

@@ -33,8 +33,7 @@ func TestLookupHopAllocBudget(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	nw := memnet.New(417)
-	nodes := memCluster(t, nw, 5, 24, 417)
-	stabilizeAll(nodes, 3)
+	nodes := memCluster(t, nw, 5, 24, 417, nil)
 	origin := nodes[0]
 	keys := make([]string, 64)
 	for i := range keys {
@@ -128,8 +127,7 @@ func poisonPeer(ln net.Listener) {
 // step being walked would send the second route to the bogus entries.
 func TestRouteFallbackKeepsCandidates(t *testing.T) {
 	nw := memnet.New(418)
-	nodes := memCluster(t, nw, 5, 16, 418)
-	stabilizeAll(nodes, 3)
+	nodes := memCluster(t, nw, 5, 16, 418, nil)
 	ln, err := nw.Host("poison").Listen(":0")
 	if err != nil {
 		t.Fatal(err)

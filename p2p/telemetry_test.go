@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/internal/telemetry"
 	"cycloid/p2p/codec"
@@ -120,7 +121,7 @@ func TestGetTimeoutSingleCharge(t *testing.T) {
 	if err := reader.Join(owner.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	stabilizeAll([]*Node{owner, reader}, 3)
+	fleet.Stabilize([]*Node{owner, reader}, 3)
 
 	// A key owned by the owner node, replicated onto the reader.
 	key := ""
@@ -211,7 +212,7 @@ func TestMetricsGolden(t *testing.T) {
 // tears instrument state and span collection never races recording.
 func TestMetricsScrapeUnderChurn(t *testing.T) {
 	nw := memnet.New(13)
-	nodes := traceCluster(t, nw, 6, 8, 13, func(ord int, cfg *Config) {
+	nodes := memCluster(t, nw, 6, 8, 13, func(ord int, cfg *Config) {
 		cfg.Replicas = 2
 		if ord == 0 {
 			cfg.TraceSample = 1
@@ -273,7 +274,7 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 // invariant the chaos harness asserts continuously.
 func TestRouteMetricsMatchRoutes(t *testing.T) {
 	nw := memnet.New(29)
-	nodes := memReplCluster(t, nw, 6, 10, 29, 3)
+	nodes := memCluster(t, nw, 6, 10, 29, func(_ int, c *Config) { c.Replicas = 3 })
 	for i := 0; i < 12; i++ {
 		if err := nodes[i%len(nodes)].Put(fmt.Sprintf("mm%d", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package p2p
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -14,45 +13,6 @@ import (
 	"cycloid/internal/telemetry"
 	"cycloid/p2p/memnet"
 )
-
-// traceCluster boots n nodes on one memnet fabric with distinct seeded
-// IDs, applying mut to each config before Start (tracing knobs, codec,
-// admission caps, transport wrappers).
-func traceCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64, mut func(ord int, cfg *Config)) []*Node {
-	t.Helper()
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	nodes := make([]*Node, 0, n)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
-		}
-		taken[v] = true
-		cfg := memConfig(nw, fmt.Sprintf("m%d", len(nodes)), dim, space.FromLinear(v))
-		if mut != nil {
-			mut(len(nodes), &cfg)
-		}
-		nd, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) > 0 {
-			if err := nd.Join(nodes[rng.Intn(len(nodes))].Addr()); err != nil {
-				t.Fatalf("node %v join: %v", nd.ID(), err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	})
-	stabilizeAll(nodes, 3)
-	return nodes
-}
 
 // collectSpans merges every node's span buffer — the in-process
 // equivalent of scraping each member's /debug/spans.
@@ -228,7 +188,7 @@ func saturate(t *testing.T, nd *Node) func() {
 // rooted tree whose attribution telescopes to the root duration.
 func TestTraceSampledLookupTree(t *testing.T) {
 	nw := memnet.New(404)
-	nodes := traceCluster(t, nw, 6, 8, 404, func(ord int, cfg *Config) {
+	nodes := memCluster(t, nw, 6, 8, 404, func(ord int, cfg *Config) {
 		cfg.Replicas = 3
 		cfg.TraceSample = 1
 		cfg.SpanBuffer = 1 << 14
@@ -274,7 +234,7 @@ func TestTraceSampledLookupTree(t *testing.T) {
 // route's Phases.
 func TestTraceStepSpansMatchRoute(t *testing.T) {
 	nw := memnet.New(5)
-	nodes := traceCluster(t, nw, 6, 8, 5, func(ord int, cfg *Config) {
+	nodes := memCluster(t, nw, 6, 8, 5, func(ord int, cfg *Config) {
 		cfg.TraceSample = 1
 		cfg.SpanBuffer = 1 << 14
 	})
@@ -369,7 +329,7 @@ func stepPhase(s *telemetry.Span) string {
 // went out unstamped).
 func TestTraceForcedOnShed(t *testing.T) {
 	nw := memnet.New(505)
-	nodes := traceCluster(t, nw, 6, 8, 505, func(ord int, cfg *Config) {
+	nodes := memCluster(t, nw, 6, 8, 505, func(ord int, cfg *Config) {
 		cfg.Replicas = 3
 		cfg.SpanBuffer = 1 << 14 // tracing on, sampling probability zero
 		if ord == 0 {
@@ -422,7 +382,7 @@ func TestTraceForcedOnOwnerCrash(t *testing.T) {
 	nw := memnet.New(606)
 	var gate *hookTransport
 	const readerOrd = 3
-	nodes := traceCluster(t, nw, 6, 8, 606, func(ord int, cfg *Config) {
+	nodes := memCluster(t, nw, 6, 8, 606, func(ord int, cfg *Config) {
 		cfg.Replicas = 3
 		cfg.SpanBuffer = 1 << 14
 		if ord == readerOrd {
@@ -480,7 +440,7 @@ func TestTraceAcceptance(t *testing.T) {
 		nw := memnet.New(707)
 		var hook *hookTransport
 		const originOrd = 3
-		nodes := traceCluster(t, nw, 6, 8, 707, func(ord int, cfg *Config) {
+		nodes := memCluster(t, nw, 6, 8, 707, func(ord int, cfg *Config) {
 			cfg.Replicas = 3
 			cfg.TraceSample = 1
 			cfg.SpanBuffer = 1 << 14

@@ -2,10 +2,10 @@ package p2p
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
+	"cycloid/internal/fleet"
 	"cycloid/internal/ids"
 	"cycloid/p2p/memnet"
 )
@@ -22,41 +22,17 @@ func memConfig(nw *memnet.Network, name string, dim int, id ids.CycloidID) Confi
 	}
 }
 
-// memCluster boots n nodes on one fabric with distinct seeded IDs; each
-// mut, if any, adjusts every node's config before it starts.
-func memCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64, mut ...func(*Config)) []*Node {
+// memCluster boots n nodes with boot on nw, hosts m0, m1, ... in start
+// order, each from memConfig adjusted by mut when it is non-nil.
+func memCluster(t *testing.T, nw *memnet.Network, dim, n int, seed int64, mut func(ord int, cfg *Config)) []*Node {
 	t.Helper()
-	space := ids.NewSpace(dim)
-	rng := rand.New(rand.NewSource(seed))
-	taken := make(map[uint64]bool)
-	nodes := make([]*Node, 0, n)
-	for len(nodes) < n {
-		v := uint64(rng.Int63n(int64(space.Size())))
-		if taken[v] {
-			continue
+	return boot(t, dim, n, seed, func(ord int, id ids.CycloidID) Config {
+		cfg := memConfig(nw, fmt.Sprintf("m%d", ord), dim, id)
+		if mut != nil {
+			mut(ord, &cfg)
 		}
-		taken[v] = true
-		cfg := memConfig(nw, fmt.Sprintf("m%d", len(nodes)), dim, space.FromLinear(v))
-		for _, m := range mut {
-			m(&cfg)
-		}
-		nd, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) > 0 {
-			if err := nd.Join(nodes[rng.Intn(len(nodes))].Addr()); err != nil {
-				t.Fatalf("node %v join: %v", nd.ID(), err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
+		return cfg
 	})
-	return nodes
 }
 
 // TestServeBacksOffOnAcceptErrors feeds the accept loop a stream of
@@ -120,8 +96,7 @@ func TestServeBacksOffOnAcceptErrors(t *testing.T) {
 // repair must pull parked keys back to their owners.
 func TestGracefulLeaveHandoffUnderLossAndLatency(t *testing.T) {
 	nw := memnet.New(9)
-	nodes := memCluster(t, nw, 6, 12, 5)
-	stabilizeAll(nodes, 2)
+	nodes := memCluster(t, nw, 6, 12, 5, nil)
 
 	const items = 30
 	for i := 0; i < items; i++ {
@@ -148,7 +123,7 @@ func TestGracefulLeaveHandoffUnderLossAndLatency(t *testing.T) {
 			live = append(live, nd)
 		}
 	}
-	stabilizeAll(live, 3)
+	fleet.Stabilize(live, 3)
 	for i := 0; i < items; i++ {
 		key := fmt.Sprintf("doc-%d", i)
 		val, route, err := live[i%len(live)].Get(key)
@@ -206,7 +181,7 @@ func TestOverlappingJoinsConvergeUnderLoss(t *testing.T) {
 		<-joined
 	}
 	nw.HealAll()
-	stabilizeAll(nodes, 4)
+	fleet.Stabilize(nodes, 4)
 
 	for trial := 0; trial < 40; trial++ {
 		key := fmt.Sprintf("olap-%d", trial)

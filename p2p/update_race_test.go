@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"cycloid/internal/fleet"
 	"cycloid/p2p/memnet"
 )
 
@@ -19,8 +20,7 @@ import (
 // the storm the overlay must still answer exact lookups.
 func TestUpdatesRaceWithPooledTraffic(t *testing.T) {
 	nw := memnet.New(13)
-	nodes := memCluster(t, nw, 6, 8, 19)
-	stabilizeAll(nodes, 2)
+	nodes := memCluster(t, nw, 6, 8, 19, nil)
 	space := nodes[0].space
 
 	for i := 0; i < 16; i++ {
@@ -106,7 +106,7 @@ func TestUpdatesRaceWithPooledTraffic(t *testing.T) {
 		t.FailNow()
 	}
 
-	stabilizeAll(nodes, 3)
+	fleet.Stabilize(nodes, 3)
 	for i := 0; i < 16; i++ {
 		key := fmt.Sprintf("race-%d", i)
 		want := bruteOwner(space, nodes, nodes[0].keyPoint(key))

@@ -203,7 +203,7 @@ func runClient(node *p2p.Node, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("key %q -> node (%d,%d) at %s in %d hops (timeouts %d, phases %v)\n",
+		fmt.Printf("key %q -> node (%d,%d) at %s in %d hops (timeouts %d, phases %+v)\n",
 			args[1], route.Terminal.K, route.Terminal.A, route.Addr, route.Hops, route.Timeouts, route.Phases)
 		return nil
 	default:

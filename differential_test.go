@@ -10,6 +10,7 @@ import (
 	"cycloid/internal/fleet"
 	"cycloid/internal/hashing"
 	"cycloid/internal/ids"
+	"cycloid/internal/overlay"
 	"cycloid/p2p"
 	"cycloid/p2p/memnet"
 )
@@ -22,8 +23,9 @@ import (
 // overlay, not an approximation of it: all seven routing-state slots of
 // every node equal the simulator's for the same membership, and every
 // lookup of 2 000 seeded (origin, key) pairs takes exactly the
-// simulator's path length to the same terminal. The departure cases
-// then let each node leave gracefully with probability p, run no
+// simulator's path length, phase by phase (Fig 7's ascending,
+// descending and traverse split), to the same terminal. The departure
+// cases then let each node leave gracefully with probability p, run no
 // stabilization, and apply the simulator's Leave to the same set: the
 // survivors' stale and repaired slots, and every lookup's path and
 // terminal, must still match. (Timeouts per lookup differ: the live
@@ -75,7 +77,8 @@ func TestLiveOverlayMatchesSimulator(t *testing.T) {
 }
 
 // requireOracle requires every node's slots to equal the oracle's and
-// 2 000 seeded lookups to take the oracle's path to its terminal.
+// 2 000 seeded lookups to take the oracle's path to its terminal, with
+// the oracle's hop count in each routing phase.
 func requireOracle(t *testing.T, space ids.Space, oracle *cycloid.Network, nodes []*p2p.Node, rng *rand.Rand) {
 	t.Helper()
 	for _, nd := range nodes {
@@ -100,11 +103,16 @@ func requireOracle(t *testing.T, space ids.Space, oracle *cycloid.Network, nodes
 			t.Fatalf("lookup %q from %v: %v", key, from.ID(), err)
 		}
 		want := oracle.Lookup(space.Linear(from.ID()), hashing.KeyString(key, space.Size()))
+		wantPhases := p2p.PhaseHops{
+			Ascending:  want.PhaseHops(overlay.PhaseAscending),
+			Descending: want.PhaseHops(overlay.PhaseDescending),
+			Traverse:   want.PhaseHops(overlay.PhaseTraverse),
+		}
 		hops += route.Hops
 		simHops += want.PathLength()
-		if term := space.Linear(route.Terminal); route.Hops != want.PathLength() || term != want.Terminal {
-			t.Errorf("lookup %q from %v: %d hops to %v, simulator %d hops to %v",
-				key, from.ID(), route.Hops, route.Terminal, want.PathLength(), space.FromLinear(want.Terminal))
+		if term := space.Linear(route.Terminal); route.Hops != want.PathLength() || route.Phases != wantPhases || term != want.Terminal {
+			t.Errorf("lookup %q from %v: %d hops %+v to %v, simulator %d hops %+v to %v",
+				key, from.ID(), route.Hops, route.Phases, route.Terminal, want.PathLength(), wantPhases, space.FromLinear(want.Terminal))
 		}
 	}
 	t.Logf("%d nodes, mean path length: live %.3f, simulator %.3f", len(nodes), float64(hops)/2000, float64(simHops)/2000)

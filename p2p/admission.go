@@ -211,23 +211,30 @@ func (a *admission) busyResponse(msg string) *response {
 	return &response{Err: msg, Busy: true, RetryAfterMs: ms}
 }
 
-// dispatchAdmitted runs dispatch behind the admission controller.
-// Pings bypass it so liveness probes (stabilization's suspect
-// re-probes) keep distinguishing an overloaded node from a crashed one.
+// dispatchAdmitted runs dispatch behind the admission controller and
+// counts the request as served. Pings bypass admission so liveness
+// probes (stabilization's suspect re-probes) keep distinguishing an
+// overloaded node from a crashed one.
 //
-// A request carrying a sampled trace context takes the traced path: a
-// server span scopes the whole sojourn, the admission wait lands in its
-// queue phase, and a shed is recorded as a zero-service span annotated
+// A request carrying a sampled trace context also gets a server span
+// scoping its whole sojourn: the admission wait lands in its queue
+// phase, and a shed is recorded as a zero-service span annotated
 // "shed" — so the caller's tree shows where the request died. Untraced
 // requests (the overwhelming majority at production sampling rates)
-// keep the original branch-free path.
+// take the same path with a nil scope and allocate nothing for it.
 func (n *Node) dispatchAdmitted(req request) response {
-	if req.TraceFlags&1 == 0 || n.spans == nil || req.Op == "ping" {
-		if n.adm == nil || req.Op == "ping" {
-			return n.dispatch(req, nil)
-		}
+	var st *opTrace
+	if req.TraceFlags&1 != 0 && n.spans != nil && req.Op != "ping" {
+		st = n.beginServer(&req)
+	}
+	if n.adm != nil && req.Op != "ping" {
 		release, busy := n.adm.admit(req.DeadlineMs)
+		if st != nil {
+			st.queue = int64(time.Since(st.start))
+		}
 		if busy != nil {
+			st.annotate("shed")
+			n.endServer(st, busy.Err)
 			return *busy
 		}
 		defer release()
@@ -237,24 +244,10 @@ func (n *Node) dispatchAdmitted(req request) response {
 			// would (Config.ServiceDelay).
 			time.Sleep(d)
 		}
-		return n.dispatch(req, nil)
 	}
-	st := n.beginServer(&req)
-	if n.adm != nil {
-		release, busy := n.adm.admit(req.DeadlineMs)
-		if busy != nil {
-			st.queue = int64(time.Since(st.start))
-			st.annotate("shed")
-			n.endServer(st, busy.Err)
-			return *busy
-		}
-		st.queue = int64(time.Since(st.start))
-		defer release()
-		if d := n.cfg.ServiceDelay; d > 0 {
-			time.Sleep(d)
-		}
-	}
-	resp := n.dispatch(req, st)
+	n.tel.request(req.Op)
+	resp := n.dispatch(req, st, nil)
 	n.endServer(st, resp.Err)
+	resp.OK = resp.Err == ""
 	return resp
 }

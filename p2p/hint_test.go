@@ -80,7 +80,7 @@ func TestHintedPutGet(t *testing.T) {
 	if err != nil || string(v) != "v2" || r.Hinted || r.Timeouts != 0 {
 		t.Fatalf("GetAt via a node without the key = %q, %+v, %v", v, r, err)
 	}
-	if s := client.strikesOf(empty.Addr()); s != 0 {
+	if s := client.peer(empty.Addr()).strikes; s != 0 {
 		t.Fatalf("a live hint that answered got %d suspicion strikes", s)
 	}
 
@@ -93,7 +93,7 @@ func TestHintedPutGet(t *testing.T) {
 	fleet.Stabilize(live, 3)
 	reader := client
 	for _, nd := range live {
-		if nd.strikesOf(dead) == 0 {
+		if nd.peer(dead).strikes == 0 {
 			reader = nd // one that never probed the corpse itself
 			break
 		}
@@ -103,7 +103,7 @@ func TestHintedPutGet(t *testing.T) {
 	if err != nil || string(v) != "v2" || r.Hinted || r.Timeouts != 0 {
 		t.Fatalf("GetAt via a crashed owner = %q, %+v, %v", v, r, err)
 	}
-	if reader.strikesOf(dead) == 0 {
+	if reader.peer(dead).strikes == 0 {
 		t.Fatal("an unreachable hint was not suspected")
 	}
 	dials := reader.tel.dialFailures.Value()

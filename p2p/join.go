@@ -19,7 +19,7 @@ func (n *Node) Join(bootstrap string) error {
 		return ErrStopped
 	}
 	// Locate Z through the bootstrap node.
-	boot, err := n.stateOf(bootstrap)
+	boot, err := n.stateOf(context.Background(), addrOnly(bootstrap))
 	if err != nil {
 		return fmt.Errorf("p2p: join: bootstrap: %w", err)
 	}
@@ -33,7 +33,7 @@ func (n *Node) Join(bootstrap string) error {
 	if route.Terminal == n.id {
 		return fmt.Errorf("p2p: join: ID collision at %v", n.id)
 	}
-	zst, err := n.stateOf(route.Addr)
+	zst, err := n.stateOf(context.Background(), addrOnly(route.Addr))
 	if err != nil {
 		return fmt.Errorf("p2p: join: fetching closest node state: %w", err)
 	}
@@ -48,43 +48,13 @@ func (n *Node) Join(bootstrap string) error {
 	return nil
 }
 
-// stateOf fetches a peer's routing state.
-func (n *Node) stateOf(addr string) (*WireState, error) {
-	return n.stateOfCtx(context.Background(), addr)
-}
-
-func (n *Node) stateOfCtx(ctx context.Context, addr string) (*WireState, error) {
-	resp, err := n.callCtx(ctx, addr, request{Op: "state"})
-	if err != nil {
-		return nil, err
-	}
-	if resp.State == nil {
-		return nil, fmt.Errorf("p2p: %s returned no state", addr)
-	}
-	return resp.State, nil
-}
-
-// stateOfOrLocalCtx answers a state query locally when the entry is this
-// node itself, with remote queries capped by the context deadline.
-func (n *Node) stateOfOrLocalCtx(ctx context.Context, e entry) (*WireState, error) {
-	if e.ID == n.id {
-		return n.wireState(), nil
-	}
-	return n.stateOfCtx(ctx, e.Addr)
-}
-
 // deriveLeafSets builds this node's leaf sets from the closest node Z's
 // neighborhood (Section 3.3.1): Z, Z's four leaf entries and — when this
 // node opens a cycle of its own — the primary of Z's cycle are offered
 // to the slot rule.
 func (n *Node) deriveLeafSets(z *WireState) {
 	zself := toEntry(z.Self)
-	cands := []entry{zself}
-	for _, w := range []*WireEntry{z.InsideL, z.InsideR, z.OutsideL, z.OutsideR} {
-		if w != nil {
-			cands = append(cands, toEntry(*w))
-		}
-	}
+	cands := append([]entry{zself}, leafEntries(z)...)
 	if zself.ID.A != n.id.A {
 		cands = append(cands, n.primaryOf(zself, z))
 	}
@@ -102,7 +72,7 @@ func (n *Node) primaryOf(z entry, st *WireState) entry {
 		}
 		z = next
 		var err error
-		if st, err = n.stateOf(z.Addr); err != nil {
+		if st, err = n.stateOf(context.Background(), addrOnly(z.Addr)); err != nil {
 			break
 		}
 	}

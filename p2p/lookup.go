@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -17,8 +17,8 @@ type Route struct {
 	Terminal ids.CycloidID
 	Addr     string // terminal's transport address
 	Hops     int
-	Timeouts int            // unreachable candidates skipped
-	Phases   map[string]int // hops per routing phase
+	Timeouts int       // unreachable candidates skipped
+	Phases   PhaseHops // hops per routing phase
 	// Hinted reports that the caller's start address (PutAt, GetAt)
 	// served the operation without a route: Addr is that address, and
 	// Terminal, Hops and Phases are unset.
@@ -31,6 +31,20 @@ type Route struct {
 	// Ver is the owner-assigned version of the value a Get returned,
 	// as the answering store held it; 0 for lookups and misses.
 	Ver uint64
+}
+
+// PhaseHops splits a route's hops by the Section 3.2 routing phase of
+// the step that offered each — Fig 7's breakdown. Greedy leaf-set hops
+// count as traverse.
+type PhaseHops struct {
+	Ascending, Descending, Traverse int
+}
+
+// add counts a hop of phase ph; an "other" hop counts only in Route.Hops.
+func (p *PhaseHops) add(ph int) {
+	if ph < len(phaseNames)-1 {
+		*[...]*int{&p.Ascending, &p.Descending, &p.Traverse}[ph]++
+	}
 }
 
 // Lookup routes a request for an application key from this node and
@@ -110,7 +124,7 @@ func (n *Node) PutAt(ctx context.Context, hint, key string, value []byte) (r Rou
 // the store, or on failure the last address contacted.
 func (n *Node) storeChain(ctx context.Context, addr, key string, value []byte, ot *opTrace) (string, error) {
 	for hop := 0; hop < 3; hop++ {
-		resp, err := n.callRetry(ctx, addr, request{Op: "store", Key: key, Value: value}, ot)
+		resp, err := n.callRetry(ctx, addrOnly(addr), request{Op: "store", Key: key, Value: value}, ot)
 		if err == nil {
 			n.tel.redirectDepth.Observe(int64(hop))
 			return addr, nil
@@ -138,7 +152,7 @@ func (n *Node) storeChain(ctx context.Context, addr, key string, value []byte, o
 // this node still running (a stopped node answers through the routed
 // path's ErrStopped).
 func (n *Node) hintUsable(addr string) bool {
-	return addr != "" && !n.isStopped() && n.strikesOf(addr) == 0 && !n.isOverloaded(addr)
+	return addr != "" && !n.isStopped() && !n.peer(addr).demoted()
 }
 
 // hintMissed accounts one failed hinted exchange. A hint is advisory,
@@ -184,76 +198,63 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 	}()
 	kp := n.keyPoint(key)
 	if n.hintUsable(hint) {
+		to := addrOnly(hint)
 		if hint == n.Addr() {
-			if it, ok := n.localFetch(key); ok {
-				return it.Val, Route{Target: kp, Addr: hint, Hinted: true, Ver: it.Ver}, nil
-			}
-		} else {
-			req := request{Op: "fetch", Key: key}
-			sid, t0 := ot.startCall(&req)
-			resp, ferr := n.callCtx(ctx, hint, req)
-			ot.endCall(sid, t0, "fetch", hint, ferr)
-			if ferr == nil && resp.Found {
-				return resp.Value, Route{Target: kp, Addr: hint, Hinted: true, Ver: resp.Ver}, nil
-			}
-			n.hintMissed(ctx, hint, ferr)
+			to = *n.selfEntry()
 		}
+		var resp response
+		ferr := n.exchange(ctx, to, &request{Op: "fetch", Key: key}, &resp, ot, nil)
+		if ferr == nil && resp.Found {
+			return resp.Value, Route{Target: kp, Addr: hint, Hinted: true, Ver: resp.Ver}, nil
+		}
+		n.hintMissed(ctx, hint, ferr)
 	}
 	r, err = n.route(ctx, *n.selfEntry(), kp, nil, ot)
 	if err != nil {
 		return nil, r, err
 	}
+	// tried collects the addresses this read fetched from. Until the
+	// loop below ends, each of them failed its fetch and so already cost
+	// the read a timeout; the re-route avoids them all, so the same
+	// corpse is not dialed — and charged — a second time by pass-1
+	// candidate ordering (a one-strike suspect is demoted, not skipped).
 	tried := make(map[string]bool)
-	// failed collects addresses whose fetch already cost this read a
-	// timeout; the re-route is seeded with them so the same corpse is
-	// not dialed — and charged — a second time by pass-1 candidate
-	// ordering (a one-strike suspect is demoted, not skipped).
-	var failed map[string]bool
 	term := entry{ID: r.Terminal, Addr: r.Addr}
 	for attempt := 0; attempt < n.cfg.Replicas; attempt++ {
 		tried[term.Addr] = true
-		it, found, ferr := n.fetchAt(ctx, term, key, ot)
+		resp, ferr := n.callRetry(ctx, term, request{Op: "fetch", Key: key}, ot)
 		if ferr == nil {
-			if found {
-				r.Ver = it.Ver
-				return it.Val, r, nil
+			if resp.Found {
+				r.Ver = resp.Ver
+				return resp.Value, r, nil
 			}
 			break // reachable but empty: fall through to the replica probe
 		}
 		if n.cfg.Replicas <= 1 {
 			return nil, r, ferr
 		}
-		if IsBusy(ferr) {
-			// Owner overloaded, not dead: fall back through a replica
-			// without a timeout charge or a suspicion strike. The wire
-			// layer's soft demotion already steers this round's re-route
-			// around it, and it rejoins routing when its window expires.
-			n.tel.replicaFallbacks.Inc()
-		} else {
+		// An overloaded owner is not dead: it falls back through a
+		// replica without a timeout charge or a suspicion strike. The
+		// wire layer's soft demotion already steers this round's re-route
+		// around it, and it rejoins routing when its window expires.
+		if !IsBusy(ferr) {
 			// Owner died between route and fetch: account the timeout,
 			// suspect the corpse, and re-route — candidate ordering now
 			// avoids it, so the route terminates at the crash successor.
-			r.Timeouts++
-			n.tel.timeouts.Inc()
-			n.tel.replicaFallbacks.Inc()
-			n.suspect(term.Addr)
-			ot.force("timeout")
+			n.chargeTimeout(&r, term.Addr, ot)
 		}
+		n.tel.replicaFallbacks.Inc()
 		ot.annotate("replica-fallback")
 		n.log.Debug("owner unreachable, rerouting", "key", key, "owner", term.Addr, "err", ferr)
-		if failed == nil {
-			failed = make(map[string]bool)
-		}
-		failed[term.Addr] = true
-		r2, rerr := n.route(ctx, *n.selfEntry(), kp, failed, ot)
+		r2, rerr := n.route(ctx, *n.selfEntry(), kp, tried, ot)
 		if rerr != nil {
 			return nil, r, ferr
 		}
 		r.Hops += r2.Hops
 		r.Timeouts += r2.Timeouts
-		for ph, c := range r2.Phases {
-			r.Phases[ph] += c
-		}
+		r.Phases.Ascending += r2.Phases.Ascending
+		r.Phases.Descending += r2.Phases.Descending
+		r.Phases.Traverse += r2.Phases.Traverse
 		r.Terminal, r.Addr = r2.Terminal, r2.Addr
 		term = entry{ID: r2.Terminal, Addr: r2.Addr}
 		if tried[term.Addr] {
@@ -270,21 +271,13 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 			return it.Val, r, nil
 		}
 		for _, cand := range n.replicaProbes(ctx, term, kp, tried) {
-			tried[cand.Addr] = true
 			n.tel.replicaProbes.Inc()
-			it, found, ferr := n.fetchAt(ctx, cand, key, ot)
-			if ferr != nil {
-				if !IsBusy(ferr) {
-					r.Timeouts++
-					n.tel.timeouts.Inc()
-					n.suspect(cand.Addr)
-					ot.force("timeout")
-				}
-				continue
-			}
-			if found {
-				r.Ver = it.Ver
-				return it.Val, r, nil
+			switch resp, ferr := n.callRetry(ctx, cand, request{Op: "fetch", Key: key}, ot); {
+			case ferr == nil && resp.Found:
+				r.Ver = resp.Ver
+				return resp.Value, r, nil
+			case ferr != nil && !IsBusy(ferr):
+				n.chargeTimeout(&r, cand.Addr, ot)
 			}
 		}
 	}
@@ -303,49 +296,19 @@ func (n *Node) localFetch(key string) (item, bool) {
 	return item{Val: append([]byte(nil), it.Val...), Ver: it.Ver}, true
 }
 
-// fetchAt reads a key's value and version from the given node —
-// locally when it is this node, over the wire otherwise.
-func (n *Node) fetchAt(ctx context.Context, at entry, key string, ot *opTrace) (item, bool, error) {
-	if at.ID == n.id && !n.isStopped() {
-		it, ok := n.localFetch(key)
-		return it, ok, nil
-	}
-	resp, err := n.callRetry(ctx, at.Addr, request{Op: "fetch", Key: key}, ot)
-	if err != nil {
-		return item{}, false, err
-	}
-	return item{Val: resp.Value, Ver: resp.Ver}, resp.Found, nil
-}
-
 // replicaProbes lists the terminal's leaf neighborhood ranked by
-// closeness to the key, excluding addresses already consulted — the
-// candidates most likely to hold a replica of the key.
+// closeness to the key, excluding this node and addresses already
+// consulted — the candidates most likely to hold a replica of the key.
 func (n *Node) replicaProbes(ctx context.Context, term entry, kp ids.CycloidID, tried map[string]bool) []entry {
-	st, err := n.stateOfOrLocalCtx(ctx, term)
+	st, err := n.stateOf(ctx, term)
 	if err != nil {
 		return nil
 	}
-	seen := make(map[string]bool)
-	var out []entry
-	for _, w := range []*WireEntry{st.InsideL, st.InsideR, st.OutsideL, st.OutsideR} {
-		if w == nil {
-			continue
-		}
-		e := toEntry(*w)
-		if e.ID == n.id || e.Addr == term.Addr || tried[e.Addr] || seen[e.Addr] {
-			continue
-		}
-		if n.strikesOf(e.Addr) >= suspectDrop {
-			continue // known corpse: don't pay its timeout again
-		}
-		seen[e.Addr] = true
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return n.space.Closer(kp, out[i].ID, out[j].ID) })
-	if len(out) > n.cfg.Replicas {
-		out = out[:n.cfg.Replicas]
-	}
-	return out
+	out := slices.DeleteFunc(n.rank(kp, append([]entry{term}, leafEntries(st)...)), func(e entry) bool {
+		// A known corpse is left out too: don't pay its timeout again.
+		return e.ID == n.id || e.Addr == term.Addr || tried[e.Addr] || n.peer(e.Addr).dead()
+	})
+	return out[:min(len(out), n.cfg.Replicas)]
 }
 
 // route drives an iterative lookup from start, a live node: this one
@@ -356,14 +319,14 @@ func (n *Node) replicaProbes(ctx context.Context, term entry, kp ids.CycloidID, 
 // dialed costs a timeout and the next is tried, the live-network
 // equivalent of the paper's timeout accounting.
 //
-// The shared suspicion list reorders that preference: a candidate with
-// one strike is tried only after every clean candidate failed, and one
-// with suspectDrop strikes is skipped outright until stabilization
-// re-probes it — so the same corpse stops costing a timeout on every
-// route. Every address in avoid counts as already dead: it is neither
-// dialed nor charged a timeout (a read re-routing around an owner whose
-// corpse it already paid for once). Each dial is additionally capped by
-// the context's deadline.
+// The peer table reorders that preference, one lookup per candidate: a
+// candidate with one strike or inside its overload window is tried only
+// after every clean candidate failed, and one with suspectDrop strikes
+// is skipped outright until stabilization re-probes it — so the same
+// corpse stops costing a timeout on every route. Every address in avoid
+// counts as already dead: it is neither dialed nor charged a timeout (a
+// read re-routing around an owner whose corpse it already paid for
+// once). Each dial is additionally capped by the context's deadline.
 //
 // Every hop updates the node's metrics; under a sampled op scope each
 // hop's step call span is annotated with how the hop was chosen.
@@ -371,7 +334,7 @@ func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid ma
 	if start.ID == n.id && n.isStopped() {
 		return Route{}, ErrStopped
 	}
-	r = Route{Target: t, Phases: make(map[string]int)}
+	r = Route{Target: t}
 	d := n.space.Dim()
 	window := 4*d + 16
 	budget := 64*d + 128
@@ -379,12 +342,6 @@ func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid ma
 	// dead holds addresses that failed during this route; allocated
 	// lazily since a clean route (the common case) never writes it.
 	var dead map[string]bool
-	if len(avoid) > 0 {
-		dead = make(map[string]bool, len(avoid))
-		for a := range avoid {
-			dead[a] = true
-		}
-	}
 	defer func() {
 		n.tel.lookups.Inc()
 		n.tel.lookupHops.Observe(int64(r.Hops))
@@ -400,33 +357,32 @@ func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid ma
 	cur := start
 	best := start.ID
 	sinceImprove := 0
-	step, err := n.stepAt(ctx, cur, t, greedyOnly, ot, sb, hopNote{})
+	step, err := n.stepAt(ctx, cur, greedyOnly, ot, sb, nil)
 	if err != nil {
 		return r, fmt.Errorf("p2p: route: first hop: %w", err)
 	}
-	sb.flip()
 	for !step.Done {
 		if cerr := ctx.Err(); cerr != nil {
 			return r, fmt.Errorf("p2p: route to %v: %w", t, cerr)
 		}
 		moved := false
 		// Per-hop decision accounting, reset each forwarding step.
-		hop := hopNote{phase: step.Phase}
+		hop := hopNote{phase: phaseOf(step.Phase)}
 		for pass := 0; pass < 2 && !moved; pass++ {
 			for ci, w := range step.Candidates {
 				cand := toEntry(w)
-				if dead[cand.Addr] {
-					continue // already found unreachable during this route
+				if dead[cand.Addr] || avoid[cand.Addr] {
+					continue // already found unreachable
 				}
-				s := n.strikesOf(cand.Addr)
-				if s >= suspectDrop {
+				h := n.peer(cand.Addr)
+				if h.dead() {
 					if pass == 0 {
 						hop.skipped++
 						n.tel.skips.Inc()
 					}
 					continue // known corpse: skipped outright
 				}
-				if pass == 0 && (s > 0 || n.isOverloaded(cand.Addr)) {
+				if pass == 0 && h.demoted() {
 					// Suspected or inside its overload window: demoted to
 					// pass 1, tried only after every clean candidate.
 					hop.demoted++
@@ -434,33 +390,25 @@ func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid ma
 					continue
 				}
 				hop.rank = ci
-				next, serr := n.stepAt(ctx, cand, t, greedyOnly, ot, sb, hop)
+				next, serr := n.stepAt(ctx, cand, greedyOnly, ot, sb, &hop)
 				if serr != nil {
-					if IsBusy(serr) {
-						// Shedding, not dead: step around it this round
-						// without a timeout charge or a suspicion strike.
-						if dead == nil {
-							dead = make(map[string]bool)
-						}
-						dead[cand.Addr] = true
-						ot.force("shed")
-						continue
-					}
-					r.Timeouts++
-					n.tel.timeouts.Inc()
 					if dead == nil {
 						dead = make(map[string]bool)
 					}
 					dead[cand.Addr] = true
-					n.suspect(cand.Addr)
-					ot.force("timeout")
+					if IsBusy(serr) {
+						// Shedding, not dead: step around it this round
+						// without a timeout charge or a suspicion strike.
+						ot.force("shed")
+					} else {
+						n.chargeTimeout(&r, cand.Addr, ot)
+					}
 					continue
 				}
 				r.Hops++
-				r.Phases[step.Phase]++
-				n.tel.hopPhase(step.Phase)
+				r.Phases.add(hop.phase)
+				n.tel.phaseHops[hop.phase].Inc()
 				cur, step = cand, next
-				sb.flip()
 				moved = true
 				break
 			}
@@ -471,23 +419,18 @@ func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid ma
 		if n.space.Closer(t, cur.ID, best) {
 			best = cur.ID
 			sinceImprove = 0
-		} else if sinceImprove++; sinceImprove >= window && !greedyOnly {
-			greedyOnly = true
-			n.tel.greedyFallbacks.Inc()
-			ot.force("greedy-fallback")
-			if step, err = n.stepAt(ctx, cur, t, true, ot, sb, hopNote{}); err != nil {
-				return r, err
-			}
-			sb.flip()
+		} else {
+			sinceImprove++
 		}
-		if r.Hops >= budget && !greedyOnly {
+		if !greedyOnly && (sinceImprove >= window || r.Hops >= budget) {
+			// Phased routing stalled or overran its hop budget: re-decide
+			// at cur, and from here on forward greedily through leaf sets.
 			greedyOnly = true
 			n.tel.greedyFallbacks.Inc()
 			ot.force("greedy-fallback")
-			if step, err = n.stepAt(ctx, cur, t, true, ot, sb, hopNote{}); err != nil {
+			if step, err = n.stepAt(ctx, cur, true, ot, sb, nil); err != nil {
 				return r, err
 			}
-			sb.flip()
 		}
 		if r.Hops >= 2*budget {
 			return r, fmt.Errorf("p2p: route to %v did not converge", t)
@@ -498,19 +441,39 @@ func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid ma
 	return r, nil
 }
 
+// phaseNames are the Section 3.2 routing phases and, last, "other" for
+// a name this node does not know. A route decodes each step reply's
+// phase to its index here once; the index keys the per-phase hop
+// counters and PhaseHops.
+var phaseNames = [...]string{"ascending", "descending", "traverse", "other"}
+
+func phaseOf(name string) int {
+	if p := slices.Index(phaseNames[:], name); p >= 0 {
+		return p
+	}
+	return len(phaseNames) - 1
+}
+
+// chargeTimeout accounts one unreachable peer to r, the paper's timeout:
+// route and node timeout counts, a suspicion strike, a forced trace.
+func (n *Node) chargeTimeout(r *Route, addr string, ot *opTrace) {
+	r.Timeouts++
+	n.tel.timeouts.Inc()
+	n.suspect(addr)
+	ot.force("timeout")
+}
+
 // hopNote is how a route chose the candidate it dials: the phase of the
 // step that offered it, its rank in that step's preference order, and
-// the suspects demoted or skipped before it. The zero note (a route's
-// first step, a greedy re-decision) records no hop.
+// the suspects demoted or skipped before it.
 type hopNote struct {
-	phase                  string
-	rank, demoted, skipped int
+	phase, rank, demoted, skipped int
 }
 
 // annotations renders the note for the step call span of a hop the
 // route made; greedy marks greedy-only leaf-set forwarding.
 func (h hopNote) annotations(greedy bool) []string {
-	a := []string{"phase=" + h.phase}
+	a := []string{"phase=" + phaseNames[h.phase]}
 	if h.rank > 0 {
 		a = append(a, "cand="+strconv.Itoa(h.rank))
 	}
@@ -524,13 +487,6 @@ func (h hopNote) annotations(greedy bool) []string {
 		a = append(a, "greedy")
 	}
 	return a
-}
-
-// stepResult is a hop decision with resolved addresses.
-type stepResult struct {
-	Phase      string
-	Candidates []WireEntry
-	Done       bool
 }
 
 // maxStepCands bounds a live step's candidate list: the decision ranks
@@ -551,35 +507,17 @@ type stepBufs struct {
 
 var stepBufsPool = sync.Pool{New: func() any { return new(stepBufs) }}
 
-// spare is the list the next step decodes into.
-func (b *stepBufs) spare() []WireEntry { return b.cands[1-b.cur][:0] }
-
-// flip makes the spare list current: the route adopted the step last
-// decoded into it.
-func (b *stepBufs) flip() { b.cur = 1 - b.cur }
-
-// stepAt obtains the routing decision of the given node — locally when it
-// is this node, over the wire otherwise — with its candidates in sb's
-// spare list; the caller flips sb when it adopts the step. A wire failure
-// means the node is unreachable (dead), which the caller accounts as a
-// timeout. Each wire exchange is recorded as one call span under the
-// operation's scope; when the exchange succeeds and hop is not the zero
-// note, the span carries hop's annotations.
-func (n *Node) stepAt(ctx context.Context, at entry, t ids.CycloidID, greedyOnly bool, ot *opTrace, sb *stepBufs, hop hopNote) (stepResult, error) {
-	if at.ID == n.id && !n.isStopped() {
-		return n.localStep(t, greedyOnly, sb.spare()), nil
+// stepAt obtains the routing decision of the given node for sb's target,
+// decoding its candidates into sb's spare list. A route adopts every
+// step it obtains, so on success the spare list becomes current. A
+// failure means the node is unreachable (dead), which the caller
+// accounts as a timeout. hop, when not nil, is the note the step's call
+// span carries if the exchange succeeds.
+func (n *Node) stepAt(ctx context.Context, at entry, greedyOnly bool, ot *opTrace, sb *stepBufs, hop *hopNote) (response, error) {
+	resp := response{Candidates: sb.cands[1-sb.cur][:0]}
+	err := n.exchange(ctx, at, &request{Op: "step", Target: &sb.target, GreedyOnly: greedyOnly}, &resp, ot, hop)
+	if err == nil {
+		sb.cur = 1 - sb.cur
 	}
-	req := request{Op: "step", Target: &sb.target, GreedyOnly: greedyOnly}
-	resp := response{Candidates: sb.spare()}
-	sid, t0 := ot.startCall(&req)
-	err := n.callInto(ctx, at.Addr, req, &resp)
-	var notes []string
-	if sid != 0 && err == nil && hop.phase != "" {
-		notes = hop.annotations(greedyOnly)
-	}
-	ot.endCall(sid, t0, "step", at.Addr, err, notes...)
-	if err != nil {
-		return stepResult{}, err
-	}
-	return stepResult{Phase: resp.Phase, Candidates: resp.Candidates, Done: resp.Done}, nil
+	return resp, err
 }

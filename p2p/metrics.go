@@ -8,12 +8,6 @@ import (
 	"cycloid/p2p/store"
 )
 
-// routePhases is the label set for per-phase hop counters — the paper's
-// three routing phases. Greedy leaf-set hops report "traverse" (the
-// leaf-set finish is the traverse phase) and are additionally counted
-// by lookup_greedy_fallbacks_total.
-var routePhases = []string{"ascending", "descending", "traverse"}
-
 // wireOps is the label set for per-op request counters, matching the
 // dispatch table in server.go.
 var wireOps = []string{"ping", "state", "step", "store", "replicate", "fetch", "handoff", "reclaim", "update"}
@@ -31,10 +25,12 @@ type nodeMetrics struct {
 	reg *telemetry.Registry
 
 	// lookup path (p2p/lookup.go)
-	lookups          *telemetry.Counter
-	lookupHops       *telemetry.Histogram
-	phaseHops        map[string]*telemetry.Counter
-	phaseOther       *telemetry.Counter
+	lookups    *telemetry.Counter
+	lookupHops *telemetry.Histogram
+	// phaseHops is indexed like phaseNames. Greedy leaf-set hops report
+	// "traverse" (the leaf-set finish is the traverse phase); their
+	// routes also count in lookup_greedy_fallbacks_total.
+	phaseHops        [len(phaseNames)]*telemetry.Counter
 	timeouts         *telemetry.Counter
 	failures         *telemetry.Counter
 	demotions        *telemetry.Counter
@@ -126,7 +122,6 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 
 		lookups:    reg.Counter("lookups_total", "Routes driven by this node (lookups, reads, writes, join and repair traffic)."),
 		lookupHops: reg.Histogram("lookup_hop_count", "Per-route path length in hops.", telemetry.HopBuckets),
-		phaseHops:  make(map[string]*telemetry.Counter, len(routePhases)),
 		timeouts: reg.Counter("lookup_timeouts_total",
 			"Unreachable nodes contacted during routes and reads — the live equivalent of the paper's timeout metric."),
 		failures:  reg.Counter("lookup_failures_total", "Routes that did not converge or were cancelled."),
@@ -220,25 +215,15 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		replicaSet:    reg.Gauge("replica_set_size", "Replica targets currently reachable from the leaf sets."),
 	}
 	const phaseHelp = "Route hops by routing phase (the paper's Figure 7 breakdown)."
-	for _, p := range routePhases {
-		m.phaseHops[p] = reg.Counter("lookup_hops_total", phaseHelp, telemetry.L("phase", p))
+	for p, name := range phaseNames {
+		m.phaseHops[p] = reg.Counter("lookup_hops_total", phaseHelp, telemetry.L("phase", name))
 	}
-	m.phaseOther = reg.Counter("lookup_hops_total", phaseHelp, telemetry.L("phase", "other"))
 	const reqHelp = "Wire requests served, by op code."
 	for _, op := range wireOps {
 		m.requests[op] = reg.Counter("requests_total", reqHelp, telemetry.L("op", op))
 	}
 	m.requestOther = reg.Counter("requests_total", reqHelp, telemetry.L("op", "other"))
 	return m
-}
-
-// hopPhase counts one route hop under its phase label.
-func (m *nodeMetrics) hopPhase(phase string) {
-	if c, ok := m.phaseHops[phase]; ok {
-		c.Inc()
-		return
-	}
-	m.phaseOther.Inc()
 }
 
 // poolEvent counts one pool lifecycle event.

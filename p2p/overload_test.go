@@ -178,7 +178,7 @@ func TestCallRetryHonorsBusy(t *testing.T) {
 	defer release()
 
 	start := time.Now()
-	_, cerr := nd.callRetry(context.Background(), nd2.Addr(), request{Op: "fetch", Key: "k"}, nil)
+	_, cerr := nd.callRetry(context.Background(), addrOnly(nd2.Addr()), request{Op: "fetch", Key: "k"}, nil)
 	if !IsBusy(cerr) {
 		t.Fatalf("callRetry against a saturated node = %v; want BusyError", cerr)
 	}
@@ -191,10 +191,10 @@ func TestCallRetryHonorsBusy(t *testing.T) {
 	if got := nd.tel.busyReplies.Value(); got != busyRetryMax+1 {
 		t.Fatalf("busy_replies_total = %d, want %d", got, busyRetryMax+1)
 	}
-	if nd.strikesOf(nd2.Addr()) != 0 {
+	if nd.peer(nd2.Addr()).strikes != 0 {
 		t.Fatal("busy replies added suspicion strikes")
 	}
-	if !nd.isOverloaded(nd2.Addr()) {
+	if !nd.peer(nd2.Addr()).busy() {
 		t.Fatal("busy replies did not soft-demote the peer")
 	}
 }
@@ -276,7 +276,7 @@ func TestShedGetFallsBackWithoutSuspicion(t *testing.T) {
 
 	reader := nodes[1]
 	// The direct fetch is shed with the typed busy error.
-	if _, err := reader.callCtx(context.Background(), victim.Addr(), request{Op: "fetch", Key: key}); !IsBusy(err) {
+	if err := reader.exchange(context.Background(), addrOnly(victim.Addr()), &request{Op: "fetch", Key: key}, &response{}, nil, nil); !IsBusy(err) {
 		t.Fatalf("fetch at the saturated owner = %v; want BusyError", err)
 	}
 	// The read still completes via a replica, charging no timeouts.
@@ -290,7 +290,7 @@ func TestShedGetFallsBackWithoutSuspicion(t *testing.T) {
 	if r.Timeouts != 0 {
 		t.Fatalf("shed owner was charged %d timeouts; overload must not count as a crash", r.Timeouts)
 	}
-	if s := reader.strikesOf(victim.Addr()); s != 0 {
+	if s := reader.peer(victim.Addr()).strikes; s != 0 {
 		t.Fatalf("shed owner has %d suspicion strikes; want 0", s)
 	}
 	if reader.tel.busyReplies.Value() == 0 {
@@ -304,7 +304,7 @@ func TestShedGetFallsBackWithoutSuspicion(t *testing.T) {
 	release()
 	parked()
 	released = true
-	waitFor(t, func() bool { return !reader.isOverloaded(victim.Addr()) })
+	waitFor(t, func() bool { return !reader.peer(victim.Addr()).busy() })
 	if v, _, err := reader.Get(key); err != nil || string(v) != "survives" {
 		t.Fatalf("Get after the overload cleared = %q, %v", v, err)
 	}
@@ -342,7 +342,7 @@ func TestDeadlinePropagatedToAdmissionQueue(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, cerr := nd.callCtx(ctx, nd2.Addr(), request{Op: "fetch", Key: "k"})
+	cerr := nd.exchange(ctx, addrOnly(nd2.Addr()), &request{Op: "fetch", Key: "k"}, &response{}, nil, nil)
 	if cerr == nil {
 		t.Fatal("call through a held admission slot succeeded")
 	}

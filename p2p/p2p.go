@@ -220,19 +220,13 @@ type Node struct {
 	mu    sync.RWMutex
 	store store.Store
 
-	// suspects maps transport addresses found dead during routes to a
-	// strike count; candidate ordering consults it so repeated lookups
-	// stop paying timeouts for the same corpse, and stabilization
-	// drains it (see p2p/replicate.go).
-	smu      sync.Mutex
-	suspects map[string]int
-
-	// overloaded maps addresses that shed load to the expiry of their
-	// soft-demotion window (p2p/retry.go); candidate ordering demotes
-	// them without ever suspecting them, so overload is routed around
-	// but never mistaken for a crash.
-	omu        sync.Mutex
-	overloaded map[string]time.Time
+	// peers is the published peer table (p2p/peers.go): per address,
+	// suspicion strikes and the end of an overload window. A published
+	// table is never changed: candidate ordering, hints, replica probes
+	// and fan-out read it without a lock, and writers publish a changed
+	// copy under peersMu (editPeer).
+	peersMu sync.Mutex
+	peers   atomic.Pointer[map[string]peerHealth]
 
 	// adm is the server-side admission controller, nil when
 	// Config.MaxInflight is 0; budget is the client-side token bucket
@@ -311,7 +305,6 @@ func Start(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		space:    space,
 		id:       id,
-		suspects: make(map[string]int),
 		ln:       ln,
 		addr:     ln.Addr().String(),
 		stopped:  make(chan struct{}),
@@ -319,6 +312,7 @@ func Start(cfg Config) (*Node, error) {
 		tel:      newNodeMetrics(cfg.Telemetry),
 		muxConns: make(map[net.Conn]struct{}),
 	}
+	n.peers.Store(&map[string]peerHealth{})
 	n.budget = newRetryBudget(n.tel)
 	if cfg.SpanBuffer >= 0 && (cfg.SpanBuffer > 0 || cfg.TraceSample > 0) {
 		size := cfg.SpanBuffer
@@ -340,11 +334,7 @@ func Start(cfg Config) (*Node, error) {
 	// far apart — seeding with small linear IDs directly would put
 	// nodes a handful of draws apart and make them emit each other's
 	// span and trace IDs, silently merging unrelated traces.
-	ts := uint64(space.Linear(id))*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	ts ^= ts >> 33
-	ts *= 0xff51afd7ed558ccd
-	ts ^= ts >> 33
-	n.traceState.Store(ts)
+	n.traceState.Store(mix(uint64(space.Linear(id))*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d))
 	if cfg.MaxInflight > 0 {
 		n.adm = newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.DialTimeout, n.tel)
 	}

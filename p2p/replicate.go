@@ -1,6 +1,6 @@
-// R-way key replication over the cycle/leaf-set neighborhood and the
-// failure-suspicion machinery that makes reads and routing survive
-// owner crashes.
+// R-way key replication over the cycle/leaf-set neighborhood, which
+// with the peer table's suspicion (p2p/peers.go) makes reads and
+// routing survive owner crashes.
 //
 // Placement: a key's owner (the node the paper's placement rule
 // selects) keeps the authoritative copy and fans it out to its R-1
@@ -20,28 +20,16 @@
 // dropped only after the owner acknowledged holding at least the same
 // version and reported a replica set that excludes this node, so
 // garbage collection can never be the step that loses the last copy.
-//
-// Suspicion: addresses found dead during routes accumulate strikes in a
-// shared list. One strike demotes a candidate to last place in the
-// dial order; suspectDrop strikes removes it from consideration until
-// stabilization re-probes the address and either clears it (recovered)
-// or leaves it listed (still dead, and by then also pruned from routing
-// tables). Repeated lookups therefore stop paying timeouts for the
-// same corpse after at most suspectDrop encounters.
 package p2p
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cycloid/internal/ids"
 	"cycloid/p2p/store"
 )
-
-// suspectDrop is the strike count at which a suspected address is
-// skipped outright by candidate ordering instead of merely tried last.
-const suspectDrop = 2
 
 // newer reports whether a should replace b under last-writer-wins:
 // higher logical version first, larger writer ID on ties.
@@ -97,6 +85,38 @@ func (n *Node) putOwner(ctx context.Context, key string, value []byte, st *opTra
 	return it, nil
 }
 
+// rank orders the distinct members of a leaf neighborhood by closeness
+// to kp, in place, keeping the first entry of each ID. It is the one
+// ranking behind replica placement (replicaTargets), the scope test
+// (redirect) and a read's replica probes, so owner, replicas and
+// readers can never disagree on who is closest.
+func (n *Node) rank(kp ids.CycloidID, members []entry) []entry {
+	out := members[:0]
+	for _, e := range members { // e is a copy: out never overtakes the read position
+		if slices.ContainsFunc(out, func(o entry) bool { return o.ID == e.ID }) {
+			continue
+		}
+		i := len(out)
+		out = append(out, e)
+		for ; i > 0 && n.space.Closer(kp, e.ID, out[i-1].ID); i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = e
+	}
+	return out
+}
+
+// neighborhood ranks this node, its leaf entries and extra near kp.
+func (n *Node) neighborhood(kp ids.CycloidID, extra ...entry) []entry {
+	members := append(make([]entry, 0, 5+len(extra)), *n.selfEntry())
+	for _, e := range n.rs.Load().leaves() {
+		if e != nil {
+			members = append(members, *e)
+		}
+	}
+	return n.rank(kp, append(members, extra...))
+}
+
 // replicaTargets returns the R-1 distinct leaf-set neighbors closest to
 // the key — by the placement rule, the nodes that inherit the key if
 // this owner crashes, so the crash successor holds a replica by
@@ -106,19 +126,8 @@ func (n *Node) replicaTargets(kp ids.CycloidID) []entry {
 	if r <= 1 {
 		return nil
 	}
-	seen := map[ids.CycloidID]bool{n.id: true}
-	var cands []entry
-	for _, e := range n.rs.Load().leaves() {
-		if e != nil && !seen[e.ID] {
-			seen[e.ID] = true
-			cands = append(cands, *e)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return n.space.Closer(kp, cands[i].ID, cands[j].ID) })
-	if len(cands) > r-1 {
-		cands = cands[:r-1]
-	}
-	return cands
+	out := slices.DeleteFunc(n.neighborhood(kp), func(e entry) bool { return e.ID == n.id })
+	return out[:min(len(out), r-1)]
 }
 
 // fanOut pushes one item to every replica target, best effort: an
@@ -130,60 +139,45 @@ func (n *Node) fanOut(ctx context.Context, key string, it item, st *opTrace) {
 	targets := n.replicaTargets(n.keyPoint(key))
 	n.tel.fanout.Observe(int64(len(targets)))
 	for _, tgt := range targets {
-		if n.isOverloaded(tgt.Addr) {
+		if n.peer(tgt.Addr).busy() {
 			n.tel.fanoutSkips.Inc()
 			continue
 		}
 		req := request{Op: "replicate", Key: key, Value: it.Val, Ver: it.Ver, Src: it.Src}
-		sid, t0 := st.startCall(&req)
-		_, err := n.callCtx(ctx, tgt.Addr, req)
-		st.endCall(sid, t0, "replicate", tgt.Addr, err)
+		_ = n.exchange(ctx, tgt, &req, &response{}, st, nil)
 	}
 }
 
-// inScope reports whether this node sits among the R members of its own
-// neighborhood — itself, its leaf set, plus any extra IDs the caller
-// knows about (e.g. the pushing owner) — closest to the key. The test
-// is local and approximate, ranked by the same closeness rule the owner
-// uses to pick replica targets, so the two views agree wherever the
-// neighborhoods overlap.
-func (n *Node) inScope(kp ids.CycloidID, extra ...ids.CycloidID) bool {
-	r := n.cfg.Replicas
-	if r <= 1 {
-		return false
-	}
-	seen := map[ids.CycloidID]bool{n.id: true}
-	cands := []ids.CycloidID{n.id}
-	for _, e := range n.rs.Load().leaves() {
-		if e != nil && !seen[e.ID] {
-			seen[e.ID] = true
-			cands = append(cands, e.ID)
-		}
-	}
-	for _, id := range extra {
-		if !seen[id] {
-			seen[id] = true
-			cands = append(cands, id)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return n.space.Closer(kp, cands[i], cands[j]) })
-	if len(cands) > r {
-		cands = cands[:r]
-	}
-	for _, id := range cands {
-		if id == n.id {
-			return true
-		}
-	}
-	return false
-}
+// mayHold reports whether redirect finds nothing to reject.
+func (n *Node) mayHold(kp ids.CycloidID) bool { return n.redirect(kp) == nil }
 
-// mayHold reports whether this node is the key's owner (its local
-// routing decision terminates for the key) or inside its replica scope
-// — tight enough to reject stores that a racing join routed to a node
-// that was never near the key.
-func (n *Node) mayHold(kp ids.CycloidID) bool {
-	return n.localStep(kp, false, nil).Done || n.inScope(kp)
+// redirect returns nil when this node may hold the key. It may when it
+// owns the key (its local routing decision terminates for it) or sits
+// inside the key's replica scope: among the R members of its own
+// neighborhood — itself, its leaf set, plus any extra members the caller
+// knows about (e.g. the pushing owner) — closest to the key. The scope
+// test is local and approximate, ranked by the same closeness rule the
+// owner uses to pick replica targets, so the two views agree wherever
+// the neighborhoods overlap. Otherwise it returns the rejection a store
+// or replicate gets, with a redirect entry naming the node this one
+// would route the key to — tight enough to reject stores that a racing
+// join routed to a node that was never near the key.
+func (n *Node) redirect(kp ids.CycloidID, extra ...entry) *response {
+	s := n.localStep(kp, false, nil)
+	if s.Done {
+		return nil
+	}
+	if r := n.cfg.Replicas; r > 1 {
+		nb := n.neighborhood(kp, extra...)
+		if slices.ContainsFunc(nb[:min(len(nb), r)], func(e entry) bool { return e.ID == n.id }) {
+			return nil
+		}
+	}
+	resp := &response{Err: "not owner or replica for key"}
+	if len(s.Candidates) > 0 {
+		resp.Redirect = &s.Candidates[0]
+	}
+	return resp
 }
 
 // handleReplicate applies one pushed copy. A receiver outside the key's
@@ -195,12 +189,8 @@ func (n *Node) handleReplicate(req request, st *opTrace) response {
 	kp := n.keyPoint(req.Key)
 	// The sender (normally the key's owner) counts toward the scope
 	// ranking even when this node's leaf set has not adopted it yet.
-	if !n.localStep(kp, false, nil).Done && !n.inScope(kp, toEntry(req.From).ID) {
-		resp := response{Err: "not owner or replica for key"}
-		if s := n.localStep(kp, false, nil); len(s.Candidates) > 0 {
-			resp.Redirect = &s.Candidates[0]
-		}
-		return resp
+	if red := n.redirect(kp, toEntry(req.From)); red != nil {
+		return *red
 	}
 	if n.putLocal(req.Key, item{Val: append([]byte(nil), req.Value...), Ver: req.Ver, Src: req.Src}) {
 		// The owner treats this response as the replica's ack; the copy
@@ -290,64 +280,6 @@ func (n *Node) syncReplicas() {
 				n.updateStoreGaugeLocked()
 			}
 			n.mu.Unlock()
-		}
-	}
-}
-
-// suspect records one failed contact with an address. Strikes accumulate
-// until the address is skipped by candidate ordering; any successful
-// exchange (callCtx) or stabilization re-probe clears them.
-func (n *Node) suspect(addr string) {
-	n.smu.Lock()
-	if n.suspects == nil {
-		n.suspects = make(map[string]int)
-	}
-	if n.suspects[addr] < suspectDrop {
-		n.suspects[addr]++
-	}
-	strikes := n.suspects[addr]
-	// Safety valve: a long-lived node that met many corpses must not pin
-	// memory forever; drop everything and re-learn.
-	if len(n.suspects) > 256 {
-		n.suspects = make(map[string]int)
-	}
-	n.tel.suspectsGauge.Set(int64(len(n.suspects)))
-	n.smu.Unlock()
-	n.log.Debug("suspected address", "peer", addr, "strikes", strikes)
-}
-
-func (n *Node) unsuspect(addr string) {
-	n.smu.Lock()
-	delete(n.suspects, addr)
-	n.tel.suspectsGauge.Set(int64(len(n.suspects)))
-	n.smu.Unlock()
-}
-
-// strikesOf returns the current strike count for an address.
-func (n *Node) strikesOf(addr string) int {
-	n.smu.Lock()
-	s := n.suspects[addr]
-	n.smu.Unlock()
-	return s
-}
-
-// drainSuspects re-probes every suspected address once per
-// stabilization round: a recovered node is cleared immediately (the
-// ping's successful exchange unsuspects it), a still-dead one stays
-// listed so candidate ordering keeps avoiding it while the same round's
-// leaf-set refresh and routing-table search prune its entries.
-func (n *Node) drainSuspects() {
-	n.smu.Lock()
-	addrs := make([]string, 0, len(n.suspects))
-	for a := range n.suspects {
-		addrs = append(addrs, a)
-	}
-	n.smu.Unlock()
-	sort.Strings(addrs) // deterministic probe order for seeded fabrics
-	for _, a := range addrs {
-		if _, err := n.call(a, request{Op: "ping"}); err == nil {
-			n.tel.suspectsCleared.Inc() // the exchange itself unsuspected it
-			n.log.Debug("suspect recovered", "peer", a)
 		}
 	}
 }

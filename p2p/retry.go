@@ -1,13 +1,13 @@
-// Client-side overload discipline: the typed busy error, the per-node
-// retry budget, and the soft-demotion list that routes around
-// overloaded peers without ever mistaking them for crashed ones.
+// Client-side overload discipline: the typed busy error and the
+// per-node retry budget.
 //
 // A busy reply (or the pool's local saturation rejection) never feeds
-// the dial-failure counter or the suspicion list — the peer completed
-// an exchange, so it is demonstrably alive. Instead it lands in the
-// overloaded map for roughly its retry-after window, where candidate
-// ordering demotes it behind clean candidates the same way a one-strike
-// suspect is demoted; and direct calls (fetch, store) may retry it
+// the dial-failure counter or the peer's suspicion strikes — the peer
+// completed an exchange, so it is demonstrably alive. Instead it opens
+// the peer's soft-demotion window in the peer table (p2p/peers.go) for
+// roughly its retry-after hint, where candidate ordering demotes it
+// behind clean candidates the same way a one-strike suspect is demoted;
+// and direct calls (fetch, store) may retry it
 // after a jittered exponential backoff honoring the hint, spending from
 // a token bucket that earns a fraction of completed request volume —
 // so cluster-wide retry traffic stays bounded at roughly
@@ -116,50 +116,12 @@ func jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	x := jitterState.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return time.Duration(x % uint64(d))
+	return time.Duration(mix(jitterState.Add(0x9e3779b97f4a7c15)) % uint64(d))
 }
 
-// softDemote routes around an overloaded peer for roughly its
-// retry-after window: candidate ordering treats it like a one-strike
-// suspect (demoted behind clean candidates, tried only when nothing
-// else works) without adding suspicion strikes, so overload shows up in
-// routing and telemetry as its own condition, distinct from crash.
-func (n *Node) softDemote(addr string, retryAfter time.Duration) {
-	if retryAfter < overloadFloor {
-		retryAfter = overloadFloor
-	}
-	until := time.Now().Add(retryAfter)
-	n.omu.Lock()
-	if n.overloaded == nil || len(n.overloaded) > 256 {
-		// Same safety valve as the suspicion list: never pin unbounded
-		// address memory; drop everything and re-learn.
-		n.overloaded = make(map[string]time.Time)
-	}
-	n.overloaded[addr] = until
-	n.omu.Unlock()
-	n.tel.softDemotions.Inc()
-}
-
-// isOverloaded reports whether addr is inside its soft-demotion window,
-// lazily expiring stale entries.
-func (n *Node) isOverloaded(addr string) bool {
-	n.omu.Lock()
-	until, ok := n.overloaded[addr]
-	if ok && time.Now().After(until) {
-		delete(n.overloaded, addr)
-		ok = false
-	}
-	n.omu.Unlock()
-	return ok
-}
-
-// callRetry is callCtx plus a budgeted retry loop for busy replies:
+// callRetry is exchange plus a budgeted retry loop for busy replies:
 // jittered exponential backoff honoring the shedding side's retry-after
-// hint, each attempt paid for from the token bucket. Direct per-key
+// hint, each retry paid for from the token bucket. Direct per-key
 // calls (fetch, store) use it; routing does not — stepping around an
 // overloaded hop via soft demotion is cheaper than waiting it out.
 //
@@ -167,14 +129,13 @@ func (n *Node) isOverloaded(addr string) bool {
 // N siblings, the gaps between them the backoff waits), and the anomaly
 // paths force sampling: a busy reply marks the operation "shed", an
 // exhausted token bucket marks it "retry-exhausted".
-func (n *Node) callRetry(ctx context.Context, addr string, req request, ot *opTrace) (response, error) {
-	sid, t0 := ot.startCall(&req)
-	resp, err := n.callCtx(ctx, addr, req)
-	ot.endCall(sid, t0, req.Op, addr, err)
+func (n *Node) callRetry(ctx context.Context, to entry, req request, ot *opTrace) (resp response, err error) {
 	backoff := busyBackoffBase
-	for attempt := 0; attempt < busyRetryMax; attempt++ {
+	for attempt := 0; ; attempt++ {
+		resp = response{}
+		err = n.exchange(ctx, to, &req, &resp, ot, nil)
 		var be *BusyError
-		if !errors.As(err, &be) {
+		if attempt == busyRetryMax || !errors.As(err, &be) {
 			return resp, err
 		}
 		ot.force("shed")
@@ -202,9 +163,5 @@ func (n *Node) callRetry(ctx context.Context, addr string, req request, ot *opTr
 		if backoff *= 2; backoff > busyBackoffMax {
 			backoff = busyBackoffMax
 		}
-		sid, t0 = ot.startCall(&req)
-		resp, err = n.callCtx(ctx, addr, req)
-		ot.endCall(sid, t0, req.Op, addr, err)
 	}
-	return resp, err
 }

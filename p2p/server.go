@@ -227,14 +227,12 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
 			// frames behind it, which is exactly the backpressure an
 			// overloaded node wants to exert.
 			resp := n.dispatchAdmitted(req)
-			resp.OK = resp.Err == ""
 			writeResp(id, &resp, nextFrameBuffered())
 		default:
 			inflight.Add(1)
 			go func(id uint64, req request) {
 				defer inflight.Done()
 				resp := n.dispatchAdmitted(req)
-				resp.OK = resp.Err == ""
 				writeResp(id, &resp, false)
 			}(id, req)
 			// The dispatched handler may take arbitrarily long; don't
@@ -244,19 +242,20 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// dispatch routes one admitted request to its handler. st is the
-// server-side trace scope when the request carried a sampled context
-// (nil otherwise); handlers that fan out or fsync thread it through so
-// those costs land in the right span phases.
-func (n *Node) dispatch(req request, st *opTrace) response {
-	n.tel.request(req.Op)
+// dispatch routes one request to its handler: an admitted wire request,
+// or one exchange answers in-process, whose step reply builds its
+// candidates in cands. st is the server-side trace scope when the
+// request carried a sampled context (nil otherwise); handlers that fan
+// out or fsync thread it through so those costs land in the right span
+// phases.
+func (n *Node) dispatch(req request, st *opTrace, cands []WireEntry) response {
 	switch req.Op {
 	case "ping":
 		return response{}
 	case "state":
 		return response{State: n.wireState()}
 	case "step":
-		return n.handleStep(req)
+		return n.handleStep(req, cands)
 	case "store":
 		return n.handleStore(req, st)
 	case "replicate":
@@ -301,9 +300,8 @@ func (n *Node) wireState() *WireState {
 	}
 }
 
-// handleStep runs the shared routing decision on the node's local state
-// and resolves each candidate ID to the address this node knows for it.
-func (n *Node) handleStep(req request) response {
+// handleStep validates a step request's target and answers with localStep.
+func (n *Node) handleStep(req request, dst []WireEntry) response {
 	if req.Target == nil {
 		return response{Err: "step without target"}
 	}
@@ -311,8 +309,7 @@ func (n *Node) handleStep(req request) response {
 	if !n.space.Contains(t) {
 		return response{Err: "target outside ID space"}
 	}
-	s := n.localStep(t, req.GreedyOnly, nil)
-	return response{Phase: s.Phase, Candidates: s.Candidates, Done: s.Done}
+	return n.localStep(t, req.GreedyOnly, dst)
 }
 
 // stepScratch bundles the reusable buffers of one local routing
@@ -330,12 +327,12 @@ var stepScratchPool = sync.Pool{New: func() any { return new(stepScratch) }}
 // The candidates are built in dst's backing array, so a route that owns
 // its step buffers pays no allocation; a nil or short dst allocates a
 // fresh list.
-func (n *Node) localStep(t ids.CycloidID, greedyOnly bool, dst []WireEntry) stepResult {
+func (n *Node) localStep(t ids.CycloidID, greedyOnly bool, dst []WireEntry) response {
 	ss := stepScratchPool.Get().(*stepScratch)
 	rs := n.rs.Load()
 	st := rs.nodeState(n.id, &ss.ids)
 	step := cycloid.DecideStepScratch(n.space, &st, t, greedyOnly, &ss.sc)
-	out := stepResult{Phase: step.Phase.String(), Done: len(step.Candidates) == 0}
+	out := response{Phase: step.Phase.String(), Done: len(step.Candidates) == 0}
 	if len(step.Candidates) > 0 {
 		// Resolved from the same state the decision was made on, so the
 		// addresses are consistent with it.
@@ -360,13 +357,8 @@ func (n *Node) localStep(t ids.CycloidID, greedyOnly bool, dst []WireEntry) step
 // it assigns the next logical version and fans the copy out, so even a
 // mid-transition write converges via last-writer-wins at the true owner.
 func (n *Node) handleStore(req request, st *opTrace) response {
-	kp := n.keyPoint(req.Key)
-	if !n.mayHold(kp) {
-		resp := response{Err: "not owner or replica for key"}
-		if s := n.localStep(kp, false, nil); len(s.Candidates) > 0 {
-			resp.Redirect = &s.Candidates[0]
-		}
-		return resp
+	if red := n.redirect(n.keyPoint(req.Key)); red != nil {
+		return *red
 	}
 	if _, err := n.putOwner(context.Background(), req.Key, req.Value, st); err != nil {
 		return response{Err: err.Error()}

@@ -193,7 +193,7 @@ func (ts *tableSearch) state(e entry) (*WireState, error) {
 	if st, ok := ts.states[e.ID]; ok {
 		return st, nil
 	}
-	st, err := ts.n.stateOfOrLocalCtx(context.Background(), e)
+	st, err := ts.n.stateOf(context.Background(), e)
 	if err == nil {
 		ts.states[e.ID] = st
 	}

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"context"
 	"time"
 
 	"cycloid/internal/ids"
@@ -48,7 +49,7 @@ func (n *Node) correctOutsideRing() {
 		cur := *n.rs.Load()[s]
 		live := cur
 		for step := 0; step < 4*n.space.Dim() && n.fits(s, cur); step++ {
-			st, err := n.stateOf(cur.Addr)
+			st, err := n.stateOf(context.Background(), cur)
 			if err != nil {
 				break
 			}
@@ -151,13 +152,17 @@ func (n *Node) gatherNeighborhood() ([]entry, map[ids.CycloidID]bool) {
 		if _, done := live[e.ID]; done {
 			continue
 		}
-		st, err := n.stateOf(e.Addr)
+		st, err := n.stateOf(context.Background(), *e)
 		if err != nil {
 			live[e.ID] = false
 			continue // dead entry: drops out of the pool
 		}
 		live[e.ID] = true
-		add(e.entryWithState(st))
+		self := *e
+		if st.Self.Addr != "" {
+			self.Addr = st.Self.Addr // the peer's own report of its address
+		}
+		add(self)
 		for _, w := range []*WireEntry{st.InsideL, st.InsideR, st.OutsideL, st.OutsideR, st.Cubical, st.CyclicL, st.CyclicS} {
 			if w != nil {
 				add(toEntry(*w))
@@ -169,15 +174,6 @@ func (n *Node) gatherNeighborhood() ([]entry, map[ids.CycloidID]bool) {
 		pool = append(pool, e)
 	}
 	return pool, live
-}
-
-// entryWithState refreshes an entry's address from the peer's own report.
-func (e *entry) entryWithState(st *WireState) entry {
-	out := *e
-	if st.Self.Addr != "" {
-		out.Addr = st.Self.Addr
-	}
-	return out
 }
 
 // RefreshRoutingTable re-resolves the cubical and cyclic neighbors with

@@ -17,7 +17,7 @@ import (
 // the pooled binary stack, both ends included: the client's encode and
 // decode, the pool exchange, the server's dispatch and reply, and the
 // route's own bookkeeping amortised over its hops.
-const maxAllocsPerHop = 4
+const maxAllocsPerHop = 3
 
 // TestLookupHopAllocBudget pins the per-hop allocation cost of a warm
 // memnet overlay of default-configured nodes, the configuration the
@@ -66,6 +66,47 @@ func TestLookupHopAllocBudget(t *testing.T) {
 	t.Logf("%.1f allocs per %d-lookup pass, %d hops: %.2f allocs/hop", allocs, len(keys), hops, perHop)
 	if perHop > maxAllocsPerHop {
 		t.Errorf("a routing hop allocates %.2f times, budget %d", perHop, maxAllocsPerHop)
+	}
+}
+
+// TestLookupCountsOnlyWireHops pins which steps are served requests. A
+// route's steps at the origin are answered in-process, so
+// cycloid_requests_total, summed over every node and op, moves by
+// exactly the route's wire hops: not at all for a key the origin owns,
+// and by Hops for one whose first step is local and every later one
+// crosses the wire.
+func TestLookupCountsOnlyWireHops(t *testing.T) {
+	nw := memnet.New(419)
+	nodes := memCluster(t, nw, 5, 16, 419, nil)
+	origin := nodes[0]
+	served := func() (sum uint64) {
+		for _, nd := range nodes {
+			for _, c := range nd.tel.requests {
+				sum += c.Value()
+			}
+			sum += nd.tel.requestOther.Value()
+		}
+		return sum
+	}
+	var owned, routed int
+	for i := 0; i < 200 && (owned == 0 || routed == 0); i++ {
+		key := fmt.Sprintf("served-%d", i)
+		before, stepsBefore := served(), fleetSum(nodes, steps)
+		r, err := origin.Lookup(key)
+		if err != nil {
+			t.Fatalf("lookup %s: %v", key, err)
+		}
+		if got, stepped := served()-before, fleetSum(nodes, steps)-stepsBefore; got != uint64(r.Hops) || stepped != got {
+			t.Fatalf("lookup %s: %d hops moved cycloid_requests_total by %d (%d steps)", key, r.Hops, got, stepped)
+		}
+		if r.Hops == 0 {
+			owned++
+		} else {
+			routed++
+		}
+	}
+	if owned == 0 || routed == 0 {
+		t.Fatalf("%d owned and %d routed lookups; want both", owned, routed)
 	}
 }
 

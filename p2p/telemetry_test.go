@@ -141,7 +141,7 @@ func TestGetTimeoutSingleCharge(t *testing.T) {
 	if _, ok := reader.localFetch(key); !ok {
 		t.Fatal("reader holds no replica after Put")
 	}
-	if got := reader.strikesOf(owner.Addr()); got != 0 {
+	if got := reader.peer(owner.Addr()).strikes; got != 0 {
 		t.Fatalf("reader already has %d strikes on the owner", got)
 	}
 

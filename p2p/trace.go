@@ -39,14 +39,19 @@ import (
 // owner → replica fan-out is already anomalous).
 const traceHopBudget = 16
 
+// mix is the splitmix64 finalizer behind backoff jitter, span and trace
+// IDs, and the per-node seed of the ID stream.
+func mix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	return x ^ x>>33
+}
+
 // nextSpanID draws one nonzero 64-bit ID from the node's private
 // splitmix64 stream — the same mixer as jitter(), but seeded from the
 // node ID so memnet harnesses stay deterministic.
 func (n *Node) nextSpanID() uint64 {
-	x := n.traceState.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
+	x := mix(n.traceState.Add(0x9e3779b97f4a7c15))
 	if x == 0 {
 		x = 1
 	}
@@ -237,6 +242,9 @@ func (n *Node) beginServer(req *request) *opTrace {
 // endServer records the server span — queue wait, fsync time, and
 // fan-out calls included — and recycles the scope.
 func (n *Node) endServer(ot *opTrace, errStr string) {
+	if ot == nil {
+		return
+	}
 	s := &telemetry.Span{
 		TraceHi: ot.hi, TraceLo: ot.lo, ID: ot.root, Parent: ot.parent,
 		Kind: telemetry.SpanServer, Name: ot.name, Key: ot.key, Node: n.addr,

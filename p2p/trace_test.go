@@ -299,7 +299,7 @@ func TestTraceStepSpansMatchRoute(t *testing.T) {
 		if hops != r.Hops {
 			t.Errorf("%d phase-annotated step spans, route reports %d hops", hops, r.Hops)
 		}
-		for ph, c := range r.Phases {
+		for ph, c := range map[string]int{"ascending": r.Phases.Ascending, "descending": r.Phases.Descending, "traverse": r.Phases.Traverse} {
 			if phases[ph] != c {
 				t.Errorf("phase %s: %d annotated step spans, route reports %d (spans %v, route %v)", ph, phases[ph], c, phases, r.Phases)
 			}

@@ -1,5 +1,7 @@
 package p2p
 
+import "slices"
+
 // handleUpdate applies a membership notification (Section 3.3): joiners
 // notify their inside leaf set (and, when they are primaries, the outside
 // leaf set, whose members pass the message around their local cycle);
@@ -30,12 +32,7 @@ func (n *Node) handleUpdate(req request) {
 // node: the slots that named the leaver empty, and the leaver's own leaf
 // entries — its final state — are offered in its place.
 func (n *Node) applyLeave(s entry, st *WireState) {
-	var cands []entry
-	for _, w := range []*WireEntry{st.InsideL, st.InsideR, st.OutsideL, st.OutsideR} {
-		if w != nil && toEntry(*w).ID != s.ID {
-			cands = append(cands, toEntry(*w))
-		}
-	}
+	cands := slices.DeleteFunc(leafEntries(st), func(e entry) bool { return e.ID == s.ID })
 	n.editRS(func(rs *routingState) {
 		for i, e := range rs.leaves() {
 			if e.ID == s.ID {

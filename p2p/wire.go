@@ -46,6 +46,16 @@ func wirePtr(e *entry) *WireEntry {
 	return &w
 }
 
+// leafEntries lists the leaf entries a peer's state holds.
+func leafEntries(st *WireState) (out []entry) {
+	for _, w := range []*WireEntry{st.InsideL, st.InsideR, st.OutsideL, st.OutsideR} {
+		if w != nil {
+			out = append(out, toEntry(*w))
+		}
+	}
+	return out
+}
+
 func entryPtr(w *WireEntry) *entry {
 	if w == nil {
 		return nil
@@ -54,34 +64,72 @@ func entryPtr(w *WireEntry) *entry {
 	return &e
 }
 
-// call performs one request/response exchange with a peer. A connection
-// or protocol failure is the live-network analogue of the paper's timeout.
-func (n *Node) call(addr string, req request) (response, error) {
-	return n.callCtx(context.Background(), addr, req)
+// addrOnly names a peer known only by its address: a bootstrap, a hint,
+// a maintenance contact. Its ID lies outside every ID space (cyclic
+// index MaxDim), so exchange never takes it for this node.
+func addrOnly(addr string) entry { return entry{ID: ids.CycloidID{K: ids.MaxDim}, Addr: addr} }
+
+// exchange performs one request/response exchange with peer to,
+// decoding the reply into *resp, which must be zero apart from an
+// optional candidate buffer: a step reply's candidates land in
+// resp.Candidates' backing array when it has room (see
+// codec.DecodeResponse), so a route that owns its step buffers pays no
+// allocation for them. It is the node's only way to reach a peer.
+//
+// A step, fetch or state addressed to this node while it runs is
+// answered in-process by the handler the server runs. Such an answer is
+// not a served request: it counts no cycloid_requests_total, takes no
+// admission slot and records no span, so the counters and spans show
+// exactly the traffic that crossed the wire. Its reply is a copy, never
+// store memory. Every other exchange crosses the wire, recorded as one
+// call span under ot; hop, when not nil, annotates the span of a
+// successful step a route made.
+func (n *Node) exchange(ctx context.Context, to entry, req *request, resp *response, ot *opTrace, hop *hopNote) error {
+	if to.ID == n.id && (req.Op == "step" || req.Op == "fetch" || req.Op == "state") && !n.isStopped() {
+		*resp = n.dispatch(*req, nil, resp.Candidates)
+		resp.Value = append([]byte(nil), resp.Value...)
+		return nil
+	}
+	sid, t0 := ot.startCall(req)
+	err := n.roundTrip(ctx, to.Addr, req, resp)
+	var notes []string
+	if sid != 0 && err == nil && hop != nil {
+		notes = hop.annotations(req.GreedyOnly)
+	}
+	ot.endCall(sid, t0, req.Op, to.Addr, err, notes...)
+	return err
 }
 
-// callCtx is call with the per-contact budget capped by the caller's
-// context deadline: each dial costs at most min(DialTimeout, time left
-// on ctx), so one blackholed peer cannot stall a whole operation for
-// the full dial-timeout ladder.
-func (n *Node) callCtx(ctx context.Context, addr string, req request) (response, error) {
+// call is exchange with a peer known only by its address, untraced and
+// bounded only by DialTimeout: the membership and repair traffic.
+func (n *Node) call(addr string, req request) (response, error) {
 	var resp response
-	err := n.callInto(ctx, addr, req, &resp)
+	err := n.exchange(context.Background(), addrOnly(addr), &req, &resp, nil, nil)
 	return resp, err
 }
 
-// callInto is callCtx decoding the reply into *resp, which must be
-// zero apart from an optional candidate buffer: the reply's candidates
-// land in resp.Candidates' backing array when it has room (see
-// codec.DecodeResponse), so a route that owns its step buffers pays no
-// allocation for them.
+// stateOf fetches the routing state of peer at, untraced.
+func (n *Node) stateOf(ctx context.Context, at entry) (*WireState, error) {
+	var resp response
+	err := n.exchange(ctx, at, &request{Op: "state"}, &resp, nil, nil)
+	if err == nil && resp.State == nil {
+		err = fmt.Errorf("p2p: %s returned no state", at.Addr)
+	}
+	return resp.State, err
+}
+
+// roundTrip is exchange's wire half. The per-contact budget is capped
+// by the caller's context deadline: each dial costs at most
+// min(DialTimeout, time left on ctx), so one blackholed peer cannot
+// stall a whole operation for the full dial-timeout ladder.
 //
 // The request is encoded into a pooled buffer, the pool carries the
 // bytes, and the reply is decoded straight out of the pool's receive
 // buffer. Any pool failure (dial, write, peer teardown, per-call
-// timeout) counts as a dial failure, and a completed exchange clears
-// the peer's suspicion.
-func (n *Node) callInto(ctx context.Context, addr string, req request, resp *response) error {
+// timeout) counts as a dial failure — the live-network analogue of the
+// paper's timeout — and a completed exchange clears the peer's
+// suspicion.
+func (n *Node) roundTrip(ctx context.Context, addr string, req *request, resp *response) error {
 	timeout := n.cfg.DialTimeout
 	if d, ok := ctx.Deadline(); ok {
 		rem := time.Until(d)
@@ -92,26 +140,18 @@ func (n *Node) callInto(ctx context.Context, addr string, req request, resp *res
 			}
 			return fmt.Errorf("p2p: dial %s: %w", addr, err)
 		}
-		if rem < timeout {
-			timeout = rem
-		}
+		timeout = min(timeout, rem)
 	}
 	req.From = WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()}
 	// Propagate the effective per-call budget so the receiver can drop
 	// the request from its admission queue once no caller is left to
 	// consume the answer. Relative millis, not a wall-clock instant:
 	// peer clocks are not synchronized.
-	if ms := timeout.Milliseconds(); ms >= int64(^uint32(0)) {
-		req.DeadlineMs = ^uint32(0)
-	} else if ms < 1 {
-		req.DeadlineMs = 1
-	} else {
-		req.DeadlineMs = uint32(ms)
-	}
+	req.DeadlineMs = uint32(min(max(timeout.Milliseconds(), 1), int64(^uint32(0))))
 	began := time.Now()
 	fb := codec.GetBufferSize(req.SizeHint())
 	var err error
-	fb.B, err = codec.AppendRequest(fb.B, &req)
+	fb.B, err = codec.AppendRequest(fb.B, req)
 	n.tel.codecEncodeBin.Observe(time.Since(began).Nanoseconds())
 	if err != nil {
 		codec.PutBuffer(fb)
@@ -122,8 +162,8 @@ func (n *Node) callInto(ctx context.Context, addr string, req request, resp *res
 	if err != nil {
 		if errors.Is(err, pool.ErrPeerSaturated) {
 			// Local backpressure, not a peer failure: the peer was never
-			// contacted, so neither the dial-failure counter nor the
-			// suspicion list may move. Route around it like a busy reply.
+			// contacted, so neither the dial-failure counter nor its
+			// suspicion strikes may move. Route around it like a busy reply.
 			n.softDemote(addr, defaultRetryAfter)
 			return &BusyError{Addr: addr, RetryAfter: defaultRetryAfter}
 		}
@@ -142,29 +182,22 @@ func (n *Node) callInto(ctx context.Context, addr string, req request, resp *res
 		return fmt.Errorf("p2p: receive from %s: %w", addr, err)
 	}
 	n.tel.dialLatency.Observe(end.Sub(began).Microseconds())
-	n.exchangeDone(addr)
-	if !resp.OK {
-		return n.wireError(addr, resp)
+	// A completed exchange, whatever the reply said: the peer is
+	// demonstrably alive, so its strikes clear (taking no lock when it
+	// has none), and the retry budget earns its fractional token.
+	if n.peer(addr).strikes > 0 {
+		n.editPeer(addr, func(h *peerHealth) { h.strikes = 0 })
 	}
-	return nil
-}
-
-// exchangeDone records a completed request/response exchange, whatever
-// the reply said: the peer is demonstrably alive (clear its suspicion)
-// and the retry budget earns its fractional token.
-func (n *Node) exchangeDone(addr string) {
-	n.unsuspect(addr)
 	n.tel.exchanges.Inc()
 	n.budget.earn()
-}
-
-// wireError converts a non-OK reply into the caller-facing error. A
-// busy (load-shed) reply becomes a typed *BusyError plus a soft
-// demotion for the peer's retry-after window — never a dial failure or
-// a suspicion strike, because the peer answered; it is overloaded, not
-// dead.
-func (n *Node) wireError(addr string, resp *response) error {
-	if resp.Busy {
+	switch {
+	case resp.OK:
+		return nil
+	case resp.Busy:
+		// A busy (load-shed) reply becomes a typed *BusyError plus a soft
+		// demotion for the peer's retry-after window — never a dial
+		// failure or a suspicion strike, because the peer answered; it is
+		// overloaded, not dead.
 		ra := time.Duration(resp.RetryAfterMs) * time.Millisecond
 		if ra <= 0 {
 			ra = defaultRetryAfter

@@ -45,7 +45,8 @@ type Request struct {
 	Target     *Entry `json:"target,omitempty"`
 	GreedyOnly bool   `json:"greedyOnly,omitempty"`
 
-	// store / fetch / replicate
+	// store / fetch / replicate; reclaim: the first key of the page
+	// asked for
 	Key   string `json:"key,omitempty"`
 	Value []byte `json:"value,omitempty"`
 	Ver   uint64 `json:"ver,omitempty"` // replicate: the copy's version
@@ -100,7 +101,8 @@ type Response struct {
 	Found bool   `json:"found,omitempty"`
 	Ver   uint64 `json:"ver,omitempty"` // fetch/replicate: receiver's stored version
 
-	// reclaim: the items the requesting newcomer is now responsible for
+	// reclaim: one frame's worth of the items the requesting newcomer
+	// is now responsible for; Found marks that more follow the page
 	Items map[string]Item `json:"items,omitempty"`
 
 	// store/replicate rejection: where the receiver believes the key

@@ -120,12 +120,24 @@ func (n *Node) reclaimKeys() {
 			continue
 		}
 		seen[e.ID] = true
-		resp, err := n.call(e.Addr, request{Op: "reclaim"})
-		if err != nil {
-			continue
-		}
-		for k, w := range resp.Items {
-			n.putLocal(k, item{Val: append([]byte(nil), w.V...), Ver: w.Ver, Src: w.Src})
+		// One reply is one page of a frame's worth of items; a holder
+		// with more sets Found, and the next request asks for the keys
+		// after the page's last one.
+		var from string
+		for {
+			resp, err := n.call(e.Addr, request{Op: "reclaim", Key: from})
+			if err != nil {
+				break
+			}
+			last := from
+			for k, w := range resp.Items {
+				n.putLocal(k, item{Val: append([]byte(nil), w.V...), Ver: w.Ver, Src: w.Src})
+				last = max(last, k)
+			}
+			if !resp.Found {
+				break
+			}
+			from = last + "\x00" // the least key after last
 		}
 	}
 	// Reclaimed keys are this node's responsibility now; on a durable
@@ -199,7 +211,7 @@ func (n *Node) handoffKeys() {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	batches := make(map[string]map[string]WireItem) // addr -> items
+	batches := make(map[string][]string) // addr -> its keys, sorted
 	for _, k := range keys {
 		kp := n.keyPoint(k)
 		var dest *entry
@@ -222,11 +234,7 @@ func (n *Node) handoffKeys() {
 		if dest == nil {
 			continue // last node standing: the data dies with the overlay
 		}
-		if batches[dest.Addr] == nil {
-			batches[dest.Addr] = make(map[string]WireItem)
-		}
-		it := items[k]
-		batches[dest.Addr][k] = WireItem{V: it.Val, Ver: it.Ver, Src: it.Src}
+		batches[dest.Addr] = append(batches[dest.Addr], k)
 	}
 	addrs := make([]string, 0, len(batches))
 	for a := range batches {
@@ -234,7 +242,6 @@ func (n *Node) handoffKeys() {
 	}
 	sort.Strings(addrs)
 	for _, addr := range addrs {
-		batch := batches[addr]
 		// The routed owner is the preferred target; any live leaf
 		// neighbor is an acceptable alternate (a key parked off its
 		// true owner is pushed home by the next stabilization round's
@@ -247,16 +254,47 @@ func (n *Node) handoffKeys() {
 				targets = append(targets, e.Addr)
 			}
 		}
-		delivered := false
-		for pass := 0; pass < 4 && !delivered; pass++ {
-			for _, t := range targets {
-				if _, err := n.call(t, request{Op: "handoff", Items: batch}); err == nil {
-					delivered = true
-					break
+		// A batch larger than a frame goes as several, each under the cap.
+		for rest := batches[addr]; len(rest) > 0; {
+			m, _ := n.transferPage(rest, func(k string) []byte { return items[k].Val })
+			batch := make(map[string]WireItem, m)
+			for _, k := range rest[:m] {
+				it := items[k]
+				batch[k] = WireItem{V: it.Val, Ver: it.Ver, Src: it.Src}
+			}
+			rest = rest[m:]
+			delivered := false
+			for pass := 0; pass < 4 && !delivered; pass++ {
+				for _, t := range targets {
+					if _, err := n.call(t, request{Op: "handoff", Items: batch}); err == nil {
+						delivered = true
+						break
+					}
 				}
 			}
 		}
 	}
+}
+
+// transferSlack is the room a key transfer (a handoff request, a
+// reclaim reply) leaves in its frame for the envelope and the message's
+// fields other than its items.
+const transferSlack = 1 << 10
+
+// transferPage returns how many of keys, from the front, one key
+// transfer carries: as many as fit in a frame, and at least one. fits
+// reports that they do fit, which a lone item too large for any frame
+// does not. val returns a key's value.
+func (n *Node) transferPage(keys []string, val func(string) []byte) (m int, fits bool) {
+	used := 0
+	for i, k := range keys {
+		// An item's encoding: key, presence byte, value, version, source.
+		used += 4 + len(k) + 1 + 4 + len(val(k)) + 16
+		if used > n.MaxFrame()-transferSlack {
+			return max(i, 1), i > 0
+		}
+	}
+	return len(keys), true
 }
 
 func entryOr(w *WireEntry, fallback entry) entry {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
@@ -367,28 +368,38 @@ func (n *Node) handleStore(req request, st *opTrace) response {
 }
 
 // handleReclaim hands over the stored items the requesting (new) node is
-// now responsible for — the key migration of the join protocol. With
-// replication enabled the previous holder keeps its copy: as the
-// newcomer's leaf neighbor it usually stays inside the key's replica
-// scope, and the anti-entropy pass garbage-collects it if not.
+// now responsible for — the key migration of the join protocol — one
+// frame's worth at a time: the page holds those from req.Key on, in key
+// order, and Found reports that more follow it. With replication
+// enabled the previous holder keeps its copy: as the newcomer's leaf
+// neighbor it usually stays inside the key's replica scope, and the
+// anti-entropy pass garbage-collects it if not. Without, it drops what
+// the page carries, unless a lone item overruns the frame and the
+// reply cannot carry it.
 func (n *Node) handleReclaim(req request) response {
 	newcomer := toEntry(req.From).ID
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	items := make(map[string]WireItem)
-	var drop []string
-	n.store.Range(func(k string, v item) bool {
-		if n.space.Closer(n.keyPoint(k), newcomer, n.id) {
-			items[k] = WireItem{V: v.Val, Ver: v.Ver, Src: v.Src}
-			if n.cfg.Replicas <= 1 {
-				drop = append(drop, k)
-			}
+	var keys []string
+	n.store.Range(func(k string, _ item) bool {
+		if k >= req.Key && n.space.Closer(n.keyPoint(k), newcomer, n.id) {
+			keys = append(keys, k)
 		}
 		return true
 	})
-	for _, k := range drop {
-		n.store.Delete(k)
+	sort.Strings(keys)
+	m, fits := n.transferPage(keys, func(k string) []byte {
+		it, _ := n.store.Get(k)
+		return it.Val
+	})
+	items := make(map[string]WireItem, m)
+	for _, k := range keys[:m] {
+		it, _ := n.store.Get(k)
+		items[k] = WireItem{V: it.Val, Ver: it.Ver, Src: it.Src}
+		if n.cfg.Replicas <= 1 && fits {
+			n.store.Delete(k)
+		}
 	}
 	n.updateStoreGaugeLocked()
-	return response{Items: items}
+	return response{Items: items, Found: m < len(keys)}
 }

@@ -200,3 +200,103 @@ func TestOverlappingJoinsConvergeUnderLoss(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyMovesLargerThanAFrame moves more than one frame's worth of
+// keys at R=1, where the moving copy is the only one: 40 values of 64
+// KiB (2.5 MiB, against the 1 MiB frame cap) held by one node of a
+// four-node overlay. The holder's Leave must split its handoff batches
+// under the cap (unsplit, the batches over it were lost: 25 keys), and
+// a newcomer that takes 35 of the keys must page its reclaim (unpaged,
+// the holder dropped all 35 and its reply overran the cap).
+func TestKeyMovesLargerThanAFrame(t *testing.T) {
+	const (
+		dim   = 6
+		keys  = 40
+		taken = 35 // keys the newcomer of the join case takes over
+		size  = 64 << 10
+	)
+	value := func(k string) []byte {
+		v := make([]byte, size)
+		for i := range v {
+			v[i] = k[i%len(k)] + byte(i)
+		}
+		return v
+	}
+	// overlay boots the four nodes and puts the keys on the holder:
+	// keys it owns, taken of which a newcomer, when not nil, owns once
+	// it joins.
+	overlay := func(t *testing.T, nw *memnet.Network, newcomer *ids.CycloidID) (nodes []*Node, ks []string) {
+		t.Helper()
+		nodes = memCluster(t, nw, dim, 4, 5, nil)
+		holder := nodes[3]
+		moving := 0
+		for i := 0; len(ks) < keys; i++ {
+			if i > 1<<16 {
+				t.Fatalf("found only %d keys on %v", len(ks), holder.ID())
+			}
+			k := fmt.Sprintf("bulk-%d", i)
+			p := holder.keyPoint(k)
+			if bruteOwner(holder.space, nodes, p) != holder.ID() {
+				continue
+			}
+			if newcomer != nil {
+				moves := holder.space.Closer(p, *newcomer, holder.ID())
+				if moves != (moving < taken) {
+					continue
+				}
+				if moves {
+					moving++
+				}
+			}
+			ks = append(ks, k)
+			if err := nodes[0].Put(k, value(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return nodes, ks
+	}
+	// lost counts the keys no live node holds intact.
+	lost := func(nodes []*Node, ks []string) (n int) {
+		for _, k := range ks {
+			held := false
+			for _, nd := range liveOf(nodes) {
+				if it, ok := nd.localFetch(k); ok && string(it.Val) == string(value(k)) {
+					held = true
+				}
+			}
+			if !held {
+				n++
+			}
+		}
+		return n
+	}
+
+	t.Run("leave", func(t *testing.T) {
+		nodes, ks := overlay(t, memnet.New(5), nil)
+		if err := nodes[3].Leave(); err != nil {
+			t.Fatal(err)
+		}
+		if n := lost(nodes, ks); n != 0 {
+			t.Fatalf("Leave lost %d of %d keys", n, keys)
+		}
+	})
+	t.Run("join", func(t *testing.T) {
+		nw := memnet.New(5)
+		newcomer := ids.CycloidID{K: 5, A: 9}
+		nodes, ks := overlay(t, nw, &newcomer)
+		nd, err := Start(memConfig(nw, "newcomer", dim, newcomer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		if err := nd.Join(nodes[0].Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if n := lost(append(nodes, nd), ks); n != 0 {
+			t.Fatalf("Join lost %d of %d keys", n, keys)
+		}
+		if got := len(nd.Keys()); got != taken {
+			t.Fatalf("newcomer holds %d keys, want %d", got, taken)
+		}
+	})
+}

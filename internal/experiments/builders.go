@@ -23,6 +23,18 @@ type Churner = overlay.Churner
 // presentation order.
 var DHTNames = []string{"cycloid-7", "cycloid-11", "viceroy", "chord", "koorde"}
 
+// dhtsIn returns the names of the DHTs m holds results for, in
+// DHTNames order.
+func dhtsIn[V any](m map[string]V) []string {
+	var out []string
+	for _, name := range DHTNames {
+		if _, ok := m[name]; ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // ringBitsFor returns the smallest m with 2^m >= n.
 func ringBitsFor(n int) int {
 	m := 2

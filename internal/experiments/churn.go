@@ -179,7 +179,7 @@ func runChurnOne(name string, rate float64, o ChurnOptions) (ChurnCell, error) {
 
 // Fig12Table renders mean path length versus churn rate.
 func (r *ChurnResult) Fig12Table() Table {
-	names := churnDHTs(r.Cells)
+	names := dhtsIn(r.Cells)
 	t := Table{
 		Caption: "Figure 12: mean lookup path length vs. node join/leave rate (events/s)",
 		Header:  append([]string{"R"}, names...),
@@ -196,7 +196,7 @@ func (r *ChurnResult) Fig12Table() Table {
 
 // Table5 renders timeouts per lookup under churn.
 func (r *ChurnResult) Table5() Table {
-	names := churnDHTs(r.Cells)
+	names := dhtsIn(r.Cells)
 	t := Table{
 		Caption: "Table 5: timeouts per lookup under churn, mean (1st pct, 99th pct)",
 		Header:  append([]string{"R"}, names...),
@@ -210,14 +210,4 @@ func (r *ChurnResult) Table5() Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-func churnDHTs(cells map[string][]ChurnCell) []string {
-	var out []string
-	for _, name := range DHTNames {
-		if _, ok := cells[name]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
 }

@@ -111,7 +111,7 @@ func RunFailures(o FailureOptions) (*FailureResult, error) {
 
 // Fig11Table renders mean path length versus departure probability.
 func (r *FailureResult) Fig11Table() Table {
-	names := failureDHTs(r.Cells)
+	names := dhtsIn(r.Cells)
 	t := Table{
 		Caption: "Figure 11: mean lookup path length vs. node departure probability",
 		Header:  append([]string{"p"}, names...),
@@ -128,7 +128,7 @@ func (r *FailureResult) Fig11Table() Table {
 
 // Table4 renders timeouts per lookup (mean with 1st/99th percentiles).
 func (r *FailureResult) Table4() Table {
-	names := failureDHTs(r.Cells)
+	names := dhtsIn(r.Cells)
 	t := Table{
 		Caption: "Table 4: timeouts per lookup as nodes depart, mean (1st pct, 99th pct)",
 		Header:  append([]string{"p"}, names...),
@@ -147,7 +147,7 @@ func (r *FailureResult) Table4() Table {
 // FailureCountTable renders lookup failures per DHT, the Koorde failure
 // counts Section 4.3 discusses.
 func (r *FailureResult) FailureCountTable() Table {
-	names := failureDHTs(r.Cells)
+	names := dhtsIn(r.Cells)
 	t := Table{
 		Caption: fmt.Sprintf("Section 4.3: failed lookups out of %d", r.Cells[names[0]][0].Lookups),
 		Header:  append([]string{"p"}, names...),
@@ -160,14 +160,4 @@ func (r *FailureResult) FailureCountTable() Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-func failureDHTs(cells map[string][]FailureCell) []string {
-	var out []string
-	for _, name := range DHTNames {
-		if _, ok := cells[name]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
 }

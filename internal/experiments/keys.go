@@ -88,7 +88,7 @@ func hashName(s string) int64 {
 
 // Table renders keys-per-node summaries, Figure 8/9 style.
 func (r *KeyDistributionResult) Table(caption string) Table {
-	names := summaryDHTs(r.Summary)
+	names := dhtsIn(r.Summary)
 	t := Table{
 		Caption: fmt.Sprintf("%s: keys per node, mean (1st pct, 99th pct); %d nodes", caption, r.Nodes),
 		Header:  append([]string{"keys"}, names...),
@@ -102,14 +102,4 @@ func (r *KeyDistributionResult) Table(caption string) Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-func summaryDHTs(m map[string][]stats.Summary) []string {
-	var out []string
-	for _, name := range DHTNames {
-		if _, ok := m[name]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
 }

@@ -141,11 +141,11 @@ func measurePaths(net Churner, dim, perNode int, seed int64) PathLengthCell {
 func (r *PathLengthResult) Fig5Table() Table {
 	t := Table{
 		Caption: "Figure 5: mean lookup path length vs. network size (n = d*2^d)",
-		Header:  append([]string{"n"}, dhtsOf(r.Cells)...),
+		Header:  append([]string{"n"}, dhtsIn(r.Cells)...),
 	}
 	for i, d := range r.Dims {
 		row := []string{fmt.Sprintf("%d", d<<uint(d))}
-		for _, name := range dhtsOf(r.Cells) {
+		for _, name := range dhtsIn(r.Cells) {
 			row = append(row, f2(r.Cells[name][i].MeanPath))
 		}
 		t.Rows = append(t.Rows, row)
@@ -157,11 +157,11 @@ func (r *PathLengthResult) Fig5Table() Table {
 func (r *PathLengthResult) Fig6Table() Table {
 	t := Table{
 		Caption: "Figure 6: mean lookup path length vs. network dimension",
-		Header:  append([]string{"d"}, dhtsOf(r.Cells)...),
+		Header:  append([]string{"d"}, dhtsIn(r.Cells)...),
 	}
 	for i, d := range r.Dims {
 		row := []string{fmt.Sprintf("%d", d)}
-		for _, name := range dhtsOf(r.Cells) {
+		for _, name := range dhtsIn(r.Cells) {
 			row = append(row, f2(r.Cells[name][i].MeanPath))
 		}
 		t.Rows = append(t.Rows, row)
@@ -197,15 +197,4 @@ func phaseOrder(dht string) []string {
 	default:
 		return []string{"ascending", "descending", "traverse"}
 	}
-}
-
-// dhtsOf returns the cell map's DHT names in canonical order.
-func dhtsOf(cells map[string][]PathLengthCell) []string {
-	var out []string
-	for _, name := range DHTNames {
-		if _, ok := cells[name]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
 }

@@ -77,7 +77,7 @@ func RunQueryLoad(o QueryLoadOptions) (*QueryLoadResult, error) {
 
 // Table renders the query-load summaries, Figure 10 style.
 func (r *QueryLoadResult) Table() Table {
-	names := summaryDHTs(r.Summary)
+	names := dhtsIn(r.Summary)
 	t := Table{
 		Caption: "Figure 10: query load per node, mean (1st pct, 99th pct)",
 		Header:  append([]string{"n"}, names...),

@@ -116,7 +116,7 @@ func RunSparsity(o SparsityOptions) (*SparsityResult, error) {
 
 // Fig13Table renders mean path length versus sparsity.
 func (r *SparsityResult) Fig13Table() Table {
-	names := sparsityDHTs(r.Cells)
+	names := dhtsIn(r.Cells)
 	t := Table{
 		Caption: "Figure 13: mean lookup path length vs. degree of ID-space sparsity",
 		Header:  append([]string{"sparsity"}, names...),
@@ -146,14 +146,4 @@ func (r *SparsityResult) Fig14Table() Table {
 		t.Rows = append(t.Rows, []string{f2(c.Sparsity), f2(deb), f2(succ), fmt.Sprintf("%.0f%%", share*100)})
 	}
 	return t
-}
-
-func sparsityDHTs(cells map[string][]SparsityCell) []string {
-	var out []string
-	for _, name := range DHTNames {
-		if _, ok := cells[name]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
 }

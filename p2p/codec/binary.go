@@ -365,10 +365,10 @@ func AppendResponse(buf []byte, r *Response) ([]byte, error) {
 // ---- decoding ----
 
 // reader is a bounds-checked cursor over one fully-read frame. The
-// frame is already capped at the connection's MaxFrame before any of
-// this runs, so every length field is validated against what actually
-// arrived and nothing here allocates proportionally to a claimed —
-// rather than received — size.
+// frame is already capped at the protocol's frame cap (p2p/pool's
+// DefaultMaxFrame) before any of this runs, so every length field is
+// validated against what actually arrived and nothing here allocates
+// proportionally to a claimed — rather than received — size.
 type reader struct {
 	b   []byte
 	off int

@@ -164,7 +164,7 @@ func FuzzWireDecode(f *testing.F) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			n.handle(&fuzzConn{in: bytes.NewReader(data)})
+			n.srv.ServeConn(&fuzzConn{in: bytes.NewReader(data)})
 		}()
 		select {
 		case <-done:

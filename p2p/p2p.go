@@ -75,10 +75,6 @@ type Config struct {
 	//
 	// Deprecated: kept so existing callers compile; leave it empty.
 	WireCodec string
-	// MaxFrame caps one wire frame in either direction; oversized
-	// frames are rejected with a wire error instead of buffered
-	// unboundedly. Default 1 MiB.
-	MaxFrame int
 	// Replicas is the replication factor R: every key is stored on its
 	// owner plus up to R-1 leaf-set neighbors, so any f < R simultaneous
 	// crashes between stabilization windows lose no data. Default 1
@@ -149,7 +145,7 @@ type Config struct {
 	DataDir string
 	// NoFsync keeps the WAL but skips the fsync on the acknowledgement
 	// path, trading crash durability for write latency. Only meaningful
-	// with DataDir; benchmarks use it to price the fsync.
+	// with DataDir; cycloidd sets it when run with -fsync=false.
 	NoFsync bool
 	// Store injects a storage backend directly, taking precedence over
 	// DataDir. The node serializes all data operations on it; Sync and
@@ -169,9 +165,6 @@ func (c *Config) defaults() {
 	}
 	if c.Transport == nil {
 		c.Transport = TCP
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = pool.DefaultMaxFrame
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
@@ -241,12 +234,9 @@ type Node struct {
 	wg       sync.WaitGroup
 	rng      *rand.Rand
 
-	// pool carries every outbound call. muxConns tracks inbound
-	// multiplexed connections so Close can unblock their readers and
-	// drain in-flight requests.
-	pool     *pool.Pool
-	muxMu    sync.Mutex
-	muxConns map[net.Conn]struct{}
+	// pool carries every outbound call and srv every inbound one.
+	pool *pool.Pool
+	srv  *pool.Server
 
 	tel *nodeMetrics
 	log *slog.Logger
@@ -302,15 +292,14 @@ func Start(cfg Config) (*Node, error) {
 		id = space.FromLinear(hashing.Fold(hashing.HashString(ln.Addr().String()), space.Size()))
 	}
 	n := &Node{
-		cfg:      cfg,
-		space:    space,
-		id:       id,
-		ln:       ln,
-		addr:     ln.Addr().String(),
-		stopped:  make(chan struct{}),
-		rng:      rand.New(rand.NewSource(int64(space.Linear(id)) + 1)),
-		tel:      newNodeMetrics(cfg.Telemetry),
-		muxConns: make(map[net.Conn]struct{}),
+		cfg:     cfg,
+		space:   space,
+		id:      id,
+		ln:      ln,
+		addr:    ln.Addr().String(),
+		stopped: make(chan struct{}),
+		rng:     rand.New(rand.NewSource(int64(space.Linear(id)) + 1)),
+		tel:     newNodeMetrics(cfg.Telemetry),
 	}
 	n.peers.Store(&map[string]peerHealth{})
 	n.budget = newRetryBudget(n.tel)
@@ -339,9 +328,8 @@ func Start(cfg Config) (*Node, error) {
 		n.adm = newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.DialTimeout, n.tel)
 	}
 	pc := pool.Config{
-		Dial:     cfg.Transport.Dial,
-		MaxFrame: cfg.MaxFrame,
-		OnEvent:  n.tel.poolEvent,
+		Dial:    cfg.Transport.Dial,
+		OnEvent: n.tel.poolEvent,
 	}
 	if cfg.MaxInflight > 0 {
 		// A fleet running server-side caps also stops the client side
@@ -380,6 +368,7 @@ func Start(cfg Config) (*Node, error) {
 	n.rs.Store(&routingState{insideL: &self, insideR: &self, outsideL: &self, outsideR: &self})
 	n.updateLeafGauges()
 
+	n.srv = pool.NewServer(n.serveFrame, cfg.DialTimeout, ErrStopped.Error())
 	n.wg.Add(1)
 	go n.serve()
 	if cfg.StabilizeEvery > 0 {
@@ -398,11 +387,11 @@ func (n *Node) Addr() string { return n.addr }
 // Dim returns the overlay dimension.
 func (n *Node) Dim() int { return n.space.Dim() }
 
-// MaxFrame returns the node's effective wire-frame cap. Layers above
-// the KV (p2p/blob) validate their payload sizing against it at
-// construction instead of discovering the limit on the first oversized
-// frame.
-func (n *Node) MaxFrame() int { return n.cfg.MaxFrame }
+// MaxFrame returns the wire-frame cap, the protocol constant
+// pool.DefaultMaxFrame. Layers above the KV (p2p/blob) validate their
+// payload sizing against it at construction instead of discovering the
+// limit on the first oversized frame.
+func (n *Node) MaxFrame() int { return pool.DefaultMaxFrame }
 
 // PoolStats reports the outbound connection pool's activity snapshot.
 // Harnesses use it to assert that canceled work released its in-flight
@@ -413,19 +402,13 @@ func (n *Node) PoolStats() pool.Stats { return n.pool.Stats() }
 // ungraceful exit); use Leave for a graceful departure. In-flight
 // requests drain: handlers already dispatched complete and write their
 // responses, requests arriving after the stop get an explicit error
-// frame, and only then are connections (inbound mux streams and the
+// frame, and only then are connections (inbound streams and the
 // outbound pool) torn down.
 func (n *Node) Close() error {
 	n.stopOnce.Do(func() {
 		close(n.stopped)
 		n.ln.Close()
-		// Unblock inbound mux readers parked on idle streams; their
-		// handlers finish in-flight dispatches before closing.
-		n.muxMu.Lock()
-		for c := range n.muxConns {
-			_ = c.SetReadDeadline(time.Now())
-		}
-		n.muxMu.Unlock()
+		n.srv.Close()
 	})
 	n.wg.Wait()
 	n.pool.Close()

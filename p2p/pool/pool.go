@@ -1,15 +1,16 @@
-// Package pool provides persistent, multiplexed wire connections for
-// the p2p layer: each peer gets a small set of long-lived connections
-// over which many concurrent request/response exchanges are in flight
-// at once, correlated by envelope IDs.
+// Package pool holds both ends of the p2p layer's wire protocol,
+// CYCLOID-MUX/2. Its client end, Pool, keeps a small set of
+// long-lived connections to each peer, over which many concurrent
+// request/response exchanges are in flight at once, correlated by
+// envelope IDs. Its server end, Server (server.go), accepts
+// connections and serves their request frames through one Handler.
 //
 // # Framing
 //
-// A pooled connection opens with the preamble line
-// codec.PreambleMuxV2 ("CYCLOID-MUX/2\n"). The server echoes it back
-// as the handshake ack; a peer that does not echo it is a dial failure.
-// After the handshake both directions carry length-prefixed binary
-// frames:
+// A connection opens with the preamble line codec.PreambleMuxV2
+// ("CYCLOID-MUX/2\n"). The server echoes it back as the handshake ack;
+// a peer that does not echo it is a dial failure. After the handshake
+// both directions carry length-prefixed binary frames:
 //
 //	u32 length | u64 id | u8 status | body
 //
@@ -18,8 +19,9 @@
 // connection-level protocol error. The payload is the caller's
 // business (the p2p layer's binary request and response messages); the
 // pool only adds the correlation ID. Every frame — in either direction
-// — is capped at MaxFrame bytes; an oversized frame is a protocol
-// error, never an unbounded buffer.
+// — is capped at the protocol constant DefaultMaxFrame; an oversized
+// frame is a protocol error, never an unbounded buffer. Both ends read
+// frames with readFrame and write them with writeFrame (frame.go).
 //
 // Writes on a connection go through a batching Writer (writer.go):
 // under concurrent load, frames from many callers coalesce into fewer
@@ -29,8 +31,8 @@
 //
 // Connections are created on demand: a call rides the peer's
 // least-loaded connection unless that one already carries
-// spreadInflight (32) calls, and then opens another, up to MaxPerPeer
-// per peer. Connections are evicted after IdleTimeout of
+// spreadInflight (32) calls, and then opens another, up to maxPerPeer
+// (2) per peer. Connections are evicted after IdleTimeout of
 // disuse, and torn down on any read, write, decode or per-call timeout
 // failure. A teardown fails every call pending on the connection, and
 // the caller's error handling (timeout accounting, the suspicion list)
@@ -40,7 +42,6 @@ package pool
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -52,10 +53,12 @@ import (
 	"cycloid/p2p/codec"
 )
 
-// DefaultMaxFrame caps a single envelope (either direction) at 1 MiB.
+// DefaultMaxFrame caps a single frame (either direction) at 1 MiB. It
+// is a protocol constant: every node sends and accepts the same cap.
 const DefaultMaxFrame = 1 << 20
 
-// ErrFrameTooLarge reports a frame exceeding the configured cap.
+// ErrFrameTooLarge reports a frame past DefaultMaxFrame, or one whose
+// length prefix is shorter than its envelope.
 var ErrFrameTooLarge = errors.New("pool: frame exceeds size limit")
 
 // ErrClosed reports a call on a closed pool.
@@ -70,8 +73,11 @@ var ErrPeerSaturated = errors.New("pool: peer connections saturated")
 
 // spreadInflight is the per-connection in-flight call count at which
 // the pool prefers opening another connection to the peer (up to
-// MaxPerPeer) over queueing on the least-loaded one.
+// maxPerPeer) over queueing on the least-loaded one.
 const spreadInflight = 32
+
+// maxPerPeer caps the connections kept per peer address.
+const maxPerPeer = 2
 
 // binEnvelopeLen is the fixed id+status header inside every frame.
 const binEnvelopeLen = 9
@@ -101,8 +107,6 @@ type Config struct {
 	//
 	// Deprecated: kept so existing callers compile; it has no effect.
 	Codec codec.Codec
-	// MaxPerPeer caps the connections kept per peer address. Default 2.
-	MaxPerPeer int
 	// MaxPerPeerInflight, when positive, caps the total calls in flight
 	// to one peer across all its connections; calls beyond the cap fail
 	// immediately with ErrPeerSaturated instead of queueing unbounded
@@ -111,9 +115,6 @@ type Config struct {
 	// valve, not an exact semaphore. 0 (the default) keeps the legacy
 	// unlimited behavior.
 	MaxPerPeerInflight int
-	// MaxFrame caps one envelope in either direction. Default
-	// DefaultMaxFrame.
-	MaxFrame int
 	// IdleTimeout evicts connections with no traffic for this long.
 	// Default 60s.
 	IdleTimeout time.Duration
@@ -124,12 +125,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.MaxPerPeer == 0 {
-		c.MaxPerPeer = 2
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 60 * time.Second
 	}
@@ -301,16 +296,13 @@ func (p *Pool) DoBytes(ctx context.Context, addr string, payload []byte, bin boo
 	if !bin {
 		return Reply{}, fmt.Errorf("pool: call %s: payload must be binary", addr)
 	}
-	l := binEnvelopeLen + len(payload)
-	if l > p.cfg.MaxFrame {
+	if binEnvelopeLen+len(payload) > DefaultMaxFrame {
 		// Rejected before dialing: nothing is queued, and a connection
 		// to the peer stays healthy.
 		return Reply{}, fmt.Errorf("pool: request to %s: %w", addr, ErrFrameTooLarge)
 	}
 	if d, ok := ctx.Deadline(); ok {
-		if rem := time.Until(d); rem < timeout {
-			timeout = rem
-		}
+		timeout = min(timeout, time.Until(d))
 	}
 	// A canceled or expired context means the caller is already gone:
 	// fail before dialing rather than do work nobody will consume.
@@ -324,13 +316,6 @@ func (p *Pool) DoBytes(ctx context.Context, addr string, payload []byte, bin boo
 	if err != nil {
 		return Reply{}, err
 	}
-	return p.exchange(ctx, c, addr, payload, l, timeout)
-}
-
-// exchange registers one call on c, writes the request payload as one
-// frame of l bytes after the length prefix, and waits for the
-// correlated response, the timeout, or the context.
-func (p *Pool) exchange(ctx context.Context, c *conn, addr string, payload []byte, l int, timeout time.Duration) (Reply, error) {
 	// Last pre-enqueue check: the acquire may have burned the whole
 	// deadline dialing. Don't write a frame whose caller is gone — the
 	// peer would do the work and tear the connection down routing the
@@ -365,10 +350,7 @@ func (p *Pool) exchange(ctx context.Context, c *conn, addr string, payload []byt
 
 	// The payload is copied into the writer's batch buffer during the
 	// call, so the caller may reuse it as soon as Frame returns.
-	werr := c.w.Frame(4+l, func(buf []byte) ([]byte, error) {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
-		buf = binary.LittleEndian.AppendUint64(buf, id)
-		buf = append(buf, 0) // status: request payload
+	werr := c.w.writeFrame(id, 0, len(payload), true, func(buf []byte) ([]byte, error) {
 		return append(buf, payload...), nil
 	})
 	if werr != nil {
@@ -415,26 +397,13 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 		return nil, ErrClosed
 	}
 	p.sweepLocked()
-	var best *conn
-	bestLoad, totalLoad := 0, 0
-	for _, c := range p.peers[addr] {
-		c.mu.Lock()
-		load, dead := c.inflight, c.closed
-		c.mu.Unlock()
-		if dead {
-			continue
-		}
-		totalLoad += load
-		if best == nil || load < bestLoad {
-			best, bestLoad = c, load
-		}
-	}
+	best, bestLoad, totalLoad := p.leastLoadedLocked(addr)
 	if m := p.cfg.MaxPerPeerInflight; m > 0 && totalLoad >= m {
 		p.mu.Unlock()
 		p.event(EventSaturated)
 		return nil, fmt.Errorf("pool: call %s: %w", addr, ErrPeerSaturated)
 	}
-	if best != nil && (bestLoad < spreadInflight || len(p.peers[addr]) >= p.cfg.MaxPerPeer) {
+	if best != nil && (bestLoad < spreadInflight || len(p.peers[addr]) >= maxPerPeer) {
 		p.mu.Unlock()
 		p.event(EventReuse)
 		return best, nil
@@ -460,20 +429,10 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 		nc.Close()
 		return nil, ErrClosed
 	}
-	if len(p.peers[addr]) >= p.cfg.MaxPerPeer {
+	if len(p.peers[addr]) >= maxPerPeer {
 		// A racing caller filled the cap while we dialed; ride the
 		// least-loaded existing connection instead.
-		var alt *conn
-		altLoad := 0
-		for _, ec := range p.peers[addr] {
-			ec.mu.Lock()
-			load, dead := ec.inflight, ec.closed
-			ec.mu.Unlock()
-			if !dead && (alt == nil || load < altLoad) {
-				alt, altLoad = ec, load
-			}
-		}
-		if alt != nil {
+		if alt, _, _ := p.leastLoadedLocked(addr); alt != nil {
 			p.mu.Unlock()
 			nc.Close()
 			p.event(EventReuse)
@@ -485,6 +444,25 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 	p.event(EventDial)
 	go c.readLoop()
 	return c, nil
+}
+
+// leastLoadedLocked returns addr's live connection with the fewest
+// calls in flight, that count, and the calls in flight across all of
+// addr's live connections. Caller holds p.mu.
+func (p *Pool) leastLoadedLocked(addr string) (best *conn, bestLoad, total int) {
+	for _, c := range p.peers[addr] {
+		c.mu.Lock()
+		load, dead := c.inflight, c.closed
+		c.mu.Unlock()
+		if dead {
+			continue
+		}
+		total += load
+		if best == nil || load < bestLoad {
+			best, bestLoad = c, load
+		}
+	}
+	return best, bestLoad, total
 }
 
 // handshake opens a fresh connection: write codec.PreambleMuxV2 and
@@ -617,50 +595,34 @@ func (c *conn) close(err error) {
 	}
 }
 
-// readLoop decodes response frames — u32 length, u64 id, u8 status,
-// body — and routes them to pending calls. Response bodies land in
-// pooled buffers that travel to the caller and come back via
-// Reply.Release. Any failure — I/O error, malformed or oversized frame
-// — tears the connection down.
+// readLoop reads response frames and routes them to pending calls.
+// Response bodies land in pooled buffers that travel to the caller and
+// come back via Reply.Release. Any failure — I/O error, malformed or
+// oversized frame — tears the connection down.
 func (c *conn) readLoop() {
 	br := bufio.NewReader(c.nc)
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		id, status, body, buf, err := readFrame(br)
+		if err != nil {
 			c.teardown(fmt.Errorf("pool: read %s: %w", c.addr, err))
 			return
 		}
-		l := int(binary.LittleEndian.Uint32(hdr[:]))
-		if l < binEnvelopeLen || l > c.p.cfg.MaxFrame {
-			c.teardown(fmt.Errorf("pool: read %s: %w", c.addr, ErrFrameTooLarge))
-			return
-		}
-		fb := codec.GetBufferSize(l)
-		fb.B = fb.B[:l]
-		if _, err := io.ReadFull(br, fb.B); err != nil {
-			codec.PutBuffer(fb)
-			c.teardown(fmt.Errorf("pool: read %s: %w", c.addr, err))
-			return
-		}
-		id := binary.LittleEndian.Uint64(fb.B)
-		status := fb.B[8]
-		body := fb.B[binEnvelopeLen:]
-		if id == 0 {
+		switch {
+		case id == 0:
 			msg := "protocol error"
 			if status != 0 && len(body) > 0 {
 				msg = string(body)
 			}
-			codec.PutBuffer(fb)
+			codec.PutBuffer(buf)
 			c.teardown(fmt.Errorf("pool: %s: %s", c.addr, msg))
 			return
-		}
-		if status != 0 {
+		case status != 0:
 			err := errors.New(string(body))
-			codec.PutBuffer(fb)
+			codec.PutBuffer(buf)
 			c.route(id, result{err: err})
-			continue
+		default:
+			c.route(id, result{payload: body, buf: buf})
 		}
-		c.route(id, result{payload: body, buf: fb})
 	}
 }
 

@@ -209,84 +209,61 @@ func TestForcedBinaryAgainstV1PeerFails(t *testing.T) {
 	}
 }
 
+// TestConcurrentCallsMultiplex: concurrent callers share the pooled
+// connections (at most maxPerPeer of them) and each gets back exactly
+// its own payload. The frames are length-prefixed, so payloads are
+// opaque bytes: request-shaped text, and NULs, newlines and every other
+// byte value at sizes from empty to several KiB.
 func TestConcurrentCallsMultiplex(t *testing.T) {
-	addr, stop := startServer(t, echo)
-	defer stop()
-	p := New(Config{Dial: tcpDial, MaxPerPeer: 2})
-	defer p.Close()
-
 	const workers, calls = 8, 25
-	var wg sync.WaitGroup
-	errs := make(chan error, workers*calls)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < calls; i++ {
-				want := fmt.Sprintf(`{"w":%d,"i":%d}`, w, i)
-				got, err := do(p, context.Background(), addr, []byte(want), 5*time.Second)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if string(got) != want {
-					errs <- fmt.Errorf("got %s, want %s", got, want)
-					return
-				}
+	for _, tc := range []struct {
+		name    string
+		payload func(w, i int) []byte
+	}{
+		{"text", func(w, i int) []byte { return []byte(fmt.Sprintf(`{"w":%d,"i":%d}`, w, i)) }},
+		{"binary", func(w, i int) []byte {
+			b := make([]byte, (w*calls+i)*37%5000)
+			for j := range b {
+				b[j] = byte(w*31 + i*7 + j)
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if s := p.Stats(); s.Dials > 2 {
-		t.Fatalf("dials %d exceed MaxPerPeer 2", s.Dials)
-	}
-}
+			return b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, stop := startServer(t, echo)
+			defer stop()
+			p := New(Config{Dial: tcpDial})
+			defer p.Close()
 
-// TestConcurrentCallsMultiplexBinary: the frames are length-prefixed,
-// so payloads are opaque bytes — NULs, newlines and every other byte
-// value, at sizes from empty to several KiB — and concurrent callers
-// sharing a single connection each get back exactly their own payload.
-func TestConcurrentCallsMultiplexBinary(t *testing.T) {
-	addr, stop := startServer(t, echo)
-	defer stop()
-	p := New(Config{Dial: tcpDial, MaxPerPeer: 1})
-	defer p.Close()
-
-	const workers, calls = 8, 25
-	var wg sync.WaitGroup
-	errs := make(chan error, workers*calls)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < calls; i++ {
-				want := make([]byte, (w*calls+i)*37%5000)
-				for j := range want {
-					want[j] = byte(w*31 + i*7 + j)
-				}
-				got, err := do(p, context.Background(), addr, want, 5*time.Second)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(got, want) {
-					errs <- fmt.Errorf("worker %d call %d: got %d bytes, want %d", w, i, len(got), len(want))
-					return
-				}
+			var wg sync.WaitGroup
+			errs := make(chan error, workers*calls)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < calls; i++ {
+						want := tc.payload(w, i)
+						got, err := do(p, context.Background(), addr, want, 5*time.Second)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if !bytes.Equal(got, want) {
+							errs <- fmt.Errorf("worker %d call %d: got %d bytes, want %d", w, i, len(got), len(want))
+							return
+						}
+					}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if s := p.Stats(); s.Dials != 1 {
-		t.Fatalf("dials %d, want every call on one connection", s.Dials)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if s := p.Stats(); s.Dials > maxPerPeer {
+				t.Fatalf("dials %d exceed maxPerPeer %d", s.Dials, maxPerPeer)
+			}
+		})
 	}
 }
 
@@ -374,17 +351,17 @@ func TestProtocolErrorTearsDown(t *testing.T) {
 	}
 }
 
-// TestOversizedRequestRejectedLocally pins the outbound MaxFrame
+// TestOversizedRequestRejectedLocally pins the outbound DefaultMaxFrame
 // check: the request fails with ErrFrameTooLarge before any bytes hit
 // the wire, and the connection stays healthy.
 func TestOversizedRequestRejectedLocally(t *testing.T) {
-	big := []byte(`"` + strings.Repeat("x", 256) + `"`)
+	big := make([]byte, DefaultMaxFrame+1)
 	small := []byte(`"ok"`)
 
 	t.Run("binary", func(t *testing.T) {
 		addr, stop := startServer(t, echo)
 		defer stop()
-		p := New(Config{Dial: tcpDial, MaxFrame: 128})
+		p := New(Config{Dial: tcpDial})
 		defer p.Close()
 		if _, err := do(p, context.Background(), addr, big, time.Second); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("expected ErrFrameTooLarge, got %v", err)
@@ -398,12 +375,11 @@ func TestOversizedRequestRejectedLocally(t *testing.T) {
 	})
 }
 
-// TestOversizedReplyTearsDown pins the inbound MaxFrame check: a reply
-// whose length prefix overruns the cap fails the call with
+// TestOversizedReplyTearsDown pins the inbound DefaultMaxFrame check: a
+// reply whose length prefix overruns the cap fails the call with
 // ErrFrameTooLarge and tears the connection down, before any payload
 // buffer is sized.
 func TestOversizedReplyTearsDown(t *testing.T) {
-	const maxFrame = 128
 	addr, stop := serve(t, func(conn net.Conn) {
 		pre := make([]byte, codec.PreambleLen)
 		if _, err := io.ReadFull(conn, pre); err != nil {
@@ -414,11 +390,11 @@ func TestOversizedReplyTearsDown(t *testing.T) {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			return
 		}
-		conn.Write(binary.LittleEndian.AppendUint32(nil, maxFrame+1))
+		conn.Write(binary.LittleEndian.AppendUint32(nil, DefaultMaxFrame+1))
 		io.Copy(io.Discard, conn)
 	})
 	defer stop()
-	p := New(Config{Dial: tcpDial, MaxFrame: maxFrame})
+	p := New(Config{Dial: tcpDial})
 	defer p.Close()
 
 	if _, err := do(p, context.Background(), addr, nil, time.Second); !errors.Is(err, ErrFrameTooLarge) {

@@ -123,18 +123,6 @@ func (w *Writer) Frame(size int, fill func([]byte) ([]byte, error)) error {
 	return err
 }
 
-// Queue appends one frame via fill like Frame, but never starts a flush
-// itself: the bytes ride an already-active flusher's next swap, or wait
-// for a later Frame or Flush call. Callers that know more frames are
-// imminent (a server draining a burst of pipelined requests) use it to
-// put many responses into one Write.
-func (w *Writer) Queue(size int, fill func([]byte) ([]byte, error)) error {
-	w.mu.Lock()
-	err := w.appendLocked(size, fill)
-	w.mu.Unlock()
-	return err
-}
-
 // appendLocked runs fill on the batch buffer after reserving size
 // bytes, rolling back on a fill error. Caller holds w.mu.
 func (w *Writer) appendLocked(size int, fill func([]byte) ([]byte, error)) error {

@@ -15,6 +15,7 @@ import (
 	"cycloid/internal/ids"
 	"cycloid/p2p/codec"
 	"cycloid/p2p/memnet"
+	"cycloid/p2p/pool"
 )
 
 // TestPooledTransportLookups runs the basic overlay workload — joins,
@@ -387,9 +388,7 @@ func TestServerRefusesForeignOpenings(t *testing.T) {
 // prefix is rejected before any payload allocation.
 func TestMuxFrameCap(t *testing.T) {
 	nw := memnet.New(36)
-	cfg := memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3})
-	cfg.MaxFrame = 1 << 10
-	nd, err := Start(cfg)
+	nd, err := Start(memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +398,7 @@ func TestMuxFrameCap(t *testing.T) {
 	defer conn.Close()
 	go func() {
 		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(cfg.MaxFrame+1))
+		binary.LittleEndian.PutUint32(hdr[:], pool.DefaultMaxFrame+1)
 		_, _ = conn.Write(hdr[:])
 	}()
 	id, status, body, err := readMux(br)
@@ -415,15 +414,13 @@ func TestMuxFrameCap(t *testing.T) {
 }
 
 // TestMuxFrameCapBinary: a complete, well-formed CYCLOID-MUX/2 request
-// frame whose body overruns MaxFrame (a store carrying an 8 KiB value
-// against a 1 KiB cap) is refused the same way as a bare oversized
-// length prefix: one connection-level error frame, then the stream is
-// dropped and the request is never dispatched.
+// frame whose body overruns the frame cap (a store carrying a value one
+// byte past pool.DefaultMaxFrame) is refused the same way as a bare
+// oversized length prefix: one connection-level error frame, then the
+// stream is dropped and the request is never dispatched.
 func TestMuxFrameCapBinary(t *testing.T) {
 	nw := memnet.New(34)
-	cfg := memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3})
-	cfg.MaxFrame = 1 << 10
-	nd, err := Start(cfg)
+	nd, err := Start(memConfig(nw, "srv", 5, ids.CycloidID{K: 1, A: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +428,7 @@ func TestMuxFrameCapBinary(t *testing.T) {
 
 	conn, br := dialMux(t, nw, "cli", nd.Addr())
 	defer conn.Close()
-	frame := muxFrame(t, 1, request{Op: "store", Key: "huge", Value: make([]byte, 8<<10), From: WireEntry{Addr: "cli:0"}})
+	frame := muxFrame(t, 1, request{Op: "store", Key: "huge", Value: make([]byte, pool.DefaultMaxFrame+1), From: WireEntry{Addr: "cli:0"}})
 	// Unbuffered pipe: the oversized frame write blocks once the server
 	// stops reading, so it must run alongside the read below.
 	go func() { _, _ = conn.Write(frame) }()

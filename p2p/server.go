@@ -1,11 +1,7 @@
 package p2p
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
-	"io"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -15,8 +11,6 @@ import (
 	"cycloid/p2p/codec"
 	"cycloid/p2p/pool"
 )
-
-func deadline(d time.Duration) time.Time { return time.Now().Add(d) }
 
 // serve accepts connections until the node stops. Transient Accept
 // errors (EMFILE, a faulty listener) back off exponentially instead of
@@ -31,11 +25,7 @@ func (n *Node) serve() {
 			if n.isStopped() {
 				return
 			}
-			if backoff == 0 {
-				backoff = 5 * time.Millisecond
-			} else if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
 			n.tel.acceptBackoff.Inc()
 			n.log.Warn("accept failed, backing off", "err", err, "backoff", backoff)
 			t := time.NewTimer(backoff)
@@ -51,196 +41,51 @@ func (n *Node) serve() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			n.handle(conn)
+			n.srv.ServeConn(conn)
 		}()
 	}
 }
 
-// handle serves one inbound connection. The only protocol is
-// CYCLOID-MUX/2: a connection must open with codec.PreambleMuxV2, which
-// the server echoes as the handshake ack before serving frames
-// (serveMux). Any other opening — a JSON request line, a retired
-// preamble, stray bytes — is closed without writing a byte or
-// dispatching anything.
-func (n *Node) handle(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetDeadline(deadline(n.cfg.DialTimeout))
-	br := bufio.NewReader(conn)
-	// Byte by byte, so a foreign opening is dropped at its first wrong
-	// byte instead of waiting for a full preamble's worth of input.
-	for i := 0; i < codec.PreambleLen; i++ {
-		if c, err := br.ReadByte(); err != nil || c != codec.PreambleMuxV2[i] {
-			return
-		}
+// serveFrame is the node's pool.Handler. Short read-only ops (ping/
+// state/step take no lock, fetch one short store lock) are answered
+// inline on the connection's read loop, skipping the per-request
+// goroutine on the lookup hot path. Admission still applies: queueing
+// on the read loop stalls pipelined frames behind it, which is exactly
+// the backpressure an overloaded node wants to exert. The rest dispatch
+// on goroutines, which the connection drains before it closes.
+func (n *Node) serveFrame(c *pool.ServerConn, id uint64, body []byte) {
+	var req request
+	decStart := time.Now()
+	err := codec.DecodeRequest(body, &req)
+	n.tel.codecDecodeBin.Observe(time.Since(decStart).Nanoseconds())
+	switch {
+	case err != nil:
+		c.Error(id, "malformed request")
+	case req.Op == "ping" || req.Op == "state" || req.Op == "step" || req.Op == "fetch":
+		resp := n.dispatchAdmitted(req)
+		n.reply(c, id, &resp)
+	default:
+		c.Add()
+		go n.serveOffLoop(c, id, req)
 	}
-	if _, err := conn.Write([]byte(codec.PreambleMuxV2)); err != nil {
-		return
-	}
-	n.serveMux(conn, br)
 }
 
-// serveMux serves one CYCLOID-MUX/2 connection: binary frames of the
-// form u32 len | u64 id | u8 status | body, each request dispatched and
-// answered under its correlation ID. Responses ride a batching writer,
-// so bursts of concurrent replies coalesce into single writes.
-// Short read-only ops (ping/state/step take no lock, fetch one short
-// store lock) are answered inline on the read loop; the rest dispatch on
-// goroutines, drained before the connection closes. A frame's length
-// prefix is validated against MaxFrame before any payload allocation.
-//
-// The stream lives until the peer closes it, a protocol error occurs,
-// or the node stops — and on stop, every request already read is
-// answered (in-flight dispatches complete, later frames get an explicit
-// error frame) before the connection drops.
-func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
-	n.muxMu.Lock()
-	n.muxConns[conn] = struct{}{}
-	n.muxMu.Unlock()
-	defer func() {
-		n.muxMu.Lock()
-		delete(n.muxConns, conn)
-		n.muxMu.Unlock()
-	}()
+// serveOffLoop serves a request that may take arbitrarily long.
+func (n *Node) serveOffLoop(c *pool.ServerConn, id uint64, req request) {
+	defer c.Done()
+	resp := n.dispatchAdmitted(req)
+	n.reply(c, id, &resp)
+}
 
-	// A mux stream idles between requests; replace the handshake
-	// deadline with none, then re-check stopped — Close may have swept
-	// the mux set concurrently with registration above, and its
-	// read-deadline nudge must not be erased silently.
-	_ = conn.SetDeadline(time.Time{})
-	if n.isStopped() {
-		return
-	}
-
-	w := pool.NewWriter(conn, n.cfg.DialTimeout, func(error) {
-		// A failed write poisons the stream; closing the connection
-		// unblocks the read loop, which ends the handler.
-		_ = conn.Close()
+// reply encodes resp straight into the connection's write batch, its
+// size class reserved up front (a fetch reply carries its value).
+func (n *Node) reply(c *pool.ServerConn, id uint64, resp *response) {
+	c.Reply(id, resp.SizeHint(), func(buf []byte) ([]byte, error) {
+		encStart := time.Now()
+		out, err := codec.AppendResponse(buf, resp)
+		n.tel.codecEncodeBin.Observe(time.Since(encStart).Nanoseconds())
+		return out, err
 	})
-	writeErr := func(id uint64, msg string) {
-		_ = w.Frame(13+len(msg), func(buf []byte) ([]byte, error) {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(9+len(msg)))
-			buf = binary.LittleEndian.AppendUint64(buf, id)
-			buf = append(buf, 1)
-			return append(buf, msg...), nil
-		})
-	}
-	// writeResp appends one response frame. With defer set the frame is
-	// only queued: the caller knows another complete request is already
-	// buffered, so its response will ride the same Write — under
-	// pipelining, a burst of requests costs one response syscall.
-	writeResp := func(id uint64, resp *response, deferFlush bool) {
-		fill := func(buf []byte) ([]byte, error) {
-			start := len(buf)
-			buf = append(buf, 0, 0, 0, 0) // frame length, backfilled below
-			buf = binary.LittleEndian.AppendUint64(buf, id)
-			buf = append(buf, 0)
-			encStart := time.Now()
-			out, err := codec.AppendResponse(buf, resp)
-			n.tel.codecEncodeBin.Observe(time.Since(encStart).Nanoseconds())
-			if err != nil {
-				return buf[:start], err
-			}
-			l := len(out) - start - 4
-			if l > n.cfg.MaxFrame {
-				return out[:start], pool.ErrFrameTooLarge
-			}
-			binary.LittleEndian.PutUint32(out[start:], uint32(l))
-			return out, nil
-		}
-		// The reply size is known (a fetch carries its value), so its
-		// size class is reserved before encoding.
-		size := 13 + resp.SizeHint()
-		var err error
-		if deferFlush {
-			err = w.Queue(size, fill)
-		} else {
-			err = w.Frame(size, fill)
-		}
-		if err != nil {
-			// The frame was rolled back, so the stream is still framed;
-			// answer the call with an error envelope instead.
-			writeErr(id, "response exceeds frame limit")
-		}
-	}
-	// nextFrameBuffered reports whether br already holds one complete
-	// request frame — the signal that the current response can be queued
-	// instead of flushed, because this loop will append another response
-	// (or flush) before it next blocks on the socket.
-	nextFrameBuffered := func() bool {
-		if br.Buffered() < 4 {
-			return false
-		}
-		peek, err := br.Peek(4)
-		if err != nil {
-			return false
-		}
-		l := int(binary.LittleEndian.Uint32(peek))
-		return l >= 9 && l <= n.cfg.MaxFrame && br.Buffered() >= 4+l
-	}
-
-	var inflight sync.WaitGroup
-	defer inflight.Wait() // drain dispatched handlers before closing
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		l := int(binary.LittleEndian.Uint32(hdr[:]))
-		if l < 9 || l > n.cfg.MaxFrame {
-			// ID 0 = connection-level error: framing is lost, so the
-			// peer must tear the stream down. The check precedes the
-			// payload allocation below.
-			writeErr(0, "frame exceeds size limit")
-			return
-		}
-		fb := codec.GetBufferSize(l)
-		fb.B = fb.B[:l]
-		if _, err := io.ReadFull(br, fb.B); err != nil {
-			codec.PutBuffer(fb)
-			return
-		}
-		id := binary.LittleEndian.Uint64(fb.B)
-		status := fb.B[8]
-		if id == 0 || status != 0 {
-			codec.PutBuffer(fb)
-			writeErr(0, "malformed envelope")
-			return
-		}
-		if n.isStopped() {
-			codec.PutBuffer(fb)
-			writeErr(id, ErrStopped.Error())
-			continue
-		}
-		var req request
-		decStart := time.Now()
-		err := codec.DecodeRequest(fb.B[9:], &req)
-		n.tel.codecDecodeBin.Observe(time.Since(decStart).Nanoseconds())
-		codec.PutBuffer(fb)
-		if err != nil {
-			writeErr(id, "malformed request")
-			continue
-		}
-		switch req.Op {
-		case "ping", "state", "step", "fetch":
-			// Short read-only ops answer inline, skipping the
-			// per-request goroutine on the lookup hot path. Admission
-			// still applies: queueing on the read loop stalls pipelined
-			// frames behind it, which is exactly the backpressure an
-			// overloaded node wants to exert.
-			resp := n.dispatchAdmitted(req)
-			writeResp(id, &resp, nextFrameBuffered())
-		default:
-			inflight.Add(1)
-			go func(id uint64, req request) {
-				defer inflight.Done()
-				resp := n.dispatchAdmitted(req)
-				writeResp(id, &resp, false)
-			}(id, req)
-			// The dispatched handler may take arbitrarily long; don't
-			// let responses queued by the inline path wait on it.
-			_ = w.Flush()
-		}
-	}
 }
 
 // dispatch routes one request to its handler: an admitted wire request,

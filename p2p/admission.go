@@ -112,9 +112,7 @@ func (a *admission) admit(deadlineMs uint32) (release func(), busy *response) {
 	// is exactly the dead work deadline propagation exists to drop.
 	wait := a.maxWait
 	if deadlineMs > 0 {
-		if d := time.Duration(deadlineMs) * time.Millisecond; d < wait {
-			wait = d
-		}
+		wait = min(wait, time.Duration(deadlineMs)*time.Millisecond)
 	}
 	t := time.NewTimer(wait)
 	defer t.Stop()
@@ -191,23 +189,12 @@ func (a *admission) releaseSlot() {
 // retryAfter estimates the backlog drain time: one observed service
 // time per request ahead in line, clamped to a sane hint range.
 func (a *admission) retryAfter() time.Duration {
-	per := time.Duration(a.svcNanos.Load())
-	est := time.Duration(a.queued.Load()+1) * per
-	if est < retryAfterMin {
-		est = retryAfterMin
-	}
-	if est > retryAfterMax {
-		est = retryAfterMax
-	}
-	return est
+	est := time.Duration(a.queued.Load()+1) * time.Duration(a.svcNanos.Load())
+	return min(max(est, retryAfterMin), retryAfterMax)
 }
 
 func (a *admission) busyResponse(msg string) *response {
-	ra := a.retryAfter()
-	ms := uint32(ra / time.Millisecond)
-	if ms == 0 {
-		ms = 1
-	}
+	ms := max(uint32(a.retryAfter()/time.Millisecond), 1)
 	return &response{Err: msg, Busy: true, RetryAfterMs: ms}
 }
 

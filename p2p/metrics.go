@@ -69,12 +69,8 @@ type nodeMetrics struct {
 	codecEncodeBin *telemetry.Histogram
 	codecDecodeBin *telemetry.Histogram
 
-	// connection pool (p2p/pool)
-	poolDials     *telemetry.Counter
-	poolReuses    *telemetry.Counter
-	poolEvictions *telemetry.Counter
-	poolTeardowns *telemetry.Counter
-	poolSaturated *telemetry.Counter
+	// connection pool (p2p/pool), indexed by pool.Event
+	poolEvents [pool.EventSaturated + 1]*telemetry.Counter
 
 	// replication (p2p/replicate.go)
 	fanout      *telemetry.Histogram
@@ -165,14 +161,16 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		codecEncodeBin: reg.Histogram("codec_encode_ns", codecEncHelp, telemetry.CodecLatencyBucketsNS, telemetry.L("codec", "binary")),
 		codecDecodeBin: reg.Histogram("codec_decode_ns", codecDecHelp, telemetry.CodecLatencyBucketsNS, telemetry.L("codec", "binary")),
 
-		poolDials:  reg.Counter("pool_dials_total", "Pooled connections opened."),
-		poolReuses: reg.Counter("pool_reuses_total", "Wire calls that rode an existing pooled connection."),
-		poolEvictions: reg.Counter("pool_evictions_total",
-			"Idle pooled connections evicted after the idle timeout."),
-		poolTeardowns: reg.Counter("pool_teardowns_total",
-			"Pooled connections torn down on failure, failing their pending calls."),
-		poolSaturated: reg.Counter("pool_inflight_rejected_total",
-			"Calls rejected locally because every pooled connection to the peer was at its in-flight cap."),
+		poolEvents: [...]*telemetry.Counter{
+			pool.EventDial:  reg.Counter("pool_dials_total", "Pooled connections opened."),
+			pool.EventReuse: reg.Counter("pool_reuses_total", "Wire calls that rode an existing pooled connection."),
+			pool.EventEviction: reg.Counter("pool_evictions_total",
+				"Idle pooled connections evicted after the idle timeout."),
+			pool.EventTeardown: reg.Counter("pool_teardowns_total",
+				"Pooled connections torn down on failure, failing their pending calls."),
+			pool.EventSaturated: reg.Counter("pool_inflight_rejected_total",
+				"Calls rejected locally because every pooled connection to the peer was at its in-flight cap."),
+		},
 
 		fanout: reg.Histogram("replicate_fanout_size", "Replica targets per owner-side write fan-out.", telemetry.FanoutBuckets),
 		fanoutSkips: reg.Counter("replicate_fanout_skips_total",
@@ -227,20 +225,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 }
 
 // poolEvent counts one pool lifecycle event.
-func (m *nodeMetrics) poolEvent(e pool.Event) {
-	switch e {
-	case pool.EventDial:
-		m.poolDials.Inc()
-	case pool.EventReuse:
-		m.poolReuses.Inc()
-	case pool.EventEviction:
-		m.poolEvictions.Inc()
-	case pool.EventTeardown:
-		m.poolTeardowns.Inc()
-	case pool.EventSaturated:
-		m.poolSaturated.Inc()
-	}
-}
+func (m *nodeMetrics) poolEvent(e pool.Event) { m.poolEvents[e].Inc() }
 
 // request counts one served wire request under its op label.
 func (m *nodeMetrics) request(op string) {

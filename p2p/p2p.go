@@ -26,6 +26,7 @@
 package p2p
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -304,11 +305,7 @@ func Start(cfg Config) (*Node, error) {
 	n.peers.Store(&map[string]peerHealth{})
 	n.budget = newRetryBudget(n.tel)
 	if cfg.SpanBuffer >= 0 && (cfg.SpanBuffer > 0 || cfg.TraceSample > 0) {
-		size := cfg.SpanBuffer
-		if size == 0 {
-			size = 4096
-		}
-		n.spans = telemetry.NewSpanBuffer(size)
+		n.spans = telemetry.NewSpanBuffer(cmp.Or(cfg.SpanBuffer, 4096))
 		switch {
 		case cfg.TraceSample >= 1:
 			n.traceThreshold = ^uint64(0)

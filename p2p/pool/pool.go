@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,6 +97,7 @@ const (
 	EventEviction               // an idle connection was evicted
 	EventTeardown               // a connection failed and was torn down
 	EventSaturated              // a call was rejected at the per-peer in-flight cap
+	numEvents
 )
 
 // Config parameterizes a Pool. Dial is required; everything else
@@ -124,12 +126,6 @@ type Config struct {
 	OnEvent func(Event)
 }
 
-func (c *Config) defaults() {
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 60 * time.Second
-	}
-}
-
 // Stats is a cumulative snapshot of pool activity.
 type Stats struct {
 	Dials     uint64 // pooled connections opened
@@ -152,14 +148,16 @@ type Pool struct {
 	lastSweep time.Time
 	sweepTick uint // acquires since the last sweep-interval check
 
-	dials, reuses, evictions, teardowns, saturated atomic.Uint64
+	events [numEvents]atomic.Uint64 // counts by Event
 }
 
 // New creates a pool dialing through cfg.Dial.
 func New(cfg Config) *Pool {
-	cfg.defaults()
 	if cfg.Dial == nil {
 		panic("pool: Config.Dial is required")
+	}
+	if cfg.IdleTimeout == 0 {
+		cfg.IdleTimeout = 60 * time.Second
 	}
 	return &Pool{
 		cfg:       cfg,
@@ -169,18 +167,7 @@ func New(cfg Config) *Pool {
 }
 
 func (p *Pool) event(e Event) {
-	switch e {
-	case EventDial:
-		p.dials.Add(1)
-	case EventReuse:
-		p.reuses.Add(1)
-	case EventEviction:
-		p.evictions.Add(1)
-	case EventTeardown:
-		p.teardowns.Add(1)
-	case EventSaturated:
-		p.saturated.Add(1)
-	}
+	p.events[e].Add(1)
 	if p.cfg.OnEvent != nil {
 		p.cfg.OnEvent(e)
 	}
@@ -200,23 +187,21 @@ func (p *Pool) Stats() Stats {
 	}
 	p.mu.Unlock()
 	return Stats{
-		Dials:     p.dials.Load(),
-		Reuses:    p.reuses.Load(),
-		Evictions: p.evictions.Load(),
-		Teardowns: p.teardowns.Load(),
-		Saturated: p.saturated.Load(),
+		Dials:     p.events[EventDial].Load(),
+		Reuses:    p.events[EventReuse].Load(),
+		Evictions: p.events[EventEviction].Load(),
+		Teardowns: p.events[EventTeardown].Load(),
+		Saturated: p.events[EventSaturated].Load(),
 		OpenConns: open,
 		Inflight:  inflight,
 	}
 }
 
-// result is one call's outcome, delivered by the reader goroutine. The
-// payload aliases buf, which the caller releases via Reply.Release once
-// decoded.
+// result is one call's outcome, delivered by the reader goroutine: a
+// reply the caller releases once decoded, or an error.
 type result struct {
-	payload []byte
-	buf     *codec.Buffer
-	err     error
+	Reply
+	err error
 }
 
 // conn is one pooled connection and its multiplexing state.
@@ -366,7 +351,7 @@ func (p *Pool) DoBytes(ctx context.Context, addr string, payload []byte, bin boo
 		if res.err != nil {
 			return Reply{}, fmt.Errorf("pool: call %s: %w", addr, res.err)
 		}
-		return Reply{Payload: res.payload, buf: res.buf}, nil
+		return res.Reply, nil
 	case <-ctx.Done():
 		// The response may still arrive, but the caller is gone; a
 		// connection carrying an abandoned exchange is suspect, and
@@ -498,23 +483,26 @@ func (p *Pool) sweepLocked() {
 	}
 	p.lastSweep = now
 	for addr, conns := range p.peers {
-		kept := conns[:0]
-		for _, c := range conns {
+		p.keepLocked(addr, slices.DeleteFunc(conns, func(c *conn) bool {
 			c.mu.Lock()
 			idle := !c.closed && c.inflight == 0 && now.Sub(c.lastUse) > p.cfg.IdleTimeout
 			c.mu.Unlock()
 			if idle {
 				c.close(errors.New("pool: connection evicted (idle)"))
 				p.event(EventEviction)
-				continue
 			}
-			kept = append(kept, c)
-		}
-		if len(kept) == 0 {
-			delete(p.peers, addr)
-		} else {
-			p.peers[addr] = kept
-		}
+			return idle
+		}))
+	}
+}
+
+// keepLocked stores what is left of addr's connections, dropping the
+// entry once none are. Caller holds p.mu.
+func (p *Pool) keepLocked(addr string, conns []*conn) {
+	if len(conns) == 0 {
+		delete(p.peers, addr)
+	} else {
+		p.peers[addr] = conns
 	}
 }
 
@@ -555,23 +543,12 @@ func (p *Pool) Close() error {
 func (c *conn) teardown(err error) {
 	p := c.p
 	p.mu.Lock()
-	conns := p.peers[c.addr]
-	kept := conns[:0]
-	found := false
-	for _, ec := range conns {
-		if ec == c {
-			found = true
-			continue
-		}
-		kept = append(kept, ec)
-	}
-	if len(kept) == 0 {
-		delete(p.peers, c.addr)
-	} else {
-		p.peers[c.addr] = kept
+	i := slices.Index(p.peers[c.addr], c)
+	if i >= 0 {
+		p.keepLocked(c.addr, slices.Delete(p.peers[c.addr], i, i+1))
 	}
 	p.mu.Unlock()
-	if found {
+	if i >= 0 {
 		p.event(EventTeardown)
 	}
 	c.close(err)
@@ -621,7 +598,7 @@ func (c *conn) readLoop() {
 			codec.PutBuffer(buf)
 			c.route(id, result{err: err})
 		default:
-			c.route(id, result{payload: body, buf: buf})
+			c.route(id, result{Reply: Reply{Payload: body, buf: buf}})
 		}
 	}
 }
@@ -634,9 +611,7 @@ func (c *conn) route(id uint64, res result) {
 	delete(c.pending, id)
 	c.mu.Unlock()
 	if ch == nil {
-		if res.buf != nil {
-			codec.PutBuffer(res.buf)
-		}
+		res.Release()
 		return
 	}
 	ch <- res

@@ -139,10 +139,7 @@ func (n *Node) callRetry(ctx context.Context, to entry, req request, ot *opTrace
 			return resp, err
 		}
 		ot.force("shed")
-		wait := backoff
-		if be.RetryAfter > wait {
-			wait = be.RetryAfter
-		}
+		wait := max(backoff, be.RetryAfter)
 		wait += jitter(wait / 2)
 		if d, ok := ctx.Deadline(); ok && time.Until(d) <= wait {
 			return resp, err // the hint outlives the caller's deadline
@@ -160,8 +157,6 @@ func (n *Node) callRetry(ctx context.Context, to entry, req request, ot *opTrace
 		case <-t.C:
 		}
 		n.tel.retries.Inc()
-		if backoff *= 2; backoff > busyBackoffMax {
-			backoff = busyBackoffMax
-		}
+		backoff = min(2*backoff, busyBackoffMax)
 	}
 }

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -134,11 +135,7 @@ func (n *Node) roundTrip(ctx context.Context, addr string, req *request, resp *r
 	if d, ok := ctx.Deadline(); ok {
 		rem := time.Until(d)
 		if rem <= 0 {
-			err := ctx.Err()
-			if err == nil {
-				err = context.DeadlineExceeded
-			}
-			return fmt.Errorf("p2p: dial %s: %w", addr, err)
+			return fmt.Errorf("p2p: dial %s: %w", addr, cmp.Or(ctx.Err(), context.DeadlineExceeded))
 		}
 		timeout = min(timeout, rem)
 	}

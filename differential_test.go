@@ -3,6 +3,7 @@ package cycloid_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cycloid/internal/chaosrunner"
@@ -35,9 +36,10 @@ func TestLiveOverlayMatchesSimulator(t *testing.T) {
 		name       string
 		dim, nodes int
 		seed       int64
+		sweepCost  float64 // requests per node a sweep at rest may cost
 	}{
-		{"benchmark-d6-n64", 6, 64, 20040426},
-		{"d8-n256", 8, 256, 7},
+		{"benchmark-d6-n64", 6, 64, 20040426, 15.0},
+		{"d8-n256", 8, 256, 7, 20.5},
 	} {
 		for _, p := range []float64{0, 0.1, 0.3, 0.5} {
 			name := tc.name
@@ -71,6 +73,9 @@ func TestLiveOverlayMatchesSimulator(t *testing.T) {
 					}
 				}
 				requireOracle(t, space, oracle, survivors, rng)
+				if p == 0 {
+					requireSweepCost(t, nodes, tc.sweepCost)
+				}
 			})
 		}
 	}
@@ -116,6 +121,41 @@ func requireOracle(t *testing.T, space ids.Space, oracle *cycloid.Network, nodes
 		}
 	}
 	t.Logf("%d nodes, mean path length: live %.3f, simulator %.3f", len(nodes), float64(hops)/2000, float64(simHops)/2000)
+}
+
+// requireSweepCost runs one more stabilization sweep over an overlay at
+// rest, whose every slot already equals the oracle's, and bounds what it
+// costs from the fleet-wide cycloid_requests_total deltas: no update
+// (every leaf already holds what the slot rule gives it), no ping, and
+// at most maxPerNode requests per node.
+func requireSweepCost(t *testing.T, nodes []*p2p.Node, maxPerNode float64) {
+	t.Helper()
+	requests := func() map[string]uint64 {
+		byOp := make(map[string]uint64)
+		for _, nd := range nodes {
+			for name, v := range nd.Telemetry().CounterValues() {
+				if op, ok := strings.CutPrefix(name, `cycloid_requests_total{op="`); ok {
+					byOp[strings.TrimSuffix(op, `"}`)] += v
+				}
+			}
+		}
+		return byOp
+	}
+	before := requests()
+	fleet.Stabilize(nodes, 1)
+	sweep, total := requests(), uint64(0)
+	for op := range sweep {
+		sweep[op] -= before[op]
+		total += sweep[op]
+	}
+	perNode := float64(total) / float64(len(nodes))
+	t.Logf("one sweep at rest: %.2f requests per node, by op %v", perNode, sweep)
+	if sweep["update"] != 0 || sweep["ping"] != 0 {
+		t.Errorf("a sweep at rest sent %d updates and %d pings", sweep["update"], sweep["ping"])
+	}
+	if perNode > maxPerNode {
+		t.Errorf("a sweep at rest cost %.2f requests per node, want at most %.1f", perNode, maxPerNode)
+	}
 }
 
 // bootLive boots n memnet nodes through fleet.Boot and runs three

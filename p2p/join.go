@@ -39,7 +39,7 @@ func (n *Node) Join(bootstrap string) error {
 	}
 
 	n.deriveLeafSets(zst)
-	n.RefreshRoutingTable()
+	n.refreshRoutingTable(peerView{})
 	n.announce("join", nil)
 	n.reclaimKeys()
 	n.updateLeafGauges()

@@ -9,9 +9,9 @@ import (
 
 // The slot rule of Section 3.1, in one place. Every live decision about
 // who fills a routing-state slot — a join deriving its leaf sets, a
-// membership notification, a stabilization refresh, the outside-ring
-// correction and the routing-table search — hands candidates to better
-// instead of carrying its own case analysis.
+// membership notification, a stabilization refresh and the
+// routing-table search — hands candidates to better instead of carrying
+// its own case analysis.
 
 // slot indexes one of the seven routing-state entries. The four leaf
 // slots come first.
@@ -93,23 +93,23 @@ func (n *Node) editRS(edit func(rs *routingState)) {
 
 var tableSlots = [...]slot{cubical, cyclicL, cyclicS}
 
-// fits reports whether e may fill slot s at all: the inside leaf set
-// holds members of this node's cycle, the outside leaf set members of
+// fits reports whether e may fill slot s of node me at all: the inside
+// leaf set holds members of me's cycle, the outside leaf set members of
 // other cycles, and the routing table nodes with cyclic index k-1.
-func (n *Node) fits(s slot, e entry) bool {
+func fits(me ids.CycloidID, s slot, e entry) bool {
 	switch {
-	case e.ID == n.id:
+	case e.ID == me:
 		return false
 	case s <= insideR:
-		return e.ID.A == n.id.A
+		return e.ID.A == me.A
 	case s <= outsideR:
-		return e.ID.A != n.id.A
+		return e.ID.A != me.A
 	}
-	return n.id.K > 0 && e.ID.K == n.id.K-1
+	return me.K > 0 && e.ID.K == me.K-1
 }
 
-// better reports whether c belongs in slot s ahead of cur, under the
-// definitions of Section 3.1 for node (k, a):
+// better reports whether c belongs in slot s of node me = (k, a) ahead
+// of cur, under the definitions of Section 3.1:
 //
 //   - insideL/insideR: the predecessor and successor on the local cycle;
 //   - outsideL/outsideR: the primary (largest cyclic index) of the
@@ -121,16 +121,17 @@ func (n *Node) fits(s slot, e entry) bool {
 //     the smaller index; when the block holds none, the circularly
 //     nearest such node, ties clockwise.
 //
-// A slot holding anything that does not fit it (this node itself marks
-// an empty leaf slot) loses to every candidate that does.
-func (n *Node) better(s slot, c, cur entry) bool {
-	if !n.fits(s, c) {
+// A slot holding anything that does not fit it (me itself marks an
+// empty leaf slot) loses to every candidate that does. The viewpoint is
+// a parameter so a node can also judge a peer's slots from its state.
+func better(sp ids.Space, me ids.CycloidID, s slot, c, cur entry) bool {
+	if !fits(me, s, c) {
 		return false
 	}
-	if !n.fits(s, cur) {
+	if !fits(me, s, cur) {
 		return true
 	}
-	sp, me, x, y := n.space, n.id, c.ID, cur.ID
+	x, y := c.ID, cur.ID
 	switch s {
 	case insideL:
 		return sp.ClockwiseCyclic(x.K, me.K) < sp.ClockwiseCyclic(y.K, me.K)
@@ -171,33 +172,35 @@ func (n *Node) offer(cands ...entry) {
 func (n *Node) place(rs *routingState, cands []entry) {
 	for s := range rs.leaves() {
 		for _, c := range cands {
-			if n.better(slot(s), c, *rs[s]) {
+			if better(n.space, n.id, slot(s), c, *rs[s]) {
 				rs[s] = clone(c)
 			}
 		}
 	}
 }
 
-// tableSearch is one routing-table refresh: the local-remote search of
-// Section 3.3.1 for nodes with cyclic index k, collecting every such
-// node it meets, with the peer states it fetched memoized so walks that
-// cross the same cycle query each member once.
-type tableSearch struct {
-	n      *Node
-	k      uint8
-	found  []entry
-	states map[ids.CycloidID]*WireState
+// adopts reports whether a peer in state st would put c into one of its
+// leaf slots under the slot rule: what an update naming c would make it
+// do.
+func adopts(sp ids.Space, st *WireState, c entry) bool {
+	at := toEntry(st.Self)
+	for s, w := range wireSlots(st)[:cubical] {
+		if better(sp, at.ID, slot(s), c, entryOr(w, at)) {
+			return true
+		}
+	}
+	return false
 }
 
-func (ts *tableSearch) state(e entry) (*WireState, error) {
-	if st, ok := ts.states[e.ID]; ok {
-		return st, nil
-	}
-	st, err := ts.n.stateOf(context.Background(), e)
-	if err == nil {
-		ts.states[e.ID] = st
-	}
-	return st, err
+// tableSearch is one routing-table refresh: the local-remote search of
+// Section 3.3.1 for nodes with cyclic index k, collecting every such
+// node it meets. It reads peers through the sweep's view, so walks that
+// cross the same cycle query each member once.
+type tableSearch struct {
+	n     *Node
+	v     peerView
+	k     uint8
+	found []entry
 }
 
 // walk visits cycles outward from at's, clockwise (dir > 0) or
@@ -215,8 +218,8 @@ func (ts *tableSearch) walk(at entry, dir int, stop func(a uint32) bool) {
 				ts.found = append(ts.found, cur)
 				return
 			}
-			st, err := ts.state(cur)
-			if err != nil {
+			st := ts.n.read(ts.v, cur)
+			if st == nil {
 				return
 			}
 			if first == nil {
@@ -251,8 +254,8 @@ func (ts *tableSearch) flippedBlock() {
 		return
 	}
 	anchor := entry{ID: r.Terminal, Addr: r.Addr}
-	st, err := ts.state(anchor)
-	if err != nil {
+	st := ts.n.read(ts.v, anchor)
+	if st == nil {
 		return
 	}
 	cw, ccw := anchor, entryOr(st.OutsideL, anchor)
@@ -262,7 +265,7 @@ func (ts *tableSearch) flippedBlock() {
 	stop := func(a uint32) bool {
 		at := entry{ID: ids.CycloidID{K: ts.k, A: a}}
 		for _, c := range ts.found {
-			if !n.better(cubical, at, c) {
+			if !better(n.space, n.id, cubical, at, c) {
 				return true
 			}
 		}

@@ -1,7 +1,9 @@
 package p2p
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"time"
 
 	"cycloid/internal/ids"
@@ -9,21 +11,22 @@ import (
 
 // Stabilize runs one stabilization round: re-probe suspected addresses
 // (so recovered nodes stop being avoided before this round's searches
-// run), refresh the leaf sets from the neighbors' neighborhoods,
-// re-resolve the cubical and cyclic neighbors with the local-remote
-// search — the periodic repair the paper delegates to "system
-// stabilization, as in Chord" — and finish with the replication
-// anti-entropy pass over the local store.
+// run), refresh the leaf sets from the neighbors' neighborhoods, notify
+// the leaves that would adopt this node, re-resolve the cubical and
+// cyclic neighbors with the local-remote search — the periodic repair
+// the paper delegates to "system stabilization, as in Chord" — and
+// finish with the replication anti-entropy pass over the local store.
+// The repair steps read peers through one view of the round.
 func (n *Node) Stabilize() {
 	if n.isStopped() {
 		return
 	}
 	began := time.Now()
 	n.drainSuspects()
-	n.refreshLeafSets()
-	n.correctOutsideRing()
-	n.notifyLeafSet()
-	n.RefreshRoutingTable()
+	v := peerView{}
+	n.refreshLeafSets(v)
+	n.notifyLeafSet(v)
+	n.refreshRoutingTable(v)
 	n.syncReplicas()
 	n.updateLeafGauges()
 	n.tel.stabRounds.Inc()
@@ -32,55 +35,53 @@ func (n *Node) Stabilize() {
 	n.log.Debug("stabilization round complete", "took", elapsed)
 }
 
-// correctOutsideRing runs a Chord-style neighbor correction on the ring
-// of cycles. refreshLeafSets picks outside entries from the 1-hop
-// neighborhood union only, so after several nearby failures the overlay
-// can settle into a ring that is locally stable but globally wrong —
-// e.g. two cycles that became adjacent never learn it, and lookups
-// between them dead-end at a false local minimum. Following the current
-// outside entry's own outside chain back toward this node closes such
-// gaps: every hop either reaches a better live entry under the slot
-// rule or stops, so the walk terminates and each stabilization round
-// tightens the ring until it is globally consistent, exactly like
-// Chord's successor-pointer correction. Every adopted entry was
-// state-queried, so it is verified live.
-func (n *Node) correctOutsideRing() {
-	for _, s := range [...]slot{outsideL, outsideR} {
-		cur := *n.rs.Load()[s]
-		live := cur
-		for step := 0; step < 4*n.space.Dim() && n.fits(s, cur); step++ {
-			st, err := n.stateOf(context.Background(), cur)
-			if err != nil {
-				break
-			}
-			live = cur
-			w := st.OutsideL
-			if s == outsideL {
-				w = st.OutsideR
-			}
-			if w == nil || !n.better(s, toEntry(*w), cur) {
-				break
-			}
-			cur = toEntry(*w)
-		}
-		n.offer(live)
+// peerView is one stabilization round's view of its peers: each peer's
+// state by node ID, nil for a peer that failed this round. Every repair
+// step reads peers through it (read), so a peer is queried once a round
+// unless a step changes it and forgets it. This node's own state is
+// never memoized: it changes during the round.
+type peerView map[ids.CycloidID]*WireState
+
+// read returns e's state as round v sees it, querying it on first use,
+// or nil if e is dead. A shed (busy) reply proves the peer alive, as a
+// ping would, but tells nothing of its entries: it reads as a state
+// naming only the peer.
+func (n *Node) read(v peerView, e entry) *WireState {
+	if e.ID == n.id {
+		return n.wireState()
 	}
+	st, ok := v[e.ID]
+	if !ok {
+		var err error
+		var busy *BusyError
+		if st, err = n.stateOf(context.Background(), e); errors.As(err, &busy) {
+			st = &WireState{Self: wireEntry(e)}
+		}
+		v[e.ID] = st
+	}
+	return st
 }
 
-// notifyLeafSet tells each leaf entry about this node, Chord's notify
-// pattern: the receiver adopts the sender wherever it belongs in its own
-// leaf sets. This closes one-directional gaps ungraceful failures tear
-// open — if A holds B but B lost A, B relearns A from A's notification.
-func (n *Node) notifyLeafSet() {
-	self := WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()}
-	req := request{Op: "update", Event: "join", Subject: &self}
-	sent := map[string]bool{n.Addr(): true}
+// notifyLeafSet sends an update naming this node to each leaf whose
+// state shows it would adopt this node under the slot rule: Chord's
+// notify pattern, without the updates a leaf would ignore. It closes
+// one-directional gaps ungraceful failures tear open — if A holds B but
+// B lost A, B relearns A from A's notification. A notified leaf drops
+// out of the view, so later steps read its new state.
+func (n *Node) notifyLeafSet(v peerView) {
+	me := *n.selfEntry()
+	req := request{Op: "update", Event: "join", Subject: &WireEntry{K: me.ID.K, A: me.ID.A, Addr: me.Addr}}
+	done := map[ids.CycloidID]bool{n.id: true}
 	for _, e := range n.rs.Load().leaves() {
-		if e == nil || sent[e.Addr] {
+		if done[e.ID] {
 			continue
 		}
-		sent[e.Addr] = true
+		done[e.ID] = true
+		if st := n.read(v, *e); st == nil || !adopts(n.space, st, me) {
+			continue
+		}
 		_, _ = n.call(e.Addr, req)
+		delete(v, e.ID)
 	}
 }
 
@@ -103,80 +104,63 @@ func (n *Node) stabilizeLoop() {
 	}
 }
 
-// refreshLeafSets gathers the neighborhoods of the current routing-state
-// entries and refills each leaf slot with the best candidate of the union
-// under the slot rule — dead entries drop out, nearer live nodes move in.
-// Candidates are liveness-verified before adoption so a stale
-// second-hand reference cannot displace a live entry.
-func (n *Node) refreshLeafSets() {
-	pool, live := n.gatherNeighborhood()
-	var picked routingState
-	for s := range picked.leaves() {
-		for {
-			best := *n.selfEntry()
-			for _, c := range pool {
-				if v, known := live[c.ID]; (v || !known) && n.better(slot(s), c, best) {
-					best = c
+// refreshLeafSets refills each leaf slot with the best candidate under
+// the slot rule that the view finds live: dead entries drop out, nearer
+// live nodes move in, and a stale second-hand reference cannot displace
+// a live entry. The pool starts as this node's entries and everything in
+// their states; each adoption adds the adopted node's state, and the
+// pick repeats until no slot changes, for at most 4d rounds. That is the
+// Chord-style correction of the ring of cycles: the 1-hop neighbourhood
+// alone can settle into a ring that is locally stable but globally
+// wrong (two cycles that became adjacent never learn it), while an
+// adopted outside leaf's own entries lead on toward nearer cycles.
+func (n *Node) refreshLeafSets(v peerView) {
+	var pool []entry
+	gather := func(e entry) {
+		if st := n.read(v, e); e.ID != n.id && st != nil {
+			pool = append(pool, entry{ID: e.ID, Addr: cmp.Or(st.Self.Addr, e.Addr)}) // the peer's own report of its address
+			for _, w := range wireSlots(st) {
+				if w != nil {
+					pool = append(pool, toEntry(*w))
 				}
 			}
-			if _, known := live[best.ID]; !known {
-				_, err := n.call(best.Addr, request{Op: "ping"})
-				live[best.ID] = err == nil
-			}
-			if best.ID == n.id || live[best.ID] {
-				picked[s] = clone(best)
-				break
+		}
+	}
+	for _, e := range n.rs.Load() {
+		if e != nil {
+			gather(*e) // a dead entry drops out of the pool
+		}
+	}
+	picked := *n.rs.Load()
+	for round, changed := 0, true; changed && round < 4*n.space.Dim(); round++ {
+		changed = false
+		for s, cur := range picked.leaves() {
+			if best := n.pickLive(v, slot(s), pool); best != *cur {
+				picked[s], changed = clone(best), true
+				gather(best)
 			}
 		}
 	}
 	n.editRS(func(rs *routingState) { copy(rs.leaves(), picked.leaves()) })
 }
 
-// gatherNeighborhood collects this node's routing-state entries plus
-// everything in their states, deduplicated, along with a liveness cache
-// for the entries it contacted directly.
-func (n *Node) gatherNeighborhood() ([]entry, map[ids.CycloidID]bool) {
-	seen := make(map[ids.CycloidID]entry)
-	live := make(map[ids.CycloidID]bool)
-	add := func(e entry) {
-		if e.ID != n.id {
-			if _, ok := seen[e.ID]; !ok {
-				seen[e.ID] = e
+// pickLive returns the best candidate of pool for slot s that round v
+// finds live, or this node. A node the pool repeats never beats itself.
+func (n *Node) pickLive(v peerView, s slot, pool []entry) entry {
+	for {
+		best := *n.selfEntry()
+		for _, c := range pool {
+			if st, read := v[c.ID]; (!read || st != nil) && better(n.space, n.id, s, c, best) {
+				best = c
 			}
 		}
-	}
-	for _, e := range n.rs.Load() {
-		if e == nil || e.ID == n.id {
-			continue
-		}
-		if _, done := live[e.ID]; done {
-			continue
-		}
-		st, err := n.stateOf(context.Background(), *e)
-		if err != nil {
-			live[e.ID] = false
-			continue // dead entry: drops out of the pool
-		}
-		live[e.ID] = true
-		self := *e
-		if st.Self.Addr != "" {
-			self.Addr = st.Self.Addr // the peer's own report of its address
-		}
-		add(self)
-		for _, w := range []*WireEntry{st.InsideL, st.InsideR, st.OutsideL, st.OutsideR, st.Cubical, st.CyclicL, st.CyclicS} {
-			if w != nil {
-				add(toEntry(*w))
-			}
+		if n.read(v, best) != nil {
+			return best
 		}
 	}
-	pool := make([]entry, 0, len(seen))
-	for _, e := range seen {
-		pool = append(pool, e)
-	}
-	return pool, live
 }
 
-// RefreshRoutingTable re-resolves the cubical and cyclic neighbors with
+// refreshRoutingTable re-resolves the cubical and cyclic neighbors with
 // the local-remote search of Section 3.3.1 and fills each from what it
 // found under the slot rule. The cyclic neighbors need no route: they are
 // the first nodes with cyclic index k-1 walking outward from this node's
@@ -185,18 +169,18 @@ func (n *Node) gatherNeighborhood() ([]entry, map[ids.CycloidID]bool) {
 // When the search finds no candidate at all a dead incumbent is dropped
 // rather than kept: a stale slot costs a timeout on every lookup that
 // tries it, and nothing short of this check ever clears it.
-func (n *Node) RefreshRoutingTable() {
+func (n *Node) refreshRoutingTable(v peerView) {
 	if n.id.K == 0 {
 		return // k=0 nodes have no cubical or cyclic neighbors
 	}
-	ts := &tableSearch{n: n, k: n.id.K - 1, states: make(map[ids.CycloidID]*WireState)}
+	ts := &tableSearch{n: n, v: v, k: n.id.K - 1}
 	ts.walk(*n.selfEntry(), +1, nil)
 	ts.walk(*n.selfEntry(), -1, nil)
 	ts.flippedBlock()
 	for _, s := range tableSlots {
 		var best *entry
 		for i, c := range ts.found {
-			if best == nil || n.better(s, c, *best) {
+			if best == nil || better(n.space, n.id, s, c, *best) {
 				best = &ts.found[i]
 			}
 		}
@@ -205,17 +189,15 @@ func (n *Node) RefreshRoutingTable() {
 			continue
 		}
 		cur := n.rs.Load()[s]
-		if cur == nil {
+		if cur == nil || n.read(v, *cur) != nil {
 			continue
 		}
-		if _, err := n.call(cur.Addr, request{Op: "ping"}); err != nil {
-			n.editRS(func(rs *routingState) {
-				if rs[s] == cur {
-					rs[s] = nil
-					n.tel.pruned.Inc()
-					n.log.Debug("pruned dead routing entry", "peer", cur.Addr)
-				}
-			})
-		}
+		n.editRS(func(rs *routingState) {
+			if rs[s] == cur {
+				rs[s] = nil
+				n.tel.pruned.Inc()
+				n.log.Debug("pruned dead routing entry", "peer", cur.Addr)
+			}
+		})
 	}
 }

@@ -47,9 +47,14 @@ func wirePtr(e *entry) *WireEntry {
 	return &w
 }
 
+// wireSlots lists a peer's seven entries in slot order.
+func wireSlots(st *WireState) []*WireEntry {
+	return []*WireEntry{st.InsideL, st.InsideR, st.OutsideL, st.OutsideR, st.Cubical, st.CyclicL, st.CyclicS}
+}
+
 // leafEntries lists the leaf entries a peer's state holds.
 func leafEntries(st *WireState) (out []entry) {
-	for _, w := range []*WireEntry{st.InsideL, st.InsideR, st.OutsideL, st.OutsideR} {
+	for _, w := range wireSlots(st)[:cubical] {
 		if w != nil {
 			out = append(out, toEntry(*w))
 		}

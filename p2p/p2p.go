@@ -205,6 +205,9 @@ type Node struct {
 	// and no reader ever waits on one.
 	rsMu sync.Mutex
 	rs   atomic.Pointer[routingState]
+	// nbhd is the neighbourhood the last stabilization round gathered
+	// (refreshLeafSets): entries and everything in their states.
+	nbhd atomic.Pointer[[]entry]
 
 	// mu guards store and nothing else. store is the pluggable key/value
 	// backend (p2p/store): the in-memory map by default, the WAL-backed

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"cycloid/internal/ids"
@@ -108,7 +109,10 @@ func (n *Node) stabilizeLoop() {
 // the slot rule that the view finds live: dead entries drop out, nearer
 // live nodes move in, and a stale second-hand reference cannot displace
 // a live entry. The pool starts as this node's entries and everything in
-// their states; each adoption adds the adopted node's state, and the
+// their states, plus what the previous round gathered: a node whose
+// entries all died since still reaches the nodes around it, instead of
+// falling back to itself in every slot while its neighbours close the
+// ring without it. Each adoption adds the adopted node's state, and the
 // pick repeats until no slot changes, for at most 4d rounds. That is the
 // Chord-style correction of the ring of cycles: the 1-hop neighbourhood
 // alone can settle into a ring that is locally stable but globally
@@ -130,6 +134,10 @@ func (n *Node) refreshLeafSets(v peerView) {
 		if e != nil {
 			gather(*e) // a dead entry drops out of the pool
 		}
+	}
+	gathered := slices.Clip(pool)
+	if last := n.nbhd.Swap(&gathered); last != nil {
+		pool = append(gathered, *last...)
 	}
 	picked := *n.rs.Load()
 	for round, changed := 0, true; changed && round < 4*n.space.Dim(); round++ {

@@ -86,15 +86,18 @@ func TestUpdatesRaceWithPooledTraffic(t *testing.T) {
 			}
 		}(i, nd)
 	}
-	// Stabilization sweeping the same routing state.
+	// Stabilization sweeping the same routing state, two sweeps at a
+	// time per node: a periodic sweep can overlap an explicit one.
 	for _, nd := range nodes {
-		wg.Add(1)
-		go func(nd *Node) {
-			defer wg.Done()
-			for r := 0; r < 6; r++ {
-				nd.Stabilize()
-			}
-		}(nd)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(nd *Node) {
+				defer wg.Done()
+				for r := 0; r < 3; r++ {
+					nd.Stabilize()
+				}
+			}(nd)
+		}
 	}
 
 	wg.Wait()

@@ -317,7 +317,7 @@ func (s *Store) forEachChunk(ctx context.Context, count int, f func(ctx context.
 }
 
 // Get reads the whole blob: Open plus a windowed-parallel fetch of
-// every chunk.
+// every chunk, each decoded straight into the result (see ReadAt).
 func (s *Store) Get(ctx context.Context, name string) ([]byte, error) {
 	r, err := s.Open(ctx, name)
 	if err != nil {

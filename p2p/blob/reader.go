@@ -34,11 +34,13 @@ type Reader struct {
 
 	// Sequential stream state: chunks [0, seq) are consumed, fetches
 	// for [seq, next) are in flight in pending, cur holds the unread
-	// remainder of chunk seq-1.
+	// remainder of chunk seq-1, and buf is that chunk's whole buffer,
+	// handed to the next fetch to decode into once cur is used up.
 	pending map[int]chan fetchRes
 	next    int
 	seq     int
 	cur     []byte
+	buf     []byte
 	err     error
 }
 
@@ -88,15 +90,17 @@ func (r *Reader) Close() error {
 // corruption. A hint that fails — unreachable, no copy, wrong bytes —
 // costs that one exchange and counts in blob_hint_misses_total. An
 // empty payload where bytes were committed is the GC tombstone of a
-// replaced generation — ErrStale, the reader raced a rewrite.
-func (r *Reader) fetchChunk(ctx context.Context, seq int) ([]byte, error) {
+// replaced generation — ErrStale, the reader raced a rewrite. The
+// chunk lands in dst's backing array when it has room (GetAt's
+// append-style contract), in a fresh slice otherwise.
+func (r *Reader) fetchChunk(ctx context.Context, seq int, dst []byte) ([]byte, error) {
 	key := chunkKey(r.m.Name, r.m.Gen, seq)
 	want := r.m.chunkLen(seq)
 	hint := r.m.hint(seq)
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		t0 := time.Now()
-		val, route, err := r.s.node.GetAt(ctx, hint, key)
+		val, route, err := r.s.node.GetAt(ctx, hint, key, dst)
 		r.s.tel.chunkFetches.Inc()
 		r.s.tel.fetchLatency.Observe(time.Since(t0).Microseconds())
 		if hint != "" && !route.Hinted {
@@ -121,8 +125,9 @@ func (r *Reader) fetchChunk(ctx context.Context, seq int) ([]byte, error) {
 	return nil, lastErr
 }
 
-// start launches the prefetch of chunk seq into r.pending.
-func (r *Reader) start(seq int) {
+// start launches the prefetch of chunk seq into r.pending, decoding
+// into dst when it has room.
+func (r *Reader) start(seq int, dst []byte) {
 	ch := make(chan fetchRes, 1)
 	r.pending[seq] = ch
 	r.wg.Add(1)
@@ -130,7 +135,7 @@ func (r *Reader) start(seq int) {
 	go func() {
 		defer r.wg.Done()
 		defer r.s.tel.prefetch.Add(-1)
-		data, err := r.fetchChunk(r.ctx, seq)
+		data, err := r.fetchChunk(r.ctx, seq, dst)
 		ch <- fetchRes{data: data, err: err}
 	}()
 }
@@ -138,7 +143,8 @@ func (r *Reader) start(seq int) {
 // Read streams the blob sequentially, keeping up to Window chunk
 // fetches in flight ahead of the consumption point. A Read that needs a
 // chunk still in flight blocks for exactly that chunk; readahead keeps
-// filling behind it.
+// filling behind it. A consumed chunk's buffer is the next fetch's
+// destination, so a stream holds at most Window+1 chunk buffers.
 func (r *Reader) Read(p []byte) (int, error) {
 	if r.err != nil {
 		return 0, r.err
@@ -150,7 +156,8 @@ func (r *Reader) Read(p []byte) (int, error) {
 		}
 		// Top up the readahead window, then consume the next chunk.
 		for r.next < r.m.Count() && r.next < r.seq+r.s.window {
-			r.start(r.next)
+			r.start(r.next, r.buf)
+			r.buf = nil
 			r.next++
 		}
 		ch := r.pending[r.seq]
@@ -160,7 +167,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 			r.err = res.err
 			return 0, r.err
 		}
-		r.cur = res.data
+		r.cur, r.buf = res.data, res.data
 		r.seq++
 	}
 	n := copy(p, r.cur)
@@ -169,10 +176,11 @@ func (r *Reader) Read(p []byte) (int, error) {
 }
 
 // ReadAt fills p from offset off, fetching the covered chunks with at
-// most Window Gets in flight. It is stateless with respect to the
-// sequential stream and safe for concurrent use. Fewer than len(p)
-// bytes are returned only when the read crosses the end of the blob, in
-// which case err is io.EOF.
+// most Window Gets in flight; each chunk p covers whole is decoded
+// straight into p, so it is copied once. It is stateless with respect
+// to the sequential stream and safe for concurrent use. Fewer than
+// len(p) bytes are returned only when the read crosses the end of the
+// blob, in which case err is io.EOF.
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("blob: negative offset %d", off)
@@ -197,12 +205,20 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 		seq := first + i
 		r.s.tel.prefetch.Add(1)
 		defer r.s.tel.prefetch.Add(-1)
-		data, ferr := r.fetchChunk(ctx, seq)
+		// A chunk wholly inside want decodes straight into its span of
+		// it, capped so that no value, however long, writes past the
+		// span into a neighbour's; a chunk cut by either end of want
+		// decodes into a fresh slice.
+		chunkLo := int64(seq) * int64(r.m.ChunkSize)
+		var dst []byte
+		if a, b := chunkLo-off, chunkLo-off+int64(r.m.chunkLen(seq)); a >= 0 && b <= int64(len(want)) {
+			dst = want[a:a:b]
+		}
+		data, ferr := r.fetchChunk(ctx, seq, dst)
 		if ferr != nil {
 			return ferr
 		}
 		// Intersect this chunk's span with [off, off+len(want)).
-		chunkLo := int64(seq) * int64(r.m.ChunkSize)
 		lo, hi := int64(0), int64(len(data))
 		if chunkLo < off {
 			lo = off - chunkLo
@@ -210,7 +226,9 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 		if end := off + int64(len(want)); chunkLo+hi > end {
 			hi = end - chunkLo
 		}
-		copy(want[chunkLo+lo-off:], data[lo:hi])
+		if out := want[chunkLo+lo-off:]; hi > lo && &out[0] != &data[lo] {
+			copy(out, data[lo:hi]) // not decoded in place
+		}
 		return nil
 	})
 	if err != nil {

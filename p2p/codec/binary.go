@@ -426,14 +426,28 @@ func (d *reader) str() (string, error) {
 	return Intern(v), nil
 }
 
-// blob decodes a length-prefixed byte field into a fresh copy, nil when
-// empty (matching the omitempty JSON round trip).
-func (d *reader) blob() ([]byte, error) {
+// blob decodes a length-prefixed byte field through CopyValue into
+// dst's backing array or a fresh slice, never aliasing the frame.
+func (d *reader) blob(dst []byte) ([]byte, error) {
 	v, err := d.bytes()
-	if err != nil || len(v) == 0 {
+	if err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), v...), nil
+	return CopyValue(dst, v), nil
+}
+
+// CopyValue copies v into dst's backing array when it has room for all
+// of it, and into a fresh slice otherwise; an empty v yields nil
+// (matching the omitempty JSON round trip). It is the one copy a value
+// pays on its way out of a frame, or out of a store into a caller.
+func CopyValue(dst, v []byte) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	if cap(dst) < len(v) {
+		dst = nil
+	}
+	return append(dst[:0], v...)
 }
 
 func (d *reader) enum(names []string) (string, error) {
@@ -569,7 +583,9 @@ func (d *reader) items() (map[string]Item, error) {
 
 // DecodeRequest decodes one v2 binary request payload into r. Decoded
 // strings and byte slices never alias data, so the caller may reuse the
-// buffer immediately.
+// buffer immediately, and each byte slice (Value, every Item's V) is a
+// fresh allocation no one else holds: the receiver owns it and may
+// keep it, in its store say, without copying it again.
 func DecodeRequest(data []byte, r *Request) error {
 	d := reader{b: data}
 	var err error
@@ -593,7 +609,7 @@ func DecodeRequest(data []byte, r *Request) error {
 	if r.Key, err = d.str(); err != nil {
 		return err
 	}
-	if r.Value, err = d.blob(); err != nil {
+	if r.Value, err = d.blob(nil); err != nil {
 		return err
 	}
 	if r.Ver, err = d.u64(); err != nil {
@@ -648,10 +664,13 @@ func DecodeRequest(data []byte, r *Request) error {
 }
 
 // DecodeResponse decodes one v2 binary response payload into r. Like
-// DecodeRequest, the result shares no memory with data. The candidates
-// decode into r.Candidates' backing array when it has room for them, so
-// a caller that owns a candidate buffer decodes a step reply without
-// allocating.
+// DecodeRequest, the result shares no memory with data. Two fields
+// decode into caller storage when it has room: the candidates into
+// r.Candidates' backing array, so a caller that owns a candidate buffer
+// decodes a step reply without allocating, and the value into r.Value's
+// backing array (see CopyValue), so a fetch reply lands straight in the
+// buffer its reader reads into. Either field gets a fresh slice when
+// its buffer is too short, and an empty value decodes to nil.
 func DecodeResponse(data []byte, r *Response) error {
 	d := reader{b: data}
 	flags, err := d.u8()
@@ -676,7 +695,7 @@ func DecodeResponse(data []byte, r *Response) error {
 			return err
 		}
 	}
-	if r.Value, err = d.blob(); err != nil {
+	if r.Value, err = d.blob(r.Value); err != nil {
 		return err
 	}
 	if r.Ver, err = d.u64(); err != nil {

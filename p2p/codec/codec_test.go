@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -61,7 +62,8 @@ func sampleResponses() []Response {
 		{OK: true, Phase: "bogus-phase"},
 		{OK: true, State: st},
 		{OK: true, Found: true, Value: []byte("stored"), Ver: 9},
-		{OK: true, Found: true, Value: []byte{}}, // collapses to nil
+		{OK: true, Found: true, Value: []byte{}},             // collapses to nil
+		{OK: true, Found: true, Value: chunkValue(), Ver: 2}, // a blob chunk's fetch reply
 		{OK: false, Err: "not responsible", Redirect: e(2, 9, "z:3")},
 		{OK: true, Ver: 3, Replicas: []Entry{{K: 1, A: 1, Addr: "r:1"}, {K: 1, A: 2, Addr: "r:2"}, {K: 1, A: 3, Addr: "r:3"}}},
 		{OK: true, Err: "soft warning", Value: []byte{1}, Ver: 1<<64 - 1, Done: true, Found: true},
@@ -71,6 +73,15 @@ func sampleResponses() []Response {
 		{OK: true, Items: map[string]Item{"a": {V: []byte("va"), Ver: 4, Src: 9}, "b": {V: []byte{}}, "c": {}}},
 		{OK: true, Items: map[string]Item{"": {Ver: 1<<64 - 1}}, Redirect: e(2, 9, "z:3")},
 	}
+}
+
+// chunkValue is a default-size blob chunk of position-dependent bytes.
+func chunkValue() []byte {
+	v := make([]byte, 64<<10)
+	for i := range v {
+		v[i] = byte(i*31 + i>>8)
+	}
+	return v
 }
 
 // jsonRoundTripReq is the reference semantics: what a peer on the v1
@@ -369,6 +380,42 @@ func TestDecodeIntoCallerStorage(t *testing.T) {
 				t.Errorf("response %d: %d candidates fit the %d-entry buffer but went elsewhere", i, n, size)
 			}
 		}
+	}
+
+	// The value buffer: a fetch reply's value fills a buffer with room
+	// in place, gets a fresh slice past a short one (never writing
+	// into it), and decodes to nil when empty, whatever the buffer.
+	want := chunkValue()
+	fetch, err := AppendResponse(nil, &Response{OK: true, Found: true, Value: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roomy := make([]byte, 3, len(want)+5)
+	got := Response{Value: roomy}
+	if err := DecodeResponse(fetch, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Value, want) || &got.Value[0] != &roomy[0] {
+		t.Errorf("value fit a %d-byte buffer but did not land in it", cap(roomy))
+	}
+	short := make([]byte, len(want)-1)
+	got = Response{Value: short}
+	if err := DecodeResponse(fetch, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Value, want) || &got.Value[0] == &short[0] || !bytes.Equal(short, make([]byte, len(short))) {
+		t.Errorf("value overran a %d-byte buffer: want a fresh slice and the buffer untouched", cap(short))
+	}
+	empty, err := AppendResponse(nil, &Response{OK: true, Found: true, Value: []byte{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = Response{Value: roomy}
+	if err := DecodeResponse(empty, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Value != nil {
+		t.Errorf("empty value decoded into a buffer as %d bytes (cap %d), want nil", len(got.Value), cap(got.Value))
 	}
 }
 

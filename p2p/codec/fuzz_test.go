@@ -67,6 +67,17 @@ func FuzzCodecDifferential(f *testing.F) {
 			if want := jsonRoundTripResp(t, norm); !reflect.DeepEqual(back, want) {
 				t.Fatalf("response diverged across codecs:\nbinary: %+v\njson:   %+v", back, want)
 			}
+			// A preset value buffer, too short or with room, changes
+			// where the value lands, never what is decoded.
+			for _, size := range []int{len(back.Value) - 1, len(back.Value) + 1} {
+				into := Response{Value: make([]byte, max(size, 0))}
+				if err := DecodeResponse(enc, &into); err != nil {
+					t.Fatalf("decode into a %d-byte value buffer: %v", size, err)
+				}
+				if !reflect.DeepEqual(into, back) {
+					t.Fatalf("decode into a %d-byte value buffer diverged:\ninto:  %+v\nfresh: %+v", size, into, back)
+				}
+			}
 		}
 	})
 }

@@ -189,7 +189,7 @@ func TestPromotionAfterOwnerCrash(t *testing.T) {
 	live := liveOf(nodes)
 	fleet.Stabilize(live, 3)
 	heir := ownerOf(t, nodes, key)
-	if _, ok := heir.localFetch(key); !ok {
+	if _, ok := heir.localFetch(key, nil); !ok {
 		t.Fatalf("new owner %v holds no copy after stabilization", heir.ID())
 	}
 	const promCounter = "cycloid_replica_promotions_total"
@@ -241,14 +241,14 @@ func TestReplicaGCOutOfScope(t *testing.T) {
 		Items: map[string]WireItem{key: {V: ownIt.Val, Ver: ownIt.Ver, Src: ownIt.Src}}}); err != nil {
 		t.Fatalf("handoff injection: %v", err)
 	}
-	if _, ok := wrong.localFetch(key); !ok {
+	if _, ok := wrong.localFetch(key, nil); !ok {
 		t.Fatal("handoff did not land the stranded copy")
 	}
 
 	const gcCounter = "cycloid_replica_gc_total"
 	before := wrong.Telemetry().CounterValue(gcCounter)
 	wrong.Stabilize() // anti-entropy: owner acks the version, copy is GC'd
-	if _, ok := wrong.localFetch(key); ok {
+	if _, ok := wrong.localFetch(key, nil); ok {
 		t.Fatal("out-of-scope copy survived anti-entropy with an owner ack")
 	}
 	if after := wrong.Telemetry().CounterValue(gcCounter); after != before+1 {
@@ -275,7 +275,7 @@ func TestReplicaGCOutOfScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reborn.Close()
-	if _, ok := reborn.localFetch(key); ok {
+	if _, ok := reborn.localFetch(key, nil); ok {
 		t.Fatal("reboot resurrected the GC'd copy")
 	}
 }

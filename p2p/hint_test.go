@@ -50,7 +50,7 @@ func TestHintedPutGet(t *testing.T) {
 
 	// Hits: no step exchange anywhere in the fleet.
 	before := fleetSum(nodes, steps)
-	v, r, err := client.GetAt(ctx, owner.Addr(), key)
+	v, r, err := client.GetAt(ctx, owner.Addr(), key, nil)
 	if err != nil || string(v) != "v1" || !r.Hinted || r.Hops != 0 {
 		t.Fatalf("hinted GetAt = %q, %+v, %v", v, r, err)
 	}
@@ -68,7 +68,7 @@ func TestHintedPutGet(t *testing.T) {
 	// node answered, so it is not suspected.
 	var empty *Node
 	for _, nd := range nodes {
-		if _, ok := nd.localFetch(key); !ok && nd != client {
+		if _, ok := nd.localFetch(key, nil); !ok && nd != client {
 			empty = nd
 			break
 		}
@@ -76,7 +76,7 @@ func TestHintedPutGet(t *testing.T) {
 	if empty == nil {
 		t.Fatal("every node holds the key")
 	}
-	v, r, err = client.GetAt(ctx, empty.Addr(), key)
+	v, r, err = client.GetAt(ctx, empty.Addr(), key, nil)
 	if err != nil || string(v) != "v2" || r.Hinted || r.Timeouts != 0 {
 		t.Fatalf("GetAt via a node without the key = %q, %+v, %v", v, r, err)
 	}
@@ -99,7 +99,7 @@ func TestHintedPutGet(t *testing.T) {
 		}
 	}
 	tBefore := fleetSum(live, timeouts)
-	v, r, err = reader.GetAt(ctx, dead, key)
+	v, r, err = reader.GetAt(ctx, dead, key, nil)
 	if err != nil || string(v) != "v2" || r.Hinted || r.Timeouts != 0 {
 		t.Fatalf("GetAt via a crashed owner = %q, %+v, %v", v, r, err)
 	}
@@ -107,7 +107,7 @@ func TestHintedPutGet(t *testing.T) {
 		t.Fatal("an unreachable hint was not suspected")
 	}
 	dials := reader.tel.dialFailures.Value()
-	if v, r, err = reader.GetAt(ctx, dead, key); err != nil || string(v) != "v2" || r.Timeouts != 0 {
+	if v, r, err = reader.GetAt(ctx, dead, key, nil); err != nil || string(v) != "v2" || r.Timeouts != 0 {
 		t.Fatalf("second GetAt via a crashed owner = %q, %+v, %v", v, r, err)
 	}
 	if r, err = reader.PutAt(ctx, dead, key, []byte("v3")); err != nil || r.Hinted || r.Timeouts != 0 {

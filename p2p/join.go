@@ -131,7 +131,7 @@ func (n *Node) reclaimKeys() {
 			}
 			last := from
 			for k, w := range resp.Items {
-				n.putLocal(k, item{Val: append([]byte(nil), w.V...), Ver: w.Ver, Src: w.Src})
+				n.putLocal(k, item{Val: w.V, Ver: w.Ver, Src: w.Src})
 				last = max(last, k)
 			}
 			if !resp.Found {

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"cycloid/internal/ids"
+	"cycloid/p2p/codec"
 )
 
 // Route describes one resolved lookup.
@@ -85,7 +86,9 @@ func (n *Node) PutContext(ctx context.Context, key string, value []byte) error {
 // rejects the key falls back to the routed Put. A miss never counts as
 // a route timeout; an unreachable hint is suspected, so no later hint
 // dials it again. The returned Route's Addr is the node that
-// acknowledged the write.
+// acknowledged the write. value stays the caller's: a node that stores
+// it itself keeps a copy, so the caller may reuse it once PutAt
+// returns.
 func (n *Node) PutAt(ctx context.Context, hint, key string, value []byte) (r Route, err error) {
 	ot := n.beginOp("put", key)
 	defer func() { n.endOp(ot, err) }()
@@ -93,7 +96,7 @@ func (n *Node) PutAt(ctx context.Context, hint, key string, value []byte) (r Rou
 	if n.hintUsable(hint) {
 		if hint == n.Addr() {
 			if n.mayHold(kp) {
-				_, err = n.putOwner(ctx, key, value, ot)
+				_, err = n.putOwner(ctx, key, append([]byte(nil), value...), ot)
 				return Route{Target: kp, Addr: hint, Hinted: true}, err
 			}
 		} else {
@@ -109,7 +112,7 @@ func (n *Node) PutAt(ctx context.Context, hint, key string, value []byte) (r Rou
 		return r, err
 	}
 	if r.Terminal == n.id {
-		_, err = n.putOwner(ctx, key, value, ot)
+		_, err = n.putOwner(ctx, key, append([]byte(nil), value...), ot)
 		return r, err
 	}
 	r.Addr, err = n.storeChain(ctx, r.Addr, key, value, ot)
@@ -124,7 +127,7 @@ func (n *Node) PutAt(ctx context.Context, hint, key string, value []byte) (r Rou
 // the store, or on failure the last address contacted.
 func (n *Node) storeChain(ctx context.Context, addr, key string, value []byte, ot *opTrace) (string, error) {
 	for hop := 0; hop < 3; hop++ {
-		resp, err := n.callRetry(ctx, addrOnly(addr), request{Op: "store", Key: key, Value: value}, ot)
+		resp, err := n.callRetry(ctx, addrOnly(addr), request{Op: "store", Key: key, Value: value}, nil, ot)
 		if err == nil {
 			n.tel.redirectDepth.Observe(int64(hop))
 			return addr, nil
@@ -136,7 +139,7 @@ func (n *Node) storeChain(ctx context.Context, addr, key string, value []byte, o
 		n.log.Debug("store redirected", "key", key, "from", addr, "to", resp.Redirect.Addr)
 		red := toEntry(*resp.Redirect)
 		if red.ID == n.id {
-			if _, perr := n.putOwner(ctx, key, value, ot); perr != nil {
+			if _, perr := n.putOwner(ctx, key, append([]byte(nil), value...), ot); perr != nil {
 				return n.Addr(), perr
 			}
 			n.tel.redirectDepth.Observe(int64(hop + 1))
@@ -179,7 +182,7 @@ func (n *Node) Get(key string) ([]byte, Route, error) {
 
 // GetContext is Get with dials capped by the context's deadline.
 func (n *Node) GetContext(ctx context.Context, key string) ([]byte, Route, error) {
-	return n.GetAt(ctx, "", key)
+	return n.GetAt(ctx, "", key, nil)
 }
 
 // GetAt is GetContext with an optional start address: the node the
@@ -189,7 +192,14 @@ func (n *Node) GetContext(ctx context.Context, key string) ([]byte, Route, error
 // cannot be reached, sheds, or holds no copy falls back to the routed
 // Get, replica fallback included. As with PutAt, a miss is never a
 // route timeout, and an unreachable hint is suspected.
-func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route, err error) {
+//
+// The value is returned append-style in dst: whichever path answers,
+// it is decoded (or, from this node's own store, copied) into
+// dst[:0]'s backing array when it fits, and into a fresh slice
+// otherwise, so a reader that owns the destination pays one copy per
+// value. A nil dst always yields a fresh slice; an empty value is nil.
+// Either way the result shares no memory with any store.
+func (n *Node) GetAt(ctx context.Context, hint, key string, dst []byte) (val []byte, r Route, err error) {
 	ot := n.beginOp("get", key)
 	defer func() {
 		if id := n.endOp(ot, err); id != "" {
@@ -202,7 +212,7 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 		if hint == n.Addr() {
 			to = *n.selfEntry()
 		}
-		var resp response
+		resp := response{Value: dst}
 		ferr := n.exchange(ctx, to, &request{Op: "fetch", Key: key}, &resp, ot, nil)
 		if ferr == nil && resp.Found {
 			return resp.Value, Route{Target: kp, Addr: hint, Hinted: true, Ver: resp.Ver}, nil
@@ -222,7 +232,7 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 	term := entry{ID: r.Terminal, Addr: r.Addr}
 	for attempt := 0; attempt < n.cfg.Replicas; attempt++ {
 		tried[term.Addr] = true
-		resp, ferr := n.callRetry(ctx, term, request{Op: "fetch", Key: key}, ot)
+		resp, ferr := n.callRetry(ctx, term, request{Op: "fetch", Key: key}, dst, ot)
 		if ferr == nil {
 			if resp.Found {
 				r.Ver = resp.Ver
@@ -266,13 +276,13 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 		// anti-entropy pass has not reached yet, or a mid-transition
 		// owner): probe its leaf neighborhood, which coincides with the
 		// previous owner's replica set.
-		if it, ok := n.localFetch(key); ok {
+		if it, ok := n.localFetch(key, dst); ok {
 			r.Ver = it.Ver
 			return it.Val, r, nil
 		}
 		for _, cand := range n.replicaProbes(ctx, term, kp, tried) {
 			n.tel.replicaProbes.Inc()
-			switch resp, ferr := n.callRetry(ctx, cand, request{Op: "fetch", Key: key}, ot); {
+			switch resp, ferr := n.callRetry(ctx, cand, request{Op: "fetch", Key: key}, dst, ot); {
 			case ferr == nil && resp.Found:
 				r.Ver = resp.Ver
 				return resp.Value, r, nil
@@ -285,15 +295,15 @@ func (n *Node) GetAt(ctx context.Context, hint, key string) (val []byte, r Route
 }
 
 // localFetch reads a key's value and version from this node's own
-// store.
-func (n *Node) localFetch(key string) (item, bool) {
+// store, the value copied into dst as GetAt returns it.
+func (n *Node) localFetch(key string, dst []byte) (item, bool) {
 	n.mu.RLock()
 	it, ok := n.store.Get(key)
 	n.mu.RUnlock()
 	if !ok {
 		return item{}, false
 	}
-	return item{Val: append([]byte(nil), it.Val...), Ver: it.Ver}, true
+	return item{Val: codec.CopyValue(dst, it.Val), Ver: it.Ver}, true
 }
 
 // replicaProbes lists the terminal's leaf neighborhood ranked by

@@ -178,7 +178,7 @@ func TestCallRetryHonorsBusy(t *testing.T) {
 	defer release()
 
 	start := time.Now()
-	_, cerr := nd.callRetry(context.Background(), addrOnly(nd2.Addr()), request{Op: "fetch", Key: "k"}, nil)
+	_, cerr := nd.callRetry(context.Background(), addrOnly(nd2.Addr()), request{Op: "fetch", Key: "k"}, nil, nil)
 	if !IsBusy(cerr) {
 		t.Fatalf("callRetry against a saturated node = %v; want BusyError", cerr)
 	}

@@ -36,8 +36,14 @@ import (
 func newer(a, b item) bool { return store.Newer(a, b) }
 
 // putLocal merges one replicated copy into the local store, returning
-// false when an existing copy is at least as new.
+// false when an existing copy is at least as new. The store takes
+// it.Val as it is, an empty one as nil: the caller hands over a slice
+// nothing else holds or will write, such as one just decoded from a
+// frame.
 func (n *Node) putLocal(key string, it item) bool {
+	if len(it.Val) == 0 {
+		it.Val = nil
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if cur, ok := n.store.Get(key); ok && !newer(it, cur) {
@@ -67,11 +73,16 @@ func (n *Node) syncStore() error {
 // to the replica set. The sync precedes both the fan-out and the
 // caller's acknowledgement, so a write is on disk before any node —
 // local or remote — treats it as stored.
+//
+// The store takes value as it is, so the caller hands over a slice
+// nothing else holds or will write: a decoded request's value, or a
+// copy of an API caller's slice (PutAt and storeChain make it), since
+// that caller may reuse its buffer as soon as the Put returns.
 func (n *Node) putOwner(ctx context.Context, key string, value []byte, st *opTrace) (item, error) {
 	n.mu.Lock()
 	cur, _ := n.store.Get(key)
 	it := item{
-		Val: append([]byte(nil), value...),
+		Val: value,
 		Ver: cur.Ver + 1,
 		Src: n.space.Linear(n.id),
 	}
@@ -192,7 +203,7 @@ func (n *Node) handleReplicate(req request, st *opTrace) response {
 	if red := n.redirect(kp, toEntry(req.From)); red != nil {
 		return *red
 	}
-	if n.putLocal(req.Key, item{Val: append([]byte(nil), req.Value...), Ver: req.Ver, Src: req.Src}) {
+	if n.putLocal(req.Key, item{Val: req.Value, Ver: req.Ver, Src: req.Src}) {
 		// The owner treats this response as the replica's ack; the copy
 		// must be durable here or an owner-side GC decision could trust a
 		// replica that a crash would erase.

@@ -47,7 +47,7 @@ func liveOf(nodes []*Node) []*Node {
 func holdersOf(nodes []*Node, key string) int {
 	count := 0
 	for _, nd := range liveOf(nodes) {
-		if _, ok := nd.localFetch(key); ok {
+		if _, ok := nd.localFetch(key, nil); ok {
 			count++
 		}
 	}
@@ -253,7 +253,7 @@ func TestVersionConflictLWW(t *testing.T) {
 	if !nd.putLocal("k", item{Val: []byte("v2"), Ver: 2, Src: 1}) {
 		t.Fatal("newer version must be accepted")
 	}
-	if it, _ := nd.localFetch("k"); string(it.Val) != "v2" {
+	if it, _ := nd.localFetch("k", nil); string(it.Val) != "v2" {
 		t.Fatalf("store holds %q after merge, want v2", it.Val)
 	}
 
@@ -310,7 +310,7 @@ func TestStoreRejectsOutOfScope(t *testing.T) {
 	if resp.Redirect == nil {
 		t.Fatal("rejection carried no redirect entry")
 	}
-	if _, ok := wrong.localFetch(key); ok {
+	if _, ok := wrong.localFetch(key, nil); ok {
 		t.Fatal("rejected store still landed in the receiver's store")
 	}
 	// The public path is unaffected: a routed Put lands on the owner.

@@ -128,11 +128,12 @@ func jitter(d time.Duration) time.Duration {
 // Every attempt is its own call span (a retried exchange shows up as
 // N siblings, the gaps between them the backoff waits), and the anomaly
 // paths force sampling: a busy reply marks the operation "shed", an
-// exhausted token bucket marks it "retry-exhausted".
-func (n *Node) callRetry(ctx context.Context, to entry, req request, ot *opTrace) (resp response, err error) {
+// exhausted token bucket marks it "retry-exhausted". A fetch reply's
+// value lands in dst's backing array when it has room (see exchange).
+func (n *Node) callRetry(ctx context.Context, to entry, req request, dst []byte, ot *opTrace) (resp response, err error) {
 	backoff := busyBackoffBase
 	for attempt := 0; ; attempt++ {
-		resp = response{}
+		resp = response{Value: dst}
 		err = n.exchange(ctx, to, &req, &resp, ot, nil)
 		var be *BusyError
 		if attempt == busyRetryMax || !errors.As(err, &be) {

@@ -113,7 +113,7 @@ func (n *Node) dispatch(req request, st *opTrace, cands []WireEntry) response {
 		return response{Value: it.Val, Found: ok, Ver: it.Ver}
 	case "handoff":
 		for k, w := range req.Items {
-			n.putLocal(k, item{Val: append([]byte(nil), w.V...), Ver: w.Ver, Src: w.Src})
+			n.putLocal(k, item{Val: w.V, Ver: w.Ver, Src: w.Src})
 		}
 		// A departing node treats this response as proof the batch is
 		// safe; one group-committed sync covers the whole batch.

@@ -138,7 +138,7 @@ func TestGetTimeoutSingleCharge(t *testing.T) {
 	if err := owner.Put(key, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reader.localFetch(key); !ok {
+	if _, ok := reader.localFetch(key, nil); !ok {
 		t.Fatal("reader holds no replica after Put")
 	}
 	if got := reader.peer(owner.Addr()).strikes; got != 0 {

@@ -260,7 +260,7 @@ func TestKeyMovesLargerThanAFrame(t *testing.T) {
 		for _, k := range ks {
 			held := false
 			for _, nd := range liveOf(nodes) {
-				if it, ok := nd.localFetch(k); ok && string(it.Val) == string(value(k)) {
+				if it, ok := nd.localFetch(k, nil); ok && string(it.Val) == string(value(k)) {
 					held = true
 				}
 			}

@@ -77,23 +77,27 @@ func addrOnly(addr string) entry { return entry{ID: ids.CycloidID{K: ids.MaxDim}
 
 // exchange performs one request/response exchange with peer to,
 // decoding the reply into *resp, which must be zero apart from an
-// optional candidate buffer: a step reply's candidates land in
-// resp.Candidates' backing array when it has room (see
+// optional candidate buffer and an optional value buffer: a step
+// reply's candidates land in resp.Candidates' backing array and a fetch
+// reply's value in resp.Value's when it has room (see
 // codec.DecodeResponse), so a route that owns its step buffers pays no
-// allocation for them. It is the node's only way to reach a peer.
+// allocation for them, and a read pays one copy into its caller's
+// buffer. It is the node's only way to reach a peer.
 //
 // A step, fetch or state addressed to this node while it runs is
 // answered in-process by the handler the server runs. Such an answer is
 // not a served request: it counts no cycloid_requests_total, takes no
 // admission slot and records no span, so the counters and spans show
-// exactly the traffic that crossed the wire. Its reply is a copy, never
-// store memory. Every other exchange crosses the wire, recorded as one
-// call span under ot; hop, when not nil, annotates the span of a
-// successful step a route made.
+// exactly the traffic that crossed the wire. Its value is copied into
+// the value buffer the way a decode would, never store memory. Every
+// other exchange crosses the wire, recorded as one call span under ot;
+// hop, when not nil, annotates the span of a successful step a route
+// made.
 func (n *Node) exchange(ctx context.Context, to entry, req *request, resp *response, ot *opTrace, hop *hopNote) error {
 	if to.ID == n.id && (req.Op == "step" || req.Op == "fetch" || req.Op == "state") && !n.isStopped() {
+		dst := resp.Value
 		*resp = n.dispatch(*req, nil, resp.Candidates)
-		resp.Value = append([]byte(nil), resp.Value...)
+		resp.Value = codec.CopyValue(dst, resp.Value)
 		return nil
 	}
 	sid, t0 := ot.startCall(req)

@@ -3,6 +3,7 @@ package cycloid_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,8 +73,15 @@ func TestLiveOverlayMatchesSimulator(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				var atRest [][]string
+				if p == 0 {
+					for _, nd := range nodes {
+						atRest = append(atRest, nd.PoolPeers())
+					}
+				}
 				requireOracle(t, space, oracle, survivors, rng)
 				if p == 0 {
+					requireRestingDegree(t, nodes, atRest)
 					requireSweepCost(t, nodes, tc.sweepCost)
 				}
 			})
@@ -121,6 +129,25 @@ func requireOracle(t *testing.T, space ids.Space, oracle *cycloid.Network, nodes
 		}
 	}
 	t.Logf("%d nodes, mean path length: live %.3f, simulator %.3f", len(nodes), float64(hops)/2000, float64(simHops)/2000)
+}
+
+// requireRestingDegree requires that routing opened no connection: after
+// the lookups, every node's pool holds connections only to peers it was
+// connected to at rest (atRest, by node) — a forwarded route contacts
+// nothing but the forwarding node's own entries.
+func requireRestingDegree(t *testing.T, nodes []*p2p.Node, atRest [][]string) {
+	t.Helper()
+	conns := 0
+	for i, nd := range nodes {
+		now := nd.PoolPeers()
+		conns += len(now)
+		for _, addr := range now {
+			if !slices.Contains(atRest[i], addr) {
+				t.Errorf("node %v: lookups opened a connection to %s, not a peer at rest", nd.ID(), addr)
+			}
+		}
+	}
+	t.Logf("after the lookups: %.1f pooled peers per node", float64(conns)/float64(len(nodes)))
 }
 
 // requireSweepCost runs one more stabilization sweep over an overlay at

@@ -199,42 +199,56 @@ func (a *admission) busyResponse(msg string) *response {
 }
 
 // dispatchAdmitted runs dispatch behind the admission controller and
-// counts the request as served. Pings bypass admission so liveness
-// probes (stabilization's suspect re-probes) keep distinguishing an
-// overloaded node from a crashed one.
-//
-// A request carrying a sampled trace context also gets a server span
-// scoping its whole sojourn: the admission wait lands in its queue
-// phase, and a shed is recorded as a zero-service span annotated
-// "shed" — so the caller's tree shows where the request died. Untraced
-// requests (the overwhelming majority at production sampling rates)
-// take the same path with a nil scope and allocate nothing for it.
+// counts the request as served.
 func (n *Node) dispatchAdmitted(req request) response {
-	var st *opTrace
-	if req.TraceFlags&1 != 0 && n.spans != nil && req.Op != "ping" {
-		st = n.beginServer(&req)
+	st, release, busy := n.admit(&req)
+	if busy != nil {
+		return *busy
 	}
-	if n.adm != nil && req.Op != "ping" {
-		release, busy := n.adm.admit(req.DeadlineMs)
-		if st != nil {
-			st.queue = int64(time.Since(st.start))
-		}
-		if busy != nil {
-			st.annotate("shed")
-			n.endServer(st, busy.Err)
-			return *busy
-		}
+	if release != nil {
 		defer release()
-		if d := n.cfg.ServiceDelay; d > 0 {
-			// Harness knob: simulated service time, slept while the slot is
-			// held so queue occupancy builds the way a slow real handler's
-			// would (Config.ServiceDelay).
-			time.Sleep(d)
-		}
 	}
 	n.tel.request(req.Op)
-	resp := n.dispatch(req, st, nil)
+	resp := n.dispatch(req, st)
 	n.endServer(st, resp.Err)
 	resp.OK = resp.Err == ""
 	return resp
+}
+
+// admit opens a served request's scope and runs it through the
+// admission controller. Pings bypass admission so liveness probes
+// (stabilization's suspect re-probes) keep distinguishing an overloaded
+// node from a crashed one. On a shed it returns the busy reply to send,
+// with the scope already ended; otherwise release, when not nil, must
+// run once the request's service is over.
+//
+// A request carrying a sampled trace context gets a server span scoping
+// its whole sojourn (st): the admission wait lands in its queue phase,
+// and a shed is recorded as a zero-service span annotated "shed" — so
+// the caller's tree shows where the request died. Untraced requests
+// (the overwhelming majority at production sampling rates) take the
+// same path with a nil scope and allocate nothing for it.
+func (n *Node) admit(req *request) (st *opTrace, release func(), busy *response) {
+	if req.TraceFlags&1 != 0 && n.spans != nil && req.Op != "ping" {
+		st = n.beginServer(req)
+	}
+	if n.adm == nil || req.Op == "ping" {
+		return st, nil, nil
+	}
+	release, busy = n.adm.admit(req.DeadlineMs)
+	if st != nil {
+		st.queue = int64(time.Since(st.start))
+	}
+	if busy != nil {
+		st.annotate("shed")
+		n.endServer(st, busy.Err)
+		return nil, nil, busy
+	}
+	if d := n.cfg.ServiceDelay; d > 0 {
+		// Harness knob: simulated service time, slept while the slot is
+		// held so queue occupancy builds the way a slow real handler's
+		// would (Config.ServiceDelay).
+		time.Sleep(d)
+	}
+	return st, release, nil
 }

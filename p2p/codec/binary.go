@@ -18,25 +18,28 @@ import (
 //	         order cubical, cyclicL, cyclicS, insideL, insideR,
 //	         outsideL, outsideR
 //	items  = u32 n { str key | vblob V | u64 Ver | u64 Src }
+//	route  = u32 Hops | u32 Phases[0..2] | u32 Timeouts | u8 Forced |
+//	         entry Best | u32 Since | u32 n { str Avoid }
 //
 //	request  = u8 op code | [str op if 255]
 //	           entry From
 //	           u8 flags (1 Target, 2 GreedyOnly, 4 Propagate,
-//	                     8 Subject, 16 Departed, 32 Origin)
+//	                     8 Subject, 16 Departed, 32 Origin, 64 Route)
 //	           [entry Target] | str Key | blob Value | u64 Ver | u64 Src
 //	           items Items
 //	           u8 event code | [str event if 255]
 //	           [entry Subject] | [state Departed] | [entry Origin]
+//	           [route Route]
 //	           i64 TTL | u32 DeadlineMs
 //	           [u8 TraceFlags | u64 TraceHi | u64 TraceLo |
 //	            u64 ParentSpan]                 (trace extension)
 //
 //	response = u8 flags (1 OK, 2 Done, 4 Found, 8 State, 16 Redirect,
-//	                     32 Busy)
+//	                     32 Busy, 64 Route)
 //	           str Err | u8 phase code | [str phase if 255]
 //	           u32 nCandidates { entry } | [state State]
 //	           blob Value | u64 Ver | items Items | [entry Redirect]
-//	           u32 nReplicas { entry } | u32 RetryAfterMs
+//	           u32 nReplicas { entry } | u32 RetryAfterMs | [route Route]
 //
 // The enumerated strings the protocol actually sends (op, event, phase)
 // are one-byte codes; code 255 escapes to a length-prefixed string so
@@ -62,6 +65,7 @@ const (
 	reqHasSubject
 	reqHasDeparted
 	reqHasOrigin
+	reqHasRoute
 )
 
 // response field flags.
@@ -72,6 +76,7 @@ const (
 	respHasState
 	respHasRedirect
 	respBusy
+	respHasRoute
 )
 
 const extCode = 255 // string-escape code for out-of-table enum values
@@ -195,6 +200,30 @@ func appendState(b []byte, s *State) ([]byte, error) {
 	return b, nil
 }
 
+func appendRoute(b []byte, r *RouteState) ([]byte, error) {
+	b = appendU32(b, r.Hops)
+	for _, p := range r.Phases {
+		b = appendU32(b, p)
+	}
+	b = appendU32(b, r.Timeouts)
+	b = append(b, r.Forced)
+	b, err := appendEntry(b, &r.Best)
+	if err != nil {
+		return b, err
+	}
+	b = appendU32(b, r.Since)
+	if len(r.Avoid) > math.MaxUint32 {
+		return b, errLength
+	}
+	b = appendU32(b, uint32(len(r.Avoid)))
+	for _, a := range r.Avoid {
+		if b, err = appendStr(b, a); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
 // appendItems encodes an item batch (a handoff request, a reclaim reply).
 func appendItems(b []byte, items map[string]Item) ([]byte, error) {
 	if len(items) > math.MaxUint32 {
@@ -248,6 +277,9 @@ func AppendRequest(buf []byte, r *Request) ([]byte, error) {
 	if r.Origin != nil {
 		flags |= reqHasOrigin
 	}
+	if r.Route != nil {
+		flags |= reqHasRoute
+	}
 	b = append(b, flags)
 	if r.Target != nil {
 		if b, err = appendEntry(b, r.Target); err != nil {
@@ -283,6 +315,11 @@ func AppendRequest(buf []byte, r *Request) ([]byte, error) {
 			return buf, err
 		}
 	}
+	if r.Route != nil {
+		if b, err = appendRoute(b, r.Route); err != nil {
+			return buf, err
+		}
+	}
 	b = appendU64(b, uint64(int64(r.TTL)))
 	b = appendU32(b, r.DeadlineMs)
 	if r.TraceHi|r.TraceLo|r.ParentSpan|uint64(r.TraceFlags) != 0 {
@@ -314,6 +351,9 @@ func AppendResponse(buf []byte, r *Response) ([]byte, error) {
 	}
 	if r.Busy {
 		flags |= respBusy
+	}
+	if r.Route != nil {
+		flags |= respHasRoute
 	}
 	b := append(buf, flags)
 	b, err := appendStr(b, r.Err)
@@ -359,6 +399,11 @@ func AppendResponse(buf []byte, r *Response) ([]byte, error) {
 		}
 	}
 	b = appendU32(b, r.RetryAfterMs)
+	if r.Route != nil {
+		if b, err = appendRoute(b, r.Route); err != nil {
+			return buf, err
+		}
+	}
 	return b, nil
 }
 
@@ -510,6 +555,65 @@ func (d *reader) state() (*State, error) {
 	return s, nil
 }
 
+// route decodes a route state into *dst, its avoid list into dst.Avoid's
+// backing array when that has room; an empty list decodes as nil.
+func (d *reader) route(dst *RouteState) error {
+	var err error
+	if dst.Hops, err = d.u32(); err != nil {
+		return err
+	}
+	for i := range dst.Phases {
+		if dst.Phases[i], err = d.u32(); err != nil {
+			return err
+		}
+	}
+	if dst.Timeouts, err = d.u32(); err != nil {
+		return err
+	}
+	if dst.Forced, err = d.u8(); err != nil {
+		return err
+	}
+	if err = d.entry(&dst.Best); err != nil {
+		return err
+	}
+	if dst.Since, err = d.u32(); err != nil {
+		return err
+	}
+	n, err := d.u32()
+	if err != nil {
+		return err
+	}
+	// An encoded address is at least its 4-byte length.
+	if n > uint32((len(d.b)-d.off)/4) {
+		return ErrTruncated
+	}
+	avoid := dst.Avoid[:0]
+	if n == 0 {
+		avoid = nil
+	}
+	for i := uint32(0); i < n; i++ {
+		a, err := d.str()
+		if err != nil {
+			return err
+		}
+		avoid = append(avoid, a)
+	}
+	dst.Avoid = avoid
+	return nil
+}
+
+// routePtr decodes a route state into *into, or into a fresh one when
+// into is nil.
+func (d *reader) routePtr(into *RouteState) (*RouteState, error) {
+	if into == nil {
+		into = new(RouteState)
+	}
+	if err := d.route(into); err != nil {
+		return nil, err
+	}
+	return into, nil
+}
+
 // minEntrySize bounds slice preallocation from claimed counts: an
 // encoded entry is at least K (1) + A (4) + empty Addr (4) bytes.
 const minEntrySize = 9
@@ -585,7 +689,10 @@ func (d *reader) items() (map[string]Item, error) {
 // strings and byte slices never alias data, so the caller may reuse the
 // buffer immediately, and each byte slice (Value, every Item's V) is a
 // fresh allocation no one else holds: the receiver owns it and may
-// keep it, in its store say, without copying it again.
+// keep it, in its store say, without copying it again. A Target or
+// Route the payload carries decodes into the struct r.Target or r.Route
+// already points at, when it does, so a caller that owns that storage
+// decodes a step without allocating; an absent one leaves the field nil.
 func DecodeRequest(data []byte, r *Request) error {
 	d := reader{b: data}
 	var err error
@@ -601,8 +708,13 @@ func DecodeRequest(data []byte, r *Request) error {
 	}
 	r.GreedyOnly = flags&reqGreedyOnly != 0
 	r.Propagate = flags&reqPropagate != 0
-	if flags&reqHasTarget != 0 {
-		if r.Target, err = d.entryPtr(); err != nil {
+	if flags&reqHasTarget == 0 {
+		r.Target = nil
+	} else {
+		if r.Target == nil {
+			r.Target = new(Entry)
+		}
+		if err = d.entry(r.Target); err != nil {
 			return err
 		}
 	}
@@ -639,6 +751,11 @@ func DecodeRequest(data []byte, r *Request) error {
 			return err
 		}
 	}
+	if flags&reqHasRoute == 0 {
+		r.Route = nil
+	} else if r.Route, err = d.routePtr(r.Route); err != nil {
+		return err
+	}
 	ttl, err := d.u64()
 	if err != nil {
 		return err
@@ -666,11 +783,12 @@ func DecodeRequest(data []byte, r *Request) error {
 // DecodeResponse decodes one v2 binary response payload into r. Like
 // DecodeRequest, the result shares no memory with data. Two fields
 // decode into caller storage when it has room: the candidates into
-// r.Candidates' backing array, so a caller that owns a candidate buffer
-// decodes a step reply without allocating, and the value into r.Value's
-// backing array (see CopyValue), so a fetch reply lands straight in the
-// buffer its reader reads into. Either field gets a fresh slice when
-// its buffer is too short, and an empty value decodes to nil.
+// r.Candidates' backing array, and the value into r.Value's backing
+// array (see CopyValue), so a fetch reply lands straight in the buffer
+// its reader reads into. Either field gets a fresh slice when its
+// buffer is too short, and an empty value decodes to nil. A Route
+// decodes into the struct r.Route already points at, like a request's,
+// so the origin decodes a route's answer without allocating.
 func DecodeResponse(data []byte, r *Response) error {
 	d := reader{b: data}
 	flags, err := d.u8()
@@ -712,6 +830,21 @@ func DecodeResponse(data []byte, r *Response) error {
 	if r.Replicas, err = d.entries(nil); err != nil {
 		return err
 	}
-	r.RetryAfterMs, err = d.u32()
-	return err
+	if r.RetryAfterMs, err = d.u32(); err != nil {
+		return err
+	}
+	if flags&respHasRoute == 0 {
+		r.Route = nil
+	} else if r.Route, err = d.routePtr(r.Route); err != nil {
+		return err
+	}
+	return nil
 }
+
+// StepRequest reports whether an encoded request is a step, from its
+// op code alone.
+func StepRequest(data []byte) bool { return len(data) > 0 && data[0] == opCode("step") }
+
+// BusyReply reports whether an encoded response is a load-shed reply,
+// without decoding it: a forwarder relays every other reply unread.
+func BusyReply(data []byte) bool { return len(data) > 0 && data[0]&respBusy != 0 }

@@ -40,6 +40,14 @@ func sampleRequests() []Request {
 		{Op: "step", Target: e(255, 1<<32-1, ""), Key: string([]byte{0, 1, 2})},
 		{Op: "fetch", Key: "deadline", DeadlineMs: 1500},
 		{Op: "store", Key: "deadline-max", Value: []byte("v"), DeadlineMs: 1<<32 - 1},
+		// Forwarded steps: a route's start, a route past failures, and
+		// saturated counters.
+		{Op: "step", From: Entry{K: 2, A: 3, Addr: "b:2"}, Target: e(5, 9000, ""), Route: &RouteState{}, DeadlineMs: 2000},
+		{Op: "step", From: Entry{K: 2, A: 3, Addr: "b:2"}, Target: e(5, 9000, ""), GreedyOnly: true, Route: &RouteState{
+			Hops: 7, Phases: [3]uint32{2, 3, 1}, Timeouts: 2, Forced: RouteShed | RouteGreedy,
+			Best: Entry{K: 4, A: 8999, Addr: "c:3"}, Since: 1, Avoid: []string{"dead:1", "busy:2"}}},
+		{Op: "step", Route: &RouteState{Hops: 1<<32 - 1, Phases: [3]uint32{1<<32 - 1, 0, 1<<32 - 1},
+			Timeouts: 1<<32 - 1, Forced: 255, Since: 1<<32 - 1, Avoid: []string{""}}},
 	}
 }
 
@@ -72,6 +80,12 @@ func sampleResponses() []Response {
 		{OK: false, Err: "busy", Busy: true, RetryAfterMs: 1<<32 - 1, Redirect: e(2, 9, "z:3")},
 		{OK: true, Items: map[string]Item{"a": {V: []byte("va"), Ver: 4, Src: 9}, "b": {V: []byte{}}, "c": {}}},
 		{OK: true, Items: map[string]Item{"": {Ver: 1<<64 - 1}}, Redirect: e(2, 9, "z:3")},
+		// A forwarded route's answer, relayed from its terminal: totals
+		// and the terminal, or the route's failure.
+		{OK: true, Route: &RouteState{Hops: 5, Phases: [3]uint32{2, 2, 1}, Timeouts: 1, Best: Entry{K: 3, A: 77, Addr: "t:1"}}},
+		{OK: true, Route: &RouteState{Best: Entry{K: 1, A: 2, Addr: "self:1"}}},
+		{OK: false, Err: "p2p: route to (3,4) did not converge", Route: &RouteState{Hops: 1280, Forced: RouteGreedy}},
+		{OK: false, Err: "busy: admission queue full", Busy: true, RetryAfterMs: 3, Route: &RouteState{Avoid: []string{"a:1"}}},
 	}
 }
 

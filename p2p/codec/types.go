@@ -36,14 +36,46 @@ type State struct {
 	OutsideR *Entry `json:"outsideR,omitempty"`
 }
 
+// RouteState is what a forwarded route carries from hop to hop: a step
+// request holds the route as it reaches the receiver, and the terminal's
+// reply, relayed unchanged back along the path, holds it as it ended.
+type RouteState struct {
+	// Hops counts the hops taken, the one to the receiver included;
+	// Phases splits them by the routing phase of the decision that made
+	// each (ascending, descending, traverse); Timeouts counts the
+	// unreachable candidates the forwarders charged on the way.
+	Hops     uint32    `json:"hops,omitempty"`
+	Phases   [3]uint32 `json:"phases"`
+	Timeouts uint32    `json:"timeouts,omitempty"`
+	// Forced flags the other anomalies met on the way (RouteShed,
+	// RouteGreedy), so the origin can force its trace for them.
+	Forced uint8 `json:"forced,omitempty"`
+	// Best is, in a request, the node closest to the target the route
+	// has passed, and Since the hops taken since it last improved (the
+	// stall check behind greedy fallback); in a reply Best is the
+	// terminal.
+	Best  Entry  `json:"best"`
+	Since uint32 `json:"since,omitempty"`
+	// Avoid lists addresses no hop may try: found unreachable or
+	// overloaded earlier on the route, or ruled out by the origin.
+	Avoid []string `json:"avoid,omitempty"`
+}
+
+// RouteState.Forced flags.
+const (
+	RouteShed   = 1 << iota // a candidate shed the step
+	RouteGreedy             // phased routing stalled into greedy forwarding
+)
+
 // Request is the single message type; Op selects the operation.
 type Request struct {
 	Op   string `json:"op"`
 	From Entry  `json:"from"`
 
-	// step
-	Target     *Entry `json:"target,omitempty"`
-	GreedyOnly bool   `json:"greedyOnly,omitempty"`
+	// step: a forwarded route toward Target, and where it has got to
+	Target     *Entry      `json:"target,omitempty"`
+	GreedyOnly bool        `json:"greedyOnly,omitempty"`
+	Route      *RouteState `json:"route,omitempty"`
 
 	// store / fetch / replicate; reclaim: the first key of the page
 	// asked for
@@ -88,7 +120,11 @@ type Response struct {
 	OK  bool   `json:"ok"`
 	Err string `json:"err,omitempty"`
 
-	// step
+	// step: the route's totals, its terminal in Best
+	Route *RouteState `json:"route,omitempty"`
+
+	// A routing decision. No node sends one since steps are forwarded;
+	// the codec still carries it for the benchmark's codec probe.
 	Phase      string  `json:"phase,omitempty"`
 	Candidates []Entry `json:"candidates,omitempty"`
 	Done       bool    `json:"done,omitempty"`

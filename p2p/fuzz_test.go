@@ -118,6 +118,13 @@ func FuzzWireDecode(f *testing.F) {
 			TraceHi: 0x0123456789abcdef, TraceLo: 0xfedcba9876543210, ParentSpan: 42, TraceFlags: 1 | 16<<1},
 		{Op: "fetch", From: from, Key: "doc", DeadlineMs: 500, TraceHi: 1, TraceLo: 2, ParentSpan: 3, TraceFlags: 1},
 		{Op: "step", From: from},
+		// Forwarded steps: a route's start, one past failures that is
+		// already greedy, and one out of its hop budget.
+		{Op: "step", From: from, Target: &WireEntry{K: 4, A: 21}, Route: &codec.RouteState{}, DeadlineMs: 500},
+		{Op: "step", From: from, Target: &WireEntry{K: 4, A: 21}, GreedyOnly: true, Route: &codec.RouteState{
+			Hops: 3, Phases: [3]uint32{1, 1, 1}, Timeouts: 1, Forced: codec.RouteShed,
+			Best: WireEntry{K: 2, A: 20, Addr: "peer:2"}, Since: 1, Avoid: []string{"peer:9"}}},
+		{Op: "step", From: from, Target: &WireEntry{K: 4, A: 21}, Route: &codec.RouteState{Hops: 1 << 20}},
 		{Op: "bogus", From: from},
 		{},
 	} {
@@ -154,6 +161,8 @@ func FuzzWireDecode(f *testing.F) {
 		muxReply(f, response{Busy: true, RetryAfterMs: 50}),
 		muxReply(f, response{OK: true, Items: map[string]WireItem{"a": {V: []byte("va"), Ver: 3, Src: 7}, "b": {V: []byte{}}, "c": {}}}),
 		muxReply(f, response{OK: true, Items: map[string]WireItem{"k": {Ver: ^uint64(0)}}, Redirect: &WireEntry{K: 2, A: 9, Addr: "peer:3"}}),
+		muxReply(f, response{OK: true, Route: &codec.RouteState{Hops: 4, Phases: [3]uint32{1, 2, 1}, Timeouts: 1, Best: WireEntry{K: 4, A: 21, Addr: "peer:4"}}}),
+		muxReply(f, response{Err: "p2p: route to (4,21) did not converge", Route: &codec.RouteState{Hops: 1 << 10, Forced: codec.RouteGreedy}}),
 	} {
 		f.Add(s)
 	}

@@ -1,8 +1,10 @@
 package p2p
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"cycloid/internal/fleet"
@@ -121,5 +123,56 @@ func TestHintedPutGet(t *testing.T) {
 	}
 	if d := fleetSum(live, timeouts) - tBefore; d != 0 {
 		t.Fatalf("stale hints advanced lookup_timeouts_total by %d", d)
+	}
+}
+
+// TestStaleHintStore pins what a Put hinted at a node that rejects the
+// key costs: the rejected store, one route forwarded from the rejecting
+// node, and a single store at that route's terminal, the key's owner —
+// at most two store requests fleet-wide (one when the owner is the
+// origin itself, which stores locally). The value then reads back from
+// every node.
+func TestStaleHintStore(t *testing.T) {
+	nw := memnet.New(47)
+	nodes := memCluster(t, nw, 6, 10, 47, func(_ int, c *Config) { c.Replicas = 3 })
+	ctx := context.Background()
+	origin := nodes[0]
+	stores := func(nd *Node) uint64 { return nd.tel.requests["store"].Value() }
+	checked := 0
+	for i := 0; i < 400 && checked < 8; i++ {
+		key := fmt.Sprintf("stale-%d", i)
+		at := slices.IndexFunc(nodes, func(nd *Node) bool { return nd != origin && !nd.mayHold(nd.keyPoint(key)) })
+		if at < 0 {
+			continue
+		}
+		stale, owner := nodes[at], ownerOf(t, nodes, key)
+		checked++
+		val := []byte(fmt.Sprintf("fresh-%d", i))
+		storesBefore, redirectsBefore := fleetSum(nodes, stores), origin.tel.putRedirects.Value()
+		r, err := origin.PutAt(ctx, stale.Addr(), key, val)
+		if err != nil {
+			t.Fatalf("%s hinted at %s: %v", key, stale.Addr(), err)
+		}
+		if r.Addr != owner.Addr() {
+			t.Errorf("%s hinted at %s: acknowledged by %s, want the owner %s", key, stale.Addr(), r.Addr, owner.Addr())
+		}
+		if got := origin.tel.putRedirects.Value() - redirectsBefore; got != 1 {
+			t.Errorf("%s: %d rejections followed, want 1", key, got)
+		}
+		want := uint64(2)
+		if owner == origin {
+			want = 1
+		}
+		if got := fleetSum(nodes, stores) - storesBefore; got != want {
+			t.Errorf("%s hinted at %s: %d store requests fleet-wide, want %d", key, stale.Addr(), got, want)
+		}
+		for _, nd := range nodes {
+			if v, _, err := nd.Get(key); err != nil || !bytes.Equal(v, val) {
+				t.Errorf("%s from %s after the stale-hinted Put: %q, %v", key, nd.Addr(), v, err)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no key has a node outside its replica scope")
 	}
 }

@@ -7,9 +7,12 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"cycloid/internal/ids"
 	"cycloid/p2p/codec"
+	"cycloid/p2p/pool"
 )
 
 // Route describes one resolved lookup.
@@ -81,14 +84,14 @@ func (n *Node) PutContext(ctx context.Context, key string, value []byte) error {
 // PutAt is PutContext with an optional start address: the node the
 // caller believes owns key, typically the Route.Addr an earlier PutAt
 // returned for it. A usable hint (see hintUsable) takes the store
-// directly, skipping the O(d) route, through the same redirect chain a
-// routed store follows; a hint that cannot be reached, sheds, or
-// rejects the key falls back to the routed Put. A miss never counts as
-// a route timeout; an unreachable hint is suspected, so no later hint
-// dials it again. The returned Route's Addr is the node that
-// acknowledged the write. value stays the caller's: a node that stores
-// it itself keeps a copy, so the caller may reuse it once PutAt
-// returns.
+// directly, skipping the O(d) route; one that rejects the key routes it
+// on, as a routed store does (storeChain). A hint that cannot be
+// reached, sheds, or whose store fails even so falls back to the routed
+// Put. A miss never counts as a route timeout; an unreachable hint is
+// suspected, so no later hint dials it again. The returned Route's Addr
+// is the node that acknowledged the write. value stays the caller's: a
+// node that stores it itself keeps a copy, so the caller may reuse it
+// once PutAt returns.
 func (n *Node) PutAt(ctx context.Context, hint, key string, value []byte) (r Route, err error) {
 	ot := n.beginOp("put", key)
 	defer func() { n.endOp(ot, err) }()
@@ -119,35 +122,36 @@ func (n *Node) PutAt(ctx context.Context, hint, key string, value []byte) (r Rou
 	return r, err
 }
 
-// storeChain sends a store to addr and follows its redirects. A racing
-// join can make the receiver disown the key by the time the store
-// arrives; it rejects with a redirect entry pointing at the node it
-// believes responsible, and a short chain of those is followed rather
-// than stranding the value. It returns the address that acknowledged
-// the store, or on failure the last address contacted.
+// storeChain sends a store to addr. A racing join, or a stale hint, can
+// make the receiver disown the key by the time the store arrives; it
+// rejects it (with a redirect entry), and rather than strand the value
+// the write routes from the rejecting node to the key's terminal and
+// stores there, once. It returns the address that acknowledged the
+// store, or on failure the last address contacted.
 func (n *Node) storeChain(ctx context.Context, addr, key string, value []byte, ot *opTrace) (string, error) {
-	for hop := 0; hop < 3; hop++ {
-		resp, err := n.callRetry(ctx, addrOnly(addr), request{Op: "store", Key: key, Value: value}, nil, ot)
+	resp, err := n.callRetry(ctx, addrOnly(addr), request{Op: "store", Key: key, Value: value}, nil, ot)
+	if err == nil || resp.Redirect == nil {
 		if err == nil {
-			n.tel.redirectDepth.Observe(int64(hop))
-			return addr, nil
+			n.tel.redirectDepth.Observe(0)
 		}
-		if resp.Redirect == nil {
-			return addr, err
-		}
-		n.tel.putRedirects.Inc()
-		n.log.Debug("store redirected", "key", key, "from", addr, "to", resp.Redirect.Addr)
-		red := toEntry(*resp.Redirect)
-		if red.ID == n.id {
-			if _, perr := n.putOwner(ctx, key, append([]byte(nil), value...), ot); perr != nil {
-				return n.Addr(), perr
-			}
-			n.tel.redirectDepth.Observe(int64(hop + 1))
-			return n.Addr(), nil
-		}
-		addr = red.Addr
+		return addr, err
 	}
-	return addr, fmt.Errorf("p2p: put %q: no node accepted ownership", key)
+	n.tel.putRedirects.Inc()
+	n.log.Debug("store rejected, routing from the rejecting node", "key", key, "from", addr)
+	r, rerr := n.route(ctx, addrOnly(addr), n.keyPoint(key), nil, ot)
+	if rerr != nil {
+		return addr, fmt.Errorf("p2p: put %q: %w (and routing from %s: %w)", key, err, addr, rerr)
+	}
+	if r.Terminal == n.id {
+		_, err = n.putOwner(ctx, key, append([]byte(nil), value...), ot)
+	} else {
+		_, err = n.callRetry(ctx, entry{ID: r.Terminal, Addr: r.Addr}, request{Op: "store", Key: key, Value: value}, nil, ot)
+	}
+	if err != nil {
+		return r.Addr, err
+	}
+	n.tel.redirectDepth.Observe(1)
+	return r.Addr, nil
 }
 
 // hintUsable reports whether a caller's start address is worth one
@@ -213,7 +217,7 @@ func (n *Node) GetAt(ctx context.Context, hint, key string, dst []byte) (val []b
 			to = *n.selfEntry()
 		}
 		resp := response{Value: dst}
-		ferr := n.exchange(ctx, to, &request{Op: "fetch", Key: key}, &resp, ot, nil)
+		ferr := n.exchange(ctx, to, &request{Op: "fetch", Key: key}, &resp, ot)
 		if ferr == nil && resp.Found {
 			return resp.Value, Route{Target: kp, Addr: hint, Hinted: true, Ver: resp.Ver}, nil
 		}
@@ -228,10 +232,10 @@ func (n *Node) GetAt(ctx context.Context, hint, key string, dst []byte) (val []b
 	// the read a timeout; the re-route avoids them all, so the same
 	// corpse is not dialed — and charged — a second time by pass-1
 	// candidate ordering (a one-strike suspect is demoted, not skipped).
-	tried := make(map[string]bool)
+	var tried []string
 	term := entry{ID: r.Terminal, Addr: r.Addr}
 	for attempt := 0; attempt < n.cfg.Replicas; attempt++ {
-		tried[term.Addr] = true
+		tried = append(tried, term.Addr)
 		resp, ferr := n.callRetry(ctx, term, request{Op: "fetch", Key: key}, dst, ot)
 		if ferr == nil {
 			if resp.Found {
@@ -251,7 +255,8 @@ func (n *Node) GetAt(ctx context.Context, hint, key string, dst []byte) (val []b
 			// Owner died between route and fetch: account the timeout,
 			// suspect the corpse, and re-route — candidate ordering now
 			// avoids it, so the route terminates at the crash successor.
-			n.chargeTimeout(&r, term.Addr, ot)
+			r.Timeouts++
+			n.chargeTimeout(term.Addr, ot)
 		}
 		n.tel.replicaFallbacks.Inc()
 		ot.annotate("replica-fallback")
@@ -267,7 +272,7 @@ func (n *Node) GetAt(ctx context.Context, hint, key string, dst []byte) (val []b
 		r.Phases.Traverse += r2.Phases.Traverse
 		r.Terminal, r.Addr = r2.Terminal, r2.Addr
 		term = entry{ID: r2.Terminal, Addr: r2.Addr}
-		if tried[term.Addr] {
+		if slices.Contains(tried, term.Addr) {
 			break // rerouting made no progress
 		}
 	}
@@ -287,7 +292,8 @@ func (n *Node) GetAt(ctx context.Context, hint, key string, dst []byte) (val []b
 				r.Ver = resp.Ver
 				return resp.Value, r, nil
 			case ferr != nil && !IsBusy(ferr):
-				n.chargeTimeout(&r, cand.Addr, ot)
+				r.Timeouts++
+				n.chargeTimeout(cand.Addr, ot)
 			}
 		}
 	}
@@ -309,49 +315,40 @@ func (n *Node) localFetch(key string, dst []byte) (item, bool) {
 // replicaProbes lists the terminal's leaf neighborhood ranked by
 // closeness to the key, excluding this node and addresses already
 // consulted — the candidates most likely to hold a replica of the key.
-func (n *Node) replicaProbes(ctx context.Context, term entry, kp ids.CycloidID, tried map[string]bool) []entry {
+func (n *Node) replicaProbes(ctx context.Context, term entry, kp ids.CycloidID, tried []string) []entry {
 	st, err := n.stateOf(ctx, term)
 	if err != nil {
 		return nil
 	}
 	out := slices.DeleteFunc(n.rank(kp, append([]entry{term}, leafEntries(st)...)), func(e entry) bool {
 		// A known corpse is left out too: don't pay its timeout again.
-		return e.ID == n.id || e.Addr == term.Addr || tried[e.Addr] || n.peer(e.Addr).dead()
+		return e.ID == n.id || e.Addr == term.Addr || slices.Contains(tried, e.Addr) || n.peer(e.Addr).dead()
 	})
 	return out[:min(len(out), n.cfg.Replicas)]
 }
 
-// route drives an iterative lookup from start, a live node: this one
-// for lookups, reads, writes and maintenance, a bootstrap or leaf
-// neighbour for Join and Leave, which route before or after this node
-// is part of the overlay. At each step the current node's local decision
-// yields candidates in preference order; a candidate that cannot be
-// dialed costs a timeout and the next is tried, the live-network
-// equivalent of the paper's timeout accounting.
+// route resolves target t from start, a live node: this one for
+// lookups, reads, writes and maintenance, a bootstrap or leaf neighbour
+// for Join and Leave, which route before or after this node is part of
+// the overlay, and a node that rejected a store for PutAt. The route is
+// forwarded: each node on the path decides with its own routing state
+// and hands the step on to the next over its own pooled connection
+// (routeOp), and the terminal's answer travels back along the path, so
+// no node ever contacts more than its own seven entries. A candidate
+// that cannot be reached costs the node that tried it a timeout, the
+// live-network equivalent of the paper's timeout accounting, and that
+// node tries its next candidate; the reply carries the timeouts, hops
+// and phases of the whole path back here.
 //
-// The peer table reorders that preference, one lookup per candidate: a
-// candidate with one strike or inside its overload window is tried only
-// after every clean candidate failed, and one with suspectDrop strikes
-// is skipped outright until stabilization re-probes it — so the same
-// corpse stops costing a timeout on every route. Every address in avoid
-// counts as already dead: it is neither dialed nor charged a timeout (a
-// read re-routing around an owner whose corpse it already paid for
-// once). Each dial is additionally capped by the context's deadline.
-//
-// Every hop updates the node's metrics; under a sampled op scope each
-// hop's step call span is annotated with how the hop was chosen.
-func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid map[string]bool, ot *opTrace) (r Route, err error) {
+// Every address in avoid counts as already dead: no hop dials or
+// charges it (a read re-routing around an owner whose corpse it already
+// paid for once). The context bounds how long this node waits for the
+// answer, and each of its own dials; the nodes downstream bound theirs
+// by DialTimeout.
+func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid []string, ot *opTrace) (r Route, err error) {
 	if start.ID == n.id && n.isStopped() {
 		return Route{}, ErrStopped
 	}
-	r = Route{Target: t}
-	d := n.space.Dim()
-	window := 4*d + 16
-	budget := 64*d + 128
-	greedyOnly := false
-	// dead holds addresses that failed during this route; allocated
-	// lazily since a clean route (the common case) never writes it.
-	var dead map[string]bool
 	defer func() {
 		n.tel.lookups.Inc()
 		n.tel.lookupHops.Observe(int64(r.Hops))
@@ -359,102 +356,480 @@ func (n *Node) route(ctx context.Context, start entry, t ids.CycloidID, avoid ma
 			n.tel.failures.Inc()
 		}
 	}()
-
-	sb := stepBufsPool.Get().(*stepBufs)
-	defer stepBufsPool.Put(sb)
-	sb.target = WireEntry{K: t.K, A: t.A}
-
-	cur := start
-	best := start.ID
-	sinceImprove := 0
-	step, err := n.stepAt(ctx, cur, greedyOnly, ot, sb, nil)
-	if err != nil {
-		return r, fmt.Errorf("p2p: route: first hop: %w", err)
+	if cerr := ctx.Err(); cerr != nil {
+		return Route{Target: t}, fmt.Errorf("p2p: route to %v: %w", t, cerr)
 	}
-	for !step.Done {
-		if cerr := ctx.Err(); cerr != nil {
-			return r, fmt.Errorf("p2p: route to %v: %w", t, cerr)
+	op := n.newRouteOp(WireEntry{K: t.K, A: t.A})
+	op.ot = ot
+	op.deadline, _ = ctx.Deadline()
+	op.rs.Avoid = append(op.rs.Avoid, avoid...)
+	op.mu.Lock()
+	if start.ID == n.id {
+		op.begin()
+	} else {
+		// The start decides first; the contact is no hop.
+		op.cands[0], op.nc = wireEntry(start), 1
+		op.fromStart = true
+		op.advance()
+	}
+	op.mu.Unlock()
+	select {
+	case <-op.done:
+	case <-ctx.Done():
+		if op.abandon() {
+			return Route{Target: t}, fmt.Errorf("p2p: route to %v: %w", t, ctx.Err())
 		}
-		moved := false
-		// Per-hop decision accounting, reset each forwarding step.
-		hop := hopNote{phase: phaseOf(step.Phase)}
-		for pass := 0; pass < 2 && !moved; pass++ {
-			for ci, w := range step.Candidates {
-				cand := toEntry(w)
-				if dead[cand.Addr] || avoid[cand.Addr] {
-					continue // already found unreachable
-				}
-				h := n.peer(cand.Addr)
+		<-op.done
+	}
+	op.mu.Lock() // the event that settled the op has let go of it
+	r, err, forced := op.res, op.err, op.rs.Forced
+	op.mu.Unlock()
+	op.recycle()
+	// Anomalies downstream force this trace, as they would have had
+	// this node met them itself.
+	if r.Timeouts > 0 {
+		ot.force("timeout")
+	}
+	if forced&codec.RouteShed != 0 {
+		ot.force("shed")
+	}
+	if forced&codec.RouteGreedy != 0 {
+		ot.force("greedy-fallback")
+	}
+	return r, err
+}
+
+// routeTags numbers the attempts of every route op in the process, so
+// an answer to an attempt an op gave up on, perhaps before the op was
+// recycled, never passes for the current one.
+var routeTags atomic.Uint64
+
+// routeOp is one route in progress at this node: one it started (route),
+// or a step a peer sent it (serveStep). Both run the same routine. The
+// node decides with DecideStepScratch on its routingState; the first
+// usable candidate gets the step over this node's pooled connection
+// (pool.Forward) and the op waits, holding nothing, for its answer. A
+// candidate that fails is charged here — a timeout and a suspicion
+// strike, or an overload window for a busy one — added to the route's
+// avoid list, and the next is tried. This node's peer table reorders
+// the decision's preference (advance): a candidate with one strike or
+// inside its overload window is tried only after every clean one
+// failed, and one with suspectDrop strikes is skipped until
+// stabilization re-probes it, so the same corpse stops costing a
+// timeout on every route. The first answer that is no shed ends the op:
+// a forwarder relays it upstream unread, the origin decodes it into its
+// Route. When no candidate is left, or the decision is that the target
+// is reached, this node is the terminal and answers itself.
+//
+// Events — the start, the answer, a failure, the pool's waiting checks
+// — run under mu, each short and non-blocking, since they may run on a
+// connection's read loop. Whoever settles a forwarder's op recycles it
+// once it lets go of mu (unlock); route recycles the origin's, unless it
+// gave up waiting, and then the op's last event does. Ops are pooled, so
+// a fault-free hop allocates none of this.
+type routeOp struct {
+	mu   sync.Mutex
+	done chan struct{} // the origin's wait
+	opState
+}
+
+// opState is a route op's state, zeroed when the op is recycled.
+type opState struct {
+	n *Node
+
+	// target and rs are the route as it reached this node: the origin
+	// fills them in, a forwarder decodes the step into them (in).
+	in     request
+	target WireEntry
+	rs     codec.RouteState
+	greedy bool
+	ot     *opTrace // the origin's op scope, or a forwarder's server scope
+
+	// This node's decision and the walk over its candidates.
+	phase      int
+	out        codec.RouteState // the state a forwarded step or a terminal reply carries
+	cands      [maxStepCands]WireEntry
+	nc         int
+	pass, next int
+	hop        hopNote
+	fromStart  bool // the origin's one contact with a remote start
+
+	// The attempt in flight: its tag, its candidate, its call span.
+	tag   uint64
+	cur   WireEntry
+	sid   uint64
+	t0    time.Time
+	sent  time.Time
+	added bool // the upstream call is held open (ServerConn.Add)
+	// arrived is when a step that goes through admission reached this
+	// node; zero otherwise.
+	arrived time.Time
+	settle  bool // the op has ended
+
+	// Upstream: the call a forwarder answers, or the origin's result.
+	sc        *pool.ServerConn
+	id        uint64
+	deadline  time.Time
+	abandoned bool
+	res       Route
+	err       error
+}
+
+var routeOps = sync.Pool{New: func() any { return &routeOp{done: make(chan struct{}, 1)} }}
+
+// newRouteOp checks an op out of the pool for a route toward target.
+func (n *Node) newRouteOp(target WireEntry) *routeOp {
+	op := routeOps.Get().(*routeOp)
+	op.n = n
+	op.target = target
+	return op
+}
+
+// recycle clears the op and returns it to the pool. It takes mu, so a
+// stale pool event still running on the op finishes first, and finds a
+// tag it no longer matches.
+func (op *routeOp) recycle() {
+	op.mu.Lock()
+	avoid := op.rs.Avoid[:0]
+	op.opState = opState{}
+	op.rs.Avoid = avoid
+	op.mu.Unlock()
+	routeOps.Put(op)
+}
+
+// unlock releases mu, and recycles the op when this event settled a
+// forwarder's op or one the origin gave up on: nobody else touches it
+// after that.
+func (op *routeOp) unlock() {
+	free := op.settle && (op.sc != nil || op.abandoned)
+	op.mu.Unlock()
+	if free {
+		op.recycle()
+	}
+}
+
+// begin runs this node's part of the route as the step reached it:
+// decide, then end the route here or try the first candidate.
+func (op *routeOp) begin() {
+	if end, err := op.decide(); end {
+		op.end(nil, err)
+		return
+	}
+	op.advance()
+}
+
+// decide runs the stall check and the local decision. It reports
+// whether the route ends here: with this node as the terminal (err nil),
+// or failed.
+func (op *routeOp) decide() (end bool, err error) {
+	n := op.n
+	self := WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()}
+	t := toEntry(op.target).ID
+	d := n.space.Dim()
+	window, budget := 4*d+16, 64*d+128
+	if op.rs.Hops == 0 {
+		op.rs.Best, op.rs.Since = self, 0
+	} else {
+		if n.space.Closer(t, n.id, toEntry(op.rs.Best).ID) {
+			op.rs.Best, op.rs.Since = self, 0
+		} else {
+			op.rs.Since++
+		}
+		if !op.greedy && (int(op.rs.Since) >= window || int(op.rs.Hops) >= budget) {
+			// Phased routing stalled or overran its hop budget: from here
+			// on the route forwards greedily through leaf sets.
+			op.greedy = true
+			op.rs.Forced |= codec.RouteGreedy
+			n.tel.greedyFallbacks.Inc()
+			op.ot.force("greedy-fallback")
+		}
+		if int(op.rs.Hops) >= 2*budget {
+			return true, fmt.Errorf("p2p: route to %v did not converge", t)
+		}
+	}
+	step := n.localStep(t, op.greedy, op.cands[:0])
+	if step.Done {
+		return true, nil
+	}
+	op.phase = phaseOf(step.Phase)
+	op.nc = len(step.Candidates)
+	return false, nil
+}
+
+// advance walks the candidates from where the last attempt left off and
+// forwards to the first usable one; with none left, this node is the
+// terminal. Pass 0 skips known corpses outright and leaves demoted
+// peers (one strike, or an overload window) for pass 1.
+func (op *routeOp) advance() {
+	n := op.n
+	for ; op.pass < 2; op.pass, op.next = op.pass+1, 0 {
+		for ; op.next < op.nc; op.next++ {
+			c := op.cands[op.next]
+			if c.Addr == n.Addr() || slices.Contains(op.rs.Avoid, c.Addr) {
+				continue
+			}
+			if !op.fromStart {
+				h := n.peer(c.Addr)
 				if h.dead() {
-					if pass == 0 {
-						hop.skipped++
+					if op.pass == 0 {
+						op.hop.skipped++
 						n.tel.skips.Inc()
 					}
-					continue // known corpse: skipped outright
+					continue
 				}
-				if pass == 0 && h.demoted() {
-					// Suspected or inside its overload window: demoted to
-					// pass 1, tried only after every clean candidate.
-					hop.demoted++
+				if op.pass == 0 && h.demoted() {
+					op.hop.demoted++
 					n.tel.demotions.Inc()
 					continue
 				}
-				hop.rank = ci
-				next, serr := n.stepAt(ctx, cand, greedyOnly, ot, sb, &hop)
-				if serr != nil {
-					if dead == nil {
-						dead = make(map[string]bool)
-					}
-					dead[cand.Addr] = true
-					if IsBusy(serr) {
-						// Shedding, not dead: step around it this round
-						// without a timeout charge or a suspicion strike.
-						ot.force("shed")
-					} else {
-						n.chargeTimeout(&r, cand.Addr, ot)
-					}
-					continue
-				}
-				r.Hops++
-				r.Phases.add(hop.phase)
-				n.tel.phaseHops[hop.phase].Inc()
-				cur, step = cand, next
-				moved = true
-				break
 			}
-		}
-		if !moved {
-			break // every candidate unreachable: cur keeps the request
-		}
-		if n.space.Closer(t, cur.ID, best) {
-			best = cur.ID
-			sinceImprove = 0
-		} else {
-			sinceImprove++
-		}
-		if !greedyOnly && (sinceImprove >= window || r.Hops >= budget) {
-			// Phased routing stalled or overran its hop budget: re-decide
-			// at cur, and from here on forward greedily through leaf sets.
-			greedyOnly = true
-			n.tel.greedyFallbacks.Inc()
-			ot.force("greedy-fallback")
-			if step, err = n.stepAt(ctx, cur, true, ot, sb, nil); err != nil {
-				return r, err
+			op.hop.rank = op.next
+			if err := op.forward(c); err != nil {
+				op.failed(c, err)
+				continue
 			}
+			op.next++
+			return
 		}
-		if r.Hops >= 2*budget {
-			return r, fmt.Errorf("p2p: route to %v did not converge", t)
+		if op.fromStart {
+			break
 		}
 	}
-	r.Terminal = cur.ID
-	r.Addr = cur.Addr
-	return r, nil
+	if op.fromStart {
+		op.end(nil, fmt.Errorf("p2p: route: first hop: %w", op.err))
+		return
+	}
+	// Every candidate unreachable: this node keeps the request.
+	op.end(nil, nil)
+}
+
+// forward sends the step on to c as this attempt. An error means it
+// never left; otherwise Complete hears how it went.
+func (op *routeOp) forward(c WireEntry) error {
+	n := op.n
+	timeout := n.cfg.DialTimeout
+	if !op.deadline.IsZero() {
+		if timeout = min(timeout, time.Until(op.deadline)); timeout <= 0 {
+			return fmt.Errorf("p2p: dial %s: %w", c.Addr, context.DeadlineExceeded)
+		}
+	}
+	op.out = op.rs
+	if !op.fromStart {
+		op.out.Hops++
+		if op.phase < len(op.out.Phases) {
+			op.out.Phases[op.phase]++
+		}
+	}
+	if op.sc != nil && !op.added {
+		op.sc.Add() // answered from wherever the reply arrives (end)
+		op.added = true
+	}
+	if !op.arrived.IsZero() && time.Since(op.arrived) >= timeout/4 {
+		// Admission or service kept the caller waiting: tell it this
+		// node is alive before its own clock runs out.
+		op.sc.Progress(op.id)
+		op.arrived = time.Time{}
+	}
+	op.in = request{
+		Op:         "step",
+		From:       WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()},
+		Target:     &op.target,
+		GreedyOnly: op.greedy,
+		Route:      &op.out,
+		DeadlineMs: uint32(min(max(timeout.Milliseconds(), 1), int64(^uint32(0)))),
+	}
+	op.tag = routeTags.Add(1)
+	op.cur = c
+	op.sid, op.t0 = op.ot.startCall(&op.in)
+	op.sent = time.Now()
+	fb := codec.GetBufferSize(op.in.SizeHint() + 32*len(op.out.Avoid))
+	var err error
+	fb.B, err = codec.AppendRequest(fb.B, &op.in)
+	n.tel.codecEncodeBin.Observe(time.Since(op.sent).Nanoseconds())
+	if err == nil {
+		err = n.pool.Forward(c.Addr, fb.B, timeout, op, op.tag)
+	}
+	codec.PutBuffer(fb)
+	op.in = request{}
+	if errors.Is(err, pool.ErrPeerSaturated) {
+		// Local backpressure, not a peer failure (see roundTrip).
+		n.softDemote(c.Addr, defaultRetryAfter)
+		err = &BusyError{Addr: c.Addr, RetryAfter: defaultRetryAfter}
+	} else if err != nil {
+		n.tel.dialFailures.Inc()
+	}
+	if err != nil {
+		op.ot.endCall(op.sid, op.t0, "step", c.Addr, err)
+	}
+	return err
+}
+
+// failed accounts a candidate that could not take the step: a busy one
+// is stepped around without a charge, anything else costs this node a
+// timeout and the peer a suspicion strike. Either way the rest of the
+// route avoids it.
+func (op *routeOp) failed(c WireEntry, err error) {
+	op.rs.Avoid = append(op.rs.Avoid, c.Addr)
+	op.err = err
+	if op.fromStart {
+		return
+	}
+	if IsBusy(err) {
+		op.rs.Forced |= codec.RouteShed
+		op.ot.force("shed")
+		return
+	}
+	op.rs.Timeouts++
+	op.n.chargeTimeout(c.Addr, op.ot)
+}
+
+// Complete is the pool's answer to the attempt tagged tag.
+func (op *routeOp) Complete(tag uint64, rep pool.Reply, err error) {
+	op.mu.Lock()
+	if tag != op.tag || op.settle {
+		op.mu.Unlock()
+		rep.Release()
+		return
+	}
+	n, c := op.n, op.cur
+	if err == nil && codec.BusyReply(rep.Payload) {
+		var resp response
+		if derr := codec.DecodeResponse(rep.Payload, &resp); derr == nil {
+			err = n.busy(c.Addr, resp.RetryAfterMs)
+		} else {
+			err = derr
+		}
+	}
+	if err != nil {
+		rep.Release()
+		if !IsBusy(err) {
+			n.tel.dialFailures.Inc()
+			err = fmt.Errorf("p2p: call %s: %w", c.Addr, err)
+		}
+		op.ot.endCall(op.sid, op.t0, "step", c.Addr, err)
+		op.failed(c, err)
+		op.advance()
+		op.unlock()
+		return
+	}
+	// The peer took the step: the hop is made, whatever came of the
+	// rest of the route.
+	n.contacted(c.Addr, time.Since(op.sent))
+	if !op.fromStart {
+		n.tel.phaseHops[op.phase].Inc()
+	}
+	var notes []string
+	if op.sid != 0 {
+		notes = op.hop.annotations(op.phase, op.greedy)
+	}
+	op.ot.endCall(op.sid, op.t0, "step", c.Addr, nil, notes...)
+	op.end(&rep, nil)
+	op.unlock()
+}
+
+// Waiting is the pool's word that the attempt tagged tag is still in
+// flight: a forwarder tells its own caller it is alive.
+func (op *routeOp) Waiting(tag uint64) {
+	op.mu.Lock()
+	if tag == op.tag && !op.settle && op.sc != nil {
+		op.sc.Progress(op.id)
+	}
+	op.mu.Unlock()
+}
+
+// end settles the op with the downstream answer rep, or, when rep is
+// nil, with this node as the terminal (err nil) or the route's failure.
+// A forwarder answers its caller; the origin's answer is read by route.
+func (op *routeOp) end(rep *pool.Reply, err error) {
+	op.settle = true
+	n := op.n
+	if op.sc == nil {
+		op.res, op.err = Route{Target: toEntry(op.target).ID}, err
+		switch {
+		case rep != nil:
+			var resp response
+			resp.Route = &op.rs
+			if derr := codec.DecodeResponse(rep.Payload, &resp); derr != nil {
+				op.err = fmt.Errorf("p2p: receive from %s: %w", op.cur.Addr, derr)
+			} else if resp.Err != "" {
+				op.err = fmt.Errorf("p2p: route via %s: %w", op.cur.Addr, peerError(resp.Err))
+			} else if resp.Route == nil {
+				op.err = fmt.Errorf("p2p: route via %s: reply carries no route", op.cur.Addr)
+			} else {
+				op.res.setTotals(&op.rs)
+			}
+			rep.Release()
+		case err == nil:
+			op.rs.Best = WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()}
+			op.res.setTotals(&op.rs)
+		}
+		if !op.abandoned {
+			op.done <- struct{}{}
+		}
+		return
+	}
+	if rep != nil {
+		payload := rep.Payload
+		op.sc.Relay(op.id, len(payload), func(buf []byte) ([]byte, error) { return append(buf, payload...), nil })
+		rep.Release()
+	} else {
+		// The terminal's totals; the stall check's state and the avoid
+		// list stay behind.
+		op.out = codec.RouteState{Hops: op.rs.Hops, Phases: op.rs.Phases, Timeouts: op.rs.Timeouts, Forced: op.rs.Forced}
+		resp := response{Route: &op.out}
+		if err != nil {
+			resp.Err = err.Error()
+		} else {
+			resp.OK = true
+			op.out.Best = WireEntry{K: n.id.K, A: n.id.A, Addr: n.Addr()}
+		}
+		op.answer(&resp)
+	}
+	var msg string
+	if err != nil {
+		msg = err.Error()
+	}
+	n.endServer(op.ot, msg)
+	op.ot = nil
+}
+
+// answer sends a forwarder's own reply upstream: queued for the read
+// loop to flush when the step is still being served there, relayed when
+// it is answered from anywhere else.
+func (op *routeOp) answer(resp *response) {
+	if op.added {
+		op.sc.Relay(op.id, resp.SizeHint(), func(buf []byte) ([]byte, error) { return codec.AppendResponse(buf, resp) })
+	} else {
+		op.n.reply(op.sc, op.id, resp)
+	}
+}
+
+// abandon tells the op that route stopped waiting for it, and drops the
+// op's hold on the operation's trace scope, which route's caller is about
+// to close. It reports false when the op has already ended and its
+// answer is waiting in done.
+func (op *routeOp) abandon() bool {
+	op.mu.Lock()
+	defer op.mu.Unlock()
+	if op.settle {
+		return false
+	}
+	op.abandoned, op.ot = true, nil
+	return true
+}
+
+// setTotals copies a finished route's totals into r.
+func (r *Route) setTotals(rs *codec.RouteState) {
+	term := toEntry(rs.Best)
+	r.Terminal, r.Addr = term.ID, term.Addr
+	r.Hops, r.Timeouts = int(rs.Hops), int(rs.Timeouts)
+	r.Phases = PhaseHops{Ascending: int(rs.Phases[0]), Descending: int(rs.Phases[1]), Traverse: int(rs.Phases[2])}
 }
 
 // phaseNames are the Section 3.2 routing phases and, last, "other" for
-// a name this node does not know. A route decodes each step reply's
-// phase to its index here once; the index keys the per-phase hop
-// counters and PhaseHops.
+// a name this node does not know. A route op maps its decision's phase
+// to its index here once; the index keys the per-phase hop counters and
+// the route state's per-phase counts.
 var phaseNames = [...]string{"ascending", "descending", "traverse", "other"}
 
 func phaseOf(name string) int {
@@ -464,26 +839,26 @@ func phaseOf(name string) int {
 	return len(phaseNames) - 1
 }
 
-// chargeTimeout accounts one unreachable peer to r, the paper's timeout:
-// route and node timeout counts, a suspicion strike, a forced trace.
-func (n *Node) chargeTimeout(r *Route, addr string, ot *opTrace) {
-	r.Timeouts++
+// chargeTimeout accounts one unreachable peer, the paper's timeout: the
+// node's timeout count, a suspicion strike, a forced trace. The caller
+// adds it to its route's count.
+func (n *Node) chargeTimeout(addr string, ot *opTrace) {
 	n.tel.timeouts.Inc()
 	n.suspect(addr)
 	ot.force("timeout")
 }
 
-// hopNote is how a route chose the candidate it dials: the phase of the
-// step that offered it, its rank in that step's preference order, and
-// the suspects demoted or skipped before it.
+// hopNote is how a node chose the candidate it forwarded a step to: its
+// rank in the decision's preference order, and the suspects demoted or
+// skipped before it. The phase is the decision's.
 type hopNote struct {
-	phase, rank, demoted, skipped int
+	rank, demoted, skipped int
 }
 
 // annotations renders the note for the step call span of a hop the
 // route made; greedy marks greedy-only leaf-set forwarding.
-func (h hopNote) annotations(greedy bool) []string {
-	a := []string{"phase=" + phaseNames[h.phase]}
+func (h hopNote) annotations(phase int, greedy bool) []string {
+	a := []string{"phase=" + phaseNames[phase]}
 	if h.rank > 0 {
 		a = append(a, "cand="+strconv.Itoa(h.rank))
 	}
@@ -499,35 +874,6 @@ func (h hopNote) annotations(greedy bool) []string {
 	return a
 }
 
-// maxStepCands bounds a live step's candidate list: the decision ranks
+// maxStepCands bounds a route op's candidate list: the decision ranks
 // the node's seven routing entries, deduplicated.
 const maxStepCands = 7
-
-// stepBufs is one route's step storage, pooled across routes so a hop
-// allocates none of it: the Target every step request of the route
-// points at, and two candidate lists. The route walks the candidates of
-// its current step out of one list while the step it probes next fills
-// the other, so a failed probe — its reply perhaps half decoded — never
-// overwrites the candidates the route falls back on.
-type stepBufs struct {
-	target WireEntry
-	cands  [2][maxStepCands]WireEntry
-	cur    int // the list backing the route's current step
-}
-
-var stepBufsPool = sync.Pool{New: func() any { return new(stepBufs) }}
-
-// stepAt obtains the routing decision of the given node for sb's target,
-// decoding its candidates into sb's spare list. A route adopts every
-// step it obtains, so on success the spare list becomes current. A
-// failure means the node is unreachable (dead), which the caller
-// accounts as a timeout. hop, when not nil, is the note the step's call
-// span carries if the exchange succeeds.
-func (n *Node) stepAt(ctx context.Context, at entry, greedyOnly bool, ot *opTrace, sb *stepBufs, hop *hopNote) (response, error) {
-	resp := response{Candidates: sb.cands[1-sb.cur][:0]}
-	err := n.exchange(ctx, at, &request{Op: "step", Target: &sb.target, GreedyOnly: greedyOnly}, &resp, ot, hop)
-	if err == nil {
-		sb.cur = 1 - sb.cur
-	}
-	return resp, err
-}

@@ -276,7 +276,7 @@ func TestShedGetFallsBackWithoutSuspicion(t *testing.T) {
 
 	reader := nodes[1]
 	// The direct fetch is shed with the typed busy error.
-	if err := reader.exchange(context.Background(), addrOnly(victim.Addr()), &request{Op: "fetch", Key: key}, &response{}, nil, nil); !IsBusy(err) {
+	if err := reader.exchange(context.Background(), addrOnly(victim.Addr()), &request{Op: "fetch", Key: key}, &response{}, nil); !IsBusy(err) {
 		t.Fatalf("fetch at the saturated owner = %v; want BusyError", err)
 	}
 	// The read still completes via a replica, charging no timeouts.
@@ -342,7 +342,7 @@ func TestDeadlinePropagatedToAdmissionQueue(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	cerr := nd.exchange(ctx, addrOnly(nd2.Addr()), &request{Op: "fetch", Key: "k"}, &response{}, nil, nil)
+	cerr := nd.exchange(ctx, addrOnly(nd2.Addr()), &request{Op: "fetch", Key: "k"}, &response{}, nil)
 	if cerr == nil {
 		t.Fatal("call through a held admission slot succeeded")
 	}

@@ -20,48 +20,41 @@ import (
 
 // TestOwnershipLocalPut puts through every path that hands the
 // caller's slice to the origin's own store — routed and hinted to
-// itself as the owner, and a hinted store that another node redirects
-// back to it — then overwrites the slice. The stored value must not
-// move.
+// itself as the owner, and a hinted store that another node rejects,
+// whose route from there ends back at the origin — then overwrites the
+// slice. The stored value must not move.
 func TestOwnershipLocalPut(t *testing.T) {
 	nw := memnet.New(41)
 	nodes := memCluster(t, nw, 6, 10, 41, func(_ int, c *Config) { c.Replicas = 3 })
 	ctx := context.Background()
 
-	// A store hinted at a node outside a key's replica scope is
-	// redirected to the node that one routes the key to, which then
-	// stores it whether or not it owns the key. The origin of every case
-	// is a node some redirect names that also owns two other keys.
-	type via struct {
-		key string
-		nd  *Node
-	}
-	named := map[*Node]via{}
+	// A store hinted at a node outside a key's replica scope is rejected
+	// there, and the write routes on from that node to the key's
+	// terminal, its owner. The origin owns three keys, and some other
+	// node rejects stores of one of them.
 	owned := map[*Node][]string{}
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("own-%d", i)
 		o := ownerOf(t, nodes, key)
 		owned[o] = append(owned[o], key)
-		for _, nd := range nodes {
-			if red := nd.redirect(nd.keyPoint(key)); red != nil && red.Redirect != nil {
-				if y := nodeByID(t, nodes, toEntry(*red.Redirect)); y != nd && named[y].nd == nil {
-					named[y] = via{key, nd}
-				}
+	}
+	var origin, rejecter *Node
+	var rejected string
+	for _, nd := range nodes {
+		if len(owned[nd]) < 3 || origin != nil {
+			continue
+		}
+		for _, k := range owned[nd] {
+			if i := slices.IndexFunc(nodes, func(o *Node) bool { return !o.mayHold(o.keyPoint(k)) }); i >= 0 {
+				origin, rejecter, rejected = nd, nodes[i], k
+				break
 			}
 		}
 	}
-	var origin *Node
-	for _, nd := range nodes {
-		if named[nd].nd != nil && len(owned[nd]) >= 3 {
-			origin = nd
-			break
-		}
-	}
 	if origin == nil {
-		t.Fatal("no node is both named by a redirect and the owner of three keys")
+		t.Fatal("no node owns three keys, one of which another node rejects")
 	}
-	redir := named[origin]
-	keys := slices.DeleteFunc(owned[origin], func(k string) bool { return k == redir.key })
+	keys := slices.DeleteFunc(owned[origin], func(k string) bool { return k == rejected })
 
 	cases := []struct {
 		name, key, hint string
@@ -69,7 +62,7 @@ func TestOwnershipLocalPut(t *testing.T) {
 	}{
 		{"routed to itself", keys[0], "", 0},
 		{"hinted at itself", keys[1], origin.Addr(), 0},
-		{"redirected to itself", redir.key, redir.nd.Addr(), 1},
+		{"rejected, routed back to itself", rejected, rejecter.Addr(), 1},
 	}
 	for i, c := range cases {
 		want := bytes.Repeat([]byte{byte('a' + i)}, 300)

@@ -15,9 +15,11 @@
 // simultaneous crashes between stabilization windows lose no data (see
 // p2p/replicate.go).
 //
-// Lookups are iterative: the querying node asks each hop for its local
-// next-hop decision and dials onward, so a crashed neighbor surfaces as a
-// dial timeout exactly like the paper's timeout metric.
+// Lookups are forwarded: each node on the path makes its local next-hop
+// decision and hands the lookup to one of its own seven entries, and the
+// answer travels back along the path, so a node only ever contacts its
+// neighbors and a crashed neighbor surfaces as a timeout charged by the
+// node that forwarded to it, exactly like the paper's timeout metric.
 //
 // As in the paper (Section 4.4), concurrent lookups/puts/gets are fully
 // supported, while membership changes are assumed not to overlap
@@ -397,6 +399,10 @@ func (n *Node) MaxFrame() int { return pool.DefaultMaxFrame }
 // Harnesses use it to assert that canceled work released its in-flight
 // slots.
 func (n *Node) PoolStats() pool.Stats { return n.pool.Stats() }
+
+// PoolPeers lists the addresses the outbound pool holds connections to,
+// sorted. Harnesses use it to check the degree a node keeps on the wire.
+func (n *Node) PoolPeers() []string { return n.pool.Peers() }
 
 // Close stops serving without running the departure protocol (an
 // ungraceful exit); use Leave for a graceful departure. In-flight

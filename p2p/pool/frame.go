@@ -44,13 +44,30 @@ func frameBuffered(br *bufio.Reader) bool {
 	return br.Buffered() >= 4+int(binary.LittleEndian.Uint32(hdr))
 }
 
+// Frame statuses: a payload, an error message, or an interim progress
+// frame — the callee is alive and still working on a forwarded call —
+// which carries no body and completes nothing.
+const (
+	statusPayload  byte = 0
+	statusError    byte = 1
+	statusProgress byte = 2
+)
+
+// flushMode says when writeFrame's frame is written.
+type flushMode uint8
+
+const (
+	flushLater flushMode = iota // rides the next flush, so a burst shares one Write
+	flushNow                    // written before writeFrame returns (Frame)
+	flushAsync                  // written by a flusher goroutine (kickLocked); the caller never blocks
+)
+
 // writeFrame appends one frame, request or reply, to the batch: the
 // header for call id with status, then what body appends, its length
 // backfilled. size is the body's expected length, 0 when unknown. A
 // body error or a body past DefaultMaxFrame rolls the frame back and is
-// returned. With flush the frame is written now (Frame); without, it
-// rides the next flush, so a burst of frames can share one Write.
-func (w *Writer) writeFrame(id uint64, status byte, size int, flush bool, body func([]byte) ([]byte, error)) error {
+// returned. mode says when the frame is written.
+func (w *Writer) writeFrame(id uint64, status byte, size int, mode flushMode, body func([]byte) ([]byte, error)) error {
 	fill := func(buf []byte) ([]byte, error) {
 		start := len(buf)
 		buf = append(buf, 0, 0, 0, 0) // length, backfilled below
@@ -65,10 +82,16 @@ func (w *Writer) writeFrame(id uint64, status byte, size int, flush bool, body f
 		binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 		return buf, nil
 	}
-	if flush {
+	if mode == flushNow {
 		return w.Frame(4+binEnvelopeLen+size, fill)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.appendLocked(4+binEnvelopeLen+size, fill)
+	if err := w.appendLocked(4+binEnvelopeLen+size, fill); err != nil {
+		return err
+	}
+	if mode == flushAsync {
+		w.kickLocked()
+	}
+	return nil
 }

@@ -15,8 +15,10 @@
 //	u32 length | u64 id | u8 status | body
 //
 // where length counts everything after itself, status 0 marks a
-// payload body and status 1 an error-message body, and id 0 is a
-// connection-level protocol error. The payload is the caller's
+// payload body, status 1 an error-message body and status 2 an
+// interim progress frame with no body (the callee of a forwarded call
+// is alive and still working on it), and id 0 is a connection-level
+// protocol error. The payload is the caller's
 // business (the p2p layer's binary request and response messages); the
 // pool only adds the correlation ID. Every frame — in either direction
 // — is capped at the protocol constant DefaultMaxFrame; an oversized
@@ -26,6 +28,17 @@
 // Writes on a connection go through a batching Writer (writer.go):
 // under concurrent load, frames from many callers coalesce into fewer
 // syscalls without adding latency to an idle connection.
+//
+// # Forwarding
+//
+// A server's handler may pass a call on instead of answering it: it
+// sends the request to the next peer with Pool.Forward, which returns
+// at once, and hands the answer, when it reaches the connection's read
+// loop, back upstream with ServerConn.Relay. Neither blocks, so read
+// loops can forward to each other without ever waiting on one another's
+// writes. A forwarded call may stay silent for at most its timeout; a
+// handler still waiting on its own downstream says it is alive with
+// ServerConn.Progress.
 //
 // # Lifecycle
 //
@@ -197,6 +210,25 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
+// Peers returns the addresses the pool holds live connections to,
+// sorted.
+func (p *Pool) Peers() []string {
+	p.mu.Lock()
+	out := make([]string, 0, len(p.peers))
+	for addr, conns := range p.peers {
+		if slices.ContainsFunc(conns, func(c *conn) bool {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return !c.closed
+		}) {
+			out = append(out, addr)
+		}
+	}
+	p.mu.Unlock()
+	slices.Sort(out)
+	return out
+}
+
 // result is one call's outcome, delivered by the reader goroutine: a
 // reply the caller releases once decoded, or an error.
 type result struct {
@@ -212,12 +244,56 @@ type conn struct {
 	w    *Writer
 
 	mu       sync.Mutex
-	pending  map[uint64]chan result
+	pending  map[uint64]waiter
 	nextID   uint64
 	inflight int
 	lastUse  time.Time
 	closed   bool
 	closeErr error
+	// tick checks the forwarded calls in flight every tickEvery while
+	// there are any (check); ticking reports it armed.
+	tick      *time.Timer
+	tickEvery time.Duration
+	ticking   bool
+}
+
+// waiter is one call awaiting its reply: a DoBytes caller blocked on
+// ch, or a forwarded call whose outcome goes to relay under tag. For a
+// forwarded call, heard is when the peer was last heard from on it (the
+// send, or its latest progress frame), and timeout how long it may stay
+// silent before the peer counts as gone.
+type waiter struct {
+	ch      chan result
+	relay   Relay
+	tag     uint64
+	heard   time.Time
+	timeout time.Duration
+}
+
+// deliver hands the call its outcome.
+func (w waiter) deliver(res result) {
+	if w.relay != nil {
+		w.relay.Complete(w.tag, res.Reply, res.err)
+		return
+	}
+	w.ch <- res
+}
+
+// Relay receives the outcome of a Forward call. Its methods run on the
+// connection's read loop, or on whatever goroutine failed the call (a
+// teardown, the timeout check), so they must not block: a forwarder
+// hands the reply on with ServerConn.Relay, or tries its next candidate
+// with a Forward of its own.
+type Relay interface {
+	// Complete delivers the call's reply, which the relay releases once
+	// done with it, or its failure — exactly once per successful
+	// Forward, tagged with the tag Forward was given.
+	Complete(tag uint64, rep Reply, err error)
+	// Waiting reports that the call is still in flight: as it starts
+	// dialing, and then every half timeout while its peer keeps being
+	// heard from. A forwarder tells its own caller it is alive
+	// (ServerConn.Progress).
+	Waiting(tag uint64)
 }
 
 // Reply is a completed exchange's response payload. It lives in a
@@ -320,7 +396,7 @@ func (p *Pool) DoBytes(ctx context.Context, addr string, payload []byte, bin boo
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = ch
+	c.pending[id] = waiter{ch: ch}
 	c.inflight++
 	// lastUse is refreshed only on completion (the deferred cleanup):
 	// while the call is in flight, inflight > 0 already blocks eviction.
@@ -335,7 +411,7 @@ func (p *Pool) DoBytes(ctx context.Context, addr string, payload []byte, bin boo
 
 	// The payload is copied into the writer's batch buffer during the
 	// call, so the caller may reuse it as soon as Frame returns.
-	werr := c.w.writeFrame(id, 0, len(payload), true, func(buf []byte) ([]byte, error) {
+	werr := c.w.writeFrame(id, statusPayload, len(payload), flushNow, func(buf []byte) ([]byte, error) {
 		return append(buf, payload...), nil
 	})
 	if werr != nil {
@@ -373,9 +449,129 @@ func (e timeoutError) Error() string   { return e.msg }
 func (e timeoutError) Timeout() bool   { return true }
 func (e timeoutError) Temporary() bool { return true }
 
-// acquire returns a live connection to addr, dialing one if the
-// existing connections are absent or saturated.
-func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
+// Forward sends one request to the peer at addr and returns without
+// waiting for the reply: its outcome goes to r.Complete under tag, on
+// the connection's read loop when the reply arrives. payload is copied,
+// so the caller may reuse it once Forward returns. Forward never blocks
+// on the network — the frame is written by a flusher goroutine, and a
+// first call to addr dials on a goroutine of its own — so a read loop
+// may forward what it reads. An error means nothing was sent and r
+// hears nothing of this call; after a nil return r hears exactly once.
+//
+// The peer may go quiet for at most timeout: it keeps a slow call alive
+// with progress frames (ServerConn.Progress), and one silent for longer
+// counts as gone — its connection is torn down, failing the call like a
+// dial failure. Meanwhile r.Waiting runs as a dial starts and every half
+// timeout.
+func (p *Pool) Forward(addr string, payload []byte, timeout time.Duration, r Relay, tag uint64) error {
+	if binEnvelopeLen+len(payload) > DefaultMaxFrame {
+		return fmt.Errorf("pool: request to %s: %w", addr, ErrFrameTooLarge)
+	}
+	if timeout <= 0 {
+		return fmt.Errorf("pool: call %s: %w", addr, context.DeadlineExceeded)
+	}
+	c, err := p.reuse(addr)
+	if err != nil {
+		return err
+	}
+	if c != nil {
+		return c.forward(payload, timeout, r, tag, flushAsync)
+	}
+	req := append([]byte(nil), payload...)
+	go func() {
+		// A dial may take the whole timeout, with no frame to show for it.
+		r.Waiting(tag)
+		c, err := p.acquire(addr, timeout)
+		if err == nil {
+			err = c.forward(req, timeout, r, tag, flushNow)
+		}
+		if err != nil {
+			r.Complete(tag, Reply{}, err)
+		}
+	}()
+	return nil
+}
+
+// forward registers a forwarded call on c and writes its frame as mode
+// says. An error means the call was never registered, or was taken back
+// before anything failed it.
+func (c *conn) forward(payload []byte, timeout time.Duration, r Relay, tag uint64, mode flushMode) error {
+	c.mu.Lock()
+	if c.closed {
+		err := c.closeErr
+		c.mu.Unlock()
+		return fmt.Errorf("pool: call %s: %w", c.addr, err)
+	}
+	c.nextID++
+	id := c.nextID
+	c.pending[id] = waiter{relay: r, tag: tag, heard: time.Now(), timeout: timeout}
+	c.inflight++
+	if !c.ticking {
+		c.ticking = true
+		c.tickEvery = timeout / 2
+		if c.tick == nil {
+			c.tick = time.AfterFunc(c.tickEvery, c.check)
+		} else {
+			c.tick.Reset(c.tickEvery)
+		}
+	}
+	c.mu.Unlock()
+	werr := c.w.writeFrame(id, statusPayload, len(payload), mode, func(buf []byte) ([]byte, error) {
+		return append(buf, payload...), nil
+	})
+	if werr == nil {
+		return nil
+	}
+	c.mu.Lock()
+	_, mine := c.pending[id]
+	if mine {
+		delete(c.pending, id)
+		c.inflight--
+	}
+	c.mu.Unlock()
+	if !mine {
+		return nil // the teardown that poisoned the writer failed the call through r
+	}
+	c.teardown(fmt.Errorf("pool: write %s: %w", c.addr, werr))
+	return fmt.Errorf("pool: write %s: %w", c.addr, werr)
+}
+
+// check is the forwarded calls' clock, run every tickEvery while any is
+// in flight: a call whose peer has been silent for its whole timeout
+// tears the connection down, and every other one's relay hears that it
+// is still waiting.
+func (c *conn) check() {
+	now := time.Now()
+	var waiting []waiter
+	var expired time.Duration
+	c.mu.Lock()
+	for _, w := range c.pending {
+		if w.relay == nil {
+			continue
+		}
+		if now.Sub(w.heard) >= w.timeout {
+			expired = w.timeout
+			break
+		}
+		waiting = append(waiting, w)
+	}
+	c.ticking = !c.closed && expired == 0 && len(waiting) > 0
+	if c.ticking {
+		c.tick.Reset(c.tickEvery)
+	}
+	c.mu.Unlock()
+	if expired > 0 {
+		c.teardown(timeoutError{fmt.Sprintf("pool: call %s: no response within %v", c.addr, expired)})
+		return
+	}
+	for _, w := range waiting {
+		w.relay.Waiting(w.tag)
+	}
+}
+
+// reuse returns a live connection to addr that can take another call,
+// or nil when one has to be dialed.
+func (p *Pool) reuse(addr string) (*conn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -394,6 +590,15 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 		return best, nil
 	}
 	p.mu.Unlock()
+	return nil, nil
+}
+
+// acquire returns a live connection to addr, dialing one if the
+// existing connections are absent or saturated.
+func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
+	if c, err := p.reuse(addr); c != nil || err != nil {
+		return c, err
+	}
 
 	nc, err := p.cfg.Dial(addr, timeout)
 	if err != nil {
@@ -403,7 +608,7 @@ func (p *Pool) acquire(addr string, timeout time.Duration) (*conn, error) {
 		nc.Close()
 		return nil, fmt.Errorf("pool: handshake %s: %w", addr, err)
 	}
-	c := &conn{p: p, addr: addr, nc: nc, pending: make(map[uint64]chan result), lastUse: time.Now()}
+	c := &conn{p: p, addr: addr, nc: nc, pending: make(map[uint64]waiter), lastUse: time.Now()}
 	c.w = NewWriter(nc, timeout, func(err error) {
 		c.teardown(fmt.Errorf("pool: write %s: %w", addr, err))
 	})
@@ -564,11 +769,17 @@ func (c *conn) close(err error) {
 	c.closed = true
 	c.closeErr = err
 	pending := c.pending
-	c.pending = make(map[uint64]chan result)
+	c.pending = make(map[uint64]waiter)
+	for _, w := range pending {
+		if w.relay != nil {
+			c.inflight--
+		}
+	}
 	c.mu.Unlock()
 	c.nc.Close()
-	for _, ch := range pending {
-		ch <- result{err: err}
+	_ = c.w.Close()
+	for _, w := range pending {
+		w.deliver(result{err: err})
 	}
 }
 
@@ -587,13 +798,16 @@ func (c *conn) readLoop() {
 		switch {
 		case id == 0:
 			msg := "protocol error"
-			if status != 0 && len(body) > 0 {
+			if status != statusPayload && len(body) > 0 {
 				msg = string(body)
 			}
 			codec.PutBuffer(buf)
 			c.teardown(fmt.Errorf("pool: %s: %s", c.addr, msg))
 			return
-		case status != 0:
+		case status == statusProgress:
+			codec.PutBuffer(buf)
+			c.heard(id)
+		case status != statusPayload:
 			err := errors.New(string(body))
 			codec.PutBuffer(buf)
 			c.route(id, result{err: err})
@@ -607,12 +821,28 @@ func (c *conn) readLoop() {
 // discards it (releasing any buffer) when the call already timed out.
 func (c *conn) route(id uint64, res result) {
 	c.mu.Lock()
-	ch := c.pending[id]
-	delete(c.pending, id)
+	w, ok := c.pending[id]
+	if ok {
+		delete(c.pending, id)
+		if w.relay != nil {
+			c.inflight--
+			c.lastUse = time.Now()
+		}
+	}
 	c.mu.Unlock()
-	if ch == nil {
+	if !ok {
 		res.Release()
 		return
 	}
-	ch <- res
+	w.deliver(res)
+}
+
+// heard notes a progress frame for the forwarded call under id.
+func (c *conn) heard(id uint64) {
+	c.mu.Lock()
+	if w, ok := c.pending[id]; ok && w.relay != nil {
+		w.heard = time.Now()
+		c.pending[id] = w
+	}
+	c.mu.Unlock()
 }

@@ -13,7 +13,8 @@ import (
 // Handler serves one request frame: id is its correlation ID and body
 // its payload, valid until the call returns. It runs on the
 // connection's read loop, so it either replies before returning, or
-// calls c.Add and replies from a goroutine that then calls c.Done.
+// calls c.Add and replies later: from a goroutine that then calls
+// c.Done, or with c.Relay from wherever the answer arrives.
 type Handler func(c *ServerConn, id uint64, body []byte)
 
 // Server is the serving end of CYCLOID-MUX/2: it checks and echoes a
@@ -92,7 +93,10 @@ func (s *Server) ServeConn(nc net.Conn) {
 	// A failed write poisons the stream; closing the connection
 	// unblocks the read loop, which ends it.
 	c := &ServerConn{w: NewWriter(nc, s.timeout, func(error) { _ = nc.Close() })}
-	defer c.inflight.Wait()
+	defer func() {
+		c.inflight.Wait()
+		_ = c.w.Close()
+	}()
 	for {
 		id, status, body, buf, err := readFrame(br)
 		if err == ErrFrameTooLarge {
@@ -130,16 +134,45 @@ type ServerConn struct {
 // DefaultMaxFrame is rolled back, and the call is answered with an
 // error frame instead.
 func (c *ServerConn) Reply(id uint64, size int, fill func([]byte) ([]byte, error)) {
-	if c.w.writeFrame(id, 0, size, false, fill) != nil {
-		c.Error(id, "response exceeds frame limit")
+	c.reply(id, size, flushLater, fill)
+}
+
+func (c *ServerConn) reply(id uint64, size int, mode flushMode, fill func([]byte) ([]byte, error)) {
+	if c.w.writeFrame(id, statusPayload, size, mode, fill) != nil {
+		c.errorFrame(id, "response exceeds frame limit", mode)
 	}
+}
+
+// Relay is Reply for a call registered with Add, answered from outside
+// the read loop — typically another connection's read loop, handing a
+// forwarded call's answer back upstream — and ends the call's hold on
+// the connection. It never blocks: the connection's flusher goroutine
+// writes the frame, and the connection closes only after it has.
+func (c *ServerConn) Relay(id uint64, size int, fill func([]byte) ([]byte, error)) {
+	c.reply(id, size, flushAsync, fill)
+	c.inflight.Done()
+}
+
+// Progress sends call id an interim progress frame: the handler, which
+// registered the call with Add and has not answered it yet, is alive
+// and still working on it. Like Relay, it never blocks.
+func (c *ServerConn) Progress(id uint64) {
+	_ = c.w.writeFrame(id, statusProgress, 0, flushAsync, func(buf []byte) ([]byte, error) { return buf, nil })
 }
 
 // Error answers call id with an error frame carrying msg. ID 0 is a
 // connection-level error, written at once: framing is lost, and the
 // peer must tear the stream down.
 func (c *ServerConn) Error(id uint64, msg string) {
-	_ = c.w.writeFrame(id, 1, len(msg), id == 0, func(buf []byte) ([]byte, error) {
+	mode := flushLater
+	if id == 0 {
+		mode = flushNow
+	}
+	c.errorFrame(id, msg, mode)
+}
+
+func (c *ServerConn) errorFrame(id uint64, msg string, mode flushMode) {
+	_ = c.w.writeFrame(id, statusError, len(msg), mode, func(buf []byte) ([]byte, error) {
 		return append(buf, msg...), nil
 	})
 }

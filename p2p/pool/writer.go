@@ -34,12 +34,19 @@ type Writer struct {
 	deadline time.Time
 
 	mu       sync.Mutex
+	idle     sync.Cond     // signalled, on mu, when a flush ends
 	buf      []byte        // frames queued for the next Write
 	box      *codec.Buffer // shared-pool buffer backing buf while it holds a large batch
 	own      []byte        // the connection's buffer box displaced, restored after box's Write
 	spare    []byte        // the connection's other buffer, swapped with buf around each Write
 	flushing bool
 	err      error // sticky: first write failure poisons the writer
+	// kick wakes the writer's flusher goroutine (flushLoop), started by
+	// the first frame queued with kickLocked; kicked marks a wake-up
+	// pending, so a send on kick never blocks. closed stops both.
+	kick   chan struct{}
+	kicked bool
+	closed bool
 }
 
 // Batch-buffer retention. A connection owns at most two batch buffers
@@ -93,7 +100,9 @@ func (w *Writer) retireLocked(b []byte, box *codec.Buffer) {
 // when non-nil, is called once with the first write failure so the
 // owner can tear the connection down.
 func NewWriter(nc net.Conn, timeout time.Duration, onErr func(error)) *Writer {
-	return &Writer{nc: nc, timeout: timeout, onErr: onErr}
+	w := &Writer{nc: nc, timeout: timeout, onErr: onErr}
+	w.idle.L = &w.mu
+	return w
 }
 
 // Frame appends one frame via fill, which must append exactly one
@@ -140,6 +149,60 @@ func (w *Writer) appendLocked(size int, fill func([]byte) ([]byte, error)) error
 	return nil
 }
 
+// kickLocked makes sure the queued frames get written without the
+// caller waiting for it: unless a flush is under way, it wakes the
+// writer's flusher goroutine. A read loop that hands a frame to another
+// connection uses it, so it never blocks on that connection's Write (on
+// a synchronous transport a Write waits for the peer's read loop, which
+// may itself be handing a frame on). Caller holds w.mu.
+func (w *Writer) kickLocked() {
+	if w.flushing || w.kicked || w.closed || len(w.buf) == 0 || w.err != nil {
+		return
+	}
+	w.kicked = true
+	if w.kick == nil {
+		w.kick = make(chan struct{}, 1)
+		go w.flushLoop(w.kick)
+	}
+	w.kick <- struct{}{}
+}
+
+// flushLoop is the writer's flusher goroutine, one per connection that
+// ever had a frame handed to it, living until Close. A long-lived
+// flusher keeps the stack a Write needs, where one started per frame
+// would grow a fresh stack every time.
+func (w *Writer) flushLoop(kick chan struct{}) {
+	for range kick {
+		w.mu.Lock()
+		w.kicked = false
+		if w.err == nil && !w.flushing && len(w.buf) > 0 {
+			w.flushLocked()
+		}
+		w.mu.Unlock()
+	}
+}
+
+// Close stops the flusher goroutine and writes what is still queued,
+// once any flush under way has ended; the connection is about to close.
+// It returns the writer's sticky error, if any.
+func (w *Writer) Close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.closed {
+		w.closed = true
+		if w.kick != nil {
+			close(w.kick)
+		}
+	}
+	for w.flushing {
+		w.idle.Wait()
+	}
+	if w.err == nil && len(w.buf) > 0 {
+		w.flushLocked()
+	}
+	return w.err
+}
+
 // Flush writes any queued frames now, unless an active flusher will
 // pick them up anyway. It returns the writer's sticky error, if any.
 func (w *Writer) Flush() error {
@@ -176,6 +239,7 @@ func (w *Writer) flushLocked() {
 		}
 	}
 	w.flushing = false
+	w.idle.Broadcast()
 	if failed != nil && w.onErr != nil {
 		w.mu.Unlock()
 		w.onErr(failed)

@@ -155,7 +155,7 @@ func (n *Node) fanOut(ctx context.Context, key string, it item, st *opTrace) {
 			continue
 		}
 		req := request{Op: "replicate", Key: key, Value: it.Val, Ver: it.Ver, Src: it.Src}
-		_ = n.exchange(ctx, tgt, &req, &response{}, st, nil)
+		_ = n.exchange(ctx, tgt, &req, &response{}, st)
 	}
 }
 

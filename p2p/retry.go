@@ -134,7 +134,7 @@ func (n *Node) callRetry(ctx context.Context, to entry, req request, dst []byte,
 	backoff := busyBackoffBase
 	for attempt := 0; ; attempt++ {
 		resp = response{Value: dst}
-		err = n.exchange(ctx, to, &req, &resp, ot, nil)
+		err = n.exchange(ctx, to, &req, &resp, ot)
 		var be *BusyError
 		if attempt == busyRetryMax || !errors.As(err, &be) {
 			return resp, err

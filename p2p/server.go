@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -46,14 +47,19 @@ func (n *Node) serve() {
 	}
 }
 
-// serveFrame is the node's pool.Handler. Short read-only ops (ping/
-// state/step take no lock, fetch one short store lock) are answered
-// inline on the connection's read loop, skipping the per-request
-// goroutine on the lookup hot path. Admission still applies: queueing
-// on the read loop stalls pipelined frames behind it, which is exactly
-// the backpressure an overloaded node wants to exert. The rest dispatch
-// on goroutines, which the connection drains before it closes.
+// serveFrame is the node's pool.Handler. A step runs as this node's
+// part of a forwarded route (serveStep). Short read-only ops (ping/
+// state take no lock, fetch one short store lock) are answered inline
+// on the connection's read loop, skipping the per-request goroutine.
+// Admission still applies: queueing on the read loop stalls pipelined
+// frames behind it, which is exactly the backpressure an overloaded
+// node wants to exert. The rest dispatch on goroutines, which the
+// connection drains before it closes.
 func (n *Node) serveFrame(c *pool.ServerConn, id uint64, body []byte) {
+	if codec.StepRequest(body) {
+		n.serveStep(c, id, body)
+		return
+	}
 	var req request
 	decStart := time.Now()
 	err := codec.DecodeRequest(body, &req)
@@ -61,13 +67,69 @@ func (n *Node) serveFrame(c *pool.ServerConn, id uint64, body []byte) {
 	switch {
 	case err != nil:
 		c.Error(id, "malformed request")
-	case req.Op == "ping" || req.Op == "state" || req.Op == "step" || req.Op == "fetch":
+	case req.Op == "ping" || req.Op == "state" || req.Op == "fetch":
 		resp := n.dispatchAdmitted(req)
 		n.reply(c, id, &resp)
 	default:
 		c.Add()
 		go n.serveOffLoop(c, id, req)
 	}
+}
+
+// serveStep takes one step of a forwarded route. Without admission
+// control it runs on the read loop itself: deciding and forwarding never
+// block, so a hop costs the connection no goroutine. With admission
+// control the step may have to wait for a slot, and a wait on the read
+// loop would stall every route that neighbour forwards here, so it runs
+// on a goroutine of its own, like a store.
+func (n *Node) serveStep(c *pool.ServerConn, id uint64, body []byte) {
+	op := n.newRouteOp(WireEntry{})
+	op.in.Target, op.in.Route = &op.target, &op.rs
+	decStart := time.Now()
+	err := codec.DecodeRequest(body, &op.in)
+	n.tel.codecDecodeBin.Observe(time.Since(decStart).Nanoseconds())
+	if err != nil {
+		c.Error(id, "malformed request")
+		op.recycle()
+		return
+	}
+	op.sc, op.id, op.greedy = c, id, op.in.GreedyOnly
+	if n.adm == nil {
+		n.runStep(op)
+		return
+	}
+	c.Add()
+	op.added, op.arrived = true, time.Now()
+	go n.runStep(op)
+}
+
+// runStep admits a step and runs this node's part of its route. The
+// slot covers the decision and the send, not the wait for the answer,
+// which comes back on another connection's read loop (routeOp.Complete).
+func (n *Node) runStep(op *routeOp) {
+	st, release, busy := n.admit(&op.in)
+	op.mu.Lock()
+	if busy != nil {
+		op.settle = true
+		op.answer(busy)
+		op.mu.Unlock()
+		op.recycle()
+		return
+	}
+	n.tel.request("step")
+	op.ot = st
+	switch {
+	case op.in.Target == nil || op.in.Route == nil:
+		op.end(nil, errors.New("step without target"))
+	case !n.space.Contains(toEntry(op.target).ID):
+		op.end(nil, errors.New("target outside ID space"))
+	default:
+		op.begin()
+	}
+	if release != nil {
+		release()
+	}
+	op.unlock()
 }
 
 // serveOffLoop serves a request that may take arbitrarily long.
@@ -89,19 +151,16 @@ func (n *Node) reply(c *pool.ServerConn, id uint64, resp *response) {
 }
 
 // dispatch routes one request to its handler: an admitted wire request,
-// or one exchange answers in-process, whose step reply builds its
-// candidates in cands. st is the server-side trace scope when the
-// request carried a sampled context (nil otherwise); handlers that fan
-// out or fsync thread it through so those costs land in the right span
-// phases.
-func (n *Node) dispatch(req request, st *opTrace, cands []WireEntry) response {
+// or one exchange answers in-process. st is the server-side trace scope
+// when the request carried a sampled context (nil otherwise); handlers
+// that fan out or fsync thread it through so those costs land in the
+// right span phases.
+func (n *Node) dispatch(req request, st *opTrace) response {
 	switch req.Op {
 	case "ping":
 		return response{}
 	case "state":
 		return response{State: n.wireState()}
-	case "step":
-		return n.handleStep(req, cands)
 	case "store":
 		return n.handleStore(req, st)
 	case "replicate":
@@ -146,18 +205,6 @@ func (n *Node) wireState() *WireState {
 	}
 }
 
-// handleStep validates a step request's target and answers with localStep.
-func (n *Node) handleStep(req request, dst []WireEntry) response {
-	if req.Target == nil {
-		return response{Err: "step without target"}
-	}
-	t := toEntry(*req.Target).ID
-	if !n.space.Contains(t) {
-		return response{Err: "target outside ID space"}
-	}
-	return n.localStep(t, req.GreedyOnly, dst)
-}
-
 // stepScratch bundles the reusable buffers of one local routing
 // decision — the snapshot backing and the decision working set — so the
 // per-request cost of a step is at most the candidate slice.
@@ -170,9 +217,9 @@ var stepScratchPool = sync.Pool{New: func() any { return new(stepScratch) }}
 
 // localStep runs the shared routing decision on this node's own state
 // and resolves each candidate ID to the address this node knows for it.
-// The candidates are built in dst's backing array, so a route that owns
-// its step buffers pays no allocation; a nil or short dst allocates a
-// fresh list.
+// The candidates are built in dst's backing array, so a route op, which
+// owns its candidate buffer, pays no allocation; a nil or short dst
+// allocates a fresh list.
 func (n *Node) localStep(t ids.CycloidID, greedyOnly bool, dst []WireEntry) response {
 	ss := stepScratchPool.Get().(*stepScratch)
 	rs := n.rs.Load()

@@ -1,15 +1,13 @@
 package p2p
 
 import (
-	"bufio"
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"io"
-	"net"
+	"math/rand"
+	"slices"
 	"testing"
 
-	"cycloid/internal/ids"
-	"cycloid/p2p/codec"
+	"cycloid/internal/cycloid"
 	"cycloid/p2p/memnet"
 )
 
@@ -110,104 +108,88 @@ func TestLookupCountsOnlyWireHops(t *testing.T) {
 	}
 }
 
-// poisonPeer serves the v2 mux protocol on ln and answers every request
-// with a rejected reply that still carries a full list of bogus
-// candidates: a reply the route must discard, decoded into its spare
-// step buffer.
-func poisonPeer(ln net.Listener) {
-	bogus := make([]WireEntry, maxStepCands)
-	for i := range bogus {
-		bogus[i] = WireEntry{K: 0, A: uint32(i), Addr: fmt.Sprintf("nowhere:%d", i+1)}
-	}
-	body, err := codec.AppendResponse(nil, &response{Err: "poisoned", Phase: "traverse", Candidates: bogus})
-	if err != nil {
-		panic(err)
-	}
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer c.Close()
-			br := bufio.NewReader(c)
-			if _, err := br.Discard(codec.PreambleLen); err != nil {
-				return
-			}
-			if _, err := c.Write([]byte(codec.PreambleMuxV2)); err != nil {
-				return
-			}
-			var hdr [4]byte
-			for {
-				if _, err := io.ReadFull(br, hdr[:]); err != nil {
-					return
-				}
-				req := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-				if _, err := io.ReadFull(br, req); err != nil {
-					return
-				}
-				out := binary.LittleEndian.AppendUint32(nil, uint32(9+len(body)))
-				out = append(out, req[:8]...) // correlation ID
-				out = append(out, 0)
-				if _, err := c.Write(append(out, body...)); err != nil {
-					return
-				}
-			}
-		}()
-	}
-}
-
-// TestRouteFallbackKeepsCandidates pins the step buffers' lifetime
-// rule: a route that falls back to the next candidate of the step it
-// was walking must find that step intact. The origin's first-choice
-// candidate is re-pointed first at an address nothing listens on, then
-// at a peer whose rejected reply carries seven bogus candidates —
-// decoded, then discarded. Both must cost the route the same: a
-// rejected reply is a failed hop, so the two routes take the same hops
-// to the same terminal with the same timeouts. A reply decoded over the
-// step being walked would send the second route to the bogus entries.
-func TestRouteFallbackKeepsCandidates(t *testing.T) {
+// TestForwarderFallback pins where a route pays for a crashed next hop:
+// at the node that forwarded to it. The origin's first hop F is alive,
+// but F's first-choice candidate C has crashed. F must charge exactly
+// one timeout (its own counter, and a suspicion strike against C) and
+// forward to its next candidate, so the route ends where the simulator,
+// with the same member crashed, ends it, after as many hops; the route's
+// Timeouts must equal the fleet-wide movement of
+// cycloid_lookup_timeouts_total, and the origin charges nothing.
+func TestForwarderFallback(t *testing.T) {
+	const dim = 5
 	nw := memnet.New(418)
-	nodes := memCluster(t, nw, 5, 16, 418, nil)
-	ln, err := nw.Host("poison").Listen(":0")
+	nodes := memCluster(t, nw, dim, 16, 418, nil)
+	origin := nodes[0]
+	space := origin.space
+	sim, err := cycloid.New(cycloid.Config{Dim: dim, LeafHalf: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go poisonPeer(ln)
-
-	origin := nodes[0]
-	repoint := func(id ids.CycloidID, addr string) {
-		origin.editRS(func(rs *routingState) {
-			for s, e := range rs {
-				if e != nil && e.ID == id {
-					rs[s] = &entry{ID: id, Addr: addr}
-				}
-			}
-		})
+	byAddr := make(map[string]*Node)
+	for _, nd := range nodes {
+		byAddr[nd.Addr()] = nd
 	}
-	for i := 0; i < 200; i++ {
+	sorted := slices.SortedFunc(slices.Values(nodes), func(a, b *Node) int {
+		return cmp.Compare(space.Linear(a.ID()), space.Linear(b.ID()))
+	})
+	rng := rand.New(rand.NewSource(1))
+	for _, nd := range sorted {
+		if err := sim.JoinAt(nd.ID(), rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.BuildAll()
+	timeouts := func(nd *Node) uint64 { return nd.tel.timeouts.Value() }
+	for i := 0; i < 400; i++ {
 		key := fmt.Sprintf("fallback-%d", i)
-		step := origin.localStep(origin.keyPoint(key), false, nil)
-		if len(step.Candidates) < 2 {
+		kp := origin.keyPoint(key)
+		owner := ownerOf(t, nodes, key)
+		first := origin.localStep(kp, false, nil)
+		if len(first.Candidates) == 0 {
 			continue
 		}
-		first := toEntry(step.Candidates[0])
-		repoint(first.ID, "ghost:1")
-		dead, derr := origin.Lookup(key)
-		repoint(first.ID, ln.Addr().String())
-		rejected, rerr := origin.Lookup(key)
-		repoint(first.ID, first.Addr)
-		if derr != nil || rerr != nil {
-			t.Fatalf("lookup %s: %v (unreachable first hop), %v (rejecting first hop)", key, derr, rerr)
+		fwd := byAddr[first.Candidates[0].Addr]
+		next := fwd.localStep(kp, false, nil)
+		if len(next.Candidates) < 2 {
+			continue
 		}
-		if rejected.Timeouts == 0 {
-			t.Fatalf("lookup %s never charged the rejecting peer", key)
+		crashed := byAddr[next.Candidates[0].Addr]
+		if crashed == owner || crashed == origin {
+			continue
 		}
-		if rejected.Terminal != dead.Terminal || rejected.Hops != dead.Hops || rejected.Timeouts != dead.Timeouts {
-			t.Fatalf("lookup %s: rejecting first hop routed differently from an unreachable one\n unreachable: %+v\n   rejecting: %+v", key, dead, rejected)
+		crashed.Close()
+		if err := sim.Fail(space.Linear(crashed.ID())); err != nil {
+			t.Fatal(err)
+		}
+		want := sim.Lookup(space.Linear(origin.ID()), space.Linear(kp))
+		fleetBefore, originBefore, fwdBefore := fleetSum(nodes, timeouts), timeouts(origin), timeouts(fwd)
+		r, err := origin.Lookup(key)
+		if err != nil {
+			t.Fatalf("lookup %s past crashed %s: %v", key, crashed.Addr(), err)
+		}
+		if got := space.Linear(r.Terminal); got != want.Terminal || r.Hops != len(want.Hops) {
+			t.Errorf("lookup %s ended at %v after %d hops; the simulator at %v after %d",
+				key, r.Terminal, r.Hops, space.FromLinear(want.Terminal), len(want.Hops))
+		}
+		// The simulator charges the corpse again at every later hop that
+		// offers it; the live route carries it on its avoid list.
+		if r.Timeouts != 1 {
+			t.Errorf("lookup %s: %d timeouts, want 1 (the crashed first choice)", key, r.Timeouts)
+		}
+		if got := timeouts(fwd) - fwdBefore; got != 1 {
+			t.Errorf("forwarder %s charged %d timeouts, want 1", fwd.Addr(), got)
+		}
+		if got := timeouts(origin) - originBefore; got != 0 {
+			t.Errorf("origin charged %d timeouts for a crash two hops down", got)
+		}
+		if got := fleetSum(nodes, timeouts) - fleetBefore; got != uint64(r.Timeouts) {
+			t.Errorf("fleet-wide timeouts moved by %d, route reports %d", got, r.Timeouts)
+		}
+		if h := fwd.peer(crashed.Addr()); h.strikes != 1 {
+			t.Errorf("forwarder holds %d strikes against the crashed peer, want 1", h.strikes)
 		}
 		return
 	}
-	t.Fatal("no key gives the origin a step with a fallback candidate")
+	t.Fatal("no key routes through a forwarder with a fallback candidate")
 }

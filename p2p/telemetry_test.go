@@ -269,9 +269,11 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 }
 
 // TestRouteMetricsMatchRoutes drives a batch of reads against a cluster
-// with a crashed member and requires the reader's timeout counter to
-// move by exactly the sum of the returned routes' Timeouts fields — the
-// invariant the chaos harness asserts continuously.
+// with a crashed member and requires the timeout counters, summed over
+// the live members, to move by exactly the sum of the returned routes'
+// Timeouts fields — the invariant the chaos harness asserts
+// continuously. A route's timeouts are charged by the nodes that
+// forwarded it, the reader's own fetches by the reader.
 func TestRouteMetricsMatchRoutes(t *testing.T) {
 	nw := memnet.New(29)
 	nodes := memCluster(t, nw, 6, 10, 29, func(_ int, c *Config) { c.Replicas = 3 })
@@ -283,7 +285,8 @@ func TestRouteMetricsMatchRoutes(t *testing.T) {
 	nodes[len(nodes)-1].Close() // corpse to generate timeouts
 
 	reader := nodes[0]
-	before := reader.Telemetry().CounterValue("cycloid_lookup_timeouts_total")
+	timeouts := func(nd *Node) uint64 { return nd.Telemetry().CounterValue("cycloid_lookup_timeouts_total") }
+	before := fleetSum(nodes, timeouts)
 	sum, failed := 0, 0
 	for i := 0; i < 12; i++ {
 		// A read may legitimately fail before stabilization repairs the
@@ -298,8 +301,7 @@ func TestRouteMetricsMatchRoutes(t *testing.T) {
 	if failed == 12 {
 		t.Fatal("every read failed; cluster never converged")
 	}
-	after := reader.Telemetry().CounterValue("cycloid_lookup_timeouts_total")
-	if delta := after - before; delta != uint64(sum) {
+	if delta := fleetSum(nodes, timeouts) - before; delta != uint64(sum) {
 		t.Fatalf("lookup_timeouts_total moved by %d, routes reported %d", delta, sum)
 	}
 }

@@ -21,10 +21,10 @@
 //     cross-node clock agreement (see internal/telemetry/span.go).
 //
 // The hop budget (TraceFlags bits 1-7) bounds cascade depth: each
-// propagation step (server-side replication fan-out) decrements it, and
-// a scope with budget 0 records its call spans locally but stops
-// stamping requests, so a forwarding loop cannot generate spans
-// forever.
+// propagation step (a forwarded route's hop, server-side replication
+// fan-out) decrements it, and a scope with budget 0 records its call
+// spans locally but stops stamping requests, so a forwarding loop cannot
+// generate spans forever.
 package p2p
 
 import (
@@ -35,9 +35,10 @@ import (
 )
 
 // traceHopBudget is the initial hop budget stamped on client-origin
-// requests (7 bits available; lookups are iterative so depth beyond
-// owner → replica fan-out is already anomalous).
-const traceHopBudget = 16
+// requests (7 bits available). A forwarded route spends one per hop, so
+// the budget covers routes several times the O(d) path length; only one
+// caught in a stalled, looping walk runs past it.
+const traceHopBudget = 64
 
 // mix is the splitmix64 finalizer behind backoff jitter, span and trace
 // IDs, and the per-node seed of the ID stream.

@@ -228,10 +228,12 @@ func TestTraceSampledLookupTree(t *testing.T) {
 }
 
 // TestTraceStepSpansMatchRoute: a TraceSample=1 Get that routes past a
-// crashed member records one successful step call span per remote hop,
-// annotated with the phase of the step that chose it, and one failed
-// step span per timeout. Per phase, the annotated spans sum to the
-// route's Phases.
+// crashed member records, across the span buffers of every node, one
+// successful step call span per hop, annotated with the phase of the
+// decision that chose it, and one failed step span per timeout. The
+// origin makes the first hop; every later one is the single successful
+// child call span of a forwarder's step server span, recorded by that
+// forwarder. Per phase, the annotated spans sum to the route's Phases.
 func TestTraceStepSpansMatchRoute(t *testing.T) {
 	nw := memnet.New(5)
 	nodes := memCluster(t, nw, 6, 8, 5, func(ord int, cfg *Config) {
@@ -277,10 +279,29 @@ func TestTraceStepSpansMatchRoute(t *testing.T) {
 			t.Fatal("sampled get has no root span")
 		}
 		phases := make(map[string]int)
-		hops, failed := 0, 0
+		hops, failed, forwarded := 0, 0, 0
+		callers := make(map[string]bool)
 		var walk func(sn *telemetry.SpanNode)
 		walk = func(sn *telemetry.SpanNode) {
+			if s := sn.Span; s.Kind == telemetry.SpanServer && s.Name == "step" {
+				calls := 0
+				for _, c := range sn.Children {
+					if cs := c.Span; cs.Kind == telemetry.SpanCall && cs.Name == "step" && cs.Err == "" {
+						calls++
+						if cs.Node != s.Node {
+							t.Errorf("step call span by %s under %s's server span", cs.Node, s.Node)
+						}
+					}
+				}
+				if calls > 1 {
+					t.Errorf("forwarder %s made %d successful step calls for one step", s.Node, calls)
+				}
+				forwarded += calls
+			}
 			if s := sn.Span; s.Kind == telemetry.SpanCall && s.Name == "step" {
+				if s.Err == "" {
+					callers[s.Node] = true
+				}
 				switch phase := stepPhase(s); {
 				case s.Err != "":
 					failed++
@@ -298,6 +319,10 @@ func TestTraceStepSpansMatchRoute(t *testing.T) {
 		walk(tree.Root)
 		if hops != r.Hops {
 			t.Errorf("%d phase-annotated step spans, route reports %d hops", hops, r.Hops)
+		}
+		if forwarded != r.Hops-1 || len(callers) != r.Hops {
+			t.Errorf("%d hops: %d made by forwarders, from %d distinct nodes; want %d and %d",
+				r.Hops, forwarded, len(callers), r.Hops-1, r.Hops)
 		}
 		for ph, c := range map[string]int{"ascending": r.Phases.Ascending, "descending": r.Phases.Descending, "traverse": r.Phases.Traverse} {
 			if phases[ph] != c {

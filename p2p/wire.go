@@ -77,36 +77,29 @@ func addrOnly(addr string) entry { return entry{ID: ids.CycloidID{K: ids.MaxDim}
 
 // exchange performs one request/response exchange with peer to,
 // decoding the reply into *resp, which must be zero apart from an
-// optional candidate buffer and an optional value buffer: a step
-// reply's candidates land in resp.Candidates' backing array and a fetch
-// reply's value in resp.Value's when it has room (see
-// codec.DecodeResponse), so a route that owns its step buffers pays no
-// allocation for them, and a read pays one copy into its caller's
-// buffer. It is the node's only way to reach a peer.
+// optional value buffer: a fetch reply's value lands in resp.Value's
+// backing array when it has room (see codec.DecodeResponse), so a read
+// pays one copy into its caller's buffer. It is the node's only way to
+// reach a peer for one answer; a route reaches its terminal through
+// routeOp.
 //
-// A step, fetch or state addressed to this node while it runs is
-// answered in-process by the handler the server runs. Such an answer is
-// not a served request: it counts no cycloid_requests_total, takes no
+// A fetch or state addressed to this node while it runs is answered
+// in-process by the handler the server runs. Such an answer is not a
+// served request: it counts no cycloid_requests_total, takes no
 // admission slot and records no span, so the counters and spans show
 // exactly the traffic that crossed the wire. Its value is copied into
 // the value buffer the way a decode would, never store memory. Every
-// other exchange crosses the wire, recorded as one call span under ot;
-// hop, when not nil, annotates the span of a successful step a route
-// made.
-func (n *Node) exchange(ctx context.Context, to entry, req *request, resp *response, ot *opTrace, hop *hopNote) error {
-	if to.ID == n.id && (req.Op == "step" || req.Op == "fetch" || req.Op == "state") && !n.isStopped() {
+// other exchange crosses the wire, recorded as one call span under ot.
+func (n *Node) exchange(ctx context.Context, to entry, req *request, resp *response, ot *opTrace) error {
+	if to.ID == n.id && (req.Op == "fetch" || req.Op == "state") && !n.isStopped() {
 		dst := resp.Value
-		*resp = n.dispatch(*req, nil, resp.Candidates)
+		*resp = n.dispatch(*req, nil)
 		resp.Value = codec.CopyValue(dst, resp.Value)
 		return nil
 	}
 	sid, t0 := ot.startCall(req)
 	err := n.roundTrip(ctx, to.Addr, req, resp)
-	var notes []string
-	if sid != 0 && err == nil && hop != nil {
-		notes = hop.annotations(req.GreedyOnly)
-	}
-	ot.endCall(sid, t0, req.Op, to.Addr, err, notes...)
+	ot.endCall(sid, t0, req.Op, to.Addr, err)
 	return err
 }
 
@@ -114,14 +107,14 @@ func (n *Node) exchange(ctx context.Context, to entry, req *request, resp *respo
 // bounded only by DialTimeout: the membership and repair traffic.
 func (n *Node) call(addr string, req request) (response, error) {
 	var resp response
-	err := n.exchange(context.Background(), addrOnly(addr), &req, &resp, nil, nil)
+	err := n.exchange(context.Background(), addrOnly(addr), &req, &resp, nil)
 	return resp, err
 }
 
 // stateOf fetches the routing state of peer at, untraced.
 func (n *Node) stateOf(ctx context.Context, at entry) (*WireState, error) {
 	var resp response
-	err := n.exchange(ctx, at, &request{Op: "state"}, &resp, nil, nil)
+	err := n.exchange(ctx, at, &request{Op: "state"}, &resp, nil)
 	if err == nil && resp.State == nil {
 		err = fmt.Errorf("p2p: %s returned no state", at.Addr)
 	}
@@ -187,32 +180,41 @@ func (n *Node) roundTrip(ctx context.Context, addr string, req *request, resp *r
 		n.tel.dialFailures.Inc()
 		return fmt.Errorf("p2p: receive from %s: %w", addr, err)
 	}
-	n.tel.dialLatency.Observe(end.Sub(began).Microseconds())
-	// A completed exchange, whatever the reply said: the peer is
-	// demonstrably alive, so its strikes clear (taking no lock when it
-	// has none), and the retry budget earns its fractional token.
+	n.contacted(addr, end.Sub(began))
+	switch {
+	case resp.OK:
+		return nil
+	case resp.Busy:
+		return n.busy(addr, resp.RetryAfterMs)
+	}
+	return fmt.Errorf("p2p: %s: %w", addr, peerError(resp.Err))
+}
+
+// contacted accounts a completed exchange with addr that took rtt: the
+// peer is demonstrably alive, whatever it answered, so its strikes
+// clear (taking no lock when it has none), and the retry budget earns
+// its fractional token.
+func (n *Node) contacted(addr string, rtt time.Duration) {
+	n.tel.dialLatency.Observe(rtt.Microseconds())
 	if n.peer(addr).strikes > 0 {
 		n.editPeer(addr, func(h *peerHealth) { h.strikes = 0 })
 	}
 	n.tel.exchanges.Inc()
 	n.budget.earn()
-	switch {
-	case resp.OK:
-		return nil
-	case resp.Busy:
-		// A busy (load-shed) reply becomes a typed *BusyError plus a soft
-		// demotion for the peer's retry-after window — never a dial
-		// failure or a suspicion strike, because the peer answered; it is
-		// overloaded, not dead.
-		ra := time.Duration(resp.RetryAfterMs) * time.Millisecond
-		if ra <= 0 {
-			ra = defaultRetryAfter
-		}
-		n.tel.busyReplies.Inc()
-		n.softDemote(addr, ra)
-		return &BusyError{Addr: addr, RetryAfter: ra}
+}
+
+// busy turns a busy (load-shed) reply into a typed *BusyError plus a
+// soft demotion for the peer's retry-after window — never a dial
+// failure or a suspicion strike, because the peer answered; it is
+// overloaded, not dead.
+func (n *Node) busy(addr string, retryAfterMs uint32) error {
+	ra := time.Duration(retryAfterMs) * time.Millisecond
+	if ra <= 0 {
+		ra = defaultRetryAfter
 	}
-	return fmt.Errorf("p2p: %s: %w", addr, peerError(resp.Err))
+	n.tel.busyReplies.Inc()
+	n.softDemote(addr, ra)
+	return &BusyError{Addr: addr, RetryAfter: ra}
 }
 
 // peerError is a failure the peer itself reported: it answered, so

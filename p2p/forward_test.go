@@ -97,14 +97,28 @@ func TestForwardSlowDownstreamNotCharged(t *testing.T) {
 // TestForwardChargesSilentNextHop: the node two hops down is alive but
 // takes one and a half timeouts to serve the step, so it never answers
 // in time. The first forwarder waits one timeout for it, charges it one
-// timeout and a suspicion strike, and routes on; the origin, waiting on
-// a live forwarder, is charged nothing.
+// timeout and a suspicion strike, and routes on, through a next
+// candidate that takes 0.6 of a timeout to serve the step in turn. The
+// origin, waiting on a live forwarder all along, is charged nothing:
+// the forwarder tells it it is still at work as it falls back, not half
+// a timeout later.
 func TestForwardChargesSilentNextHop(t *testing.T) {
 	_, nodes := forwardCluster(t, 433)
 	origin := nodes[0]
 	key, path := forwardPath(t, nodes, origin, 3)
 	fwd, silent := path[0], path[1]
 	silent.cfg.ServiceDelay = forwardTimeout * 3 / 2
+	var slow *Node
+	for _, c := range fwd.localStep(origin.keyPoint(key), false, nil).Candidates {
+		if c.Addr != silent.Addr() && c.Addr != origin.Addr() {
+			slow = nodes[slices.IndexFunc(nodes, func(nd *Node) bool { return nd.Addr() == c.Addr })]
+			break
+		}
+	}
+	if slow == nil {
+		t.Fatalf("forwarder %s has no candidate besides %s and the origin", fwd.Addr(), silent.Addr())
+	}
+	slow.cfg.ServiceDelay = forwardTimeout * 6 / 10
 	before, fwdBefore, originBefore := fleetSum(nodes, timeouts), timeouts(fwd), timeouts(origin)
 	start := time.Now()
 	r, err := origin.Lookup(key)

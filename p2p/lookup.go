@@ -314,15 +314,29 @@ func (n *Node) localFetch(key string, dst []byte) (item, bool) {
 
 // replicaProbes lists the terminal's leaf neighborhood ranked by
 // closeness to the key, excluding this node and addresses already
-// consulted — the candidates most likely to hold a replica of the key.
+// consulted — the candidates most likely to hold a replica of the key —
+// known corpses last.
 func (n *Node) replicaProbes(ctx context.Context, term entry, kp ids.CycloidID, tried []string) []entry {
 	st, err := n.stateOf(ctx, term)
 	if err != nil {
 		return nil
 	}
 	out := slices.DeleteFunc(n.rank(kp, append([]entry{term}, leafEntries(st)...)), func(e entry) bool {
-		// A known corpse is left out too: don't pay its timeout again.
-		return e.ID == n.id || e.Addr == term.Addr || slices.Contains(tried, e.Addr) || n.peer(e.Addr).dead()
+		return e.ID == n.id || e.Addr == term.Addr || slices.Contains(tried, e.Addr)
+	})
+	// A known corpse goes last, probed only when fewer live candidates
+	// are left than a replica set holds: the read is about to report a
+	// miss, and a suspect may be a live peer this node lost touch with
+	// for a while (a healed partition): reaching for its copy costs at
+	// most one timeout.
+	slices.SortStableFunc(out, func(a, b entry) int {
+		switch da, db := n.peer(a.Addr).dead(), n.peer(b.Addr).dead(); {
+		case da == db:
+			return 0
+		case da:
+			return 1
+		}
+		return -1
 	})
 	return out[:min(len(out), n.cfg.Replicas)]
 }
@@ -466,8 +480,10 @@ type opState struct {
 	arrived time.Time
 	settle  bool // the op has ended
 
-	// Upstream: the call a forwarder answers, or the origin's result.
+	// Upstream: the call a forwarder answers and the node that sent it,
+	// or the origin's result.
 	sc        *pool.ServerConn
+	from      string
 	id        uint64
 	deadline  time.Time
 	abandoned bool
@@ -559,7 +575,7 @@ func (op *routeOp) decide() (end bool, err error) {
 // advance walks the candidates from where the last attempt left off and
 // forwards to the first usable one; with none left, this node is the
 // terminal. Pass 0 skips known corpses outright and leaves demoted
-// peers (one strike, or an overload window) for pass 1.
+// peers (one strike, or an overload window) and the sender for pass 1.
 func (op *routeOp) advance() {
 	n := op.n
 	for ; op.pass < 2; op.pass, op.next = op.pass+1, 0 {
@@ -580,6 +596,14 @@ func (op *routeOp) advance() {
 				if op.pass == 0 && h.demoted() {
 					op.hop.demoted++
 					n.tel.demotions.Inc()
+					continue
+				}
+				if op.pass == 0 && c.Addr == op.from {
+					// The node that sent the step here is tried last too: a
+					// fault-free route never returns to it, so only a
+					// demotion there sent the step this way, and the two
+					// would pass it back and forth until the stall check
+					// gave up on phased routing.
 					continue
 				}
 			}
@@ -651,10 +675,8 @@ func (op *routeOp) forward(c WireEntry) error {
 	}
 	codec.PutBuffer(fb)
 	op.in = request{}
-	if errors.Is(err, pool.ErrPeerSaturated) {
-		// Local backpressure, not a peer failure (see roundTrip).
-		n.softDemote(c.Addr, defaultRetryAfter)
-		err = &BusyError{Addr: c.Addr, RetryAfter: defaultRetryAfter}
+	if berr := n.saturated(c.Addr, err); berr != nil {
+		err = berr
 	} else if err != nil {
 		n.tel.dialFailures.Inc()
 	}
@@ -692,7 +714,10 @@ func (op *routeOp) Complete(tag uint64, rep pool.Reply, err error) {
 		return
 	}
 	n, c := op.n, op.cur
-	if err == nil && codec.BusyReply(rep.Payload) {
+	if berr := n.saturated(c.Addr, err); berr != nil {
+		// A first contact whose dial found the peer's connections full.
+		err = berr
+	} else if err == nil && codec.BusyReply(rep.Payload) {
 		var resp response
 		if derr := codec.DecodeResponse(rep.Payload, &resp); derr == nil {
 			err = n.busy(c.Addr, resp.RetryAfterMs)
@@ -709,6 +734,13 @@ func (op *routeOp) Complete(tag uint64, rep pool.Reply, err error) {
 		op.ot.endCall(op.sid, op.t0, "step", c.Addr, err)
 		op.failed(c, err)
 		op.advance()
+		if !op.settle && op.sc != nil {
+			// The failed attempt may have kept the caller waiting for up
+			// to a whole timeout (a dial, a silent peer), and the next
+			// one's first waiting check is half a timeout away: tell the
+			// caller now that this node is still at work.
+			op.sc.Progress(op.id)
+		}
 		op.unlock()
 		return
 	}

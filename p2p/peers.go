@@ -3,11 +3,12 @@
 //
 // Suspicion: a failed contact adds a strike. One strike demotes a
 // candidate to last place in the dial order; suspectDrop strikes remove
-// it from consideration until stabilization re-probes the address and
-// either clears it (recovered) or leaves it listed (still dead, and by
-// then also pruned from routing tables). Repeated lookups therefore stop
+// it from routing until stabilization re-probes the address and either
+// clears it (recovered) or leaves it listed (still dead, and by then
+// also pruned from routing tables). Repeated lookups therefore stop
 // paying timeouts for the same corpse after at most suspectDrop
-// encounters. Any completed exchange clears the strikes. A busy reply
+// encounters; only a read about to report a miss still probes it for a
+// replica, last. Any completed exchange clears the strikes. A busy reply
 // opens an overload window instead (softDemote; see p2p/retry.go).
 package p2p
 

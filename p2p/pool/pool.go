@@ -250,25 +250,35 @@ type conn struct {
 	lastUse  time.Time
 	closed   bool
 	closeErr error
-	// tick checks the forwarded calls in flight every tickEvery while
-	// there are any (check); ticking reports it armed.
-	tick      *time.Timer
-	tickEvery time.Duration
-	ticking   bool
+	// tick runs check at tickAt (on the pool clock, since), the next
+	// moment a forwarded call in flight is due a waiting check or may
+	// have gone silent for too long; ticking reports it armed.
+	tick    *time.Timer
+	tickAt  time.Duration
+	ticking bool
 }
 
 // waiter is one call awaiting its reply: a DoBytes caller blocked on
 // ch, or a forwarded call whose outcome goes to relay under tag. For a
 // forwarded call, heard is when the peer was last heard from on it (the
-// send, or its latest progress frame), and timeout how long it may stay
-// silent before the peer counts as gone.
+// send, or its latest progress frame), told when relay last heard that
+// the call is waiting, and timeout how long the peer may stay silent
+// before it counts as gone. Both times are on the pool clock (since),
+// 8 bytes each where a time.Time takes 24: every call a connection has
+// in flight holds a waiter in its pending map.
 type waiter struct {
 	ch      chan result
 	relay   Relay
 	tag     uint64
-	heard   time.Time
+	heard   time.Duration
+	told    time.Duration
 	timeout time.Duration
 }
+
+// clock is the pool clock's origin; since reads the clock, monotonic.
+var clock = time.Now()
+
+func since() time.Duration { return time.Since(clock) }
 
 // deliver hands the call its outcome.
 func (w waiter) deliver(res result) {
@@ -290,9 +300,9 @@ type Relay interface {
 	// Forward, tagged with the tag Forward was given.
 	Complete(tag uint64, rep Reply, err error)
 	// Waiting reports that the call is still in flight: as it starts
-	// dialing, and then every half timeout while its peer keeps being
-	// heard from. A forwarder tells its own caller it is alive
-	// (ServerConn.Progress).
+	// dialing, then every quarter to half timeout while the dial runs
+	// and, once sent, while its peer keeps being heard from. A forwarder
+	// tells its own caller it is alive (ServerConn.Progress).
 	Waiting(tag uint64)
 }
 
@@ -461,8 +471,8 @@ func (e timeoutError) Temporary() bool { return true }
 // The peer may go quiet for at most timeout: it keeps a slow call alive
 // with progress frames (ServerConn.Progress), and one silent for longer
 // counts as gone — its connection is torn down, failing the call like a
-// dial failure. Meanwhile r.Waiting runs as a dial starts and every half
-// timeout.
+// dial failure. Meanwhile r.Waiting runs every quarter to half timeout,
+// and as a dial starts.
 func (p *Pool) Forward(addr string, payload []byte, timeout time.Duration, r Relay, tag uint64) error {
 	if binEnvelopeLen+len(payload) > DefaultMaxFrame {
 		return fmt.Errorf("pool: request to %s: %w", addr, ErrFrameTooLarge)
@@ -475,27 +485,61 @@ func (p *Pool) Forward(addr string, payload []byte, timeout time.Duration, r Rel
 		return err
 	}
 	if c != nil {
-		return c.forward(payload, timeout, r, tag, flushAsync)
+		return c.forward(payload, timeout, r, tag, flushAsync, 0)
 	}
-	req := append([]byte(nil), payload...)
-	go func() {
-		// A dial may take the whole timeout, with no frame to show for it.
-		r.Waiting(tag)
-		c, err := p.acquire(addr, timeout)
-		if err == nil {
-			err = c.forward(req, timeout, r, tag, flushNow)
-		}
-		if err != nil {
-			r.Complete(tag, Reply{}, err)
-		}
-	}()
+	go p.dialForward(addr, append([]byte(nil), payload...), timeout, r, tag)
 	return nil
 }
 
-// forward registers a forwarded call on c and writes its frame as mode
-// says. An error means the call was never registered, or was taken back
+// dialForward dials addr for a Forward call and sends req there. A dial
+// may take the whole timeout with no frame to show for it, so r hears
+// that the call is waiting as the dial starts and every half timeout
+// while it runs; the sent call's waiting checks go on from the last.
+func (p *Pool) dialForward(addr string, req []byte, timeout time.Duration, r Relay, tag uint64) {
+	var (
+		mu      sync.Mutex
+		dialing = true
+		told    = since()
+		tick    *time.Timer
+	)
+	r.Waiting(tag)
+	mu.Lock()
+	tick = time.AfterFunc(timeout/2, func() {
+		mu.Lock()
+		on := dialing
+		if on {
+			told = since()
+			tick.Reset(timeout / 2)
+		}
+		mu.Unlock()
+		if on {
+			r.Waiting(tag)
+		}
+	})
+	mu.Unlock()
+	c, err := p.acquire(addr, timeout)
+	mu.Lock()
+	dialing = false
+	tick.Stop()
+	mu.Unlock()
+	if err == nil {
+		err = c.forward(req, timeout, r, tag, flushNow, told)
+	}
+	if err != nil {
+		r.Complete(tag, Reply{}, err)
+	}
+}
+
+// forward registers a forwarded call on c, whose relay last heard that
+// it is waiting at told (pool clock; zero: now), and writes its frame
+// as mode says.
+// An error means the call was never registered, or was taken back
 // before anything failed it.
-func (c *conn) forward(payload []byte, timeout time.Duration, r Relay, tag uint64, mode flushMode) error {
+func (c *conn) forward(payload []byte, timeout time.Duration, r Relay, tag uint64, mode flushMode, told time.Duration) error {
+	now := since()
+	if told == 0 {
+		told = now
+	}
 	c.mu.Lock()
 	if c.closed {
 		err := c.closeErr
@@ -504,15 +548,18 @@ func (c *conn) forward(payload []byte, timeout time.Duration, r Relay, tag uint6
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = waiter{relay: r, tag: tag, heard: time.Now(), timeout: timeout}
+	c.pending[id] = waiter{relay: r, tag: tag, heard: now, told: told, timeout: timeout}
 	c.inflight++
-	if !c.ticking {
-		c.ticking = true
-		c.tickEvery = timeout / 2
+	// A fault-free call ends long before its first check is due, and the
+	// tick armed for the oldest call in flight is never later than this
+	// one's: the timer is reset only when the connection was idle, or
+	// for a call with a shorter timeout than the rest.
+	if at := told + timeout/2; !c.ticking || at < c.tickAt {
+		c.ticking, c.tickAt = true, at
 		if c.tick == nil {
-			c.tick = time.AfterFunc(c.tickEvery, c.check)
+			c.tick = time.AfterFunc(at-now, c.check)
 		} else {
-			c.tick.Reset(c.tickEvery)
+			c.tick.Reset(at - now)
 		}
 	}
 	c.mu.Unlock()
@@ -536,28 +583,39 @@ func (c *conn) forward(payload []byte, timeout time.Duration, r Relay, tag uint6
 	return fmt.Errorf("pool: write %s: %w", c.addr, werr)
 }
 
-// check is the forwarded calls' clock, run every tickEvery while any is
-// in flight: a call whose peer has been silent for its whole timeout
-// tears the connection down, and every other one's relay hears that it
-// is still waiting.
+// check is the forwarded calls' clock, run at tickAt while any is in
+// flight. A call whose peer has been silent for its whole timeout tears
+// the connection down. Every other call's relay hears that it is still
+// waiting once half a timeout has passed since it last heard so — or a
+// quarter, so that calls due close together share one check — and the
+// clock is set for the next call due either.
 func (c *conn) check() {
-	now := time.Now()
+	now := since()
 	var waiting []waiter
-	var expired time.Duration
+	var expired, next time.Duration
 	c.mu.Lock()
-	for _, w := range c.pending {
+	for id, w := range c.pending {
 		if w.relay == nil {
 			continue
 		}
-		if now.Sub(w.heard) >= w.timeout {
+		if now-w.heard >= w.timeout {
 			expired = w.timeout
 			break
 		}
-		waiting = append(waiting, w)
+		if now-w.told >= w.timeout/4 {
+			w.told = now
+			c.pending[id] = w
+			waiting = append(waiting, w)
+		}
+		at := min(w.told+w.timeout/2, w.heard+w.timeout)
+		if next == 0 || at < next {
+			next = at
+		}
 	}
-	c.ticking = !c.closed && expired == 0 && len(waiting) > 0
+	c.ticking = !c.closed && expired == 0 && next != 0
 	if c.ticking {
-		c.tick.Reset(c.tickEvery)
+		c.tickAt = next
+		c.tick.Reset(next - now)
 	}
 	c.mu.Unlock()
 	if expired > 0 {
@@ -841,7 +899,7 @@ func (c *conn) route(id uint64, res result) {
 func (c *conn) heard(id uint64) {
 	c.mu.Lock()
 	if w, ok := c.pending[id]; ok && w.relay != nil {
-		w.heard = time.Now()
+		w.heard = since()
 		c.pending[id] = w
 	}
 	c.mu.Unlock()

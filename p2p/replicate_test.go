@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -99,6 +100,63 @@ func TestOwnerCrashGetFallback(t *testing.T) {
 		t.Fatalf("after %d reads the dead owner still costs %d timeouts (first read: %d)",
 			suspectDrop+2, last.Timeouts, first.Timeouts)
 	}
+}
+
+// TestGetProbesSuspectedReplica: a reader that lost touch with every
+// peer in its routing table for a while (a healed partition) holds
+// suspectDrop strikes against each, so its routes skip them all and end
+// at the reader itself, which has no copy. Before reporting a miss the
+// read probes the suspects among its leaf neighbours for a replica, last
+// in line; they are alive, so the read finds the value without a single
+// timeout.
+func TestGetProbesSuspectedReplica(t *testing.T) {
+	nw := memnet.New(23)
+	nodes := memCluster(t, nw, 6, 12, 23, func(_ int, c *Config) { c.Replicas = 3 })
+	holds := func(addr, key string) bool {
+		for _, nd := range nodes {
+			if nd.Addr() == addr {
+				_, ok := nd.localFetch(key, nil)
+				return ok
+			}
+		}
+		return false
+	}
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprintf("suspected-%d", i)
+		if err := nodes[0].Put(key, []byte("here")); err != nil {
+			t.Fatal(err)
+		}
+		var reader *Node
+		for _, nd := range nodes {
+			if holds(nd.Addr(), key) {
+				continue
+			}
+			probes := nd.rank(nd.keyPoint(key), leafEntries(nd.State()))
+			if slices.ContainsFunc(probes[:min(len(probes), 3)], func(e entry) bool { return holds(e.Addr, key) }) {
+				reader = nd
+				break
+			}
+		}
+		if reader == nil {
+			continue
+		}
+		for _, w := range wireSlots(reader.State()) {
+			if w != nil {
+				for range suspectDrop {
+					reader.suspect(w.Addr)
+				}
+			}
+		}
+		v, r, err := reader.Get(key)
+		if err != nil || string(v) != "here" {
+			t.Fatalf("Get %q from a reader suspecting all its peers: %q, %v", key, v, err)
+		}
+		if r.Hops != 0 || r.Timeouts != 0 {
+			t.Errorf("Get %q: %d hops, %d timeouts; want the route to end at the reader, and no timeout", key, r.Hops, r.Timeouts)
+		}
+		return
+	}
+	t.Fatal("no key has a non-holding reader with a holder among its replica probes")
 }
 
 // TestCrashRetentionFMinusOne crashes f = R-1 nodes simultaneously and

@@ -93,7 +93,7 @@ func (n *Node) serveStep(c *pool.ServerConn, id uint64, body []byte) {
 		op.recycle()
 		return
 	}
-	op.sc, op.id, op.greedy = c, id, op.in.GreedyOnly
+	op.sc, op.id, op.greedy, op.from = c, id, op.in.GreedyOnly, op.in.From.Addr
 	if n.adm == nil {
 		n.runStep(op)
 		return

@@ -112,10 +112,15 @@ func TestLookupCountsOnlyWireHops(t *testing.T) {
 // at the node that forwarded to it. The origin's first hop F is alive,
 // but F's first-choice candidate C has crashed. F must charge exactly
 // one timeout (its own counter, and a suspicion strike against C) and
-// forward to its next candidate, so the route ends where the simulator,
-// with the same member crashed, ends it, after as many hops; the route's
-// Timeouts must equal the fleet-wide movement of
+// forward to its next candidate, so the route ends at the key's owner,
+// in no more hops than the simulator with the same member crashed takes;
+// the route's Timeouts must equal the fleet-wide movement of
 // cycloid_lookup_timeouts_total, and the origin charges nothing.
+//
+// The simulator may do worse: its fallback candidate can hand the step
+// straight back, the two nodes then pass it between them until the
+// stall check turns greedy, and the route may end short of the owner.
+// The live route tries a step's sender last, so it never does.
 func TestForwarderFallback(t *testing.T) {
 	const dim = 5
 	nw := memnet.New(418)
@@ -168,9 +173,9 @@ func TestForwarderFallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup %s past crashed %s: %v", key, crashed.Addr(), err)
 		}
-		if got := space.Linear(r.Terminal); got != want.Terminal || r.Hops != len(want.Hops) {
-			t.Errorf("lookup %s ended at %v after %d hops; the simulator at %v after %d",
-				key, r.Terminal, r.Hops, space.FromLinear(want.Terminal), len(want.Hops))
+		if r.Terminal != owner.ID() || r.Hops > len(want.Hops) {
+			t.Errorf("lookup %s ended at %v after %d hops; want the owner %v within the simulator's %d (it ends at %v)",
+				key, r.Terminal, r.Hops, owner.ID(), len(want.Hops), space.FromLinear(want.Terminal))
 		}
 		// The simulator charges the corpse again at every later hop that
 		// offers it; the live route carries it on its avoid list.

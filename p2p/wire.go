@@ -159,12 +159,8 @@ func (n *Node) roundTrip(ctx context.Context, addr string, req *request, resp *r
 	rep, err := n.pool.DoBytes(ctx, addr, fb.B, true, timeout)
 	codec.PutBuffer(fb)
 	if err != nil {
-		if errors.Is(err, pool.ErrPeerSaturated) {
-			// Local backpressure, not a peer failure: the peer was never
-			// contacted, so neither the dial-failure counter nor its
-			// suspicion strikes may move. Route around it like a busy reply.
-			n.softDemote(addr, defaultRetryAfter)
-			return &BusyError{Addr: addr, RetryAfter: defaultRetryAfter}
+		if berr := n.saturated(addr, err); berr != nil {
+			return berr
 		}
 		n.tel.dialFailures.Inc()
 		return fmt.Errorf("p2p: call %s: %w", addr, err)
@@ -215,6 +211,19 @@ func (n *Node) busy(addr string, retryAfterMs uint32) error {
 	n.tel.busyReplies.Inc()
 	n.softDemote(addr, ra)
 	return &BusyError{Addr: addr, RetryAfter: ra}
+}
+
+// saturated turns a call the local pool refused (ErrPeerSaturated) into
+// a *BusyError plus a soft demotion, and returns nil for any other
+// error. It is local backpressure, not a peer failure: the peer was
+// never contacted, so neither the dial-failure counter nor its
+// suspicion strikes may move. Callers route around it like a busy reply.
+func (n *Node) saturated(addr string, err error) error {
+	if !errors.Is(err, pool.ErrPeerSaturated) {
+		return nil
+	}
+	n.softDemote(addr, defaultRetryAfter)
+	return &BusyError{Addr: addr, RetryAfter: defaultRetryAfter}
 }
 
 // peerError is a failure the peer itself reported: it answered, so
